@@ -7,7 +7,7 @@ One run (the benchmark contract):
 Steadiness report (N runs with seeds seed..seed+N-1; per metric the median
 and quartiles next to host.calib_rate, so host spread can be told apart
 from program spread):
-    python3 perfbench/run.py --workload serve-burst --seconds 10 --steadiness 5
+    python3 perfbench/run.py --workload offload-stream --seconds 30 --steadiness 5
 
 The benchmark's own tests:
     python3 perfbench/run.py --self-test

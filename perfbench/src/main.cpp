@@ -3,11 +3,10 @@
 //   perfbench --workload NAME --seed N --seconds S --trace 0|1 [--trace-out PATH]
 //
 // Drives the public api::Engine from one process with one closed-loop
-// client (workloads: perfbench/src/workload.cpp): lone jobs through
-// Engine::run, bursts through Engine::submit_batch. Every completed grid is
-// compared byte for byte with a HybridExecutor::run_serial reference of its
-// instance, outside the timed interval; any wrong grid makes the exit code
-// non-zero. The last line of standard output is one JSON object:
+// client submitting lone jobs through Engine::run (workloads:
+// perfbench/src/workload.cpp). Every completed grid is compared with the
+// digest of a HybridExecutor::run_serial reference of its instance, outside
+// the timed interval; any wrong grid makes the exit code non-zero. The last line of standard output is one JSON object:
 //   {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 // --trace 0 reports the end-to-end metrics, --trace 1 the per-layer ones
 // (see perfbench/README.md for every definition).
@@ -26,8 +25,10 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "api/backend.hpp"
 #include "api/engine.hpp"
 #include "apps/editdist.hpp"
 #include "apps/nash.hpp"
@@ -38,6 +39,7 @@
 #include "autotune/tuner.hpp"
 #include "core/diag.hpp"
 #include "core/executor.hpp"
+#include "core/spec.hpp"
 #include "core/streaming.hpp"
 #include "cpu/thread_pool.hpp"
 #include "ocl/buffer.hpp"
@@ -166,24 +168,49 @@ autotune::ParamSpace training_space() {
   return s;
 }
 
-struct Instance {
-  core::WavefrontSpec spec;
-  core::Grid reference;
+/// A reference grid reduced to its size and a digest of its bytes, so the
+/// references do not stay resident and peak_rss_mb measures the engine and
+/// the caller's output grid rather than the benchmark's own copies.
+struct GridDigest {
+  std::size_t bytes = 0;
+  std::uint64_t hash = 0;
 };
 
-/// Byte-for-byte comparison with the run_serial reference.
-bool grid_matches(const core::Grid& got, const core::Grid& want) {
-  return got.size_bytes() == want.size_bytes() &&
-         std::memcmp(got.data(), want.data(), got.size_bytes()) == 0;
+/// FNV-1a over 64-bit words (each step is a bijection of the running
+/// hash, so a single differing word always changes the digest), with a
+/// byte tail and the splitmix64 finalizer.
+GridDigest digest(const core::Grid& g) {
+  const std::size_t n = g.size_bytes();
+  const std::byte* p = g.data();
+  std::uint64_t h = 1469598103934665603ull ^ n;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p + i, 8);
+    h = (h ^ w) * 1099511628211ull;
+  }
+  const std::string_view tail(reinterpret_cast<const char*>(p + i), n - i);
+  return {n, mix(h ^ core::fnv1a(tail))};
+}
+
+struct Instance {
+  core::WavefrontSpec spec;
+  GridDigest reference;
+};
+
+/// Comparison with the run_serial reference's digest.
+bool grid_matches(const core::Grid& got, const GridDigest& want) {
+  if (got.size_bytes() != want.bytes) return false;
+  return digest(got).hash == want.hash;
 }
 
 // ------------------------------------------------------------ job records
 
 /// What one completed job reported, reduced to the figures the metrics use.
 struct JobRecord {
-  std::size_t recipe = 0;  ///< index into the workload's recipes; kUnseen otherwise
+  std::size_t recipe = 0;  ///< index into the workload's recipes
   bool traced = false;
-  double latency_ns = 0.0;  ///< submit call start -> future observed ready
+  double latency_ns = 0.0;  ///< the Engine::run call
   double wall_ns = 0.0;     ///< RunResult::wall_ns
   double rtime_ns = 0.0;    ///< simulated ns of the executed program
   double cpu_wall_ns = 0.0;
@@ -194,11 +221,9 @@ struct JobRecord {
   double transfer_ns = 0.0;
   double streamed_ns = 0.0;    ///< simulated ns of streamed GPU phases
   double serialized_ns = 0.0;  ///< their 1-buffer serialized baseline
-  double device_bytes = 0.0;   ///< peak simulated-device bytes of its step, per job
+  double device_bytes = 0.0;   ///< peak simulated-device bytes of the job
   bool entered_gpu() const { return gpu_cells > 0.0; }
 };
-
-constexpr std::size_t kUnseen = static_cast<std::size_t>(-1);
 
 /// Pool size of the per-layer probes of the parallel CPU path.
 constexpr std::size_t kParallelProbeWorkers = 2;
@@ -226,8 +251,8 @@ JobRecord summarize(const core::RunResult& r, std::size_t dim) {
   return j;
 }
 
-/// Counters sampled around traced steps; their deltas give the api,
-/// profile and process ratios.
+/// Counters sampled around traced jobs and the batch probe; their deltas
+/// give the api, profile and process ratios.
 struct Counters {
   api::EngineStats stats;
   api::ShardedQueueStats queue;
@@ -294,15 +319,12 @@ public:
   double sim_pct_of_best();
 
 private:
-  bool lone() const { return wp_.burst == 1; }
   api::EngineOptions engine_options() const;
-  /// One closed-loop step; returns its timed nanoseconds (verification and
-  /// input preparation excluded). Records jobs only when `record`.
+  /// One closed-loop job; returns its timed nanoseconds (verification
+  /// excluded). Records the job only when `record`.
   double step(std::size_t k, bool traced, bool record);
-  double step_lone(std::size_t k, bool traced, bool record);
-  double step_burst(bool traced, bool record);
   /// Checks a completed grid and accounts for it.
-  void check(const core::Grid& got, const core::Grid& want, bool traced, bool record);
+  void check(const core::Grid& got, const GridDigest& want, bool traced, bool record);
   void count_error(bool traced, bool record);
   Counters counters() const { return {engine_->stats(), engine_->queue_stats(), proc_usage()}; }
   std::vector<const JobRecord*> records(bool traced_set) const;
@@ -310,6 +332,9 @@ private:
   /// Runs the GPU probe job (for workloads whose jobs never enter the GPU
   /// layers) and records it into gpu_probe_.
   void run_gpu_probe();
+  /// Submits fixed small batches through the queue, the batch former and
+  /// the futures, which the lone timed jobs never enter.
+  void run_batch_probe();
 
   const WorkloadParams& wp_;
   const std::uint64_t seed_;
@@ -322,9 +347,8 @@ private:
   std::vector<api::CompileOptions> options_;  ///< recipe -> compile options
 
   std::unique_ptr<api::Engine> engine_;
-  /// Output grids per recipe: one for lone workloads (shared by recipes of
-  /// the same shape), `burst` for bursts.
-  std::vector<std::vector<std::shared_ptr<core::Grid>>> grids_;
+  /// Output grid per recipe, shared by recipes of the same shape.
+  std::vector<std::shared_ptr<core::Grid>> grids_;
 
   std::vector<JobRecord> jobs_;
   std::vector<JobRecord> gpu_probe_;
@@ -340,13 +364,13 @@ private:
   std::vector<double> pool_wake_ns_, estimate_ns_, predict_ns_, serial_ns_per_cell_;
   std::vector<double> parallel_ns_per_cell_;
   CounterTotals traced_totals_;
+  CounterTotals batch_totals_;
 };
 
 api::EngineOptions Bench::engine_options() const {
   api::EngineOptions o;
-  o.pool_workers = wp_.pool_workers;
-  o.queue_workers = wp_.queue_workers;
-  o.plan_cache_capacity = wp_.plan_cache_capacity;
+  o.pool_workers = perfbench::kPoolWorkers;
+  o.queue_workers = perfbench::kQueueWorkers;
   return o;
 }
 
@@ -364,9 +388,10 @@ void Bench::prepare() {
       std::mt19937_64 payload_rng(mix(seed_ ^ mix(static_cast<std::uint64_t>(r.app) * 1000003u +
                                                   r.dim * 7919u + r.payload)));
       core::WavefrontSpec spec = make_spec(r.app, r.dim, r.grain, payload_rng);
+      // One reference grid at a time; only its digest is kept.
       core::Grid ref(r.dim, spec.elem_bytes);
       ref_exec.run_serial(spec, ref);
-      instances_.push_back({std::move(spec), std::move(ref)});
+      instances_.push_back({std::move(spec), digest(ref)});
     }
     recipe_instance_.push_back(index);
 
@@ -419,23 +444,17 @@ void Bench::setup(bool traced) {
     {
       auto s = log_.open("grid.alloc", "core");
       for (std::size_t r = 0; r < wp_.recipes.size(); ++r) {
+        // One job runs at a time, so recipes of one shape share a grid.
         const core::WavefrontSpec& spec = instances_[recipe_instance_[r]].spec;
-        grids_.emplace_back();
-        // A lone job at a time needs one grid per shape; a burst needs one
-        // per job it can hold.
-        if (lone()) {
-          for (std::size_t o = 0; o < r && grids_.back().empty(); ++o) {
-            const core::Grid& g = *grids_[o][0];
-            if (g.dim() == spec.dim && g.elem_bytes() == spec.elem_bytes) {
-              grids_.back().push_back(grids_[o][0]);
-            }
-          }
-          if (!grids_.back().empty()) continue;
+        std::shared_ptr<core::Grid> grid;
+        for (const std::shared_ptr<core::Grid>& g : grids_) {
+          if (g->dim() == spec.dim && g->elem_bytes() == spec.elem_bytes) grid = g;
         }
-        for (std::size_t g = 0; g < (lone() ? 1 : wp_.burst); ++g) {
-          grids_.back().push_back(std::make_shared<core::Grid>(spec.dim, spec.elem_bytes));
-          grids_.back().back()->fill_poison();
+        if (!grid) {
+          grid = std::make_shared<core::Grid>(spec.dim, spec.elem_bytes);
+          grid->fill_poison();
         }
+        grids_.push_back(std::move(grid));
       }
     }
     warm_start = Clock::now();
@@ -454,20 +473,16 @@ void Bench::count_error(bool traced, bool record) {
   if (record) ++errors_[traced];
 }
 
-void Bench::check(const core::Grid& got, const core::Grid& want, bool traced, bool record) {
+void Bench::check(const core::Grid& got, const GridDigest& want, bool traced, bool record) {
   if (grid_matches(got, want)) return;
   ++wrong_grids_;
   count_error(traced, record);
 }
 
 double Bench::step(std::size_t k, bool traced, bool record) {
-  return lone() ? step_lone(k, traced, record) : step_burst(traced, record);
-}
-
-double Bench::step_lone(std::size_t k, bool traced, bool record) {
   const std::size_t r = wp_.pattern[k % wp_.pattern.size()];
   const Instance& inst = instances_[recipe_instance_[r]];
-  core::Grid& grid = *grids_[r][0];
+  core::Grid& grid = *grids_[r];
   grid.fill_poison();
   const std::uint64_t job = ++next_job_;
   if (record) ++attempted_[traced];
@@ -522,174 +537,15 @@ double Bench::step_lone(std::size_t k, bool traced, bool record) {
   return ns_between(t0, t1);
 }
 
-double Bench::step_burst(bool traced, bool record) {
-  // Input preparation (untimed): the burst's recipe draws, and possibly an
-  // unseen synthetic recipe with its reference.
-  std::vector<std::size_t> picks(wp_.burst);
-  std::uniform_int_distribution<std::size_t> pick(0, wp_.pattern.size() - 1);
-  for (std::size_t& p : picks) p = wp_.pattern[pick(rng_)];
-  std::optional<Instance> unseen;
-  std::unique_ptr<core::Grid> unseen_grid;
-  if (std::uniform_real_distribution<double>(0.0, 1.0)(rng_) < wp_.miss_share) {
-    const std::size_t dim =
-        std::uniform_int_distribution<std::size_t>(wp_.unseen_dim_min, wp_.unseen_dim_max)(rng_);
-    const double tsize = std::uniform_real_distribution<double>(10.0, 200.0)(rng_);
-    core::WavefrontSpec spec = make_spec(App::kSynthetic, dim, tsize, rng_);
-    core::Grid ref(dim, spec.elem_bytes);
-    engine_->executor().run_serial(spec, ref);
-    unseen.emplace(Instance{std::move(spec), std::move(ref)});
-    unseen_grid = std::make_unique<core::Grid>(dim, unseen->spec.elem_bytes);
-    unseen_grid->fill_poison();
-  }
-  std::vector<std::size_t> used(wp_.recipes.size(), 0);
-  std::vector<core::Grid*> grid_of(picks.size());
-  for (std::size_t i = 0; i < picks.size(); ++i) {
-    grid_of[i] = grids_[picks[i]][used[picks[i]]++].get();
-    grid_of[i]->fill_poison();
-  }
-
-  struct Pending {
-    std::size_t recipe;
-    core::Grid* grid;
-    const core::Grid* reference;
-    std::size_t dim;
-    Clock::time_point submit_start;
-    std::future<core::RunResult> future;
-    std::uint64_t job;
-  };
-  std::vector<Pending> pending;
-  pending.reserve(picks.size() + 1);
-  const std::size_t n_jobs = picks.size() + (unseen ? 1 : 0);
-  if (record) attempted_[traced] += n_jobs;
-  std::size_t failed = 0;
-
-  std::optional<Counters> before;
-  if (traced && record) before = counters();
-  ocl::Buffer::reset_peak();
-  std::vector<double> compile_hit, compile_miss, submit_per_job;
-  std::vector<JobRecord> done;
-  const auto t0 = Clock::now();
-  {
-    auto span = log_.open("burst", "client");
-    // Submits one run of same-recipe jobs with one compile + submit_batch.
-    const auto submit_run = [&](std::size_t recipe, const core::WavefrontSpec& spec,
-                                const api::CompileOptions& opts, bool miss,
-                                const std::vector<core::Grid*>& grids,
-                                const std::vector<const core::Grid*>& refs) {
-      try {
-        api::Plan plan;
-        const auto c0 = Clock::now();
-        {
-          auto s = log_.open(miss ? "api.compile_miss" : "api.compile", "api");
-          plan = engine_->compile(spec, opts);
-        }
-        const auto c1 = Clock::now();
-        (miss ? compile_miss : compile_hit).push_back(ns_between(c0, c1));
-        std::vector<std::future<core::RunResult>> futs;
-        {
-          auto s = log_.open("api.submit_batch", "api");
-          futs = engine_->submit_batch(plan, grids);
-        }
-        const double per_job = ns_between(c1, Clock::now()) / static_cast<double>(grids.size());
-        for (std::size_t i = 0; i < grids.size(); ++i) {
-          submit_per_job.push_back(per_job);
-          pending.push_back({recipe, grids[i], refs[i], spec.dim, c1, std::move(futs[i]),
-                             ++next_job_});
-        }
-      } catch (const std::exception& e) {
-        std::cerr << "perfbench: submit failed: " << e.what() << "\n";
-        failed += grids.size();
-      }
-    };
-    if (unseen) {
-      submit_run(kUnseen, unseen->spec, api::CompileOptions{}, true, {unseen_grid.get()},
-                 {&unseen->reference});
-    }
-    for (std::size_t i = 0; i < picks.size();) {
-      std::size_t j = i;
-      std::vector<core::Grid*> grids;
-      std::vector<const core::Grid*> refs;
-      const std::size_t r = picks[i];
-      const Instance& inst = instances_[recipe_instance_[r]];
-      for (; j < picks.size() && picks[j] == r; ++j) {
-        grids.push_back(grid_of[j]);
-        refs.push_back(&inst.reference);
-      }
-      submit_run(r, inst.spec, options_[r], false, grids, refs);
-      i = j;
-    }
-    std::vector<Clock::time_point> ready(pending.size());
-    {
-      auto wait = log_.open("api.wait", "api");
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        Pending& p = pending[i];
-        try {
-          // Busy-poll rather than block: a blocked client's wake-up can
-          // take milliseconds on a busy host, and that is the client's
-          // delay, not the engine's (perfbench/README.md).
-          while (p.future.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-          }
-          const core::RunResult res = p.future.get();
-          ready[i] = Clock::now();
-          JobRecord rec = summarize(res, p.dim);
-          rec.recipe = p.recipe;
-          rec.traced = traced;
-          rec.latency_ns = ns_between(p.submit_start, ready[i]);
-          done.push_back(rec);
-        } catch (const std::exception& e) {
-          std::cerr << "perfbench: job " << p.job << " failed: " << e.what() << "\n";
-          ++failed;
-          p.grid = nullptr;
-          ready[i] = Clock::now();
-        }
-      }
-    }
-    // Each job's submit-to-ready window, as a child of the burst.
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      log_.add("job", "client", pending[i].submit_start, ready[i], pending[i].job);
-    }
-  }
-  const auto t1 = Clock::now();
-  const double device_bytes =
-      static_cast<double>(ocl::Buffer::peak_bytes()) / static_cast<double>(n_jobs);
-
-  for (std::size_t i = 0; i < failed; ++i) count_error(traced, record);
-  for (const Pending& p : pending) {
-    if (p.grid != nullptr) check(*p.grid, *p.reference, traced, record);
-  }
-  if (record) {
-    for (JobRecord& rec : done) {
-      rec.device_bytes = device_bytes;
-      jobs_.push_back(rec);
-    }
-    if (traced) {
-      traced_totals_.add(*before, counters());
-      compile_hit_ns_.insert(compile_hit_ns_.end(), compile_hit.begin(), compile_hit.end());
-      compile_miss_ns_.insert(compile_miss_ns_.end(), compile_miss.begin(), compile_miss.end());
-      submit_ns_per_job_.insert(submit_ns_per_job_.end(), submit_per_job.begin(),
-                                submit_per_job.end());
-    }
-  }
-  return ns_between(t0, t1);
-}
-
 void Bench::measure(double seconds, bool trace_mode) {
   const double total_ns = seconds * 1e9;
   const auto start = Clock::now();
-  std::size_t traced_steps = 0;
   for (std::size_t k = 0;; ++k) {
     const double elapsed = ns_between(start, Clock::now());
     if (elapsed >= total_ns) break;
     const bool traced = trace_mode && static_cast<std::size_t>(elapsed / 1e9) % 2 == 1;
     log_.set_enabled(traced);
     timed_ns_[traced] += step(k, traced, true);
-    if (traced && ++traced_steps % 16 == 0) {
-      // Buffered profile samples exist here, so the flush does real work.
-      auto s = log_.open("profile.flush", "profile");
-      const auto a = Clock::now();
-      engine_->flush_profiles();
-      flush_ns_.push_back(ns_between(a, Clock::now()));
-    }
   }
   log_.set_enabled(false);
 }
@@ -719,8 +575,9 @@ void Bench::run_gpu_probe() {
   std::mt19937_64 probe_rng(mix(seed_ ^ 0x9b0bull));
   const std::size_t dim = 256;
   core::WavefrontSpec spec = make_spec(App::kSynthetic, dim, 500.0, probe_rng);
-  Instance inst{spec, core::Grid(dim, spec.elem_bytes)};
-  engine_->executor().run_serial(inst.spec, inst.reference);
+  core::Grid grid(dim, spec.elem_bytes);
+  engine_->executor().run_serial(spec, grid);
+  const Instance inst{std::move(spec), digest(grid)};
   api::CompileOptions co;
   core::TunableParams p;
   p.cpu_tile = 16;
@@ -728,7 +585,6 @@ void Bench::run_gpu_probe() {
   co.params = p;
   co.max_resident_bytes = core::whole_grid_resident_bytes(dim, inst.spec.elem_bytes) / 6;
   const api::Plan plan = engine_->compile(inst.spec, co);
-  core::Grid grid(dim, inst.spec.elem_bytes);
   for (int i = 0; i < 9; ++i) {
     grid.fill_poison();
     ocl::Buffer::reset_peak();
@@ -740,6 +596,55 @@ void Bench::run_gpu_probe() {
     rec.device_bytes = bytes;
     rec.traced = true;
     gpu_probe_.push_back(rec);
+  }
+}
+
+void Bench::run_batch_probe() {
+  // Fixed small editdist-96 instance on cpu-tiled (a fusable backend):
+  // 8 batches of 16 jobs through submit_batch. The engine's one queue
+  // worker drains each batch in groups of up to batch_limit same-plan jobs,
+  // each fused into one multi-grid sweep. The worker buffers each job's
+  // profile sample, so the flush timed after each batch has real work.
+  constexpr std::size_t kJobs = 16;
+  std::mt19937_64 probe_rng(mix(seed_ ^ 0xba7c4ull));
+  const std::size_t dim = 96;
+  core::WavefrontSpec spec = make_spec(App::kEditDist, dim, 0.0, probe_rng);
+  core::Grid ref(dim, spec.elem_bytes);
+  engine_->executor().run_serial(spec, ref);
+  const GridDigest want = digest(ref);
+  api::CompileOptions co;
+  co.backend = api::kCpuTiledBackend;
+  core::TunableParams p;
+  p.cpu_tile = 16;
+  p.band = -1;
+  co.params = p;
+  const api::Plan plan = engine_->compile(spec, co);
+  std::vector<core::Grid> grids(kJobs, core::Grid(dim, spec.elem_bytes));
+  std::vector<core::Grid*> ptrs;
+  for (core::Grid& g : grids) ptrs.push_back(&g);
+  for (int b = 0; b < 9; ++b) {
+    for (core::Grid& g : grids) g.fill_poison();
+    const bool record = b > 0;  // the first batch warms the queue worker
+    const Counters before = counters();
+    const auto a = Clock::now();
+    std::vector<std::future<core::RunResult>> futs;
+    {
+      auto s = log_.open("api.submit_batch", "api");
+      futs = engine_->submit_batch(plan, ptrs);
+    }
+    const double per_job = ns_between(a, Clock::now()) / static_cast<double>(kJobs);
+    for (std::future<core::RunResult>& f : futs) f.get();
+    const Counters after = counters();
+    for (const core::Grid& g : grids) {
+      if (!grid_matches(g, want)) ++wrong_grids_;
+    }
+    auto s = log_.open("profile.flush", "profile");
+    const auto f0 = Clock::now();
+    engine_->flush_profiles();
+    if (!record) continue;
+    flush_ns_.push_back(ns_between(f0, Clock::now()));
+    submit_ns_per_job_.push_back(per_job);
+    batch_totals_.add(before, after);
   }
 }
 
@@ -817,25 +722,13 @@ void Bench::probe_layers() {
       }
     }
   }
-  if (submit_ns_per_job_.empty()) {
-    // Lone workloads run synchronously; time the queue's submit call on
-    // their first recipe here.
-    auto s = log_.open("api.submit", "api");
-    const Instance& inst = instances_[recipe_instance_[0]];
-    const api::Plan plan = engine_->compile(inst.spec, options_[0]);
-    core::Grid& grid = *grids_[0][0];
-    for (int i = 0; i < 8; ++i) {
-      grid.fill_poison();
-      const auto a = Clock::now();
-      std::future<core::RunResult> fut = engine_->submit(plan, grid);
-      submit_ns_per_job_.push_back(ns_between(a, Clock::now()));
-      fut.get();
-      if (!grid_matches(grid, inst.reference)) ++wrong_grids_;
-    }
+  {
+    auto s = log_.open("api.batch_probe", "api");
+    run_batch_probe();
   }
-  if (compile_miss_ns_.empty()) {
-    // No unseen compiles in the traced steps: compile fresh payloads of
-    // the first recipe's app (new content keys, so every one misses).
+  {
+    // Compile fresh payloads of the first recipe's app (new content keys,
+    // so every one misses).
     auto s = log_.open("api.compile_miss", "api");
     const RecipeParams& r = wp_.recipes.front();
     std::mt19937_64 probe_rng(mix(seed_ ^ 0xc0ffeeull));
@@ -896,15 +789,13 @@ void Bench::print_summary(std::ostream& os) const {
     for (double v : setup_s_[traced]) os << " " << v << (traced ? "(traced)" : "");
   }
   os << "; autotune.sweep_s median " << median_or_zero(sweep_ns_) / 1e9 << "\n";
-  for (std::size_t r = 0; r <= wp_.recipes.size(); ++r) {
-    const std::size_t id = r < wp_.recipes.size() ? r : kUnseen;
+  for (std::size_t r = 0; r < wp_.recipes.size(); ++r) {
     std::vector<double> lat;
     for (const JobRecord& j : jobs_) {
-      if (!j.traced && j.recipe == id) lat.push_back(j.latency_ns / 1e6);
+      if (!j.traced && j.recipe == r) lat.push_back(j.latency_ns / 1e6);
     }
     if (lat.empty()) continue;
-    os << "# recipe " << (id == kUnseen ? std::string("unseen") : std::to_string(r)) << ": "
-       << lat.size() << " jobs, latency ms q1/p50/q3 " << perfbench::quantile(lat, 0.25) << "/"
+    os << "# recipe " << r << ": " << lat.size() << " jobs, latency ms q1/p50/q3 " << perfbench::quantile(lat, 0.25) << "/"
        << perfbench::median(lat) << "/" << perfbench::quantile(lat, 0.75) << "\n";
   }
 }
@@ -961,6 +852,7 @@ JsonObject Bench::per_layer(const JsonObject& untraced, const JsonObject& traced
   const double cpu_ns_per_cell = median_or_zero(
       collect(cpu_jobs, [](const JobRecord& j) { return j.cpu_wall_ns / j.cpu_cells; }));
   const CounterTotals& t = traced_totals_;
+  const CounterTotals& batch = batch_totals_;
   const double cpu_ns = t.usage.user_ns + t.usage.sys_ns;
 
   JsonObject m;
@@ -970,10 +862,10 @@ JsonObject Bench::per_layer(const JsonObject& untraced, const JsonObject& traced
   m["api.submit_us"] = metric(us(submit_ns_per_job_), "us");
   m["api.compile_hit_us"] = metric(us(compile_hit_ns_), "us");
   m["api.compile_miss_ms"] = metric(median_or_zero(compile_miss_ns_) / 1e6, "ms");
-  m["api.batch_occupancy"] = metric(perfbench::mean_group_size(t.groups), "jobs");
-  m["api.fused_frac"] = metric(share(t.batched, t.jobs), "fraction");
+  m["api.batch_occupancy"] = metric(perfbench::mean_group_size(batch.groups), "jobs");
+  m["api.fused_frac"] = metric(share(batch.batched, batch.jobs), "fraction");
   m["api.plan_cache_hit_frac"] = metric(share(t.hits, t.hits + t.misses), "fraction");
-  m["api.queue_pop_blocks_per_job"] = metric(share(t.pop_blocks, t.jobs), "count");
+  m["api.queue_pop_blocks_per_job"] = metric(share(batch.pop_blocks, batch.jobs), "count");
   m["core.cpu_phase_ms"] = metric(
       median_or_zero(collect(cpu_jobs, [](const JobRecord& j) { return j.cpu_wall_ns / 1e6; })),
       "ms");

@@ -34,20 +34,6 @@ void SpanLog::close(std::size_t index) {
   if (!open_.empty() && open_.back() == index) open_.pop_back();
 }
 
-void SpanLog::add(const char* name, const char* layer, SteadyClock::time_point start,
-                  SteadyClock::time_point end, std::uint64_t job) {
-  if (!enabled_) return;
-  Span s;
-  s.id = spans_.size() + 1;
-  s.parent = current_parent();
-  s.job = job;
-  s.name = name;
-  s.layer = layer;
-  s.start_ns = since_epoch(start);
-  s.end_ns = since_epoch(end);
-  spans_.push_back(std::move(s));
-}
-
 std::size_t SpanLog::bytes() const {
   std::size_t n = spans_.capacity() * sizeof(Span) + open_.capacity() * sizeof(std::size_t);
   for (const Span& s : spans_) {

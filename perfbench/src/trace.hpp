@@ -1,7 +1,7 @@
 // In-memory span log of the traced run.
 //
 // Spans are recorded at the benchmark's own call sites into each layer of
-// the program (compile, submit, wait, estimate, ...), on the client thread
+// the program (compile, run, submit_batch, estimate, ...), on the client thread
 // only, so the log needs no lock. Each span has a name, a layer, a start
 // and end on the steady clock, the span that caused it, and the job it
 // belongs to. The log is written out as Chrome trace-event JSON when the
@@ -55,12 +55,6 @@ public:
   };
 
   [[nodiscard]] Scope open(const char* name, const char* layer, std::uint64_t job = 0);
-
-  /// Records an already-finished span whose times the caller measured
-  /// (e.g. one job's submit-to-ready window inside a burst), as a child of
-  /// the innermost open span.
-  void add(const char* name, const char* layer, SteadyClock::time_point start,
-           SteadyClock::time_point end, std::uint64_t job = 0);
 
   const std::vector<Span>& spans() const { return spans_; }
 

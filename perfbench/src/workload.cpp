@@ -37,7 +37,6 @@ TunableParams gpu_band(int tile, long long band, long long halo, int gpus) {
 }
 
 std::vector<WorkloadParams> make_workloads() {
-  using wavetune::api::kCpuDataflowBackend;
   using wavetune::api::kCpuTiledBackend;
   using wavetune::api::kHybridBackend;
   std::vector<WorkloadParams> out;
@@ -45,9 +44,11 @@ std::vector<WorkloadParams> make_workloads() {
   // solve-cpu: large lone CPU-only solves through Engine::run. The grid
   // (1536^2 x 8 B = 18 MiB) is far larger than L2 and the 256-cell tiles
   // make kernel compute dominate dispatch, so nearly all the time is in the
-  // cpu scheduler and the apps' tile kernels; the api layer is about 2% of
-  // a job, and there is no GPU simulation and no fusion. A kernel or
-  // scheduler gain shows here; a serving-path change should not move it.
+  // single-thread cpu scheduler and the apps' tile kernels; the api layer
+  // (compile hit plus Engine::run) is under 1% of a job, and there is no
+  // GPU simulation and no fusion. A kernel or single-thread scheduling gain
+  // shows here. With a one-worker pool no change to parallel scheduling can
+  // move it, and a serving-path change should not.
   {
     WorkloadParams w;
     w.name = "solve-cpu";
@@ -63,39 +64,8 @@ std::vector<WorkloadParams> make_workloads() {
     w.pattern = {0, 2, 1, 0, 2, 3};
     w.warmup_steps = 6;
     w.why =
-        "lone 1536^2 editdist/seqcmp CPU-only solves: time is in the cpu scheduler and apps "
-        "tile kernels; no GPU simulation, no fusion, api overhead about 2%";
-    out.push_back(std::move(w));
-  }
-
-  // serve-burst: closed-loop bursts of small jobs over three recipes, so the
-  // batch former must group jobs by plan, while a seeded share of bursts
-  // first compiles an unseen autotuned recipe into a small plan cache — cache
-  // misses and evictions (writes) beside hits (reads). Time is dominated by
-  // the api layer (queue, batch former, plan cache, futures) and per-phase
-  // fixed costs. It drives the cpu schedulers with many tiny fused grids,
-  // where solve-cpu drives one big one.
-  {
-    WorkloadParams w;
-    w.name = "serve-burst";
-    w.recipes = {
-        {App::kEditDist, 96, 0, 0.0, kCpuDataflowBackend, cpu_only(16), 0},
-        {App::kSeqCmp, 128, 0, 0.0, kCpuTiledBackend, cpu_only(32), 0},
-        {App::kSynthetic, 64, 0, 100.0, kHybridBackend, gpu_band(8, 20, -1, 0), 0},
-    };
-    w.pattern = {0, 1, 2};
-    // 32-job bursts: the worker sleeps on the empty queue between bursts,
-    // and one wake-up per 32 jobs keeps that host-dependent delay a small
-    // share of a burst.
-    w.burst = 32;
-    w.miss_share = 0.5;
-    w.unseen_dim_min = 64;
-    w.unseen_dim_max = 128;
-    w.plan_cache_capacity = 8;
-    w.warmup_steps = 4;
-    w.why =
-        "closed-loop bursts of small jobs over 3 recipes plus unseen autotuned compiles into a "
-        "small plan cache: time is in the api layer, fusion and per-phase fixed costs";
+        "lone 1536^2 editdist/seqcmp CPU-only solves: time is in the single-thread cpu "
+        "scheduler and apps tile kernels; no GPU simulation, no fusion, api under 1%";
     out.push_back(std::move(w));
   }
 
@@ -133,12 +103,6 @@ std::vector<WorkloadParams> make_workloads() {
 
 bool WorkloadParams::isValid() const {
   if (name.empty() || recipes.empty() || pattern.empty() || why.empty()) return false;
-  if (clients + queue_workers + pool_workers > kThreadBudget) return false;
-  if (clients != 1 || queue_workers == 0 || pool_workers == 0) return false;
-  if (burst == 0 || plan_cache_capacity == 0) return false;
-  if (!(miss_share >= 0.0 && miss_share <= 1.0)) return false;
-  if (miss_share > 0.0 && (burst < 2 || unseen_dim_min < 2 || unseen_dim_min > unseen_dim_max))
-    return false;
   for (std::size_t r : pattern) {
     if (r >= recipes.size()) return false;
   }
@@ -151,13 +115,9 @@ bool WorkloadParams::isValid() const {
 }
 
 std::ostream& operator<<(std::ostream& os, const WorkloadParams& p) {
-  os << "workload{name=" << p.name << ", burst=" << p.burst << ", miss_share=" << p.miss_share;
-  if (p.miss_share > 0.0) {
-    os << ", unseen=synthetic autotuned dim " << p.unseen_dim_min << ".." << p.unseen_dim_max;
-  }
-  os << ", clients=" << p.clients << ", queue_workers=" << p.queue_workers
-     << ", pool_workers=" << p.pool_workers << ", plan_cache_capacity=" << p.plan_cache_capacity << ", warmup_steps=" << p.warmup_steps
-     << ", pattern=[";
+  os << "workload{name=" << p.name << ", jobs=lone, clients=" << kClients
+     << ", queue_workers=" << kQueueWorkers << ", pool_workers=" << kPoolWorkers
+     << ", warmup_steps=" << p.warmup_steps << ", pattern=[";
   for (std::size_t i = 0; i < p.pattern.size(); ++i) os << (i ? "," : "") << p.pattern[i];
   os << "], recipes=[";
   for (std::size_t i = 0; i < p.recipes.size(); ++i) {

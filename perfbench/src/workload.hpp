@@ -1,8 +1,8 @@
 // The benchmark's workloads as self-describing parameter tuples.
 //
 // Each workload is plain data: the apps and sizes its jobs solve, the
-// fixed explicit recipes it times, the job order, burst size, miss share
-// and thread counts, plus why it was chosen. isValid() checks the tuple
+// fixed explicit recipes it times and the job order, plus why it was
+// chosen; the thread counts are the same for every workload. isValid() checks the tuple
 // and operator<< prints all of it, so every run states exactly what it ran
 // and can be replayed from its output.
 #pragma once
@@ -24,6 +24,16 @@ const char* app_name(App app);
 /// workers (the benchmark host has 4 vCPUs).
 inline constexpr std::size_t kThreadBudget = 4;
 
+/// Every workload runs one closed-loop client submitting lone jobs to an
+/// engine with one queue worker and a one-worker pool, so CPU phases run
+/// on the executing thread. With two pool workers every tile-diagonal
+/// waits for the slowest thread, which multiplies the host's CPU steal
+/// into the timings (see perfbench/README.md).
+inline constexpr std::size_t kClients = 1;
+inline constexpr std::size_t kQueueWorkers = 1;
+inline constexpr std::size_t kPoolWorkers = 1;
+static_assert(kClients + kQueueWorkers + kPoolWorkers <= kThreadBudget);
+
 /// One fixed, explicit recipe: which instance a job solves and exactly how.
 /// Recipes that share (app, dim, payload) solve the same instance.
 struct RecipeParams {
@@ -42,21 +52,9 @@ struct RecipeParams {
 struct WorkloadParams {
   std::string name;
   std::vector<RecipeParams> recipes;
-  /// Lone workloads: recipe index of job k is pattern[k % size]. Burst
-  /// workloads: each job draws a recipe uniformly from this list.
+  /// Recipe index of job k is pattern[k % size].
   std::vector<std::size_t> pattern;
-  std::size_t burst = 1;    ///< jobs per closed-loop burst (1 = lone jobs)
-  double miss_share = 0.0;  ///< share of bursts that first compile an unseen recipe
-  std::size_t unseen_dim_min = 0;  ///< dim range of the unseen synthetic recipes
-  std::size_t unseen_dim_max = 0;
-  std::size_t clients = 1;
-  std::size_t queue_workers = 1;
-  /// One pool worker: CPU phases run on the executing thread. With two,
-  /// every tile-diagonal waits for the slowest thread, which multiplies
-  /// the host's CPU steal into the timings (see perfbench/README.md).
-  std::size_t pool_workers = 1;
-  std::size_t plan_cache_capacity = 4096;
-  std::size_t warmup_steps = 0;  ///< closed-loop steps run inside set-up
+  std::size_t warmup_steps = 0;  ///< closed-loop jobs run inside set-up
   std::string why;
 
   bool isValid() const;
