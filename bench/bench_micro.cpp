@@ -24,6 +24,8 @@
 //                                         plus the measured wall time per
 //                                         shape (default: none; implies
 //                                         --json)
+//   --tiles=T1,T2,...                     cpu tile sizes to sweep (default
+//                                         16,64; implies --json)
 //   --quick                               smoke configuration: dim 512
 //                                         only, fewer reps (implies
 //                                         --json; what the Release CI
@@ -40,6 +42,7 @@
 #include <chrono>
 #include <cstring>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -503,7 +506,8 @@ MicroResult run_micro(const std::string& app, std::size_t dim, std::size_t tile,
 }
 
 int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_explicit,
-                  AbiAxis abi_axis, PlanAxis plan_axis, bool quick) {
+                  AbiAxis abi_axis, PlanAxis plan_axis, bool quick,
+                  const std::vector<std::size_t>& tiles) {
   if (path.empty()) {
     std::cerr << "bench_micro: --json needs a non-empty path (or omit '=' for the default)\n";
     return 1;
@@ -536,9 +540,7 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_expl
   util::Json runs = util::Json::array();
   for (const std::string app : {"editdist", "seqcmp"}) {
     for (const std::size_t dim : dims) {
-      // Small tiles stress dispatch hardest (most tiles, most calls);
-      // 64 is the historical per-cell-vs-segment configuration.
-      for (const std::size_t tile : {std::size_t{16}, std::size_t{64}}) {
+      for (const std::size_t tile : tiles) {
         const MicroResult r =
             run_micro(app, dim, tile, abi_pool, sched_pool, reps, sched_axis, abi_axis);
         util::Json row = util::Json::object();
@@ -687,6 +689,22 @@ int main(int argc, char** argv) {
     }
     return true;
   };
+  // Small tiles stress dispatch hardest (most tiles, most calls); 64 is
+  // the historical per-cell-vs-segment configuration.
+  std::vector<std::size_t> tiles{16, 64};
+  const auto parse_tiles = [&](const std::string& v) -> bool {
+    tiles.clear();
+    std::istringstream list(v);
+    for (std::string t; std::getline(list, t, ',');) {
+      if (t.empty() || t.size() > 9 || t.find_first_not_of("0123456789") != std::string::npos) {
+        return false;
+      }
+      const std::size_t tile = std::stoul(t);
+      if (tile == 0) return false;
+      tiles.push_back(tile);
+    }
+    return !tiles.empty();
+  };
   std::vector<std::string> unrecognized;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -699,6 +717,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--quick") {
       // The CI smoke configuration; implies JSON mode.
       quick = true;
+      json_mode = true;
+      if (json_path.empty()) json_path = "BENCH_micro.json";
+    } else if (arg.rfind("--tiles=", 0) == 0) {
+      if (!parse_tiles(arg.substr(8))) {
+        std::cerr << "bench_micro: --tiles expects positive integers, e.g. --tiles=8,16,64\n";
+        return 1;
+      }
       json_mode = true;
       if (json_path.empty()) json_path = "BENCH_micro.json";
     } else if (arg == "--scheduler") {
@@ -768,12 +793,14 @@ int main(int argc, char** argv) {
     if (!unrecognized.empty()) {
       std::cerr << "bench_micro: unrecognized argument(s) in JSON mode:";
       for (const std::string& a : unrecognized) std::cerr << " " << a;
-      std::cerr << "\n  (known: --json[=PATH], --quick, --scheduler=barrier|dataflow|both,"
+      std::cerr << "\n  (known: --json[=PATH], --quick, --tiles=T1,T2,...,"
+                   " --scheduler=barrier|dataflow|both,"
                    " --kernel-abi[=]cell|segment|tile|all,"
                    " --phase-plan[=]paper|cpu-only|split-band|all)\n";
       return 1;
     }
-    return run_json_mode(json_path, sched_axis, sched_explicit, abi_axis, plan_axis, quick);
+    return run_json_mode(json_path, sched_axis, sched_explicit, abi_axis, plan_axis, quick,
+                         tiles);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -5,6 +5,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "apps/avx2_scan.hpp"
+#include "apps/tile_kernels.hpp"
+
 namespace wavetune::apps {
 
 namespace {
@@ -24,6 +27,13 @@ struct EditTileCtx {
   std::int32_t del;
 };
 
+#ifdef WAVETUNE_AVX2_KERNELS
+WAVETUNE_TARGET_AVX2 void editdist_rows_avx2(const void* pv, std::size_t i0, std::size_t i1,
+                                             std::size_t j0, std::size_t j1, std::size_t stride,
+                                             const std::byte* w, const std::byte* n,
+                                             std::byte* out);
+#endif
+
 /// Native tile kernel: computes the block [i0,i1) x [j0,j1) row-major in
 /// one plain call. The structural win over per-row segment dispatch is
 /// CROSS-ROW register blocking — something a one-row-at-a-time ABI
@@ -32,9 +42,25 @@ struct EditTileCtx {
 /// load) and each b[j] character is loaded once for both rows. Typed
 /// __restrict pointers, branchless min chains; the northwest values fold
 /// into nrow[-1] / the previous column's cells.
-void editdist_tile_kernel(const void* pv, std::size_t i0, std::size_t i1, std::size_t j0,
-                          std::size_t j1, std::size_t stride, const std::byte* w,
-                          const std::byte* n, const std::byte* nw, std::byte* out) {
+///
+/// kVectorEntry builds the AVX2 variant's entry point from the same code:
+/// blocks at least avx2::kMinVectorWidth wide go to the row scan, and
+/// narrower ones run this scalar sweep after one compare.
+template <bool kVectorEntry>
+void editdist_tile(const void* pv, std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1,
+                   std::size_t stride, const std::byte* w, const std::byte* n, const std::byte* nw,
+                   std::byte* out) {
+#ifdef WAVETUNE_AVX2_KERNELS
+  if constexpr (kVectorEntry) {
+    if (j1 - j0 >= avx2::kMinVectorWidth) {
+      return editdist_rows_avx2(pv, i0, i1, j0, j1, stride, w, n, out);
+    }
+    // Hide the width bound just tested from the optimizer, so the sweep
+    // below compiles as in the scalar kernel rather than re-unrolled for
+    // widths under 8.
+    asm("" : "+r"(j1));
+  }
+#endif
   (void)nw;  // folded into nrow[-1] below
   const EditTileCtx& c = *static_cast<const EditTileCtx*>(pv);
   const char* __restrict bs = c.b.data();
@@ -136,6 +162,91 @@ void editdist_tile_kernel(const void* pv, std::size_t i0, std::size_t i1, std::s
 
 }  // namespace
 
+#ifdef WAVETUNE_AVX2_KERNELS
+namespace {
+
+/// AVX2 row-scan variant of the tile kernel: same contract, bit-identical
+/// grids. Each row is swept 8 cells per step. The terms that depend only
+/// on the north row are lane-parallel:
+///   A[t] = min(diag[t] + sub * (1 - e[t]), north[t] + del),
+///   match_run[t] = (diag_run[t] + 1) * e[t].
+/// The west dependency D[t] = min(A[t], D[t-1] + ins) unrolls to
+///   D[t] = t*ins + min(west + ins, min_{k<=t} (A[k] - k*ins)),
+/// a prefix minimum that needs no carry, joined with one broadcast carry
+/// per vector. It is the scalar expression regrouped with
+/// min(x, y) + c == min(x + c, y + c), exact in integers, and
+/// check_cost_range keeps every intermediate inside int32. The i == 0
+/// border row and the j == 0 border cell go through the scalar kernel,
+/// each row's tail of under 8 cells through an inline scalar loop.
+/// Needs j1 - j0 >= 8.
+WAVETUNE_TARGET_AVX2 void editdist_rows_avx2(const void* pv, std::size_t i0, std::size_t i1,
+                                             std::size_t j0, std::size_t j1, std::size_t stride,
+                                             const std::byte* w, const std::byte* n,
+                                             std::byte* out) {
+  const std::size_t width = j1 - j0;
+  const EditTileCtx& c = *static_cast<const EditTileCtx*>(pv);
+  const char* bc = c.b.data() + j0;
+  const __m256i sub = _mm256_set1_epi32(c.sub);
+  const __m256i del = _mm256_set1_epi32(c.del);
+  const __m256i one = _mm256_set1_epi32(1);
+  const __m256i steps = avx2::lane_steps(c.ins);  // t * ins
+  const __m256i carry_step = _mm256_set1_epi32(8 * c.ins);
+  for (std::size_t i = i0; i < i1; ++i) {
+    std::byte* orow = out + (i - i0) * stride;
+    if (i == 0) {
+      editdist_tile<false>(pv, 0, 1, j0, j1, stride, w, nullptr, nullptr, orow);
+      continue;
+    }
+    const std::byte* nrow = i == i0 ? n : orow - stride;
+    auto* o = reinterpret_cast<EditCell*>(orow);
+    const auto* north = reinterpret_cast<const EditCell*>(nrow);
+    std::size_t t = 0;
+    if (!w) {
+      editdist_tile<false>(pv, i, i + 1, 0, 1, stride, nullptr, nrow, nullptr, orow);
+      t = 1;
+    }
+    const char ai = c.a[i];
+    __m256i carry = _mm256_set1_epi32((o + t - 1)->dist + c.ins);  // west + ins
+    // The north row rotated east; lane 0 is the next vector's diagonal c0.
+    __m256i rd = _mm256_set1_epi32(north[t - 1].dist);
+    __m256i rrun = _mm256_set1_epi32(north[t - 1].match_run);
+    for (; t + 8 <= width; t += 8) {
+      __m256i nd, nrun;
+      avx2::load_cells(north + t, nd, nrun);
+      const __m256i dd = _mm256_blend_epi32(avx2::rotate_east(nd), rd, 0x01);
+      const __m256i drun = _mm256_blend_epi32(avx2::rotate_east(nrun), rrun, 0x01);
+      rd = avx2::rotate_east(nd);
+      rrun = avx2::rotate_east(nrun);
+      const __m256i e = avx2::match_mask(bc + t, ai);
+      const __m256i a = _mm256_min_epi32(_mm256_add_epi32(dd, _mm256_andnot_si256(e, sub)),
+                                         _mm256_add_epi32(nd, del));
+      const __m256i run = _mm256_and_si256(_mm256_add_epi32(drun, one), e);
+      const __m256i p = avx2::prefix_scan<false>(_mm256_sub_epi32(a, steps));
+      avx2::store_cells(o + t, _mm256_add_epi32(steps, _mm256_min_epi32(carry, p)), run);
+      carry = _mm256_add_epi32(_mm256_min_epi32(carry, avx2::broadcast_last(p)), carry_step);
+    }
+    for (std::int32_t west = o[t - 1].dist; t < width; ++t) {
+      const std::int32_t e = static_cast<std::int32_t>(ai == bc[t]);
+      const EditCell diag = north[t - 1];
+      west = std::min(std::min(diag.dist + c.sub - c.sub * e, north[t].dist + c.del),
+                      west + c.ins);
+      o[t] = EditCell{west, (diag.match_run + 1) * e};
+    }
+  }
+}
+
+}  // namespace
+#endif  // WAVETUNE_AVX2_KERNELS
+
+core::TileKernelFn detail::editdist_scalar_tile_kernel() { return &editdist_tile<false>; }
+
+core::TileKernelFn detail::editdist_avx2_tile_kernel() {
+#ifdef WAVETUNE_AVX2_KERNELS
+  if (avx2::cpu_has_avx2()) return &editdist_tile<true>;
+#endif
+  return nullptr;
+}
+
 core::InputParams editdist_model_inputs(std::size_t dim) {
   // Same regime as the paper's sequence-comparison app: very fine-grained
   // kernel, two-int payload.
@@ -147,6 +258,8 @@ core::WavefrontSpec make_editdist_spec(const EditDistParams& params) {
     throw std::invalid_argument("make_editdist_spec: strings must be equal nonzero length");
   }
   const std::size_t dim = params.str_a.size();
+  detail::check_cost_range("make_editdist_spec", dim,
+                           {params.substitution, params.insertion, params.deletion});
   const std::string a = params.str_a;
   const std::string b = params.str_b;
   const std::int32_t sub = params.substitution;
@@ -226,9 +339,11 @@ core::WavefrontSpec make_editdist_spec(const EditDistParams& params) {
     }
   };
   // Native tile kernel (rung three): one plain-function call per tile,
-  // nothing type-erased inside.
+  // nothing type-erased inside; the AVX2 row scan when the host has it.
+  const core::TileKernelFn avx2 = detail::editdist_avx2_tile_kernel();
   spec.tile = core::TileKernel{
-      &editdist_tile_kernel, std::make_shared<const EditTileCtx>(EditTileCtx{a, b, sub, ins, del})};
+      avx2 ? avx2 : &editdist_tile<false>,
+      std::make_shared<const EditTileCtx>(EditTileCtx{a, b, sub, ins, del})};
   return spec;
 }
 

@@ -32,7 +32,10 @@ struct EditCell {
 
 core::InputParams editdist_model_inputs(std::size_t dim);
 
-/// Builds the spec; both strings must have the same nonzero length.
+/// Builds the spec; both strings must have the same nonzero length, and
+/// max(|substitution|, |insertion|, |deletion|) * (2 * length + 8) must
+/// fit in int32 so no DP value can overflow. Throws
+/// std::invalid_argument otherwise.
 core::WavefrontSpec make_editdist_spec(const EditDistParams& params);
 
 EditCell editdist_cell(const core::Grid& grid, std::size_t i, std::size_t j);

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "apps/avx2_scan.hpp"
+#include "apps/tile_kernels.hpp"
 #include "util/rng.hpp"
 
 namespace wavetune::apps {
@@ -26,6 +28,12 @@ struct SeqTileCtx {
   std::int32_t gap;
 };
 
+#ifdef WAVETUNE_AVX2_KERNELS
+WAVETUNE_TARGET_AVX2 void seqcmp_rows_avx2(const void* pv, std::size_t i0, std::size_t i1,
+                                           std::size_t j0, std::size_t j1, std::size_t stride,
+                                           const std::byte* w, const std::byte* n, std::byte* out);
+#endif
+
 /// Native tile kernel: the whole [i0,i1) x [j0,j1) block in one plain
 /// call. The structural win over per-row segment dispatch is CROSS-ROW
 /// register blocking — something a one-row-at-a-time ABI cannot express:
@@ -34,9 +42,25 @@ struct SeqTileCtx {
 /// character is loaded once for both rows. Typed __restrict pointers,
 /// branchless max chains; the northwest values fold into nrow[-1] / the
 /// previous column's cells.
-void seqcmp_tile_kernel(const void* pv, std::size_t i0, std::size_t i1, std::size_t j0,
-                        std::size_t j1, std::size_t stride, const std::byte* w,
-                        const std::byte* n, const std::byte* nw, std::byte* out) {
+///
+/// kVectorEntry builds the AVX2 variant's entry point from the same code:
+/// blocks at least avx2::kMinVectorWidth wide go to the row scan, and
+/// narrower ones run this scalar sweep after one compare.
+template <bool kVectorEntry>
+void seqcmp_tile(const void* pv, std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1,
+                 std::size_t stride, const std::byte* w, const std::byte* n, const std::byte* nw,
+                 std::byte* out) {
+#ifdef WAVETUNE_AVX2_KERNELS
+  if constexpr (kVectorEntry) {
+    if (j1 - j0 >= avx2::kMinVectorWidth) {
+      return seqcmp_rows_avx2(pv, i0, i1, j0, j1, stride, w, n, out);
+    }
+    // Hide the width bound just tested from the optimizer, so the sweep
+    // below compiles as in the scalar kernel rather than re-unrolled for
+    // widths under 8.
+    asm("" : "+r"(j1));
+  }
+#endif
   (void)nw;  // folded into nrow[-1] below
   const SeqTileCtx& c = *static_cast<const SeqTileCtx*>(pv);
   const char* __restrict bs = c.b.data();
@@ -147,6 +171,105 @@ void seqcmp_tile_kernel(const void* pv, std::size_t i0, std::size_t i1, std::siz
 
 }  // namespace
 
+#ifdef WAVETUNE_AVX2_KERNELS
+namespace {
+
+/// AVX2 row-scan variant of the tile kernel: same contract, bit-identical
+/// grids. Each row is swept 8 cells per step. The terms that depend only
+/// on the north row are lane-parallel:
+///   V[t] = max(0, diag[t] + sub[t], north[t] - gap),
+///   B[t] = max(north_best[t], diag_best[t]).
+/// The west dependency H[t] = max(V[t], H[t-1] - gap) unrolls to
+///   H[t] = max(west - gap, max_{k<=t} (V[k] + k*gap)) - t*gap,
+/// the scalar expression regrouped with max(x, y) + c == max(x + c, y + c),
+/// and best_seen[t] = max(best_seen[t-1], H[t], B[t]) to
+///   best_seen[t] = max(west_best, H[t], max_{k<=t} max(V[k], B[k])).
+/// That form takes the prefix max of V where the recurrence has one of H,
+/// so the best_seen scan runs beside the H scan, not after it. It is
+/// exact: with gap >= 0, H[k] <= max(V[k], H[k-1]), so H never exceeds
+/// max(west, the row's V so far); with gap < 0, H rises along the row,
+/// so its prefix max is H[t] itself; and west <= west_best. Each
+/// carry-free prefix max is joined with one broadcast carry per vector;
+/// every step is integer max/add, and check_cost_range keeps every
+/// intermediate inside int32. The i == 0 border row and the j == 0 border
+/// cell go through the scalar kernel, each row's tail of under 8 cells
+/// through an inline scalar loop. Needs j1 - j0 >= 8.
+WAVETUNE_TARGET_AVX2 void seqcmp_rows_avx2(const void* pv, std::size_t i0, std::size_t i1,
+                                           std::size_t j0, std::size_t j1, std::size_t stride,
+                                           const std::byte* w, const std::byte* n, std::byte* out) {
+  const std::size_t width = j1 - j0;
+  const SeqTileCtx& c = *static_cast<const SeqTileCtx*>(pv);
+  const char* bc = c.b.data() + j0;
+  const __m256i match = _mm256_set1_epi32(c.match);
+  const __m256i mismatch = _mm256_set1_epi32(c.mismatch);
+  const __m256i gap = _mm256_set1_epi32(c.gap);
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i steps = avx2::lane_steps(c.gap);  // t * gap
+  const __m256i carry_step = _mm256_set1_epi32(8 * c.gap);
+  for (std::size_t i = i0; i < i1; ++i) {
+    std::byte* orow = out + (i - i0) * stride;
+    if (i == 0) {
+      seqcmp_tile<false>(pv, 0, 1, j0, j1, stride, w, nullptr, nullptr, orow);
+      continue;
+    }
+    const std::byte* nrow = i == i0 ? n : orow - stride;
+    auto* o = reinterpret_cast<SeqCell*>(orow);
+    const auto* north = reinterpret_cast<const SeqCell*>(nrow);
+    std::size_t t = 0;
+    if (!w) {
+      seqcmp_tile<false>(pv, i, i + 1, 0, 1, stride, nullptr, nrow, nullptr, orow);
+      t = 1;
+    }
+    const char ai = c.a[i];
+    __m256i carry = _mm256_set1_epi32((o + t - 1)->score - c.gap);  // west - gap
+    __m256i best = _mm256_set1_epi32((o + t - 1)->best_seen);
+    // The north row rotated east; lane 0 is the next vector's diagonal c0.
+    __m256i rh = _mm256_set1_epi32(north[t - 1].score);
+    __m256i rb = _mm256_set1_epi32(north[t - 1].best_seen);
+    for (; t + 8 <= width; t += 8) {
+      __m256i nh, nb;
+      avx2::load_cells(north + t, nh, nb);
+      const __m256i dh = _mm256_blend_epi32(avx2::rotate_east(nh), rh, 0x01);
+      const __m256i db = _mm256_blend_epi32(avx2::rotate_east(nb), rb, 0x01);
+      rh = avx2::rotate_east(nh);
+      rb = avx2::rotate_east(nb);
+      const __m256i sub = _mm256_blendv_epi8(mismatch, match, avx2::match_mask(bc + t, ai));
+      const __m256i v = _mm256_max_epi32(_mm256_max_epi32(zero, _mm256_add_epi32(dh, sub)),
+                                         _mm256_sub_epi32(nh, gap));
+      const __m256i q = _mm256_max_epi32(
+          best, avx2::prefix_scan<true>(_mm256_max_epi32(v, _mm256_max_epi32(nb, db))));
+      const __m256i p = avx2::prefix_scan<true>(_mm256_add_epi32(v, steps));
+      const __m256i h = _mm256_sub_epi32(_mm256_max_epi32(carry, p), steps);
+      carry = _mm256_sub_epi32(_mm256_max_epi32(carry, avx2::broadcast_last(p)), carry_step);
+      const __m256i b = _mm256_max_epi32(q, h);
+      avx2::store_cells(o + t, h, b);
+      best = avx2::broadcast_last(b);
+    }
+    for (SeqCell west = o[t - 1]; t < width; ++t) {
+      const std::int32_t e = static_cast<std::int32_t>(ai == bc[t]);
+      const SeqCell diag = north[t - 1];
+      const std::int32_t score =
+          std::max(std::max(0, diag.score + c.mismatch + (c.match - c.mismatch) * e),
+                   std::max(north[t].score, west.score) - c.gap);
+      west = SeqCell{score, std::max(std::max(score, west.best_seen),
+                                     std::max(north[t].best_seen, diag.best_seen))};
+      o[t] = west;
+    }
+  }
+}
+
+}  // namespace
+#endif  // WAVETUNE_AVX2_KERNELS
+
+core::TileKernelFn detail::seqcmp_scalar_tile_kernel() { return &seqcmp_tile<false>; }
+
+core::TileKernelFn detail::seqcmp_avx2_tile_kernel() {
+#ifdef WAVETUNE_AVX2_KERNELS
+  if (avx2::cpu_has_avx2()) return &seqcmp_tile<true>;
+#endif
+  return nullptr;
+}
+
 std::string random_dna(std::size_t n, std::uint64_t seed) {
   static const char alphabet[] = {'A', 'C', 'G', 'T'};
   util::Rng rng(seed);
@@ -168,6 +291,8 @@ core::WavefrontSpec make_seqcmp_spec(const SeqCmpParams& params) {
     throw std::invalid_argument("make_seqcmp_spec: sequences must be equal nonzero length");
   }
   const std::size_t dim = params.seq_a.size();
+  detail::check_cost_range("make_seqcmp_spec", dim,
+                           {params.match, params.mismatch, params.gap});
   const std::string a = params.seq_a;
   const std::string b = params.seq_b;
   const std::int32_t match = params.match;
@@ -229,9 +354,12 @@ core::WavefrontSpec make_seqcmp_spec(const SeqCmpParams& params) {
       }
     }
   };
-  // Native tile kernel (rung three): one plain-function call per tile.
-  spec.tile = core::TileKernel{&seqcmp_tile_kernel, std::make_shared<const SeqTileCtx>(SeqTileCtx{
-                                                        a, b, match, mismatch, gap})};
+  // Native tile kernel (rung three): one plain-function call per tile;
+  // the AVX2 row scan when the host has it.
+  const core::TileKernelFn avx2 = detail::seqcmp_avx2_tile_kernel();
+  spec.tile = core::TileKernel{
+      avx2 ? avx2 : &seqcmp_tile<false>,
+      std::make_shared<const SeqTileCtx>(SeqTileCtx{a, b, match, mismatch, gap})};
   return spec;
 }
 

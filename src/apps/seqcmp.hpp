@@ -35,7 +35,9 @@ std::string random_dna(std::size_t n, std::uint64_t seed);
 core::InputParams seqcmp_model_inputs(std::size_t dim);
 
 /// Builds the spec; both sequences must have the same nonzero length
-/// (square instance, as in the paper's setup).
+/// (square instance, as in the paper's setup), and
+/// max(|match|, |mismatch|, |gap|) * (2 * length + 8) must fit in int32
+/// so no DP value can overflow. Throws std::invalid_argument otherwise.
 core::WavefrontSpec make_seqcmp_spec(const SeqCmpParams& params);
 
 SeqCell seqcmp_cell(const core::Grid& grid, std::size_t i, std::size_t j);

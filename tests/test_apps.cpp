@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "apps/nash.hpp"
 #include "apps/seqcmp.hpp"
@@ -163,6 +164,49 @@ TEST(SeqCmp, RejectsBadSequences) {
   p.seq_a.clear();
   p.seq_b.clear();
   EXPECT_THROW(make_seqcmp_spec(p), std::invalid_argument);
+}
+
+// max |cost| x (2 * dim + 8) must fit in int32 (see the editdist
+// counterpart in test_editdist.cpp). Each cost field, either sign.
+TEST(SeqCmp, RejectsCostsThatCouldOverflow) {
+  const std::size_t dim = 100;
+  const std::int32_t inside =
+      std::numeric_limits<std::int32_t>::max() / static_cast<std::int32_t>(2 * dim + 8);
+  SeqCmpParams p;
+  p.seq_a = random_dna(dim, 5);
+  p.seq_b = random_dna(dim, 6);
+  for (std::int32_t SeqCmpParams::*cost :
+       {&SeqCmpParams::match, &SeqCmpParams::mismatch, &SeqCmpParams::gap}) {
+    for (const std::int32_t sign : {1, -1}) {
+      SeqCmpParams q = p;
+      q.*cost = sign * inside;
+      EXPECT_NO_THROW(make_seqcmp_spec(q));
+      q.*cost = sign * (inside + 1);
+      EXPECT_THROW(make_seqcmp_spec(q), std::invalid_argument);
+    }
+  }
+  p.gap = std::numeric_limits<std::int32_t>::min();
+  EXPECT_THROW(make_seqcmp_spec(p), std::invalid_argument);
+}
+
+/// Just inside the bound, a negative gap (a bonus: scores grow along
+/// every step) and a positive one both still match the reference.
+TEST(SeqCmp, ExtremeCostsInsideTheBoundStayExact) {
+  const std::size_t dim = 100;
+  const std::int32_t inside =
+      std::numeric_limits<std::int32_t>::max() / static_cast<std::int32_t>(2 * dim + 8);
+  SeqCmpParams p;
+  p.seq_a = random_dna(dim, 7);
+  p.seq_b = random_dna(dim, 8);
+  for (const std::int32_t gap : {inside, -inside}) {
+    p.match = inside;
+    p.mismatch = -inside;
+    p.gap = gap;
+    const auto spec = make_seqcmp_spec(p);
+    core::Grid g(spec.dim, spec.elem_bytes);
+    executor().run_serial(spec, g);
+    EXPECT_EQ(seqcmp_best_score(g), smith_waterman_reference(p)) << "gap " << gap;
+  }
 }
 
 TEST(SeqCmp, BestSeenIsMonotoneAlongDependencies) {

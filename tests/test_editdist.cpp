@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 
 #include "apps/seqcmp.hpp"  // random_dna
 #include "core/executor.hpp"
@@ -115,6 +116,46 @@ TEST(EditDist, RejectsBadStrings) {
   p.str_b.clear();
   EXPECT_THROW(make_editdist_spec(p), std::invalid_argument);
   EXPECT_THROW(edit_distance_reference(p), std::invalid_argument);
+}
+
+// max |cost| x (2 * dim + 8) must fit in int32: the largest magnitude
+// any DP value (a path of up to 2 * dim steps) or vector-lane offset
+// (up to 8 more steps) can reach. Each cost field, either sign.
+TEST(EditDist, RejectsCostsThatCouldOverflow) {
+  const std::size_t dim = 100;
+  const std::int32_t inside =
+      std::numeric_limits<std::int32_t>::max() / static_cast<std::int32_t>(2 * dim + 8);
+  EditDistParams p;
+  p.str_a = random_dna(dim, 5);
+  p.str_b = random_dna(dim, 6);
+  for (std::int32_t EditDistParams::*cost :
+       {&EditDistParams::substitution, &EditDistParams::insertion, &EditDistParams::deletion}) {
+    for (const std::int32_t sign : {1, -1}) {
+      EditDistParams q = p;
+      q.*cost = sign * inside;
+      EXPECT_NO_THROW(make_editdist_spec(q));
+      q.*cost = sign * (inside + 1);
+      EXPECT_THROW(make_editdist_spec(q), std::invalid_argument);
+    }
+  }
+  p.insertion = std::numeric_limits<std::int32_t>::min();
+  EXPECT_THROW(make_editdist_spec(p), std::invalid_argument);
+}
+
+/// Just inside the bound, with every cost at the limit in the sign that
+/// drives values furthest, the grid still matches the reference DP (and
+/// the sanitizer builds see no signed overflow).
+TEST(EditDist, ExtremeCostsInsideTheBoundStayExact) {
+  const std::size_t dim = 100;
+  const std::int32_t inside =
+      std::numeric_limits<std::int32_t>::max() / static_cast<std::int32_t>(2 * dim + 8);
+  EditDistParams p;
+  p.str_a = random_dna(dim, 7);
+  p.str_b = random_dna(dim, 8);
+  for (const std::int32_t sign : {1, -1}) {
+    p.substitution = p.insertion = p.deletion = sign * inside;
+    EXPECT_EQ(run_serial_dist(p), edit_distance_reference(p)) << "sign " << sign;
+  }
 }
 
 TEST(EditDist, TriangleInequalityHolds) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <stdexcept>
+
 namespace wavetune::core {
 namespace {
 
@@ -12,6 +15,17 @@ TEST(Grid, ConstructionValidation) {
   EXPECT_EQ(g.dim(), 4u);
   EXPECT_EQ(g.elem_bytes(), 8u);
   EXPECT_EQ(g.size_bytes(), 4u * 4u * 8u);
+}
+
+// The byte size dim * dim * elem_bytes must not wrap. Just inside the
+// size_t range the guard passes and the allocation itself is refused;
+// just outside it the guard throws before anything is allocated.
+TEST(Grid, RejectsSizeOverflow) {
+  const std::size_t root = std::size_t{1} << 32;  // root * root == 2^64
+  EXPECT_THROW(Grid(root, 1), std::invalid_argument);
+  EXPECT_THROW(Grid(root - 1, 1), std::length_error);
+  EXPECT_THROW(Grid(root / 2, 4), std::invalid_argument);  // 2^62 * 4 == 2^64
+  EXPECT_THROW(Grid(root / 2, 3), std::length_error);
 }
 
 TEST(Grid, ZeroInitialised) {

@@ -10,22 +10,34 @@
 // lowers through the native segment kernel; the full spec lowers onto
 // the native tile kernel. The oracle is the cell-ABI serial sweep.
 //
+// editdist and seqcmp ship two native tile kernels, scalar and AVX2 row
+// scan (apps/tile_kernels.hpp); the spec picks one per host. The
+// TileKernelIsa cases call each variant directly — through every
+// LoweredKernel dispatch form and a fused batch — and compare each full
+// grid with the cell-rung oracle. The AVX2 cases skip on hosts without
+// AVX2.
+//
 // Also here: direct contract tests of make_tile_fallback's border-pointer
 // derivation (the i0 == 0 / j0 == 0 corners) and of the LoweredKernel
 // band clamp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <ostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "apps/editdist.hpp"
 #include "apps/nash.hpp"
 #include "apps/seqcmp.hpp"
 #include "apps/synthetic.hpp"
+#include "apps/tile_kernels.hpp"
 #include "core/executor.hpp"
 #include "core/grid.hpp"
 #include "core/lowered.hpp"
+#include "core/phase_program.hpp"
 #include "core/spec.hpp"
 #include "cpu/dataflow_wavefront.hpp"
 #include "sim/system_profile.hpp"
@@ -161,38 +173,262 @@ TEST_P(TileKernelEquivalence, BandSlicedRegionsBitIdentical) {
   }
 }
 
-/// The editdist/seqcmp native tile kernels switch from pair-blocked to
-/// single-row sweeps when a block is wide AND the grid row stride is
-/// large (width > 32 and stride > 8 KiB). Every other test in this file
-/// runs at small dims where that branch never engages, so pin it
-/// explicitly: dim 1040 (stride 8320 for 8-byte cells) with cpu_tile 64
-/// exercises the wide-block path; bit-identical to the cell-ABI oracle.
-TEST(TileKernelWideBlocks, SingleRowSweepBranchBitIdentical) {
-  const std::size_t dim = 1040;
-  HybridExecutor exec(sim::make_i7_2600k(), 2);
-  for (const std::string app : {"editdist", "seqcmp"}) {
-    const WavefrontSpec full = make_app_spec(app, dim);
-    ASSERT_GT(dim * full.elem_bytes, std::size_t{8192});  // stride engages the branch
-    Grid oracle(dim, full.elem_bytes);
-    exec.run_serial(with_abi(full, Abi::kCell), oracle);
-    // run_serial on the tile ABI is a single whole-grid call (width 1040)
-    // and the tiled run dispatches 64-wide blocks — both wide-block paths.
-    Grid serial(dim, full.elem_bytes);
-    serial.fill_poison();
-    exec.run_serial(full, serial);
-    ASSERT_EQ(0, std::memcmp(oracle.data(), serial.data(), oracle.size_bytes())) << app;
-    Grid tiled(dim, full.elem_bytes);
-    tiled.fill_poison();
-    exec.run(full, TunableParams{64, -1, -1, 1}, tiled);
-    ASSERT_EQ(0, std::memcmp(oracle.data(), tiled.data(), oracle.size_bytes())) << app;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Apps, TileKernelEquivalence,
                          ::testing::Values("editdist", "seqcmp", "nash", "synthetic"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });
+
+// --- ISA variants of the editdist / seqcmp native tile kernels ----------
+
+enum class Isa { kScalar, kAvx2 };
+
+const char* isa_name(Isa isa) { return isa == Isa::kScalar ? "scalar" : "avx2"; }
+
+void PrintTo(Isa isa, std::ostream* os) { *os << isa_name(isa); }
+
+/// One input of an integer app: its strings and its three costs (editdist:
+/// substitution, insertion, deletion; seqcmp: match, mismatch, gap).
+struct IsaInput {
+  std::string label;
+  std::string a;
+  std::string b;
+  std::int32_t cost[3];
+};
+
+/// All-match, no-match and random strings, each under five cost sets.
+std::vector<IsaInput> isa_inputs(const std::string& app, std::size_t dim) {
+  // Per app: its defaults, non-unit costs, negative / mixed-sign costs (a
+  // negative seqcmp gap is a bonus, so scores grow along gaps; with a
+  // positive match a row's best_seen then comes from its own scores, not
+  // from any term of the north row), and zero costs (a zero gap is where
+  // the seqcmp row scan's two cases meet).
+  const std::int32_t edit_costs[5][3] = {
+      {1, 1, 1}, {3, 2, 5}, {-2, -1, 3}, {4, -2, 1}, {0, 1, 0}};
+  const std::int32_t seq_costs[5][3] = {
+      {3, -1, 2}, {5, -4, 3}, {-2, -3, -1}, {3, -5, -1}, {1, 0, 0}};
+  const auto& costs = app == "editdist" ? edit_costs : seq_costs;
+  const std::pair<std::string, std::pair<std::string, std::string>> strings[] = {
+      {"all-match", {std::string(dim, 'A'), std::string(dim, 'A')}},
+      {"no-match", {std::string(dim, 'A'), std::string(dim, 'C')}},
+      {"random", {apps::random_dna(dim, 71), apps::random_dna(dim, 73)}},
+  };
+  std::vector<IsaInput> out;
+  for (const auto& [name, ab] : strings) {
+    for (std::size_t k = 0; k < 5; ++k) {
+      out.push_back(IsaInput{name + " costs=" + std::to_string(costs[k][0]) + "," +
+                                 std::to_string(costs[k][1]) + "," + std::to_string(costs[k][2]),
+                             ab.first, ab.second, {costs[k][0], costs[k][1], costs[k][2]}});
+    }
+  }
+  return out;
+}
+
+WavefrontSpec isa_spec(const std::string& app, const IsaInput& in) {
+  if (app == "editdist") {
+    apps::EditDistParams p;
+    p.str_a = in.a;
+    p.str_b = in.b;
+    p.substitution = in.cost[0];
+    p.insertion = in.cost[1];
+    p.deletion = in.cost[2];
+    return apps::make_editdist_spec(p);
+  }
+  apps::SeqCmpParams p;
+  p.seq_a = in.a;
+  p.seq_b = in.b;
+  p.match = in.cost[0];
+  p.mismatch = in.cost[1];
+  p.gap = in.cost[2];
+  return apps::make_seqcmp_spec(p);
+}
+
+/// The kernel variant under test; null when this host cannot run it.
+core::TileKernelFn isa_kernel(const std::string& app, Isa isa) {
+  if (app == "editdist") {
+    return isa == Isa::kScalar ? apps::detail::editdist_scalar_tile_kernel()
+                               : apps::detail::editdist_avx2_tile_kernel();
+  }
+  return isa == Isa::kScalar ? apps::detail::seqcmp_scalar_tile_kernel()
+                             : apps::detail::seqcmp_avx2_tile_kernel();
+}
+
+class TileKernelIsa : public ::testing::TestWithParam<std::tuple<std::string, Isa>> {
+protected:
+  void SetUp() override {
+    app_ = std::get<0>(GetParam());
+    fn_ = isa_kernel(app_, std::get<1>(GetParam()));
+    if (!fn_) GTEST_SKIP() << "this host has no AVX2";
+  }
+
+  /// `spec` with its tile rung switched to the variant under test.
+  WavefrontSpec variant(const WavefrontSpec& spec) const {
+    WavefrontSpec s = spec;
+    s.tile.fn = fn_;
+    return s;
+  }
+
+  /// The cell-rung serial sweep of `spec`.
+  Grid oracle(const WavefrontSpec& spec) const {
+    Grid g(spec.dim, spec.elem_bytes);
+    exec_.run_serial(with_abi(spec, Abi::kCell), g);
+    return g;
+  }
+
+  /// Runs `sweep(kernel, grid)` with the variant's LoweredKernel on a
+  /// poisoned grid for every input and compares with the oracle.
+  template <typename Sweep>
+  void expect_matches_oracle(std::size_t dim, const std::string& what, const Sweep& sweep) {
+    for (const IsaInput& in : isa_inputs(app_, dim)) {
+      const WavefrontSpec spec = isa_spec(app_, in);
+      const Grid want = oracle(spec);
+      const LoweredKernel k = variant(spec).lower();
+      Grid got(dim, spec.elem_bytes);
+      got.fill_poison();
+      sweep(k, got);
+      ASSERT_EQ(0, std::memcmp(want.data(), got.data(), want.size_bytes()))
+          << app_ << " " << what << " dim=" << dim << " " << in.label;
+    }
+  }
+
+  std::string app_;
+  core::TileKernelFn fn_ = nullptr;
+  HybridExecutor exec_{sim::make_i7_2600k(), 2};
+};
+
+/// Row-major sweep of h x w blocks; h == w == dim is one whole-grid call.
+void sweep_blocks(const LoweredKernel& k, Grid& g, std::size_t h, std::size_t w) {
+  const std::size_t dim = g.dim();
+  for (std::size_t i = 0; i < dim; i += h) {
+    for (std::size_t j = 0; j < dim; j += w) {
+      k.block(g.data(), i, std::min(dim, i + h), j, std::min(dim, j + w));
+    }
+  }
+}
+
+/// Block widths 1..40 (mostly not multiples of 8, so every vector tail
+/// length), at block heights 1 and 7. The blocks of the first block row
+/// and column carry the i == 0 border row and the j0 == 0 border column.
+TEST_P(TileKernelIsa, EveryBlockWidthBitIdentical) {
+  const std::size_t dim = 43;
+  for (std::size_t w = 1; w <= 40; ++w) {
+    for (const std::size_t h : {std::size_t{1}, std::size_t{7}}) {
+      expect_matches_oracle(dim, "block " + std::to_string(h) + "x" + std::to_string(w),
+                            [&](const LoweredKernel& k, Grid& g) { sweep_blocks(k, g, h, w); });
+    }
+  }
+}
+
+/// One call over the whole grid: the border row and column in a single
+/// block, at sizes below, at and around the vector width.
+TEST_P(TileKernelIsa, WholeGridBlockBitIdentical) {
+  for (const std::size_t dim : {1, 2, 7, 8, 9, 15, 16, 17, 24, 33, 64}) {
+    expect_matches_oracle(dim, "whole-grid",
+                          [&](const LoweredKernel& k, Grid& g) { sweep_blocks(k, g, dim, dim); });
+  }
+}
+
+/// Band-clamped tile(): tiles straddling a band edge degrade to one
+/// single-row block per clamped row, of every width up to the tile's.
+TEST_P(TileKernelIsa, BandClampedTilesBitIdentical) {
+  const std::size_t dim = 43;
+  const std::size_t cuts[] = {0, 13, 37, 60, core::num_diagonals(dim)};
+  for (const std::size_t tile : {std::size_t{9}, std::size_t{20}}) {
+    expect_matches_oracle(dim, "band tile=" + std::to_string(tile),
+                          [&](const LoweredKernel& k, Grid& g) {
+                            for (std::size_t b = 0; b + 1 < std::size(cuts); ++b) {
+                              for (std::size_t i = 0; i < dim; i += tile) {
+                                for (std::size_t j = 0; j < dim; j += tile) {
+                                  k.tile(g.data(), i, std::min(dim, i + tile), j,
+                                         std::min(dim, j + tile), cuts[b], cuts[b + 1]);
+                                }
+                              }
+                            }
+                          });
+  }
+}
+
+/// Strip-local block_local(): each strip of rows runs in a row-window
+/// buffer whose first row is the halo (the last row of the strip above),
+/// as the streaming executor lays it out; the kernel sees absolute
+/// coordinates and rebased storage.
+TEST_P(TileKernelIsa, StripLocalBlocksBitIdentical) {
+  const std::size_t dim = 43;
+  const std::size_t strip = 6;
+  const std::size_t w = 12;
+  expect_matches_oracle(dim, "strips", [&](const LoweredKernel& k, Grid& g) {
+    const std::size_t row_bytes = dim * k.elem_bytes;
+    std::vector<std::byte> window((strip + 1) * row_bytes);
+    for (std::size_t s0 = 0; s0 < dim; s0 += strip) {
+      const std::size_t s1 = std::min(dim, s0 + strip);
+      const std::size_t base_row = s0 == 0 ? 0 : s0 - 1;
+      std::fill(window.begin(), window.end(), Grid::kPoison);
+      if (s0 > 0) std::memcpy(window.data(), g.cell(base_row, 0), row_bytes);
+      for (std::size_t j = 0; j < dim; j += w) {
+        k.block_local(window.data(), base_row, s0, s1, j, std::min(dim, j + w));
+      }
+      std::memcpy(g.cell(s0, 0), window.data() + (s0 - base_row) * row_bytes,
+                  (s1 - s0) * row_bytes);
+    }
+  });
+}
+
+/// A fused batch (HybridExecutor::run_batch) of three grids, on a CPU-only
+/// and on a hybrid program (CPU phases around a simulated-GPU band): every
+/// member bit-identical to the oracle.
+TEST_P(TileKernelIsa, FusedBatchBitIdentical) {
+  const std::size_t dim = 37;
+  for (const IsaInput& in : isa_inputs(app_, dim)) {
+    const WavefrontSpec spec = variant(isa_spec(app_, in));
+    const Grid want = oracle(spec);
+    for (const TunableParams& params : {TunableParams{8, -1, -1, 1}, TunableParams{8, 9, -1, 1}}) {
+      const core::PhaseProgram program = core::plan_phases(spec.inputs(), params);
+      std::vector<Grid> grids;
+      grids.reserve(3);
+      std::vector<core::BatchMember> members;
+      for (int m = 0; m < 3; ++m) {
+        grids.emplace_back(dim, spec.elem_bytes).fill_poison();
+        members.push_back(core::BatchMember{&grids.back(), nullptr});
+      }
+      const std::vector<core::BatchOutcome> outcomes = exec_.run_batch(spec, program, members);
+      ASSERT_EQ(outcomes.size(), grids.size());
+      for (std::size_t m = 0; m < grids.size(); ++m) {
+        ASSERT_EQ(outcomes[m].stop, core::RunControl::Stop::kNone);
+        ASSERT_EQ(0, std::memcmp(want.data(), grids[m].data(), want.size_bytes()))
+            << app_ << " " << program.describe() << " member " << m << " " << in.label;
+      }
+    }
+  }
+}
+
+/// The scalar kernels switch from pair-blocked to single-row sweeps when
+/// a block is wide AND the grid row stride is large (width > 32 and
+/// stride > 8 KiB); the other cases run at small dims where that branch
+/// never engages, so pin it here: dim 1040 (stride 8320 for 8-byte cells)
+/// through run_serial (one whole-grid call, width 1040) and a tiled run
+/// of 64-wide blocks. For the AVX2 variant these are its longest rows.
+TEST_P(TileKernelIsa, WideBlocksAtLargeStrideBitIdentical) {
+  const std::size_t dim = 1040;
+  const WavefrontSpec spec = variant(make_app_spec(app_, dim));
+  ASSERT_GT(dim * spec.elem_bytes, std::size_t{8192});  // stride engages the branch
+  const Grid want = oracle(spec);
+  Grid serial(dim, spec.elem_bytes);
+  serial.fill_poison();
+  exec_.run_serial(spec, serial);
+  ASSERT_EQ(0, std::memcmp(want.data(), serial.data(), want.size_bytes())) << app_;
+  Grid tiled(dim, spec.elem_bytes);
+  tiled.fill_poison();
+  exec_.run(spec, TunableParams{64, -1, -1, 1}, tiled);
+  ASSERT_EQ(0, std::memcmp(want.data(), tiled.data(), want.size_bytes())) << app_;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    IntegerApps, TileKernelIsa,
+    ::testing::Combine(::testing::Values("editdist", "seqcmp"),
+                       ::testing::Values(Isa::kScalar, Isa::kAvx2)),
+    [](const ::testing::TestParamInfo<std::tuple<std::string, Isa>>& info) {
+      return std::get<0>(info.param) + "_" + isa_name(std::get<1>(info.param));
+    });
 
 // --- make_tile_fallback border-pointer contract --------------------------
 
