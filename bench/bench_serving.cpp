@@ -1,18 +1,14 @@
 // Serving-throughput harness: N closed-loop client threads hammer one
-// api::Engine, comparing the sharded lock-free submission path against
-// the legacy single-mutex baseline (EngineOptions::legacy_serving_path)
-// that this PR replaced as the default.
+// api::Engine through its sharded lock-free submission path.
 //
 // Workloads (per client thread, closed loop):
 //   submit   submit() + future.get() round-trips of one tiny plan — the
-//            job-queue hot path (plus coalescing on the sharded side);
-//   compile  plan-cache HIT compiles — the lock-free snapshot read vs
-//            mutex-guarded lookup;
+//            job-queue hot path and the batch former;
+//   compile  plan-cache HIT compiles — the lock-free snapshot read;
 //   mixed    alternating cache-hit compiles and submit round-trips.
 //
 // Emits an aligned table plus a JSON report (ops/sec, p50/p95/p99 client
-// latency, engine + queue contention counters, and the sharded-vs-legacy
-// speedup summary):
+// latency, engine + queue contention counters):
 //
 //   bench_serving [--quick] [--json=BENCH_serving.json]
 //                 [--threads=1,2,4,8,16] [--ops=N] [--faults]
@@ -30,8 +26,8 @@
 // --batching swaps the sweep for the continuous-batching one: clients
 // submit closed-loop BURSTS of same-plan jobs and the axis is
 // (admission window x batch limit x client count), measured against the
-// PR-6 coalescing path (batch_limit=1) and the legacy single-mutex
-// baseline. Each cell reports the batch-occupancy histogram plus
+// unbatched engine (batch_limit=1: every job a batch of one). Each cell
+// reports the batch-occupancy histogram plus
 // jobs_batched/batches_formed, so "did fusion engage" is visible even
 // when the machine's core count caps the ops/s headroom. --window and
 // --limit pin those axes to a single value.
@@ -57,7 +53,7 @@ using namespace wavetune;
 using Clock = std::chrono::steady_clock;
 
 struct Cell {
-  std::string mode;      // "sharded" | "legacy" | "coalesce" | "batched"
+  std::string mode;      // "engine" | "faults" | "unbatched" | "batched"
   std::string workload;  // "submit" | "compile" | "mixed" | "burst"
   int threads = 0;
   int window_us = 0;  // --batching: admission window of the cell
@@ -98,13 +94,11 @@ const std::vector<core::TunableParams>& hit_recipes() {
   return r;
 }
 
-Cell run_cell(const std::string& mode, const std::string& workload, int threads,
-              std::uint64_t ops_per_thread) {
+Cell run_cell(const std::string& workload, int threads, std::uint64_t ops_per_thread) {
   api::EngineOptions o;
   o.pool_workers = 1;
   o.queue_workers = 2;
   o.queue_capacity = 64;
-  o.legacy_serving_path = (mode == "legacy");
   api::Engine eng(sim::make_i7_2600k(), o);
   const core::WavefrontSpec spec = tiny_spec();
 
@@ -139,7 +133,7 @@ Cell run_cell(const std::string& mode, const std::string& workload, int threads,
   const double wall = std::chrono::duration<double>(Clock::now() - t0).count();
 
   Cell cell;
-  cell.mode = mode;
+  cell.mode = "engine";
   cell.workload = workload;
   cell.threads = threads;
   cell.ops = ops_per_thread * static_cast<std::uint64_t>(threads);
@@ -235,10 +229,8 @@ Cell run_fault_cell(double rate, int threads, std::uint64_t ops_per_thread) {
 constexpr std::size_t kBurst = 4;
 
 /// One --batching measurement. mode selects the grouping policy:
-///   "legacy"   single-mutex baseline, no grouping at all;
-///   "coalesce" the PR-6 sharded path, shard-local coalescing only
-///              (batch_limit=1 keeps continuous batching out);
-///   "batched"  continuous batching with the given window and limit.
+///   "unbatched" batch_limit=1: every job runs as a batch of one;
+///   "batched"   continuous batching with the given window and limit.
 /// The grid is big enough that each job carries real tile work for the
 /// fused sweep to amortize its one-scheduling-pass-per-phase over.
 Cell run_batching_cell(const std::string& mode, int clients, int window_us, int limit,
@@ -247,7 +239,6 @@ Cell run_batching_cell(const std::string& mode, int clients, int window_us, int 
   o.pool_workers = 1;
   o.queue_workers = 2;
   o.queue_capacity = 256;
-  o.legacy_serving_path = (mode == "legacy");
   if (mode == "batched") {
     o.batch_limit = static_cast<std::size_t>(limit);
     o.batch_window = std::chrono::microseconds(window_us);
@@ -312,8 +303,8 @@ Cell run_batching_cell(const std::string& mode, int clients, int window_us, int 
   return cell;
 }
 
-/// Share of execution groups (coalesced sweeps and fused batches, the
-/// size-1 "groups" included) whose occupancy was >= 4 jobs.
+/// Share of dispatched same-plan groups (lone jobs, as groups of one,
+/// included) whose occupancy was >= 4 jobs.
 double occupancy_ge4_share(const api::EngineStats& s) {
   std::uint64_t total = 0;
   std::uint64_t ge4 = 0;
@@ -346,7 +337,6 @@ util::Json to_json(const Cell& c) {
   stats["jobs_submitted"] = c.stats.jobs_submitted;
   stats["jobs_completed"] = c.stats.jobs_completed;
   stats["jobs_failed"] = c.stats.jobs_failed;
-  stats["jobs_coalesced"] = c.stats.jobs_coalesced;
   stats["jobs_retried"] = c.stats.jobs_retried;
   stats["jobs_degraded"] = c.stats.jobs_degraded;
   stats["jobs_timed_out"] = c.stats.jobs_timed_out;
@@ -414,7 +404,7 @@ int main(int argc, char** argv) {
     if (cli.get("limit")) limits = {static_cast<int>(cli.get_int_or("limit", 8))};
 
     std::vector<Cell> cells;
-    util::Table table({"mode", "clients", "win_us", "limit", "ops/s", "vs coalesce", "p50us",
+    util::Table table({"mode", "clients", "win_us", "limit", "ops/s", "vs unbatched", "p50us",
                        "p99us", "batched", "batches", "occ>=4"});
     const auto pct = [](double v) {
       char buf[16];
@@ -423,29 +413,25 @@ int main(int argc, char** argv) {
     };
     util::JsonArray summary;
     for (const int c : clients_axis) {
-      const Cell legacy = run_batching_cell("legacy", c, 0, 0, bursts);
-      const Cell coalesce = run_batching_cell("coalesce", c, 0, 0, bursts);
-      for (const Cell* base : {&legacy, &coalesce}) {
-        table.row()
-            .add(base->mode)
-            .add(c)
-            .add("-")
-            .add("-")
-            .add(base->ops_per_s, 0)
-            .add(base->mode == "coalesce" ? "1.00x" : "-")
-            .add(base->p50_us, 1)
-            .add(base->p99_us, 1)
-            .add(base->stats.jobs_batched)
-            .add(base->stats.batches_formed)
-            .add(pct(occupancy_ge4_share(base->stats)))
-            .done();
-        cells.push_back(*base);
-      }
+      const Cell base = run_batching_cell("unbatched", c, 0, 0, bursts);
+      table.row()
+          .add(base.mode)
+          .add(c)
+          .add("-")
+          .add(1)
+          .add(base.ops_per_s, 0)
+          .add("1.00x")
+          .add(base.p50_us, 1)
+          .add(base.p99_us, 1)
+          .add(base.stats.jobs_batched)
+          .add(base.stats.batches_formed)
+          .add(pct(occupancy_ge4_share(base.stats)))
+          .done();
+      cells.push_back(base);
       for (const int w : windows) {
         for (const int l : limits) {
           const Cell b = run_batching_cell("batched", c, w, l, bursts);
-          const double speedup =
-              coalesce.ops_per_s > 0.0 ? b.ops_per_s / coalesce.ops_per_s : 0.0;
+          const double speedup = base.ops_per_s > 0.0 ? b.ops_per_s / base.ops_per_s : 0.0;
           char buf[32];
           std::snprintf(buf, sizeof(buf), "%.2fx", speedup);
           table.row()
@@ -465,10 +451,9 @@ int main(int argc, char** argv) {
           s["clients"] = c;
           s["window_us"] = w;
           s["limit"] = l;
-          s["legacy_ops_per_sec"] = legacy.ops_per_s;
-          s["coalesce_ops_per_sec"] = coalesce.ops_per_s;
+          s["unbatched_ops_per_sec"] = base.ops_per_s;
           s["batched_ops_per_sec"] = b.ops_per_s;
-          s["speedup_vs_coalesce"] = speedup;
+          s["speedup_vs_unbatched"] = speedup;
           s["occupancy_ge4_share"] = occupancy_ge4_share(b.stats);
           summary.emplace_back(std::move(s));
           cells.push_back(b);
@@ -476,7 +461,7 @@ int main(int argc, char** argv) {
       }
     }
     std::printf(
-        "Continuous batching: fused same-plan sweeps vs PR-6 coalescing vs legacy "
+        "Continuous batching: fused same-plan sweeps vs batches of one "
         "(bursts of %zu same-plan jobs per client op)\n%s",
         kBurst, table.to_aligned().c_str());
     util::JsonObject root;
@@ -537,48 +522,21 @@ int main(int argc, char** argv) {
   }
 
   std::vector<Cell> cells;
+  util::Table table({"workload", "threads", "ops/s", "p50us", "p95us", "p99us"});
   for (const std::string workload : {"submit", "compile", "mixed"}) {
     for (const int t : threads) {
-      for (const std::string mode : {"legacy", "sharded"}) {
-        cells.push_back(run_cell(mode, workload, t, ops_for(workload)));
-      }
-    }
-  }
-
-  util::Table table({"workload", "threads", "legacy ops/s", "sharded ops/s", "speedup",
-                     "sharded p50us", "sharded p99us"});
-  util::JsonArray summary;
-  for (const std::string workload : {"submit", "compile", "mixed"}) {
-    for (const int t : threads) {
-      const Cell* legacy = nullptr;
-      const Cell* sharded = nullptr;
-      for (const Cell& c : cells) {
-        if (c.workload != workload || c.threads != t) continue;
-        (c.mode == "legacy" ? legacy : sharded) = &c;
-      }
-      const double speedup =
-          legacy->ops_per_s > 0.0 ? sharded->ops_per_s / legacy->ops_per_s : 0.0;
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.2fx", speedup);
+      const Cell& c = cells.emplace_back(run_cell(workload, t, ops_for(workload)));
       table.row()
           .add(workload)
           .add(t)
-          .add(legacy->ops_per_s, 0)
-          .add(sharded->ops_per_s, 0)
-          .add(buf)
-          .add(sharded->p50_us, 1)
-          .add(sharded->p99_us, 1)
+          .add(c.ops_per_s, 0)
+          .add(c.p50_us, 1)
+          .add(c.p95_us, 1)
+          .add(c.p99_us, 1)
           .done();
-      util::JsonObject s;
-      s["workload"] = workload;
-      s["threads"] = t;
-      s["legacy_ops_per_sec"] = legacy->ops_per_s;
-      s["sharded_ops_per_sec"] = sharded->ops_per_s;
-      s["speedup"] = speedup;
-      summary.emplace_back(std::move(s));
     }
   }
-  std::printf("Serving throughput: sharded lock-free path vs single-mutex baseline\n%s",
+  std::printf("Serving throughput: closed-loop clients on the sharded submission path\n%s",
               table.to_aligned().c_str());
 
   util::JsonObject root;
@@ -588,7 +546,6 @@ int main(int argc, char** argv) {
   util::JsonArray arr;
   for (const Cell& c : cells) arr.push_back(to_json(c));
   root["cells"] = util::Json(std::move(arr));
-  root["summary"] = util::Json(std::move(summary));
   std::ofstream out(json_path);
   out << util::Json(std::move(root)).dump(2) << "\n";
   std::printf("wrote %s\n", json_path.c_str());

@@ -19,24 +19,18 @@ core::PhaseProgram Backend::plan(const core::InputParams& in,
   return core::plan_phases(in, prepared, cpu::Scheduler::kBarrier);
 }
 
-core::RunResult Backend::run(core::HybridExecutor& executor, const core::WavefrontSpec& spec,
-                             const core::PhaseProgram& program,
-                             const core::LoweredKernel& lowered, core::Grid& grid,
-                             const core::RunControl* control) const {
-  return executor.run(spec, program, grid, nullptr, &lowered, control);
+std::vector<core::BatchOutcome> Backend::run(core::HybridExecutor& executor,
+                                             const core::WavefrontSpec& spec,
+                                             const core::PhaseProgram& program,
+                                             const core::LoweredKernel& lowered,
+                                             const std::vector<core::BatchMember>& members) const {
+  return executor.run_batch(spec, program, members, nullptr, &lowered);
 }
 
 core::RunResult Backend::estimate(const core::HybridExecutor& executor,
                                   const core::InputParams& in,
                                   const core::PhaseProgram& program) const {
   return executor.estimate(in, program);
-}
-
-std::vector<core::BatchOutcome> Backend::run_fused(
-    core::HybridExecutor& executor, const core::WavefrontSpec& spec,
-    const core::PhaseProgram& program, const core::LoweredKernel& lowered,
-    const std::vector<core::BatchMember>& members) const {
-  return executor.run_batch(spec, program, members, nullptr, &lowered);
 }
 
 namespace {
@@ -61,23 +55,22 @@ public:
     return core::TunableParams{1, -1, -1, 1};
   }
 
-  core::RunResult run(core::HybridExecutor& executor, const core::WavefrontSpec& spec,
-                      const core::PhaseProgram&, const core::LoweredKernel& lowered,
-                      core::Grid& grid, const core::RunControl* control) const override {
-    // One whole-grid sweep has no phase boundaries to poll at; honor the
-    // control once up front so an already-cancelled/expired job is shed
-    // before any work.
-    if (control) {
-      const core::RunControl::Stop stop = control->should_stop();
-      if (stop != core::RunControl::Stop::kNone) throw core::ExecutionInterrupted(stop);
+  std::vector<core::BatchOutcome> run(
+      core::HybridExecutor& executor, const core::WavefrontSpec& spec, const core::PhaseProgram&,
+      const core::LoweredKernel& lowered,
+      const std::vector<core::BatchMember>& members) const override {
+    // One whole-grid sweep per member, back to back. A sweep has no phase
+    // boundaries to poll at, so each member's control is honored once, up
+    // front: a cancelled or expired member is shed before its work.
+    std::vector<core::BatchOutcome> out(members.size());
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      if (members[m].control) out[m].stop = members[m].control->should_stop();
+      if (out[m].stop == core::RunControl::Stop::kNone) {
+        out[m].result = executor.run_serial(spec, *members[m].grid, &lowered);
+      }
     }
-    return executor.run_serial(spec, grid, &lowered);
+    return out;
   }
-
-  // The serial path bypasses the program interpreter entirely, so there
-  // is no fused multi-grid walk to ride; the Engine runs serial jobs one
-  // by one.
-  bool supports_fused_run() const override { return false; }
 
   core::RunResult estimate(const core::HybridExecutor& executor, const core::InputParams& in,
                            const core::PhaseProgram& program) const override {

@@ -3,12 +3,13 @@
 // A Backend is a stateless strategy object that knows how to validate a
 // tuning for itself ("prepare", done once at Engine::compile time so every
 // later submit skips validation), how to compile that tuning into a
-// core::PhaseProgram ("plan", also once at compile time), and how to
-// run/estimate a wavefront through the engine-owned HybridExecutor. The
-// default run/estimate simply interpret the plan's program — one
-// interpreter, two modes — so most backends only customise plan(). The
-// built-ins mirror the execution paths that call sites previously picked
-// by hand:
+// core::PhaseProgram ("plan", also once at compile time), and how to run
+// and estimate it through the engine-owned HybridExecutor. run() takes a
+// batch of same-plan jobs (a lone job is a batch of one) and is the only
+// call that executes a job. The default run/estimate simply interpret the
+// plan's program — one interpreter, two modes — so most backends only
+// customise plan(). The built-ins mirror the execution paths that call
+// sites previously picked by hand:
 //
 //   "serial"       optimized sequential baseline (HybridExecutor::run_serial)
 //   "cpu-tiled"    tiled-parallel CPU only, barriered per-tile-diagonal
@@ -73,45 +74,34 @@ public:
                                   const core::TunableParams& prepared,
                                   const sim::SystemProfile& profile) const;
 
-  /// Functionally computes every cell of `grid` by interpreting the
-  /// plan's compiled `program`, charging simulated time. `grid` is
-  /// caller-owned (see the ownership rules in api/plan.hpp). `lowered` is
-  /// the plan's compile-time kernel resolution (core/lowered.hpp) —
-  /// backends pass it down so no run path re-lowers or constructs a
-  /// std::function per request. A non-null `control` is the job's
-  /// cancellation/deadline poll (core/run_control.hpp): backends must
-  /// thread it to the interpreter (the base implementation does) or at
-  /// minimum honor it once before executing, so a cancelled or expired
-  /// job stops within one phase. The base implementation is the generic
-  /// interpreter (HybridExecutor::run over the program); only backends
-  /// with a non-program execution path (e.g. "serial") override it.
-  virtual core::RunResult run(core::HybridExecutor& executor, const core::WavefrontSpec& spec,
-                              const core::PhaseProgram& program,
-                              const core::LoweredKernel& lowered, core::Grid& grid,
-                              const core::RunControl* control = nullptr) const;
+  /// Functionally computes every member's grid by interpreting the plan's
+  /// compiled `program`, charging simulated time — THE one execution call:
+  /// the Engine hands every job to it, a lone job as a batch of one and
+  /// same-plan jobs as one batch. Grids are caller-owned (see the ownership
+  /// rules in api/plan.hpp) and distinct. `lowered` is the plan's
+  /// compile-time kernel resolution (core/lowered.hpp) — backends pass it
+  /// down so no run path re-lowers or constructs a std::function per
+  /// request. Returns one outcome per member, in order. A member's non-null
+  /// `control` is its cancellation/deadline poll (core/run_control.hpp):
+  /// backends must poll it at least once before that member's work and
+  /// record a stop in the member's outcome (without throwing, and without
+  /// aborting the other members), so a cancelled or expired job stops
+  /// within one phase. A throw fails the whole call: the Engine re-runs
+  /// each member of a larger batch alone, and a lone member follows its
+  /// retry/fallback policy (api::SubmitOptions). The base implementation
+  /// is the fused interpreter (HybridExecutor::run_batch): each surviving
+  /// member's grid and simulated timing are bit-identical to a lone run.
+  virtual std::vector<core::BatchOutcome> run(core::HybridExecutor& executor,
+                                              const core::WavefrontSpec& spec,
+                                              const core::PhaseProgram& program,
+                                              const core::LoweredKernel& lowered,
+                                              const std::vector<core::BatchMember>& members) const;
 
   /// Simulated timing of the SAME program, without functional execution.
   /// Base implementation: HybridExecutor::estimate over the program.
   virtual core::RunResult estimate(const core::HybridExecutor& executor,
                                    const core::InputParams& in,
                                    const core::PhaseProgram& program) const;
-
-  /// Whether this backend can execute several same-plan jobs as ONE fused
-  /// multi-grid interpretation of its program (run_fused below). True for
-  /// every program-interpreting backend; backends with a non-program
-  /// execution path ("serial") opt out and the Engine falls back to
-  /// per-job run() calls.
-  virtual bool supports_fused_run() const { return true; }
-
-  /// Fused batched execution: interprets `program` once for all members'
-  /// grids (HybridExecutor::run_batch). Each surviving member's grid and
-  /// simulated timing are bit-identical to a lone run(); members whose
-  /// control asks to stop are shed (recorded in their BatchOutcome)
-  /// without aborting the rest. Only called when supports_fused_run().
-  virtual std::vector<core::BatchOutcome> run_fused(
-      core::HybridExecutor& executor, const core::WavefrontSpec& spec,
-      const core::PhaseProgram& program, const core::LoweredKernel& lowered,
-      const std::vector<core::BatchMember>& members) const;
 };
 
 /// Process-wide, thread-safe, name-keyed backend registry. The built-in

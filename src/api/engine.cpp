@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -25,6 +26,13 @@ std::int64_t steady_now_ns() {
 }  // namespace
 
 namespace {
+/// Shard count of the job queue: EngineOptions::queue_shards, or one per
+/// queue worker (at least 4) when 0.
+std::size_t shard_count(const EngineOptions& options) {
+  if (options.queue_shards != 0) return options.queue_shards;
+  return std::max<std::size_t>(std::max<std::size_t>(options.queue_workers, 1), 4);
+}
+
 /// Constructor-time options audit. Every rejected value used to be
 /// accepted silently and misbehave later — a zero queue capacity wedges
 /// the first submit forever, a zero batch_limit makes the batch former
@@ -52,16 +60,10 @@ EngineOptions validated(EngineOptions options) {
 Engine::Engine(sim::SystemProfile profile, EngineOptions options)
     : executor_(std::move(profile), options.pool_workers),
       options_(validated(options)),
-      profile_store_(profile::ProfileStoreOptions{options.profile_ring_capacity}) {
+      profile_store_(profile::ProfileStoreOptions{options.profile_ring_capacity}),
+      queue_(options_.queue_capacity, shard_count(options_)) {
   store_snapshot(std::make_shared<const CacheMap>());
   const std::size_t workers = options_.queue_workers == 0 ? 1 : options_.queue_workers;
-  if (options_.legacy_serving_path) {
-    legacy_queue_ = std::make_unique<BoundedQueue<Job>>(options_.queue_capacity);
-  } else {
-    std::size_t shards = options_.queue_shards;
-    if (shards == 0) shards = std::max<std::size_t>(workers, 4);
-    queue_ = std::make_unique<ShardedQueue<Job>>(options_.queue_capacity, shards);
-  }
   profile_slots_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     profile_slots_.push_back(std::make_unique<ProfileSlot>());
@@ -88,8 +90,7 @@ Engine::Engine(sim::SystemProfile profile, EngineOptions options)
     // Thread spawn failed mid-constructor: ~Engine will not run, so shut
     // down the already-spawned workers here or their joinable threads
     // would std::terminate the process.
-    if (queue_) queue_->close();
-    if (legacy_queue_) legacy_queue_->close();
+    queue_.close();
     for (auto& w : workers_) {
       if (w.joinable()) w.join();
     }
@@ -132,8 +133,7 @@ void Engine::shutdown(std::chrono::nanoseconds drain_budget) {
     drain_deadline_ns_.store(steady_now_ns() + drain_budget.count(), std::memory_order_release);
   }
   std::lock_guard<std::mutex> lock(shutdown_mutex_);
-  if (queue_) queue_->close();
-  if (legacy_queue_) legacy_queue_->close();
+  queue_.close();
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
@@ -190,35 +190,25 @@ void Engine::store_snapshot(std::shared_ptr<const CacheMap> next) {
                           std::memory_order_release);
 }
 
-bool Engine::queue_push(Job& job) {
-  // The sharded queue's fault sites fire before `job` is consumed, so an
-  // InjectedError propagating from here leaves the job (promise included)
-  // intact in the caller's hands. The legacy queue has no fault sites.
-  return legacy_queue_ ? legacy_queue_->push(std::move(job)) : queue_->push(std::move(job));
-}
-
-bool Engine::queue_try_push(Job& job) {
-  return legacy_queue_ ? legacy_queue_->try_push(job) : queue_->try_push(job);
-}
-
 void Engine::worker_loop(std::size_t worker) {
+  const std::size_t cap = options_.batch_limit;
   std::vector<Job> batch;
-  if (legacy_queue_) {
-    // The measured baseline: one mutex-guarded pop per job, no coalescing.
-    while (auto job = legacy_queue_->pop()) {
-      batch.clear();
-      batch.push_back(std::move(*job));
-      run_batch(batch, worker);
+  // Non-blocking gather up to the cap: the worker's own shard first, then
+  // the other shards (so fusion works ACROSS submitters, not just queue
+  // neighbors). The rings have no peek, so a gather necessarily pops
+  // non-matching jobs too — they simply run as their own groups, same
+  // cycle. Returns false when the queue had nothing to give.
+  const auto gather_one = [&]() {
+    std::optional<Job> extra;
+    try {
+      extra = queue_.try_pop(worker);
+    } catch (const fault::InjectedError&) {
+      return false;  // settle for the batch in hand
     }
-    return;
-  }
-  const std::size_t limit = std::max<std::size_t>(1, options_.coalesce_limit);
-  // The batch former's gather cap: room for the larger of a coalesced
-  // sweep and a fused batch. The rings have no peek, so a cross-shard
-  // gather necessarily pops non-matching jobs too — they simply run
-  // (sequentially, same cycle) alongside the fused group, bounded by the
-  // same cap.
-  const std::size_t cap = std::max(limit, std::max<std::size_t>(1, options_.batch_limit));
+    if (!extra) return false;
+    batch.push_back(std::move(*extra));
+    return true;
+  };
   // True when at least two held jobs share a PlanState — the arm
   // condition of the admission window (a lone job never waits).
   const auto same_plan_pair = [&batch]() {
@@ -229,99 +219,54 @@ void Engine::worker_loop(std::size_t worker) {
     }
     return false;
   };
-  std::size_t src = 0;
   for (;;) {
     std::optional<Job> job;
     try {
-      job = queue_->pop(worker, &src);
+      job = queue_.pop(worker);
     } catch (const fault::InjectedError&) {
       continue;  // nothing was popped; the worker itself must survive
     }
     if (!job) return;  // closed and drained
     batch.clear();
     batch.push_back(std::move(*job));
-    // Opportunistic request coalescing: extend the batch with jobs queued
-    // consecutively behind this one on the SAME shard. Strictly
-    // non-blocking — a lone job is never delayed waiting for company —
-    // and capped, so one worker cannot vacuum the queue while its peers
-    // idle. Same-plan members of the batch then share one plan
-    // resolution in run_batch.
-    while (batch.size() < limit) {
-      std::optional<Job> extra;
-      try {
-        extra = queue_->try_pop_shard(src);
-      } catch (const fault::InjectedError&) {
-        break;  // settle for the batch in hand
-      }
-      if (!extra) break;
-      batch.push_back(std::move(*extra));
+    while (batch.size() < cap && gather_one()) {
     }
-    if (options_.batch_limit > 1) {
-      // Continuous batching, step 1 — cross-shard gather: same-plan jobs
-      // parked on OTHER shards (different producer threads hash to
-      // different rings) join this sweep too, so fusion works ACROSS
-      // submitters, not just consecutive queue neighbors. Still strictly
-      // non-blocking.
-      while (batch.size() < cap) {
-        std::optional<Job> extra;
-        try {
-          extra = queue_->try_pop(worker);
-        } catch (const fault::InjectedError&) {
-          break;
+    // Bounded admission window: only when a second same-plan job is
+    // ALREADY in hand (so a lone job is never delayed), the batch can
+    // still grow, and no shutdown drain is in progress. The wait is
+    // clipped to every held job's deadline: no job is held past the point
+    // where it could still finish on time.
+    if (options_.batch_window.count() > 0 && batch.size() < cap && same_plan_pair() &&
+        drain_deadline_ns_.load(std::memory_order_acquire) == 0) {
+      auto wait_until = std::chrono::steady_clock::now() + options_.batch_window;
+      for (const Job& held : batch) {
+        if (held.control && held.control->has_deadline()) {
+          wait_until = std::min(wait_until, held.control->deadline());
         }
-        if (!extra) break;
-        batch.push_back(std::move(*extra));
       }
-      // Step 2 — bounded admission window: only when a second same-plan
-      // job is ALREADY in hand (so a lone job is never delayed), the
-      // batch can still grow, and no shutdown drain is in progress. The
-      // wait is clipped to every held job's deadline: no job is held
-      // past the point where it could still finish on time.
-      if (options_.batch_window.count() > 0 && batch.size() < cap && same_plan_pair() &&
-          drain_deadline_ns_.load(std::memory_order_acquire) == 0) {
-        auto wait_until = std::chrono::steady_clock::now() + options_.batch_window;
-        for (const Job& held : batch) {
-          if (held.control && held.control->has_deadline()) {
-            wait_until = std::min(wait_until, held.control->deadline());
-          }
-        }
-        while (batch.size() < cap && std::chrono::steady_clock::now() < wait_until) {
-          std::optional<Job> extra;
-          try {
-            extra = queue_->try_pop(worker);
-          } catch (const fault::InjectedError&) {
-            break;
-          }
-          if (extra) {
-            batch.push_back(std::move(*extra));
-            continue;
-          }
-          if (queue_->closed()) break;
-          std::this_thread::sleep_for(std::chrono::microseconds(20));
-        }
+      while (batch.size() < cap && std::chrono::steady_clock::now() < wait_until) {
+        if (gather_one()) continue;
+        if (queue_.closed()) break;
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
       }
     }
-    run_batch(batch, worker);
+    dispatch(batch, worker);
   }
 }
 
-void Engine::run_batch(std::vector<Job>& jobs, std::size_t worker) {
+void Engine::dispatch(std::vector<Job>& jobs, std::size_t worker) {
   // Stable same-plan grouping: the first job of each distinct PlanState
-  // becomes the group leader; the leader resolves the plan exactly once
+  // leads its group, and the group resolves the plan exactly once
   // (backend, spec, compiled program, lowered kernel — one shared_ptr
-  // dereference chain). Groups of >= 2 on a fusable backend execute as
-  // ONE multi-grid interpretation of their shared program
-  // (run_fused_group); other groups dispatch member by member through the
-  // same references. Per-job promises always resolve individually,
-  // failures included.
+  // dereference chain).
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (!jobs[i].plan) continue;  // already ran as a group member
     const std::shared_ptr<const detail::PlanState> plan = std::move(jobs[i].plan);
-    std::vector<std::size_t> group{i};
+    std::vector<Job*> group{&jobs[i]};
     for (std::size_t j = i + 1; j < jobs.size(); ++j) {
       if (jobs[j].plan.get() == plan.get()) {
         jobs[j].plan.reset();
-        group.push_back(j);
+        group.push_back(&jobs[j]);
       }
     }
     // Occupancy histogram: EVERY dispatched group counts, lone jobs
@@ -329,101 +274,169 @@ void Engine::run_batch(std::vector<Job>& jobs, std::size_t worker) {
     const std::size_t bucket =
         std::min(group.size(), EngineStats::kBatchOccupancyBuckets) - 1;
     batch_occupancy_[bucket].fetch_add(1, std::memory_order_relaxed);
-    // Count the group and bump jobs_coalesced_ BEFORE resolving any of its
-    // promises: a client that joins every future of the group must observe
-    // the counter, and set_value is the only synchronization edge it has.
-    const std::uint64_t followers = group.size() - 1;
-    if (followers > 0) jobs_coalesced_.fetch_add(followers, std::memory_order_relaxed);
-    if (group.size() >= 2 && options_.batch_limit > 1 && plan->backend->supports_fused_run()) {
-      run_fused_group(*plan, jobs, group, worker);
-    } else {
-      for (const std::size_t idx : group) run_one(*plan, jobs[idx], worker);
-    }
+    run_group(*plan, std::move(group), worker);
   }
 }
 
-void Engine::run_fused_group(const detail::PlanState& plan, std::vector<Job>& jobs,
-                             const std::vector<std::size_t>& group, std::size_t worker) {
-  // Shed-at-dequeue pass, mirroring run_one's: members that are already
-  // cancelled or expired — or that outlived a shutdown drain deadline —
-  // resolve typed here and never enter the fused sweep; the survivors
-  // ride it without them.
-  std::vector<std::size_t> live;
-  live.reserve(group.size());
-  const std::int64_t drain = drain_deadline_ns_.load(std::memory_order_acquire);
-  for (const std::size_t idx : group) {
-    Job& job = jobs[idx];
+void Engine::resolve_stopped(Job& job, core::RunControl::Stop stop) {
+  if (stop == core::RunControl::Stop::kDeadline) {
+    jobs_timed_out_.fetch_add(1, std::memory_order_release);
+    job.result.set_exception(std::make_exception_ptr(JobTimedOut()));
+  } else {
+    jobs_cancelled_.fetch_add(1, std::memory_order_release);
+    job.result.set_exception(std::make_exception_ptr(JobCancelled()));
+  }
+}
+
+void Engine::run_group(const detail::PlanState& plan, std::vector<Job*> group,
+                       std::size_t worker) {
+  // Every terminal counter bumps BEFORE the promise resolves (and with
+  // release order, pairing with stats()'s acquire loads), so a caller
+  // returning from future.get()/wait() never observes a lagging count.
+  // The profile sample is captured before set_value for the same reason:
+  // profile_samples_recorded is part of the stats audit.
+
+  // Shed at dequeue: a job that is already cancelled or expired — or that
+  // outlived a shutdown drain deadline — resolves typed, without touching
+  // its grid, and the survivors run without it. This is what bounds
+  // shutdown(drain): workers still POP every queued job, they just stop
+  // EXECUTING them. The synchronous run() never entered the queue and is
+  // never drain-shed.
+  const std::int64_t drain =
+      worker == kCallerThread ? 0 : drain_deadline_ns_.load(std::memory_order_acquire);
+  std::erase_if(group, [&](Job* job) {
+    core::RunControl::Stop stop = core::RunControl::Stop::kNone;
     if (drain != 0 && steady_now_ns() >= drain) {
-      jobs_cancelled_.fetch_add(1, std::memory_order_release);
-      job.result.set_exception(std::make_exception_ptr(JobCancelled()));
-      continue;
+      stop = core::RunControl::Stop::kCancelled;
+    } else if (job->control) {
+      stop = job->control->should_stop();
     }
-    if (job.control) {
-      const core::RunControl::Stop stop = job.control->should_stop();
-      if (stop == core::RunControl::Stop::kDeadline) {
-        jobs_timed_out_.fetch_add(1, std::memory_order_release);
-        job.result.set_exception(std::make_exception_ptr(JobTimedOut()));
-        continue;
-      }
-      if (stop == core::RunControl::Stop::kCancelled) {
-        jobs_cancelled_.fetch_add(1, std::memory_order_release);
-        job.result.set_exception(std::make_exception_ptr(JobCancelled()));
-        continue;
-      }
-    }
-    live.push_back(idx);
-  }
-  if (live.size() < 2) {
-    // Not enough survivors to fuse: the remainder takes the per-job path.
-    for (const std::size_t idx : live) run_one(plan, jobs[idx], worker);
-    return;
-  }
+    if (stop == core::RunControl::Stop::kNone) return false;
+    resolve_stopped(*job, stop);
+    return true;
+  });
+  if (group.empty()) return;
 
-  // Batching counters BEFORE any member's promise resolves — the same
-  // audit as every other stats field a future-joining client can observe.
-  jobs_batched_.fetch_add(live.size(), std::memory_order_release);
-  batches_formed_.fetch_add(1, std::memory_order_release);
   std::vector<core::BatchMember> members;
-  members.reserve(live.size());
-  for (const std::size_t idx : live) {
-    members.push_back({jobs[idx].grid, jobs[idx].control.get()});
-    if (jobs[idx].control) {
-      jobs[idx].control->note_attempt(plan.backend->name());
-      jobs[idx].control->note_batched();
+  members.reserve(group.size());
+  for (Job* job : group) members.push_back({job->grid, job->control.get()});
+  if (group.size() >= 2) {
+    // Batching counters BEFORE any member's promise resolves — the same
+    // audit as every other stats field a future-joining client can see.
+    jobs_batched_.fetch_add(group.size(), std::memory_order_release);
+    batches_formed_.fetch_add(1, std::memory_order_release);
+    for (Job* job : group) {
+      if (job->control) job->control->note_batched();
     }
   }
 
-  std::vector<core::BatchOutcome> outcomes;
-  try {
-    outcomes = plan.backend->run_fused(executor_, plan.spec, plan.program, plan.lowered,
-                                       members);
-  } catch (...) {
-    // ANY fused execution failure (an injected fault, a throwing kernel)
-    // reverts every member to the per-job path: each gets its own
-    // shed check, retry budget, and fallback chain, so a fault inside a
-    // batch costs the batch its amortization, never a member its result.
-    for (const std::size_t idx : live) run_one(plan, jobs[idx], worker);
+  // The attempt loop. A group of two or more gets ONE attempt: any
+  // failure of the shared call (an injected fault, a throwing kernel)
+  // re-runs each member as a group of one, with its own shed check,
+  // retry budget, and fallback chain — a fault inside a batch costs the
+  // batch its amortization, never a member its result. A group of one
+  // retries transient faults on the SAME backend (bounded, backed off);
+  // permanent ones — and transients past the budget — walk the
+  // degradation chain. Every built-in backend computes bit-identical
+  // results and every attempt rewrites every cell, so retrying into a
+  // dirty grid is safe and a degraded result is still correct.
+  const detail::PlanState* active = &plan;
+  std::shared_ptr<const detail::PlanState> fallback_state;  // keeps a degraded plan alive
+  std::size_t chain_next = 0;
+  std::size_t attempt = 0;
+  bool degraded = false;
+  for (;;) {
+    for (Job* job : group) {
+      if (job->control) job->control->note_attempt(active->backend->name());
+    }
+    std::vector<core::BatchOutcome> outcomes;
+    std::exception_ptr failure;
+    bool transient = false;
+    try {
+      outcomes = active->backend->run(executor_, active->spec, active->program, active->lowered,
+                                      members);
+      if (outcomes.size() != members.size()) {
+        throw std::logic_error("backend '" + active->backend->name() + "' returned " +
+                               std::to_string(outcomes.size()) + " outcome(s) for " +
+                               std::to_string(members.size()) + " job(s)");
+      }
+    } catch (const core::ExecutionInterrupted& e) {
+      // A backend that throws its lone member's stop instead of recording
+      // it: cancellation/deadline is a verdict, not a failure — no retry.
+      if (group.size() == 1) {
+        resolve_stopped(*group[0], e.reason());
+        return;
+      }
+      failure = std::current_exception();
+    } catch (const fault::InjectedError& e) {
+      failure = std::current_exception();
+      transient = e.transient();
+    } catch (...) {
+      // A real backend exception is permanent by definition: retrying a
+      // deterministic failure just repeats it.
+      failure = std::current_exception();
+    }
+
+    if (!failure) {
+      for (std::size_t k = 0; k < group.size(); ++k) {
+        Job& job = *group[k];
+        core::BatchOutcome& o = outcomes[k];
+        if (o.stop != core::RunControl::Stop::kNone) {
+          resolve_stopped(job, o.stop);
+          continue;
+        }
+        if (options_.profiling && !active->profile_key.empty()) {
+          record_profile(*active, o.result, worker);
+        }
+        jobs_completed_.fetch_add(1, std::memory_order_release);
+        job.result.set_value(std::move(o.result));
+      }
+      return;
+    }
+    if (group.size() >= 2) {
+      for (Job* job : group) run_group(plan, {job}, worker);
+      return;
+    }
+
+    Job& job = *group[0];
+    if (transient && attempt < job.opts.max_retries) {
+      ++attempt;
+      jobs_retried_.fetch_add(1, std::memory_order_release);
+      retry_backoff(job.id, attempt);
+      continue;
+    }
+    // Degrade: compile the next rung of the chain — the plan's own
+    // backend, then "cpu-dataflow", then "serial" — through the normal
+    // path (so it lands in — and is later served from — the plan cache).
+    // A rung whose compile itself fails is skipped, not fatal.
+    static constexpr const char* kFallbackChain[] = {kCpuDataflowBackend, kSerialBackend};
+    bool advanced = false;
+    while (job.opts.allow_fallback && !advanced && chain_next < std::size(kFallbackChain)) {
+      const char* fb = kFallbackChain[chain_next++];
+      if (plan.backend->name() == fb) continue;
+      try {
+        CompileOptions copts;
+        copts.backend = fb;
+        copts.params = plan.params;
+        fallback_state = compile(plan.spec, copts).state_;
+        active = fallback_state.get();
+        advanced = true;
+      } catch (...) {
+        failure = std::current_exception();
+      }
+    }
+    if (advanced) {
+      attempt = 0;
+      if (!degraded) {
+        degraded = true;
+        jobs_degraded_.fetch_add(1, std::memory_order_release);
+        if (job.control) job.control->note_degraded();
+      }
+      continue;
+    }
+    jobs_failed_.fetch_add(1, std::memory_order_release);
+    job.result.set_exception(failure);
     return;
-  }
-
-  for (std::size_t k = 0; k < live.size(); ++k) {
-    Job& job = jobs[live[k]];
-    core::BatchOutcome& o = outcomes[k];
-    if (o.stop == core::RunControl::Stop::kDeadline) {
-      jobs_timed_out_.fetch_add(1, std::memory_order_release);
-      job.result.set_exception(std::make_exception_ptr(JobTimedOut()));
-      continue;
-    }
-    if (o.stop == core::RunControl::Stop::kCancelled) {
-      jobs_cancelled_.fetch_add(1, std::memory_order_release);
-      job.result.set_exception(std::make_exception_ptr(JobCancelled()));
-      continue;
-    }
-    if (options_.profiling && !plan.profile_key.empty()) {
-      record_profile(plan, o.result, worker);
-    }
-    jobs_completed_.fetch_add(1, std::memory_order_release);
-    job.result.set_value(std::move(o.result));
   }
 }
 
@@ -446,9 +459,13 @@ void Engine::record_profile(const detail::PlanState& plan, const core::RunResult
                             std::size_t worker) {
   // Steady state this costs one uncontended per-worker lock and a vector
   // push; the store's shared lock is only taken when a full batch flushes.
-  ProfileSlot& slot = *profile_slots_[worker];
+  // The synchronous run() has no worker slot: a one-sample flush straight
+  // into the store keeps its result immediately visible.
   std::vector<profile::RunSample> batch;
-  {
+  if (worker == kCallerThread) {
+    batch.push_back(make_profile_sample(plan, result));
+  } else {
+    ProfileSlot& slot = *profile_slots_[worker];
     std::lock_guard<std::mutex> lock(slot.mutex);
     slot.buffer.push_back(make_profile_sample(plan, result));
     if (slot.buffer.size() >= kProfileFlushBatch) batch.swap(slot.buffer);
@@ -495,123 +512,6 @@ void Engine::retry_backoff(std::uint64_t job_id, std::size_t attempt) const {
   const double f = 0.5 + 0.5 * static_cast<double>(r >> 11) * 0x1.0p-53;
   std::this_thread::sleep_for(std::chrono::nanoseconds(static_cast<std::int64_t>(
       static_cast<double>(ns) * f)));
-}
-
-void Engine::run_one(const detail::PlanState& plan, Job& job, std::size_t worker) {
-  // Every terminal counter bumps BEFORE the promise resolves (and with
-  // release order, pairing with stats()'s acquire loads), so a caller
-  // returning from future.get()/wait() never observes a lagging count.
-  // The profile sample is captured before set_value for the same reason:
-  // profile_samples_recorded is part of the stats audit.
-
-  // Shed at dequeue: a job that is already cancelled or expired — or that
-  // outlived a shutdown drain deadline — resolves typed, without touching
-  // the grid. This is what bounds shutdown(drain): workers still POP
-  // every queued job, they just stop EXECUTING them.
-  const std::int64_t drain = drain_deadline_ns_.load(std::memory_order_acquire);
-  if (drain != 0 && steady_now_ns() >= drain) {
-    jobs_cancelled_.fetch_add(1, std::memory_order_release);
-    job.result.set_exception(std::make_exception_ptr(JobCancelled()));
-    return;
-  }
-  if (job.control) {
-    const core::RunControl::Stop stop = job.control->should_stop();
-    if (stop == core::RunControl::Stop::kDeadline) {
-      jobs_timed_out_.fetch_add(1, std::memory_order_release);
-      job.result.set_exception(std::make_exception_ptr(JobTimedOut()));
-      return;
-    }
-    if (stop == core::RunControl::Stop::kCancelled) {
-      jobs_cancelled_.fetch_add(1, std::memory_order_release);
-      job.result.set_exception(std::make_exception_ptr(JobCancelled()));
-      return;
-    }
-  }
-
-  // The attempt loop: transient faults retry the SAME backend (bounded,
-  // backed off); permanent ones — and transients past the budget — walk
-  // the degradation chain. Every built-in backend computes bit-identical
-  // results and every attempt rewrites every cell, so retrying into a
-  // dirty grid is safe and a degraded result is still correct.
-  const detail::PlanState* active = &plan;
-  std::shared_ptr<const detail::PlanState> fallback_state;  // keeps a degraded plan alive
-  std::vector<std::string> chain;
-  if (job.opts.allow_fallback) {
-    for (const char* name : {kCpuDataflowBackend, kSerialBackend}) {
-      if (plan.backend->name() != name) chain.emplace_back(name);
-    }
-  }
-  std::size_t chain_next = 0;
-  std::size_t attempt = 0;
-  bool degraded = false;
-  std::exception_ptr last;
-  for (;;) {
-    try {
-      if (job.control) job.control->note_attempt(active->backend->name());
-      core::RunResult result = active->backend->run(executor_, active->spec, active->program,
-                                                    active->lowered, *job.grid,
-                                                    job.control.get());
-      if (options_.profiling && !active->profile_key.empty()) {
-        record_profile(*active, result, worker);
-      }
-      jobs_completed_.fetch_add(1, std::memory_order_release);
-      job.result.set_value(std::move(result));
-      return;
-    } catch (const core::ExecutionInterrupted& e) {
-      // Cancellation/deadline is a verdict, not a failure: no retry.
-      if (e.reason() == core::RunControl::Stop::kDeadline) {
-        jobs_timed_out_.fetch_add(1, std::memory_order_release);
-        job.result.set_exception(std::make_exception_ptr(JobTimedOut()));
-      } else {
-        jobs_cancelled_.fetch_add(1, std::memory_order_release);
-        job.result.set_exception(std::make_exception_ptr(JobCancelled()));
-      }
-      return;
-    } catch (const fault::InjectedError& e) {
-      last = std::current_exception();
-      if (e.transient() && attempt < job.opts.max_retries) {
-        ++attempt;
-        jobs_retried_.fetch_add(1, std::memory_order_release);
-        retry_backoff(job.id, attempt);
-        continue;
-      }
-    } catch (...) {
-      // A real backend exception is permanent by definition: retrying a
-      // deterministic failure just repeats it. Fall through to the chain.
-      last = std::current_exception();
-    }
-    // Degrade: compile the next rung of the chain through the normal
-    // path (so it lands in — and is later served from — the plan cache).
-    // A rung whose compile itself fails is skipped, not fatal.
-    bool advanced = false;
-    while (chain_next < chain.size()) {
-      const std::string fb = chain[chain_next++];
-      try {
-        CompileOptions copts;
-        copts.backend = fb;
-        copts.params = plan.params;
-        Plan fplan = compile(plan.spec, copts);
-        fallback_state = fplan.state_;
-        active = fallback_state.get();
-        advanced = true;
-        break;
-      } catch (...) {
-        last = std::current_exception();
-      }
-    }
-    if (advanced) {
-      attempt = 0;
-      if (!degraded) {
-        degraded = true;
-        jobs_degraded_.fetch_add(1, std::memory_order_release);
-        if (job.control) job.control->note_degraded();
-      }
-      continue;
-    }
-    jobs_failed_.fetch_add(1, std::memory_order_release);
-    job.result.set_exception(last);
-    return;
-  }
 }
 
 Plan Engine::compile(const core::WavefrontSpec& spec, const CompileOptions& options) {
@@ -687,13 +587,7 @@ Plan Engine::compile_impl(const core::WavefrontSpec* spec, const core::InputPara
   if (cacheable) {
     // The serving hot path: a steady-state HIT is one acquire load of the
     // snapshot version plus a map lookup — no lock, no shared refcount
-    // traffic (the thread-local SnapshotRef pins the generation). The
-    // legacy baseline takes cache_mutex_ here instead, so bench_serving
-    // can price exactly this difference.
-    std::unique_lock<std::mutex> legacy_lock;
-    if (options_.legacy_serving_path) {
-      legacy_lock = std::unique_lock<std::mutex>(cache_mutex_);
-    }
+    // traffic (the thread-local SnapshotRef pins the generation).
     const CacheMap& snap = reader_snapshot();
     const auto it = snap.find(key);
     if (it != snap.end()) {
@@ -887,11 +781,13 @@ Submission Engine::submit_impl(const Plan& plan, core::Grid& grid, const SubmitO
   std::size_t attempt = 0;
   for (;;) {
     try {
-      const bool accepted = blocking ? queue_push(job) : queue_try_push(job);
+      // The queue's fault sites fire before `job` is consumed, so an
+      // InjectedError propagating from here leaves the job (promise
+      // included) intact in this frame's hands.
+      const bool accepted = blocking ? queue_.push(std::move(job)) : queue_.try_push(job);
       if (accepted) return out;
       if (!blocking) {
-        const bool closed = legacy_queue_ ? legacy_queue_->closed() : queue_->closed();
-        if (!closed) {
+        if (!queue_.closed()) {
           // Every shard full: shed instead of blocking. Nothing was
           // enqueued, so the submission never happened.
           jobs_submitted_.fetch_sub(1, std::memory_order_relaxed);
@@ -989,32 +885,16 @@ std::vector<Submission> Engine::submit_batch(const Plan& plan,
 
 core::RunResult Engine::run(const Plan& plan, core::Grid& grid) {
   check_executable(plan, grid, "Engine::run");
-  // Counted like the async path: submitted up front, then exactly one of
-  // completed/failed — a throwing backend must not leave a permanently
-  // "in-flight" job in the stats.
+  // A batch of one on the calling thread: counted like the async path —
+  // submitted up front, then exactly one terminal bucket — and resolved
+  // through the same promise, whose get() rethrows a backend exception.
+  Job job;
+  job.grid = &grid;
+  job.id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
+  std::future<core::RunResult> result = job.result.get_future();
   jobs_submitted_.fetch_add(1, std::memory_order_relaxed);
-  try {
-    const core::RunResult r = plan.backend().run(executor_, plan.spec(), plan.state_->program,
-                                                 plan.state_->lowered, grid);
-    if (options_.profiling && !plan.state_->profile_key.empty()) {
-      // The synchronous path has no worker slot; a one-sample flush
-      // straight into the store keeps run() results immediately visible.
-      // Telemetry must never fail the run it measures (same contract as
-      // record_profile): an injected fault drops the sample, warned.
-      try {
-        profile_store_.record(make_profile_sample(*plan.state_, r));
-        profile_flushes_.fetch_add(1, std::memory_order_release);
-        profile_samples_recorded_.fetch_add(1, std::memory_order_release);
-      } catch (const fault::InjectedError& e) {
-        util::log_warn("Engine: dropping profile sample: ", e.what());
-      }
-    }
-    jobs_completed_.fetch_add(1, std::memory_order_release);
-    return r;
-  } catch (...) {
-    jobs_failed_.fetch_add(1, std::memory_order_release);
-    throw;
-  }
+  run_group(*plan.state_, {&job}, kCallerThread);
+  return result.get();
 }
 
 core::RunResult Engine::run_streamed(const Plan& plan, core::Grid& grid,
@@ -1081,7 +961,7 @@ double Engine::estimate_serial(const core::InputParams& in) const {
 EngineStats Engine::stats() const {
   EngineStats s;
   // Terminal buckets are read (acquire) BEFORE submitted: the release
-  // increments in run_one/run/submit_impl plus the submit-before-push
+  // increments in run_group/submit_impl plus the submit-before-push
   // ordering keep completed + failed + timed_out + cancelled <= submitted
   // from this reader's point of view.
   s.jobs_completed = jobs_completed_.load(std::memory_order_acquire);
@@ -1101,23 +981,22 @@ EngineStats Engine::stats() const {
   s.jobs_batched = jobs_batched_.load(std::memory_order_acquire);
   s.batches_formed = batches_formed_.load(std::memory_order_acquire);
   s.jobs_submitted = jobs_submitted_.load(std::memory_order_relaxed);
-  s.jobs_coalesced = jobs_coalesced_.load(std::memory_order_relaxed);
   for (std::size_t b = 0; b < EngineStats::kBatchOccupancyBuckets; ++b) {
     s.batch_occupancy[b] = batch_occupancy_[b].load(std::memory_order_relaxed);
   }
   s.plans_compiled = plans_compiled_.load(std::memory_order_relaxed);
   s.plan_cache_hits = plan_cache_hits_.load(std::memory_order_relaxed);
   s.plan_cache_evictions = plan_cache_evictions_.load(std::memory_order_relaxed);
-  s.queue_depth = queue_ ? queue_->size() : legacy_queue_->size();
+  s.queue_depth = queue_.size();
   return s;
 }
 
 ShardedQueueStats Engine::queue_stats() const {
-  return queue_ ? queue_->stats() : ShardedQueueStats{};
+  return queue_.stats();
 }
 
 std::size_t Engine::queue_capacity() const {
-  return queue_ ? queue_->capacity() : legacy_queue_->capacity();
+  return queue_.capacity();
 }
 
 std::size_t Engine::plan_cache_size() const {

@@ -19,6 +19,9 @@
 // prediction and validation. submit() enqueues onto the bounded job queue
 // and returns a std::future; try_submit() is the load-shedding variant,
 // run() the synchronous convenience and submit_batch() the fan-out form.
+// Every one of them reaches the backend through ONE dispatch path: a
+// same-plan group of jobs handed to Backend::run in one call, where a
+// lone job — including every synchronous run() — is a group of one.
 // Backends are resolved by name through BackendRegistry ("serial",
 // "cpu-tiled", "hybrid", plus user-registered ones).
 //
@@ -33,9 +36,11 @@
 //     shared_ptr refcounts give QSBR-style safe reclamation for free: a
 //     reader still holding the previous snapshot (or a Plan) keeps an
 //     evicted PlanState alive until it drops the reference;
-//   * workers opportunistically COALESCE consecutive same-plan jobs from
-//     their shard into one batched sweep (one plan resolution, grids
-//     dispatched back-to-back); a lone job is never delayed.
+//   * the batch former: a worker that pops a job keeps popping without
+//     blocking, up to batch_limit jobs in all — its own shard first, then
+//     the others — and hands each same-plan group to the backend as ONE fused
+//     multi-grid sweep (one plan resolution, one interpretation of the
+//     program); a lone job is never delayed.
 //
 // The raw core::HybridExecutor stays available as the low-level escape
 // hatch — via executor() for cost-model utilities (autotune::
@@ -60,7 +65,6 @@
 
 #include "api/backend.hpp"
 #include "api/errors.hpp"
-#include "api/job_queue.hpp"
 #include "api/plan.hpp"
 #include "api/sharded_queue.hpp"
 #include "autotune/tuner.hpp"
@@ -90,19 +94,15 @@ struct EngineOptions {
   /// two). 0 picks one shard per queue worker, at least 4, so producers
   /// hash across at least as many cache lines as there are consumers.
   std::size_t queue_shards = 0;
-  /// Upper bound of one coalesced sweep: a worker that popped a job keeps
-  /// popping up to this many jobs total from the SAME shard (never
-  /// blocking, so a lone job is never delayed) and executes same-plan
-  /// runs back-to-back. 1 disables coalescing.
-  std::size_t coalesce_limit = 8;
-  /// Upper bound of one FUSED batch: same-plan jobs gathered from ALL
-  /// shards (not just the leader's) execute as one multi-grid
-  /// interpretation of their shared program — one scheduling structure,
-  /// one pool wake cycle, one set of simulated GPU transfers per phase,
-  /// amortized across the batch (HybridExecutor::run_batch). Each member
-  /// keeps its own grid, bit-identical results, and its own promise.
-  /// <= 1 disables fusion (same-plan groups still coalesce plan
-  /// resolution as before).
+  /// Upper bound of one gather of the batch former: a worker that popped
+  /// a job keeps popping, never blocking, up to this many jobs total — its
+  /// own shard first, then the other shards. Each same-plan group of the
+  /// gather is ONE Backend::run call: a multi-grid interpretation of the
+  /// shared program — one scheduling structure, one pool wake cycle, one
+  /// set of simulated GPU transfers per phase, amortized across the batch
+  /// (HybridExecutor::run_batch). Each member keeps its own grid,
+  /// bit-identical results, and its own promise. 1 disables grouping:
+  /// every job is a batch of one.
   std::size_t batch_limit = 8;
   /// Bounded admission window of the batch former. 0 (the default) makes
   /// fusion purely opportunistic: only jobs ALREADY queued when the
@@ -113,11 +113,6 @@ struct EngineOptions {
   /// deadline (a job whose deadline cannot survive the window is never
   /// held past it) and skipped entirely during a shutdown drain.
   std::chrono::nanoseconds batch_window{0};
-  /// Serve through the original single-mutex BoundedQueue and take
-  /// cache_mutex_ on plan-cache HITS as well — the pre-sharding engine,
-  /// kept selectable as the measured baseline for bench_serving. Also
-  /// disables coalescing.
-  bool legacy_serving_path = false;
   /// Memoize compiled plans. Executable specs that declare no identity
   /// (empty WavefrontSpec::content_key and no CompileOptions::cache_tag)
   /// are never cached regardless, so an undeclared kernel can't alias.
@@ -359,12 +354,10 @@ struct EngineStats {
   std::uint64_t jobs_submitted = 0;       ///< accepted by submit()/try_submit()/run()
   std::uint64_t jobs_completed = 0;       ///< finished successfully (failures excluded)
   std::uint64_t jobs_failed = 0;          ///< finished by throwing (promise holds the exception)
-  std::uint64_t jobs_coalesced = 0;       ///< jobs that rode a same-plan batched sweep
-                                          ///< behind its leader (leaders not counted)
-  std::uint64_t jobs_batched = 0;         ///< jobs that entered a FUSED multi-grid sweep
-                                          ///< (every member counts, leader included;
-                                          ///< bumped before any member's promise resolves)
-  std::uint64_t batches_formed = 0;       ///< fused multi-grid sweeps started (>= 2 members)
+  std::uint64_t jobs_batched = 0;         ///< live members handed to one Backend::run call
+                                          ///< in a group of two or more (bumped before
+                                          ///< any member's promise resolves)
+  std::uint64_t batches_formed = 0;       ///< Backend::run calls with >= 2 live members
   std::uint64_t jobs_retried = 0;         ///< transient-failure re-executions (extra
                                           ///< attempts beyond each job's first; includes
                                           ///< re-pushes after an injected submit fault)
@@ -389,9 +382,10 @@ struct EngineStats {
                                           ///< (resume_from_file / resume)
   std::uint64_t queue_depth = 0;          ///< LIVE gauge: jobs queued right now
 
-  /// Batch-occupancy histogram over every same-plan group a worker
-  /// dispatched: bucket i counts groups of size i+1 (lone jobs land in
-  /// bucket 0), the last bucket counts groups of kBatchOccupancyBuckets
+  /// Batch-occupancy histogram over every same-plan group a queue worker
+  /// dispatched, counted before the shed pass: bucket i counts groups of
+  /// size i+1 (lone jobs land in bucket 0; synchronous run() calls are
+  /// not counted), the last bucket counts groups of kBatchOccupancyBuckets
   /// or more. The evidence record that fusion engaged — and at what
   /// occupancy — independent of whether the ops/s win shows on a given
   /// core count.
@@ -479,8 +473,12 @@ public:
   /// the usual "shutting down").
   void shutdown(std::chrono::nanoseconds drain_budget = std::chrono::nanoseconds{0});
 
-  /// Synchronous convenience: executes on the calling thread, bypassing
-  /// the queue (still safe alongside concurrent submits).
+  /// Synchronous convenience: executes on the calling thread as a batch
+  /// of one through the same dispatch path as queued jobs, but never
+  /// enters the queue (still safe alongside concurrent submits). A
+  /// shutdown drain deadline does not shed it, backend exceptions are
+  /// rethrown, and its profile sample lands in profile_store() directly
+  /// (no flush_profiles() needed).
   core::RunResult run(const Plan& plan, core::Grid& grid);
 
   // --- out-of-core streaming & checkpointing ---------------------------
@@ -529,8 +527,7 @@ public:
   const core::HybridExecutor& executor() const { return executor_; }
 
   EngineStats stats() const;
-  /// Contention counters of the sharded job queue (all-zero on the
-  /// legacy single-mutex path).
+  /// Contention counters of the sharded job queue.
   ShardedQueueStats queue_stats() const;
   /// Effective job-queue bound (the sharded queue rounds the requested
   /// capacity up per shard).
@@ -576,7 +573,7 @@ private:
     std::shared_ptr<const detail::PlanState> plan;
     core::Grid* grid = nullptr;
     std::promise<core::RunResult> result;
-    /// Null for legacy submits: no deadline, no cancel, no drain shed.
+    /// Null for the option-less submits and run(): no deadline, no cancel.
     std::shared_ptr<detail::JobControl> control;
     SubmitOptions opts;
     /// Monotonic id; seeds the deterministic retry-backoff jitter.
@@ -650,22 +647,25 @@ private:
   /// Shared submit_batch precondition: every grid valid, no duplicates.
   static void check_batch(const Plan& plan, const std::vector<core::Grid*>& grids);
   void worker_loop(std::size_t worker);
-  /// Executes `jobs`, resolving each promise; same-plan jobs are grouped
-  /// (stably) and dispatched back-to-back through one plan resolution.
-  /// `worker` selects the profile sample buffer.
-  void run_batch(std::vector<Job>& jobs, std::size_t worker);
-  /// Executes one job end to end — shed-at-dequeue check, the
-  /// retry/fallback attempt loop, terminal-counter bump, promise
-  /// resolution. Never throws; every path resolves the promise.
-  void run_one(const detail::PlanState& plan, Job& job, std::size_t worker);
-  /// Executes one same-plan group (indices into `jobs`) as a FUSED
-  /// multi-grid sweep: shed-at-dequeue pass, batching counters,
-  /// Backend::run_fused, per-member promise resolution. Any fused
-  /// execution failure reverts every member to the per-job run_one path
-  /// (own retries, own fallback chain). Never throws; every member's
-  /// promise resolves.
-  void run_fused_group(const detail::PlanState& plan, std::vector<Job>& jobs,
-                       const std::vector<std::size_t>& group, std::size_t worker);
+  /// Splits a worker's gather into same-plan groups (stably, first job of
+  /// each plan leads), records each group's occupancy, and runs each
+  /// through run_group.
+  void dispatch(std::vector<Job>& jobs, std::size_t worker);
+  /// THE dispatch path — every job reaches its backend here, a lone job
+  /// as a group of one: the shed pass (cancelled, expired, or past a
+  /// drain deadline), batching counters, ONE Backend::run call for the
+  /// live members, per-member promise resolution. If the call throws,
+  /// each member of a larger group re-enters as a group of one; a group
+  /// of one runs the retry/fallback attempt loop. Never throws; every
+  /// member's promise resolves. `worker` selects the profile sample
+  /// buffer; kCallerThread marks the synchronous run().
+  void run_group(const detail::PlanState& plan, std::vector<Job*> group, std::size_t worker);
+  /// Resolves `job` with the typed verdict of a control stop
+  /// (JobTimedOut / JobCancelled), bumping its terminal counter first.
+  void resolve_stopped(Job& job, core::RunControl::Stop stop);
+  /// `worker` value of the synchronous run(): never shed by a drain
+  /// deadline, and its profile sample goes straight into the store.
+  static constexpr std::size_t kCallerThread = static_cast<std::size_t>(-1);
   /// Shared body of all submit variants. `with_control` attaches a
   /// JobControl (the options overloads); without one the job is the
   /// legacy zero-overhead shape. May resolve the returned future
@@ -681,11 +681,6 @@ private:
   /// Deterministic capped-exponential backoff sleep before retry
   /// `attempt` (1-based) of job `job_id`.
   void retry_backoff(std::uint64_t job_id, std::size_t attempt) const;
-  // Both may throw fault::InjectedError with `job` UNTOUCHED (sites fire
-  // before the queue accepts), so the caller can retry or resolve the
-  // job's promise itself — no future is ever broken.
-  bool queue_push(Job& job);         // blocking; false once closed
-  bool queue_try_push(Job& job);     // non-blocking; false when full/closed
 
   core::HybridExecutor executor_;
   std::optional<autotune::Autotuner> tuner_;
@@ -728,8 +723,7 @@ private:
   void store_snapshot(std::shared_ptr<const CacheMap> next);
 
   /// Writers only (miss/evict/clear): guards the copy-on-write rebuild,
-  /// clock_order_, and the publication below. Readers never take it —
-  /// except on the legacy_serving_path baseline, which locks on hits too.
+  /// clock_order_, and the publication below. Readers never take it.
   mutable std::mutex cache_mutex_;
 #if defined(__SANITIZE_THREAD__)
   mutable std::mutex snapshot_tsan_mutex_;
@@ -751,7 +745,6 @@ private:
   std::atomic<std::uint64_t> jobs_submitted_{0};
   std::atomic<std::uint64_t> jobs_completed_{0};
   std::atomic<std::uint64_t> jobs_failed_{0};
-  std::atomic<std::uint64_t> jobs_coalesced_{0};
   std::atomic<std::uint64_t> jobs_batched_{0};
   std::atomic<std::uint64_t> batches_formed_{0};
   std::array<std::atomic<std::uint64_t>, EngineStats::kBatchOccupancyBuckets> batch_occupancy_{};
@@ -765,8 +758,8 @@ private:
   std::atomic<std::uint64_t> jobs_resumed_{0};
 
   /// Engine-wide drain deadline (steady_clock epoch ns; 0 = none), set by
-  /// shutdown(drain_budget). Checked by run_one at dequeue for every job
-  /// and by JobControl::should_stop at phase boundaries for
+  /// shutdown(drain_budget). Checked by run_group's shed pass for every
+  /// queued job and by JobControl::should_stop at phase boundaries for
   /// options-submitted jobs.
   std::atomic<std::int64_t> drain_deadline_ns_{0};
   std::atomic<std::uint64_t> next_job_id_{1};
@@ -784,7 +777,8 @@ private:
     std::vector<profile::RunSample> buffer;
   };
   /// Appends one run's measured phases to `worker`'s slot and flushes the
-  /// slot into the store once it holds kProfileFlushBatch samples. Bumps
+  /// slot into the store once it holds kProfileFlushBatch samples
+  /// (kCallerThread has no slot: its sample is flushed at once). Bumps
   /// profile_samples_recorded_/profile_flushes_ with release order — the
   /// caller resolves the job's promise only afterwards.
   void record_profile(const detail::PlanState& plan, const core::RunResult& result,
@@ -794,9 +788,7 @@ private:
   profile::ProfileStore profile_store_;
   std::vector<std::unique_ptr<ProfileSlot>> profile_slots_;
 
-  /// Exactly one of the two is engaged (legacy_serving_path selects).
-  std::unique_ptr<ShardedQueue<Job>> queue_;
-  std::unique_ptr<BoundedQueue<Job>> legacy_queue_;
+  ShardedQueue<Job> queue_;
   std::vector<std::thread> workers_;
 };
 

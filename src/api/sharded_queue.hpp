@@ -1,10 +1,10 @@
-// Sharded bounded MPMC queue — the Engine's serving-scale job spine.
+// Sharded bounded MPMC queue — the Engine's job spine.
 //
-// The single-mutex BoundedQueue (job_queue.hpp) serializes every producer
-// and consumer on one lock: fine for one client, a wall at thousands of
-// concurrent submitters. ShardedQueue keeps the same external contract —
-// bounded memory, blocking push/pop, close() + drain shutdown — but the
-// hot path is lock-free:
+// A single-mutex bounded queue serializes every producer and consumer on
+// one lock: fine for one client, a wall at thousands of concurrent
+// submitters. ShardedQueue keeps that queue's external contract — bounded
+// memory, blocking push/pop, close() + drain shutdown — but the hot path
+// is lock-free:
 //
 //   * N ring shards (power-of-two count and per-shard capacity), each a
 //     bounded MPMC ring of sequence-stamped cells (Vyukov's algorithm):
@@ -13,11 +13,13 @@
 //   * Producers pick a starting shard by a cheap thread-local hash and
 //     fall over to the next shard when theirs is full; backpressure (the
 //     blocking slow path) engages only when ALL shards are full, so the
-//     bounded-memory semantics of BoundedQueue are preserved while
+//     bounded-memory semantics are preserved while
 //     same-core producers stop contending on one cache line.
 //   * Consumers drain their own shard first and steal from the others —
 //     the same owner-first/steal discipline as cpu::ThreadPool — so under
-//     load a consumer's pops are shard-local and mostly uncontended.
+//     load a consumer's pops are shard-local and mostly uncontended. The
+//     Engine's batch former gathers through the same try_pop, so a batch
+//     fills from the worker's own shard before it steals.
 //
 // Blocking and shutdown ride on a futex-based SLOW path (C++20
 // std::atomic wait/notify on 32-bit epoch counters) that is only touched
@@ -32,7 +34,7 @@
 // 2.27..2.40) that we reproduced on this code's previous mutex+CV slow
 // path: a consumer stayed parked in pthread_cond_wait with the queue
 // fully drained and closed after a delivered notify_all. close()/drain
-// semantics match BoundedQueue exactly: push returns false once the close
+// semantics are the classic blocking queue's: push returns false once the close
 // is observed, items accepted before that all drain through pop(), and
 // pop() returns nullopt only when the queue is closed AND every accepted
 // item has been handed out (the `pending_push_` guard closes the
@@ -113,8 +115,8 @@ public:
   }
 
   /// Blocks until a shard has room, then enqueues. Returns false
-  /// (dropping `item`) when the queue was closed before room appeared —
-  /// the same contract as BoundedQueue::push. The rvalue overload runs
+  /// (dropping `item`) when the queue was closed before room appeared.
+  /// The rvalue overload runs
   /// the fault check BEFORE consuming `item`: an injected throw leaves
   /// the caller's object (promise and all) intact and re-pushable.
   bool push(T&& item) {
@@ -163,16 +165,16 @@ public:
 
   /// Non-blocking pop: consumer `who`'s own shard first, then steals from
   /// the others. `src_shard`, when given, receives the shard the item
-  /// came from (for shard-local follow-up pops, e.g. request coalescing).
+  /// came from (for shard-local follow-up pops via try_pop_shard).
   std::optional<T> try_pop(std::size_t who, std::size_t* src_shard = nullptr) {
     fault::check(fault::Site::kQueuePop);
     return try_pop_impl(who, src_shard);
   }
 
-  /// Non-blocking pop from ONE specific shard, stealing from nobody.
-  /// This is the coalescing primitive: after pop() hands a consumer a job
-  /// from shard S, follow-up try_pop_shard(S) calls extend the batch with
-  /// the jobs queued consecutively behind it.
+  /// Non-blocking pop from ONE specific shard, stealing from nobody: after
+  /// pop() hands a consumer an item from shard S, follow-up
+  /// try_pop_shard(S) calls return the items queued consecutively behind
+  /// it.
   std::optional<T> try_pop_shard(std::size_t shard) {
     fault::check(fault::Site::kQueuePop);
     if (std::optional<T> item = shards_[shard & shard_mask_]->try_pop()) {
@@ -183,8 +185,7 @@ public:
   }
 
   /// Blocks until an item is available; nullopt once the queue is closed
-  /// AND drained (every accepted push handed out) — the BoundedQueue::pop
-  /// contract.
+  /// AND drained (every accepted push handed out).
   std::optional<T> pop(std::size_t who, std::size_t* src_shard = nullptr) {
     for (;;) {
       if (std::optional<T> item = try_pop(who, src_shard)) return item;

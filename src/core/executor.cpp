@@ -244,45 +244,12 @@ HybridExecutor::HybridExecutor(sim::SystemProfile profile, std::size_t pool_work
 RunResult HybridExecutor::run(const WavefrontSpec& spec, const PhaseProgram& program,
                               Grid& grid, ocl::Trace* trace, const LoweredKernel* lowered,
                               const RunControl* control, const StreamControl* stream) {
-  spec.validate();
-  if (grid.dim() != spec.dim || grid.elem_bytes() != spec.elem_bytes) {
-    throw std::invalid_argument("HybridExecutor::run: grid does not match spec");
-  }
-  // Kernel lowering happens HERE (or earlier, in the caller's compiled
-  // plan) — once per run, never per tile/diagonal/phase.
-  LoweredKernel local;
-  if (!lowered) {
-    local = spec.lower();
-    lowered = &local;
-  }
-  FunctionalCtx fctx;
-  fctx.spec = &spec;
-  fctx.pool = &pool_;
-  fctx.lowered = lowered;
-  fctx.members.emplace_back();
-  fctx.members[0].host = &grid;
-  fctx.members[0].control = control;
-  fctx.active.push_back(0);
-  if (stream && (stream->resume || stream->on_checkpoint)) {
-    fctx.stream = stream;
-    fctx.program_digest = program.describe();
-    if (stream->resume) {
-      // Restore the snapshot and set the charge-only cursor: everything
-      // before (resume_phase, resume_strip) is already in the grid.
-      stream->resume->validate_against(fctx.program_digest, spec.dim, spec.elem_bytes);
-      std::memcpy(grid.data(), stream->resume->grid.data(), stream->resume->grid.size());
-      fctx.resuming = true;
-      fctx.resume_phase = stream->resume->phase_index;
-      fctx.resume_strip = stream->resume->strip_index;
-    }
-  }
-  RunResult result = execute(spec.inputs(), program, &fctx, trace);
+  std::vector<BatchOutcome> out =
+      run_members(spec, program, {BatchMember{&grid, control}}, trace, lowered, stream);
   // A lone run preserves the historical contract: a control stop is an
   // ExecutionInterrupted throw, not a shed.
-  if (fctx.members[0].stop != RunControl::Stop::kNone) {
-    throw ExecutionInterrupted(fctx.members[0].stop);
-  }
-  return result;
+  if (out[0].stop != RunControl::Stop::kNone) throw ExecutionInterrupted(out[0].stop);
+  return std::move(out[0].result);
 }
 
 std::vector<BatchOutcome> HybridExecutor::run_batch(const WavefrontSpec& spec,
@@ -290,13 +257,24 @@ std::vector<BatchOutcome> HybridExecutor::run_batch(const WavefrontSpec& spec,
                                                     const std::vector<BatchMember>& members,
                                                     ocl::Trace* trace,
                                                     const LoweredKernel* lowered) {
+  return run_members(spec, program, members, trace, lowered, nullptr);
+}
+
+std::vector<BatchOutcome> HybridExecutor::run_members(const WavefrontSpec& spec,
+                                                      const PhaseProgram& program,
+                                                      const std::vector<BatchMember>& members,
+                                                      ocl::Trace* trace,
+                                                      const LoweredKernel* lowered,
+                                                      const StreamControl* stream) {
   spec.validate();
   if (members.empty()) return {};
   for (const BatchMember& m : members) {
     if (!m.grid || m.grid->dim() != spec.dim || m.grid->elem_bytes() != spec.elem_bytes) {
-      throw std::invalid_argument("HybridExecutor::run_batch: grid does not match spec");
+      throw std::invalid_argument("HybridExecutor: grid does not match spec");
     }
   }
+  // Kernel lowering happens HERE (or earlier, in the caller's compiled
+  // plan) — once per run, never per tile/diagonal/phase.
   LoweredKernel local;
   if (!lowered) {
     local = spec.lower();
@@ -313,16 +291,30 @@ std::vector<BatchOutcome> HybridExecutor::run_batch(const WavefrontSpec& spec,
     fctx.members[m].control = members[m].control;
     fctx.active.push_back(m);
   }
+  if (stream && (stream->resume || stream->on_checkpoint)) {
+    fctx.stream = stream;
+    fctx.program_digest = program.describe();
+    if (stream->resume) {
+      // Restore the snapshot and set the charge-only cursor: everything
+      // before (resume_phase, resume_strip) is already in the grid.
+      stream->resume->validate_against(fctx.program_digest, spec.dim, spec.elem_bytes);
+      std::memcpy(members[0].grid->data(), stream->resume->grid.data(),
+                  stream->resume->grid.size());
+      fctx.resuming = true;
+      fctx.resume_phase = stream->resume->phase_index;
+      fctx.resume_strip = stream->resume->strip_index;
+    }
+  }
   // ONE interpretation of the program for the whole batch. The simulated
   // fields of `shared` are a pure function of (inputs, program) — exactly
   // what a lone run() of any member would report.
-  const RunResult shared = execute(spec.inputs(), program, &fctx, trace);
+  RunResult shared = execute(spec.inputs(), program, &fctx, trace);
 
   std::vector<BatchOutcome> out(members.size());
   for (std::size_t m = 0; m < members.size(); ++m) {
     out[m].stop = fctx.members[m].stop;
     if (out[m].stop != RunControl::Stop::kNone) continue;  // shed: no result
-    RunResult r = shared;
+    RunResult r = members.size() == 1 ? std::move(shared) : shared;
     // Attribute the fused measured wall time: each phase's wall is split
     // evenly across the members that were active in it.
     for (std::size_t p = 0; p < r.breakdown.phases.size(); ++p) {

@@ -234,6 +234,15 @@ private:
 
   struct FunctionalCtx;  // run-mode state (spec, host grid, device buffers)
 
+  /// Shared body of run() and run_batch(): validates the grids, lowers
+  /// the spec when `lowered` is null, sets up one FunctionalCtx member per
+  /// grid, and interprets `program` once. `stream` applies to
+  /// single-member calls only (the checkpoint snapshots members[0]).
+  std::vector<BatchOutcome> run_members(const WavefrontSpec& spec, const PhaseProgram& program,
+                                        const std::vector<BatchMember>& members,
+                                        ocl::Trace* trace, const LoweredKernel* lowered,
+                                        const StreamControl* stream);
+
   /// THE interpreter: the only walk of a program. `fctx == nullptr` is
   /// timing-only mode (estimate); non-null executes functionally too.
   RunResult execute(const InputParams& in, const PhaseProgram& program, FunctionalCtx* fctx,

@@ -10,7 +10,9 @@
 //      occupancy histogram / Submission::history().rode_batch all agree).
 //   3. POLICY: the admission window never delays a lone job; expired or
 //      cancelled members are shed from a batch without aborting the
-//      survivors.
+//      survivors; a group runs through its backend's own run() — a
+//      failing group re-runs each member alone, under its own retry and
+//      fallback policy — and the "serial" backend sheds per member.
 //   4. CONCURRENCY: batched and lone submitters interleaving across
 //      shards stay conservation-clean (the TSan job runs this file).
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include <cstring>
 #include <future>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -226,11 +229,16 @@ public:
     in.validate();
     return core::TunableParams{1, -1, -1, 1};
   }
-  core::RunResult run(core::HybridExecutor& executor, const core::WavefrontSpec& spec,
-                      const core::PhaseProgram&, const core::LoweredKernel& lowered,
-                      core::Grid& grid, const core::RunControl*) const override {
+  std::vector<core::BatchOutcome> run(
+      core::HybridExecutor& executor, const core::WavefrontSpec& spec, const core::PhaseProgram&,
+      const core::LoweredKernel& lowered,
+      const std::vector<core::BatchMember>& members) const override {
     gate().wait();
-    return executor.run_serial(spec, grid, &lowered);
+    std::vector<core::BatchOutcome> out(members.size());
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      out[m].result = executor.run_serial(spec, *members[m].grid, &lowered);
+    }
+    return out;
   }
   core::RunResult estimate(const core::HybridExecutor& executor, const core::InputParams& in,
                            const core::PhaseProgram& program) const override {
@@ -244,9 +252,40 @@ public:
   }
 };
 
+/// Overrides only run(), which always throws, and counts its calls: the
+/// probe that a user backend's run() is the one execution path for a
+/// same-plan group too — no engine-side interpreter may run the group in
+/// its place. prepare() keeps only the CPU tile, so the "cpu-dataflow"
+/// fallback rung can compile the same tuning.
+class ThrowingRunBackend final : public Backend {
+public:
+  static std::atomic<int>& calls() {
+    static std::atomic<int> n{0};
+    return n;
+  }
+  const std::string& name() const override {
+    static const std::string n = "test-batch-throwing-run";
+    return n;
+  }
+  core::TunableParams prepare(const core::InputParams& in, const core::TunableParams& params,
+                              const sim::SystemProfile&) const override {
+    in.validate();
+    core::TunableParams p;
+    p.cpu_tile = params.cpu_tile;
+    return p.normalized(in.dim);
+  }
+  std::vector<core::BatchOutcome> run(core::HybridExecutor&, const core::WavefrontSpec&,
+                                      const core::PhaseProgram&, const core::LoweredKernel&,
+                                      const std::vector<core::BatchMember>&) const override {
+    calls().fetch_add(1);
+    throw std::runtime_error("test-batch-throwing-run always fails");
+  }
+};
+
 void register_gate_backend() {
   auto& reg = BackendRegistry::instance();
   if (!reg.find("test-batch-gate")) reg.add(std::make_shared<BatchGateBackend>());
+  if (!reg.find("test-batch-throwing-run")) reg.add(std::make_shared<ThrowingRunBackend>());
 }
 
 EngineOptions one_worker_options() {
@@ -262,7 +301,6 @@ TEST(BatchedExecutionEngine, BackloggedSamePlanJobsFuseIntoOneBatch) {
   register_gate_backend();
   gate().reset();
   EngineOptions o = one_worker_options();
-  o.coalesce_limit = 8;
   o.batch_limit = 8;
   Engine eng(sim::make_i7_2600k(), o);
   const auto spec = batch_spec();
@@ -297,7 +335,7 @@ TEST(BatchedExecutionEngine, BackloggedSamePlanJobsFuseIntoOneBatch) {
   EXPECT_EQ(s.jobs_completed, 7u);  // gate + 5 batched + the serial reference
   EXPECT_EQ(s.jobs_batched, 5u);
   EXPECT_EQ(s.batches_formed, 1u);
-  EXPECT_EQ(s.jobs_coalesced, 4u);  // followers behind the batch leader
+  EXPECT_EQ(s.batch_occupancy[0], 1u);  // the gate job, alone
   EXPECT_EQ(s.batch_occupancy[4], 1u);  // one group of exactly 5
   for (const auto& sub : subs) {
     const JobHistory h = sub.history();
@@ -312,7 +350,6 @@ TEST(BatchedExecutionEngine, BatchLimitCapsFusedGroupSize) {
   register_gate_backend();
   gate().reset();
   EngineOptions o = one_worker_options();
-  o.coalesce_limit = 2;
   o.batch_limit = 3;
   Engine eng(sim::make_i7_2600k(), o);
   const auto spec = batch_spec();
@@ -368,7 +405,6 @@ TEST(BatchedExecutionEngine, ExpiredAndCancelledMembersAreShedSurvivorsComplete)
   register_gate_backend();
   gate().reset();
   EngineOptions o = one_worker_options();
-  o.coalesce_limit = 8;
   o.batch_limit = 8;
   Engine eng(sim::make_i7_2600k(), o);
   const auto spec = batch_spec();
@@ -416,6 +452,157 @@ TEST(BatchedExecutionEngine, ExpiredAndCancelledMembersAreShedSurvivorsComplete)
             s.jobs_completed + s.jobs_failed + s.jobs_timed_out + s.jobs_cancelled);
 }
 
+// A same-plan group on a backend that overrides only run(): the override
+// must execute the group (here: fail it), never be bypassed.
+TEST(BatchedExecutionEngine, GroupedJobsRunThroughTheBackendsOwnRun) {
+  register_gate_backend();
+  gate().reset();
+  ThrowingRunBackend::calls().store(0);
+  Engine eng(sim::make_i7_2600k(), one_worker_options());
+  const auto spec = batch_spec();
+  const Plan gate_plan = eng.compile(spec, core::TunableParams{}, "test-batch-gate");
+  const Plan plan = eng.compile(spec, core::TunableParams{4, 8, 1, 1}, "test-batch-throwing-run");
+
+  std::vector<core::Grid> grids;
+  grids.reserve(3);
+  std::future<core::RunResult> gated =
+      eng.submit(gate_plan, grids.emplace_back(spec.dim, spec.elem_bytes));
+  gate().wait_arrived(1);  // worker parked; the two jobs below queue behind it
+  Submission a = eng.submit(plan, grids.emplace_back(spec.dim, spec.elem_bytes), SubmitOptions{});
+  Submission b = eng.submit(plan, grids.emplace_back(spec.dim, spec.elem_bytes), SubmitOptions{});
+  gate().open_all();
+
+  EXPECT_GT(gated.get().rtime_ns, 0.0);
+  EXPECT_THROW(a.future.get(), std::runtime_error);
+  EXPECT_THROW(b.future.get(), std::runtime_error);
+  EXPECT_GE(ThrowingRunBackend::calls().load(), 1);
+  const EngineStats s = eng.stats();
+  EXPECT_EQ(s.batches_formed, 1u);  // the two jobs did group
+  EXPECT_EQ(s.jobs_failed, 2u);
+  EXPECT_EQ(s.jobs_completed, 1u);  // the gate job only
+  EXPECT_TRUE(a.history().rode_batch);
+}
+
+// The same group under allow_fallback: the failed call degrades each
+// member to "cpu-dataflow", whose grids must match the serial reference.
+TEST(BatchedExecutionEngine, FailedGroupDegradesEachMemberToTheFallbackChain) {
+  register_gate_backend();
+  gate().reset();
+  ThrowingRunBackend::calls().store(0);
+  Engine eng(sim::make_i7_2600k(), one_worker_options());
+  const auto spec = batch_spec();
+  const Plan gate_plan = eng.compile(spec, core::TunableParams{}, "test-batch-gate");
+  const Plan plan = eng.compile(spec, core::TunableParams{4, 8, 1, 1}, "test-batch-throwing-run");
+  core::Grid ref(spec.dim, spec.elem_bytes);
+  eng.executor().run_serial(spec, ref);
+
+  std::vector<core::Grid> grids;
+  grids.reserve(3);
+  std::future<core::RunResult> gated =
+      eng.submit(gate_plan, grids.emplace_back(spec.dim, spec.elem_bytes));
+  gate().wait_arrived(1);
+  SubmitOptions fallback;
+  fallback.allow_fallback = true;
+  std::vector<Submission> subs;
+  for (int i = 0; i < 2; ++i) {
+    core::Grid& g = grids.emplace_back(spec.dim, spec.elem_bytes);
+    g.fill_poison();
+    subs.push_back(eng.submit(plan, g, fallback));
+  }
+  gate().open_all();
+
+  EXPECT_GT(gated.get().rtime_ns, 0.0);
+  for (std::size_t i = 0; i < subs.size(); ++i) {
+    EXPECT_GT(subs[i].future.get().rtime_ns, 0.0);
+    EXPECT_EQ(std::memcmp(grids[i + 1].data(), ref.data(), ref.size_bytes()), 0) << "job " << i;
+    const JobHistory h = subs[i].history();
+    EXPECT_TRUE(h.rode_batch);
+    EXPECT_TRUE(h.degraded);
+    ASSERT_EQ(h.backends.size(), 2u);
+    EXPECT_EQ(h.backends[0], "test-batch-throwing-run");
+    EXPECT_EQ(h.backends[1], kCpuDataflowBackend);
+  }
+  EXPECT_GE(ThrowingRunBackend::calls().load(), 1);
+  const EngineStats s = eng.stats();
+  EXPECT_EQ(s.batches_formed, 1u);
+  EXPECT_EQ(s.jobs_degraded, 2u);
+  EXPECT_EQ(s.jobs_completed, 3u);
+  EXPECT_EQ(s.jobs_failed, 0u);
+}
+
+/// Returns no outcomes at all: a backend that breaks run()'s
+/// one-outcome-per-member contract.
+class NoOutcomesBackend final : public Backend {
+public:
+  const std::string& name() const override {
+    static const std::string n = "test-batch-no-outcomes";
+    return n;
+  }
+  core::TunableParams prepare(const core::InputParams& in, const core::TunableParams&,
+                              const sim::SystemProfile&) const override {
+    in.validate();
+    return core::TunableParams{1, -1, -1, 1};
+  }
+  std::vector<core::BatchOutcome> run(core::HybridExecutor&, const core::WavefrontSpec&,
+                                      const core::PhaseProgram&, const core::LoweredKernel&,
+                                      const std::vector<core::BatchMember>&) const override {
+    return {};
+  }
+};
+
+// The engine checks the outcome count instead of indexing past the end:
+// the job fails with a logic_error naming the backend.
+TEST(BatchedExecutionEngine, BackendReturningTooFewOutcomesFailsItsJob) {
+  auto& reg = BackendRegistry::instance();
+  if (!reg.find("test-batch-no-outcomes")) reg.add(std::make_shared<NoOutcomesBackend>());
+  Engine eng(sim::make_i7_2600k(), one_worker_options());
+  const auto spec = batch_spec();
+  core::Grid g(spec.dim, spec.elem_bytes);
+  EXPECT_THROW(eng.run(eng.compile(spec, core::TunableParams{}, "test-batch-no-outcomes"), g),
+               std::logic_error);
+  const EngineStats s = eng.stats();
+  EXPECT_EQ(s.jobs_failed, 1u);
+  EXPECT_EQ(s.jobs_completed, 0u);
+}
+
+/// A control that has already asked to stop.
+class CancelledControl final : public core::RunControl {
+public:
+  Stop should_stop() const override { return Stop::kCancelled; }
+};
+
+// The built-in "serial" backend's run() over a batch: each member's
+// control is polled before that member's sweep, a stop is recorded in its
+// outcome (no throw), and the live member matches run_serial bit for bit.
+TEST(BatchedExecutionBackend, SerialRunShedsAStoppedMemberAndRunsTheRest) {
+  const auto spec = batch_spec();
+  core::HybridExecutor ex(sim::make_i7_2600k(), 1);
+  core::Grid ref(spec.dim, spec.elem_bytes);
+  ex.run_serial(spec, ref);
+
+  const auto serial = BackendRegistry::instance().require(kSerialBackend);
+  const core::PhaseProgram program =
+      core::plan_phases(spec.inputs(), core::TunableParams{1, -1, -1, 1});
+  const core::LoweredKernel lowered = spec.lower();
+  core::Grid stopped(spec.dim, spec.elem_bytes);
+  core::Grid live(spec.dim, spec.elem_bytes);
+  core::Grid poison(spec.dim, spec.elem_bytes);
+  stopped.fill_poison();
+  live.fill_poison();
+  poison.fill_poison();
+  const CancelledControl cancelled;
+
+  const std::vector<core::BatchOutcome> out =
+      serial->run(ex, spec, program, lowered, {{&stopped, &cancelled}, {&live, nullptr}});
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].stop, core::RunControl::Stop::kCancelled);
+  EXPECT_EQ(out[1].stop, core::RunControl::Stop::kNone);
+  EXPECT_EQ(std::memcmp(live.data(), ref.data(), ref.size_bytes()), 0);
+  EXPECT_EQ(out[1].result.rtime_ns, ex.estimate_serial(spec.inputs()));
+  EXPECT_EQ(std::memcmp(stopped.data(), poison.data(), poison.size_bytes()), 0)
+      << "a stopped member's grid was touched";
+}
+
 // ---------------------------------------------------------------------
 // 4. Mixed batched/lone submitter stress (exercised under TSan in CI).
 // ---------------------------------------------------------------------
@@ -426,7 +613,6 @@ TEST(BatchedExecutionStress, MixedBatchedAndLoneSubmittersStayConservationClean)
   o.queue_workers = 2;
   o.queue_shards = 2;
   o.queue_capacity = 64;
-  o.coalesce_limit = 4;
   o.batch_limit = 4;
   o.batch_window = std::chrono::microseconds(100);
   Engine eng(sim::make_i7_2600k(), o);

@@ -140,7 +140,6 @@ void chaos_iteration(std::uint64_t seed, const core::WavefrontSpec& spec,
   opts.queue_workers = 2;
   opts.queue_capacity = 16;
   opts.queue_shards = 2;
-  opts.coalesce_limit = 4;
   // Continuous batching stays ON under chaos: fused multi-grid sweeps
   // must hold the same four invariants, faults landing mid-batch
   // included. A quarter of iterations also arm the admission window.
@@ -367,16 +366,21 @@ public:
     in.validate();
     return core::TunableParams{1, -1, -1, 1};
   }
-  core::RunResult run(core::HybridExecutor& executor, const core::WavefrontSpec& spec,
-                      const core::PhaseProgram&, const core::LoweredKernel& lowered,
-                      core::Grid& grid, const core::RunControl*) const override {
+  std::vector<core::BatchOutcome> run(
+      core::HybridExecutor& executor, const core::WavefrontSpec& spec, const core::PhaseProgram&,
+      const core::LoweredKernel& lowered,
+      const std::vector<core::BatchMember>& members) const override {
     {
       std::unique_lock<std::mutex> lock(mutex());
       ++arrived();
       cv().notify_all();
       cv().wait(lock, [] { return open_flag(); });
     }
-    return executor.run_serial(spec, grid, &lowered);
+    std::vector<core::BatchOutcome> out(members.size());
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      out[m].result = executor.run_serial(spec, *members[m].grid, &lowered);
+    }
+    return out;
   }
   core::RunResult estimate(const core::HybridExecutor& executor, const core::InputParams& in,
                            const core::PhaseProgram&) const override {
@@ -427,7 +431,6 @@ TEST(Chaos, FaultsInsideAFusedBatchHoldTheInvariants) {
     opts.queue_workers = 1;
     opts.queue_shards = 1;
     opts.queue_capacity = 16;
-    opts.coalesce_limit = 8;
     opts.batch_limit = 8;
     Engine engine(sim::make_i7_2600k(), opts);
     const Plan gate_plan = engine.compile(spec, core::TunableParams{}, "chaos-gate");

@@ -360,10 +360,15 @@ public:
     in.validate();
     return core::TunableParams{1, -1, -1, 1};
   }
-  core::RunResult run(core::HybridExecutor& executor, const core::WavefrontSpec& spec,
-                      const core::PhaseProgram&, const core::LoweredKernel& lowered,
-                      core::Grid& grid, const core::RunControl*) const override {
-    return executor.run_serial(spec, grid, &lowered);
+  std::vector<core::BatchOutcome> run(
+      core::HybridExecutor& executor, const core::WavefrontSpec& spec, const core::PhaseProgram&,
+      const core::LoweredKernel& lowered,
+      const std::vector<core::BatchMember>& members) const override {
+    std::vector<core::BatchOutcome> out(members.size());
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      out[m].result = executor.run_serial(spec, *members[m].grid, &lowered);
+    }
+    return out;
   }
   core::RunResult estimate(const core::HybridExecutor& executor, const core::InputParams& in,
                            const core::PhaseProgram&) const override {

@@ -1,6 +1,6 @@
 // Serving-scale behavior of the api::Engine submission path: the sharded
 // lock-free queue under many producers, RCU-style plan-cache reads racing
-// evictions and clear_plan_cache(), same-plan request coalescing,
+// evictions and clear_plan_cache(), same-plan grouping by the batch former,
 // try_submit load shedding, failure accounting, and shutdown under load.
 // Queue mechanics in isolation are covered by test_sharded_queue.cpp;
 // here the subject is the Engine wired on top of them.
@@ -88,6 +88,18 @@ core::RunResult serial_estimate(const core::HybridExecutor& executor, const core
   return r;
 }
 
+/// Runs every member serially — the execution body of the test backends.
+std::vector<core::BatchOutcome> serial_outcomes(core::HybridExecutor& executor,
+                                                const core::WavefrontSpec& spec,
+                                                const core::LoweredKernel& lowered,
+                                                const std::vector<core::BatchMember>& members) {
+  std::vector<core::BatchOutcome> out(members.size());
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    out[m].result = executor.run_serial(spec, *members[m].grid, &lowered);
+  }
+  return out;
+}
+
 /// Serial execution that first parks on the gate (above).
 class GateBackend final : public Backend {
 public:
@@ -100,11 +112,12 @@ public:
     in.validate();
     return core::TunableParams{1, -1, -1, 1};
   }
-  core::RunResult run(core::HybridExecutor& executor, const core::WavefrontSpec& spec,
-                      const core::PhaseProgram&, const core::LoweredKernel& lowered,
-                      core::Grid& grid, const core::RunControl*) const override {
+  std::vector<core::BatchOutcome> run(
+      core::HybridExecutor& executor, const core::WavefrontSpec& spec, const core::PhaseProgram&,
+      const core::LoweredKernel& lowered,
+      const std::vector<core::BatchMember>& members) const override {
     gate().wait();
-    return executor.run_serial(spec, grid, &lowered);
+    return serial_outcomes(executor, spec, lowered, members);
   }
   core::RunResult estimate(const core::HybridExecutor& executor, const core::InputParams& in,
                            const core::PhaseProgram&) const override {
@@ -124,9 +137,9 @@ public:
     in.validate();
     return core::TunableParams{1, -1, -1, 1};
   }
-  core::RunResult run(core::HybridExecutor&, const core::WavefrontSpec&, const core::PhaseProgram&,
-                      const core::LoweredKernel&, core::Grid&,
-                      const core::RunControl*) const override {
+  std::vector<core::BatchOutcome> run(core::HybridExecutor&, const core::WavefrontSpec&,
+                                      const core::PhaseProgram&, const core::LoweredKernel&,
+                                      const std::vector<core::BatchMember>&) const override {
     throw std::runtime_error("test-throwing backend always fails");
   }
   core::RunResult estimate(const core::HybridExecutor& executor, const core::InputParams& in,
@@ -135,10 +148,10 @@ public:
   }
 };
 
-/// Parks inside run() until its control token reports a stop, then raises
-/// the interruption — the deterministic "an in-flight job observes its
-/// stop source at the next phase boundary" probe. Bails out with a plain
-/// failure (never a hang) if no stop arrives.
+/// Parks inside run() until its control token reports a stop, then records
+/// the stop in the member's outcome — the deterministic "an in-flight job
+/// observes its stop source at the next phase boundary" probe. Bails out
+/// with a plain failure (never a hang) if no stop arrives.
 class ControlPollingBackend final : public Backend {
 public:
   /// run() entries so far — the "job is now in flight" checkpoint.
@@ -155,19 +168,27 @@ public:
     in.validate();
     return core::TunableParams{1, -1, -1, 1};
   }
-  core::RunResult run(core::HybridExecutor& executor, const core::WavefrontSpec& spec,
-                      const core::PhaseProgram&, const core::LoweredKernel& lowered,
-                      core::Grid& grid, const core::RunControl* control) const override {
+  std::vector<core::BatchOutcome> run(
+      core::HybridExecutor& executor, const core::WavefrontSpec& spec, const core::PhaseProgram&,
+      const core::LoweredKernel& lowered,
+      const std::vector<core::BatchMember>& members) const override {
     arrivals().fetch_add(1);
-    if (control != nullptr) {
-      for (int spin = 0; spin < 100000; ++spin) {  // <= ~5 s, then bail
-        const core::RunControl::Stop stop = control->should_stop();
-        if (stop != core::RunControl::Stop::kNone) throw core::ExecutionInterrupted(stop);
-        std::this_thread::sleep_for(50us);
+    std::vector<core::BatchOutcome> out(members.size());
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      const core::RunControl* control = members[m].control;
+      if (control == nullptr) {
+        out[m].result = executor.run_serial(spec, *members[m].grid, &lowered);
+        continue;
       }
-      throw std::runtime_error("test-control-polling: no stop arrived");
+      for (int spin = 0; out[m].stop == core::RunControl::Stop::kNone; ++spin) {
+        if (spin == 100000) {  // ~5 s, then bail
+          throw std::runtime_error("test-control-polling: no stop arrived");
+        }
+        out[m].stop = control->should_stop();
+        if (out[m].stop == core::RunControl::Stop::kNone) std::this_thread::sleep_for(50us);
+      }
     }
-    return executor.run_serial(spec, grid, &lowered);
+    return out;
   }
   core::RunResult estimate(const core::HybridExecutor& executor, const core::InputParams& in,
                            const core::PhaseProgram&) const override {
@@ -193,14 +214,15 @@ public:
     in.validate();
     return core::TunableParams{1, -1, -1, 1};
   }
-  core::RunResult run(core::HybridExecutor& executor, const core::WavefrontSpec& spec,
-                      const core::PhaseProgram&, const core::LoweredKernel& lowered,
-                      core::Grid& grid, const core::RunControl*) const override {
+  std::vector<core::BatchOutcome> run(
+      core::HybridExecutor& executor, const core::WavefrontSpec& spec, const core::PhaseProgram&,
+      const core::LoweredKernel& lowered,
+      const std::vector<core::BatchMember>& members) const override {
     if (fuse().load() > 0) {
       fuse().fetch_sub(1);
       throw fault::InjectedError(fault::Site::kPhaseBoundary, fault::Severity::kTransient, 0);
     }
-    return executor.run_serial(spec, grid, &lowered);
+    return serial_outcomes(executor, spec, lowered, members);
   }
   core::RunResult estimate(const core::HybridExecutor& executor, const core::InputParams& in,
                            const core::PhaseProgram&) const override {
@@ -303,9 +325,9 @@ TEST(EngineServing, FailedJobsAreCountedSeparatelyFromCompletions) {
   EXPECT_EQ(eng.stats().jobs_completed, 1u);
 }
 
-// --- coalescing ---------------------------------------------------------
+// --- same-plan grouping -------------------------------------------------
 
-TEST(EngineServing, ConsecutiveSamePlanJobsCoalesceIntoOneSweep) {
+TEST(EngineServing, ConsecutiveSamePlanJobsGroupIntoOneSweep) {
   register_test_backends();
   gate().reset();
   EngineOptions o;
@@ -313,15 +335,15 @@ TEST(EngineServing, ConsecutiveSamePlanJobsCoalesceIntoOneSweep) {
   o.queue_workers = 1;
   o.queue_shards = 1;  // all jobs land in one shard => one batch
   o.queue_capacity = 16;
-  o.coalesce_limit = 8;
+  o.batch_limit = 8;
   Engine eng(sim::make_i7_2600k(), o);
   const auto spec = serving_spec();
   const Plan gate_plan = eng.compile(spec, core::TunableParams{}, "test-gate");
   const Plan plan = eng.compile(spec, core::TunableParams{4, 8, 1, 1});
 
   // Park the worker on a gated job, then queue five same-plan jobs: when
-  // the worker returns they are popped as one batch and counted as one
-  // leader + four coalesced followers.
+  // the worker returns they are popped as one batch and dispatched as one
+  // group of five.
   std::vector<core::Grid> grids;
   grids.reserve(6);
   std::vector<std::future<core::RunResult>> futures;
@@ -332,11 +354,11 @@ TEST(EngineServing, ConsecutiveSamePlanJobsCoalesceIntoOneSweep) {
   }
   gate().open_all();
   for (auto& f : futures) EXPECT_GT(f.get().rtime_ns, 0.0);
-  EXPECT_EQ(eng.stats().jobs_coalesced, 4u);
+  EXPECT_EQ(eng.stats().batch_occupancy[4], 1u);
   EXPECT_EQ(eng.stats().jobs_completed, 6u);
 }
 
-TEST(EngineServing, CoalesceLimitOneDisablesCoalescing) {
+TEST(EngineServing, BatchLimitOneDisablesGrouping) {
   register_test_backends();
   gate().reset();
   EngineOptions o;
@@ -344,10 +366,6 @@ TEST(EngineServing, CoalesceLimitOneDisablesCoalescing) {
   o.queue_workers = 1;
   o.queue_shards = 1;
   o.queue_capacity = 16;
-  o.coalesce_limit = 1;
-  // Continuous batching is a separate knob: its cross-shard gather would
-  // still group the queued jobs (and count followers), so it is disabled
-  // too — this test pins "both grouping knobs off => nothing coalesces".
   o.batch_limit = 1;
   Engine eng(sim::make_i7_2600k(), o);
   const auto spec = serving_spec();
@@ -364,7 +382,7 @@ TEST(EngineServing, CoalesceLimitOneDisablesCoalescing) {
   }
   gate().open_all();
   for (auto& f : futures) EXPECT_GT(f.get().rtime_ns, 0.0);
-  EXPECT_EQ(eng.stats().jobs_coalesced, 0u);
+  EXPECT_EQ(eng.stats().batch_occupancy[0], 5u);  // the gate + four lone jobs
 }
 
 // --- queue depth gauge --------------------------------------------------
@@ -393,42 +411,6 @@ TEST(EngineServing, QueueDepthGaugeReportsWaitingJobs) {
   gate().open_all();
   for (auto& f : futures) EXPECT_GT(f.get().rtime_ns, 0.0);
   EXPECT_EQ(eng.stats().queue_depth, 0u);
-}
-
-// --- legacy baseline path -----------------------------------------------
-
-TEST(EngineServing, LegacyServingPathServesIdenticalResults) {
-  EngineOptions o;
-  o.pool_workers = 2;
-  o.queue_workers = 2;
-  o.legacy_serving_path = true;
-  Engine legacy(sim::make_i7_2600k(), o);
-  EngineOptions o2 = o;
-  o2.legacy_serving_path = false;
-  Engine sharded(sim::make_i7_2600k(), o2);
-
-  const auto spec = serving_spec(32, 14.0, 2);
-  const core::TunableParams p{4, 10, 2, 1};
-  core::Grid ref(spec.dim, spec.elem_bytes);
-  legacy.run(legacy.compile(spec, p, kSerialBackend), ref);
-
-  for (Engine* eng : {&legacy, &sharded}) {
-    const Plan plan = eng->compile(spec, p);
-    ASSERT_TRUE(eng->compile(spec, p).shares_state_with(plan));  // cache hit both paths
-    core::Grid g(spec.dim, spec.elem_bytes);
-    g.fill_poison();
-    EXPECT_GT(eng->submit(plan, g).get().rtime_ns, 0.0);
-    EXPECT_EQ(std::memcmp(g.data(), ref.data(), g.size_bytes()), 0);
-    // try_submit works on both paths.
-    core::Grid g2(spec.dim, spec.elem_bytes);
-    auto f = eng->try_submit(plan, g2);
-    ASSERT_TRUE(f.has_value());
-    EXPECT_GT(f->get().rtime_ns, 0.0);
-  }
-  // Contention counters only tick on the sharded path.
-  EXPECT_EQ(legacy.queue_stats().pushes, 0u);
-  EXPECT_GE(sharded.queue_stats().pushes, 2u);
-  EXPECT_EQ(legacy.stats().plan_cache_hits, 1u);
 }
 
 // --- thread-local snapshot cache ----------------------------------------
@@ -575,7 +557,7 @@ TEST(EngineServingStress, ShutdownUnderLoadResolvesEveryAcceptedFuture) {
       o.pool_workers = 1;
       o.queue_workers = 1 + static_cast<std::size_t>(rng() % 2);
       o.queue_capacity = 2 + rng() % 6;
-      o.coalesce_limit = 1 + rng() % 4;
+      o.batch_limit = 1 + rng() % 4;
       Engine eng(sim::make_i7_2600k(), o);
       const Plan plan = eng.compile(spec, core::TunableParams{4, 8, 1, 1});
       for (int j = 0; j < jobs; ++j) {

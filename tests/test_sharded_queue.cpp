@@ -1,10 +1,8 @@
-// Contract tests of the serving job spines: the sharded lock-free MPMC
-// queue (api/sharded_queue.hpp) and the single-mutex BoundedQueue it
-// replaced (api/job_queue.hpp, kept as the measured baseline). The two
-// must agree on the external contract — bounded memory, blocking
-// push/pop, close() + drain shutdown — so both are pinned here, including
-// the close-race corner the audit of BoundedQueue's notify semantics
-// documented.
+// Contract tests of the Engine's job spine, the sharded lock-free MPMC
+// queue (api/sharded_queue.hpp): bounded memory, blocking push/pop,
+// close() + drain shutdown, owner-first/steal pops, and the close races
+// (a producer or consumer woken by close() can neither strand nor invent
+// an item).
 #include "api/sharded_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -19,8 +17,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "api/job_queue.hpp"
 
 namespace wavetune::api {
 namespace {
@@ -354,84 +350,6 @@ TEST(ShardedQueueStress, RandomizedCloseUnderLoadNeverLosesOrDuplicatesItems) {
     EXPECT_EQ(popped_sum.load(), accepted_sum.load()) << "iteration " << iter;
     EXPECT_FALSE(q.pop(0).has_value());
   }
-}
-
-// --- BoundedQueue regression (the audited baseline) ---------------------
-
-TEST(BoundedQueueContract, PushAfterCloseReturnsFalseAndPopDrainsThenStops) {
-  BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  q.close();
-  q.close();  // idempotent
-  EXPECT_FALSE(q.push(3));
-  int v = 4;
-  EXPECT_FALSE(q.try_push(v));
-  EXPECT_EQ(q.pop(), std::optional<int>(1));
-  EXPECT_EQ(q.pop(), std::optional<int>(2));
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(BoundedQueueContract, TryPushRespectsTheBoundAndKeepsRejectedItems) {
-  BoundedQueue<std::string> q(2);
-  std::string a = "a";
-  std::string b = "b";
-  std::string c = "c";
-  EXPECT_TRUE(q.try_push(a));
-  EXPECT_TRUE(q.try_push(b));
-  EXPECT_FALSE(q.try_push(c));
-  EXPECT_EQ(c, "c");  // rejected payload untouched
-  EXPECT_EQ(q.size(), 2u);
-  q.close();
-}
-
-TEST(BoundedQueueContract, ProducersUnblockedByCloseCannotStrandOrInventItems) {
-  // The audited close-race: producers blocked on a full queue are woken
-  // by close(), find closed_, and return false WITHOUT enqueueing —
-  // consumers must see exactly the items accepted before the close, then
-  // nullopt. 50 iterations to give the race room.
-  for (int iter = 0; iter < 50; ++iter) {
-    BoundedQueue<int> q(2);
-    ASSERT_TRUE(q.push(1));
-    ASSERT_TRUE(q.push(2));
-    std::atomic<int> rejected{0};
-    std::vector<std::thread> producers;
-    for (int p = 0; p < 3; ++p) {
-      producers.emplace_back([&] {
-        if (!q.push(99)) rejected.fetch_add(1);
-      });
-    }
-    std::vector<int> drained;
-    std::thread consumer([&] {
-      while (std::optional<int> v = q.pop()) drained.push_back(*v);
-    });
-    std::this_thread::sleep_for(std::chrono::microseconds(iter * 7 % 200));
-    q.close();
-    for (auto& t : producers) t.join();
-    consumer.join();
-    // Anything a producer managed to slip in before close() was accepted
-    // (returned true) and must have drained; the rejected rest must not
-    // appear. accepted = 2 preloaded + (3 - rejected).
-    const int accepted = 2 + (3 - rejected.load());
-    EXPECT_EQ(static_cast<int>(drained.size()), accepted) << "iteration " << iter;
-    EXPECT_FALSE(q.pop().has_value());
-  }
-}
-
-TEST(BoundedQueueContract, CloseWakesBlockedConsumers) {
-  BoundedQueue<int> q(4);
-  std::atomic<int> finished{0};
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 2; ++c) {
-    consumers.emplace_back([&] {
-      EXPECT_FALSE(q.pop().has_value());
-      finished.fetch_add(1);
-    });
-  }
-  std::this_thread::sleep_for(20ms);
-  q.close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(finished.load(), 2);
 }
 
 }  // namespace
