@@ -164,31 +164,17 @@ public:
   // --- consumers --------------------------------------------------------
 
   /// Non-blocking pop: consumer `who`'s own shard first, then steals from
-  /// the others. `src_shard`, when given, receives the shard the item
-  /// came from (for shard-local follow-up pops via try_pop_shard).
-  std::optional<T> try_pop(std::size_t who, std::size_t* src_shard = nullptr) {
+  /// the others.
+  std::optional<T> try_pop(std::size_t who) {
     fault::check(fault::Site::kQueuePop);
-    return try_pop_impl(who, src_shard);
-  }
-
-  /// Non-blocking pop from ONE specific shard, stealing from nobody: after
-  /// pop() hands a consumer an item from shard S, follow-up
-  /// try_pop_shard(S) calls return the items queued consecutively behind
-  /// it.
-  std::optional<T> try_pop_shard(std::size_t shard) {
-    fault::check(fault::Site::kQueuePop);
-    if (std::optional<T> item = shards_[shard & shard_mask_]->try_pop()) {
-      finish_pop();
-      return item;
-    }
-    return std::nullopt;
+    return try_pop_impl(who);
   }
 
   /// Blocks until an item is available; nullopt once the queue is closed
   /// AND drained (every accepted push handed out).
-  std::optional<T> pop(std::size_t who, std::size_t* src_shard = nullptr) {
+  std::optional<T> pop(std::size_t who) {
     for (;;) {
-      if (std::optional<T> item = try_pop(who, src_shard)) return item;
+      if (std::optional<T> item = try_pop(who)) return item;
       if (closed_.load(std::memory_order_seq_cst) && drained()) return std::nullopt;
       pop_blocks_.fetch_add(1, std::memory_order_relaxed);
       fault::check(fault::Site::kQueueFutexWait);  // before waiter registration
@@ -196,7 +182,7 @@ public:
       // check pop_waiters_, then bump pop_epoch_".
       pop_waiters_.fetch_add(1, std::memory_order_seq_cst);
       const std::uint32_t ticket = pop_epoch_.load(std::memory_order_seq_cst);
-      if (std::optional<T> item = try_pop_impl(who, src_shard)) {
+      if (std::optional<T> item = try_pop_impl(who)) {
         pop_waiters_.fetch_sub(1, std::memory_order_relaxed);
         return item;
       }
@@ -380,21 +366,20 @@ private:
   }
 
   /// Own-shard-first scan behind try_pop()/pop().
-  std::optional<T> try_pop_impl(std::size_t who, std::size_t* src_shard) {
+  std::optional<T> try_pop_impl(std::size_t who) {
     const std::size_t own = who & shard_mask_;
     for (std::size_t i = 0; i <= shard_mask_; ++i) {
       const std::size_t s = (own + i) & shard_mask_;
       if (std::optional<T> item = shards_[s]->try_pop()) {
         if (i > 0) pop_steals_.fetch_add(1, std::memory_order_relaxed);
         finish_pop();
-        if (src_shard) *src_shard = s;
         return item;
       }
     }
     return std::nullopt;
   }
 
-  /// Successful-pop bookkeeping shared by all pop paths.
+  /// Successful-pop bookkeeping behind try_pop_impl().
   void finish_pop() {
     depth_.fetch_sub(1, std::memory_order_relaxed);
     pops_.fetch_add(1, std::memory_order_relaxed);

@@ -36,8 +36,15 @@ struct NashScratch {
   std::vector<double> count_row;
   std::vector<double> count_col;
 
-  explicit NashScratch(std::size_t k)
-      : pay_row(k * k), pay_col(k * k), count_row(k), count_col(k) {}
+  NashScratch() = default;
+  explicit NashScratch(std::size_t k) { resize(k); }
+
+  void resize(std::size_t k) {
+    pay_row.resize(k * k);
+    pay_col.resize(k * k);
+    count_row.resize(k);
+    count_col.resize(k);
+  }
 };
 
 /// Solves the subgame at (i, j) given the neighbour equilibrium values.
@@ -115,16 +122,20 @@ struct NashTileCtx {
 };
 
 /// Native tile kernel: one plain call per tile, with the fictitious-play
-/// scratch vectors allocated ONCE PER TILE (the batched path's main win
-/// for this allocation-heavy kernel — the segment rung re-allocates them
-/// per row). Neighbour values slide through registers; rows past the
-/// first read their north row from the block's own output.
+/// scratch vectors living per THREAD and resized only when `k` changes —
+/// the simulated GPUs call it once per cell, and band-edge tiles once per
+/// row, so a per-call allocation would dominate (the segment rung
+/// re-allocates them per row). solve_cell writes every scratch entry
+/// before reading it, so reuse cannot leak values between calls.
+/// Neighbour values slide through registers; rows past the first read
+/// their north row from the block's own output.
 void nash_tile_kernel(const void* pv, std::size_t i0, std::size_t i1, std::size_t j0,
                       std::size_t j1, std::size_t stride, const std::byte* w,
                       const std::byte* n, const std::byte* nw, std::byte* out) {
   (void)nw;  // folded into nrow[-1] below
   const NashTileCtx& c = *static_cast<const NashTileCtx*>(pv);
-  NashScratch scratch(c.k);
+  thread_local NashScratch scratch;
+  scratch.resize(c.k);
   const NashCell zero{0, 0, 0, 0};
   for (std::size_t i = i0; i < i1; ++i) {
     const std::size_t r = i - i0;
@@ -203,7 +214,7 @@ core::WavefrontSpec make_nash_spec(const NashParams& params) {
       diag = north;
     }
   };
-  // Native tile kernel (rung three): scratch hoisted to once per tile.
+  // Native tile kernel (rung three): per-thread scratch.
   spec.tile = core::TileKernel{&nash_tile_kernel,
                                std::make_shared<const NashTileCtx>(NashTileCtx{k, rounds, seed})};
   return spec;

@@ -77,15 +77,17 @@ struct SyntheticTileCtx {
   std::size_t elem;
 };
 
-/// Native tile kernel: one plain call per tile, scratch allocated once
-/// per tile, sliding neighbour pointers over the contiguous output and
-/// north rows (rows past the first read their north row from the block's
-/// own output).
+/// Native tile kernel: one plain call per tile, per-thread scratch
+/// resized only when dsize changes (compute_synthetic_cell writes every
+/// entry before write_cell reads it), sliding neighbour pointers over the
+/// contiguous output and north rows (rows past the first read their north
+/// row from the block's own output).
 void synthetic_tile_kernel(const void* pv, std::size_t i0, std::size_t i1, std::size_t j0,
                            std::size_t j1, std::size_t stride, const std::byte* w,
                            const std::byte* n, const std::byte* nw, std::byte* out) {
   const SyntheticTileCtx& c = *static_cast<const SyntheticTileCtx*>(pv);
-  std::vector<double> floats(static_cast<std::size_t>(c.dsize));
+  thread_local std::vector<double> floats;
+  floats.resize(static_cast<std::size_t>(c.dsize));
   for (std::size_t i = i0; i < i1; ++i) {
     const std::size_t r = i - i0;
     std::byte* orow = out + r * stride;

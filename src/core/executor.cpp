@@ -102,15 +102,16 @@ std::size_t PhaseBreakdown::redundant_cells() const {
 
 /// Run-mode state: the spec plus one MEMBER per batched grid (a lone
 /// run() is a batch of one). Each member owns its host grid, its control,
-/// and one full-grid-shaped device buffer per GPU; device buffers are
-/// poison-filled so that any read of a cell the schedule never
-/// transferred or computed produces loudly-wrong values instead of
-/// accidentally-correct zeros. `active` lists the members still running —
-/// members shed by their control at a phase boundary leave the list
-/// without aborting the rest of the batch.
+/// and, during a GPU phase, that phase's device buffers checked out of
+/// the executor's arena; device buffers are poison-filled so that any
+/// read of a cell the schedule never transferred or computed produces
+/// loudly-wrong values instead of accidentally-correct zeros. `active`
+/// lists the members still running — members shed by their control at a
+/// phase boundary leave the list without aborting the rest of the batch.
 struct HybridExecutor::FunctionalCtx {
   const WavefrontSpec* spec = nullptr;
   cpu::ThreadPool* pool = nullptr;
+  ocl::BufferArena* arena = nullptr;  ///< where members' device buffers come from
   /// Plan-time kernel resolution (core/lowered.hpp), resolved exactly
   /// once per run — by the caller's compiled plan or at the top of
   /// run(). Every functional compute is a plain indirect call through it.
@@ -139,6 +140,18 @@ struct HybridExecutor::FunctionalCtx {
   std::size_t resume_phase = 0;   ///< phases before this are charge-only
   std::size_t resume_strip = 0;   ///< strips of resume_phase before this too
   bool resuming = false;
+
+  FunctionalCtx() = default;
+  FunctionalCtx(const FunctionalCtx&) = delete;
+  FunctionalCtx& operator=(const FunctionalCtx&) = delete;
+  /// A run that throws mid-phase still returns its device buffers.
+  ~FunctionalCtx() { give_back_buffers(); }
+
+  /// Returns every member's device buffers to the arena (a GPU phase's
+  /// buffers live only for that phase).
+  void give_back_buffers() {
+    for (Member& mem : members) arena->give_back(mem.dev);
+  }
 
   std::size_t real_elem() const { return spec->elem_bytes; }
   std::size_t real_offset(std::size_t i, std::size_t j) const {
@@ -283,6 +296,7 @@ std::vector<BatchOutcome> HybridExecutor::run_members(const WavefrontSpec& spec,
   FunctionalCtx fctx;
   fctx.spec = &spec;
   fctx.pool = &pool_;
+  fctx.arena = &arena_;
   fctx.lowered = lowered;
   fctx.members.resize(members.size());
   fctx.active.reserve(members.size());
@@ -511,8 +525,9 @@ void HybridExecutor::gpu_phase(const InputParams& in, const PhaseDesc& ph,
     // device, or — for a streamed phase — the fixed strip pool of
     // strip_buffers buffers of (strip_rows + 1) rows each, which is the
     // whole point: peak residency O(strip_rows * dim), not O(dim^2).
-    // Either way the buffers are poison-filled so reads of cells the
-    // schedule never staged produce loudly-wrong values.
+    // Buffers come from the executor's arena, poison-filled on every
+    // checkout so reads of cells the schedule never staged produce
+    // loudly-wrong values.
     const std::size_t bytes =
         ph.streamed() ? (ph.strip_rows + 1) * in.dim * fctx->spec->elem_bytes
                       : in.dim * in.dim * fctx->spec->elem_bytes;
@@ -520,10 +535,9 @@ void HybridExecutor::gpu_phase(const InputParams& in, const PhaseDesc& ph,
         ph.streamed() ? ph.strip_buffers : static_cast<std::size_t>(ph.gpu_count);
     for (std::size_t m : fctx->active) {
       FunctionalCtx::Member& mem = fctx->members[m];
-      mem.dev.clear();
+      mem.dev.reserve(count);  // the push_backs below cannot throw
       for (std::size_t g = 0; g < count; ++g) {
-        mem.dev.emplace_back(bytes);
-        mem.dev.back().fill(Grid::kPoison);
+        mem.dev.push_back(fctx->arena->checkout(bytes, Grid::kPoison));
       }
     }
   }
@@ -534,6 +548,7 @@ void HybridExecutor::gpu_phase(const InputParams& in, const PhaseDesc& ph,
   } else {
     gpu_phase_single(in, ph, fctx, trace, out);
   }
+  if (fctx) fctx->give_back_buffers();
 }
 
 void HybridExecutor::gpu_phase_single(const InputParams& in, const PhaseDesc& ph,
@@ -966,21 +981,22 @@ void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
     v_dm2[g] = frontier_v(g, ll(d0) - 2);
   }
 
+  // Per-diagonal device plan, allocated once per phase.
+  std::vector<bool> active(n);
+  std::vector<long long> compute_lo(n);
+  std::vector<long long> compute_hi(n);
   for (std::size_t d = d0; d < d1; ++d) {
     const long long i_lo = ll(diag_row_lo(dim, d));
     const long long i_hi = ll(diag_row_hi(dim, d));
 
     // Plan each device's row range; fire the chained halo swaps first so
     // their transfers precede this diagonal's kernels on the timelines.
-    std::vector<bool> active(n, false);
-    std::vector<long long> compute_lo(n, 0);
-    std::vector<long long> compute_hi(n, -1);
     for (std::size_t g = 0; g < n; ++g) {
       const long long own_lo = std::max(split[g], i_lo);
       const long long own_hi = std::min(split[g + 1] - 1, i_hi);
       compute_hi[g] = own_hi;
-      if (own_lo > own_hi) continue;  // no owned cells on this diagonal
-      active[g] = true;
+      active[g] = own_lo <= own_hi;
+      if (!active[g]) continue;  // no owned cells on this diagonal
       long long can_lo = std::max({std::max(v_dm1[g], v_dm2[g]) + 1, i_lo});
       if (can_lo > own_lo) {
         // Halo swap: device g-1 -> host -> device g, strips

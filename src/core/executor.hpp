@@ -37,6 +37,7 @@
 #include "core/spec.hpp"
 #include "cpu/dataflow_wavefront.hpp"
 #include "cpu/thread_pool.hpp"
+#include "ocl/buffer.hpp"
 #include "sim/system_profile.hpp"
 
 namespace wavetune::ocl {
@@ -231,6 +232,9 @@ public:
 private:
   sim::SystemProfile profile_;
   mutable cpu::ThreadPool pool_;
+  /// Device-buffer storage reused across GPU phases, runs and batch
+  /// members (thread-safe: concurrent run() callers share it).
+  mutable ocl::BufferArena arena_;
 
   struct FunctionalCtx;  // run-mode state (spec, host grid, device buffers)
 

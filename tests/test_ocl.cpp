@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <thread>
+#include <vector>
 
+#include "core/grid.hpp"
 #include "sim/system_profile.hpp"
 
 namespace wavetune::ocl {
@@ -151,6 +155,105 @@ TEST_F(OclTest, ReadBackIsFunctional) {
   double out = 0.0;
   dev.enqueue_read(b, 0, &out, sizeof(out));
   EXPECT_DOUBLE_EQ(out, 2.75);
+}
+
+// --- BufferArena ----------------------------------------------------------
+
+bool all_bytes_are(const Buffer& b, std::byte v) {
+  return std::all_of(b.bytes().begin(), b.bytes().end(), [v](std::byte x) { return x == v; });
+}
+
+TEST(BufferArena, CheckoutAfterReturnIsExactSizeAndAllPoison) {
+  BufferArena arena;
+  std::vector<Buffer> bufs;
+  bufs.push_back(arena.checkout(4096, std::byte{0x11}));
+  bufs[0].fill(std::byte{0x22});  // dirty it, as a finished phase would
+  arena.give_back(bufs);
+  EXPECT_TRUE(bufs.empty());
+  ASSERT_EQ(arena.footprint_bytes(), 4096u);
+
+  // Smaller request: reuses the 4096-byte storage (nothing new is
+  // allocated), but the buffer is exactly the requested size and every
+  // byte is the fill.
+  bufs.push_back(arena.checkout(1000, core::Grid::kPoison));
+  EXPECT_EQ(bufs[0].size(), 1000u);
+  EXPECT_TRUE(all_bytes_are(bufs[0], core::Grid::kPoison));
+  EXPECT_EQ(arena.footprint_bytes(), 4096u);
+  arena.give_back(bufs);
+
+  // Same size again, then larger than any spare: both poison throughout.
+  bufs.push_back(arena.checkout(4096, core::Grid::kPoison));
+  bufs.push_back(arena.checkout(8192, core::Grid::kPoison));
+  EXPECT_EQ(bufs[0].size(), 4096u);
+  EXPECT_EQ(bufs[1].size(), 8192u);
+  EXPECT_TRUE(all_bytes_are(bufs[0], core::Grid::kPoison));
+  EXPECT_TRUE(all_bytes_are(bufs[1], core::Grid::kPoison));
+  arena.give_back(bufs);
+}
+
+TEST(BufferArena, LiveBytesCountOnlyCheckedOutBuffersAtTheirRequestedSize) {
+  BufferArena arena;
+  const std::size_t live0 = Buffer::live_bytes();
+  std::vector<Buffer> bufs;
+  bufs.push_back(arena.checkout(10000, std::byte{0}));
+  bufs.push_back(arena.checkout(10000, std::byte{0}));
+  EXPECT_EQ(Buffer::live_bytes(), live0 + 20000);
+  arena.give_back(bufs);
+  EXPECT_EQ(Buffer::live_bytes(), live0);  // spares are not device memory
+  EXPECT_EQ(arena.footprint_bytes(), 20000u);
+
+  // A small checkout backed by a big spare counts its own size only.
+  Buffer::reset_peak();
+  bufs.push_back(arena.checkout(100, std::byte{0}));
+  EXPECT_EQ(Buffer::live_bytes(), live0 + 100);
+  EXPECT_EQ(Buffer::peak_bytes(), live0 + 100);
+  arena.give_back(bufs);
+  EXPECT_EQ(Buffer::live_bytes(), live0);
+}
+
+TEST(BufferArena, FootprintNeverExceedsTheCheckedOutHighWater) {
+  BufferArena arena;
+  std::vector<Buffer> quad, strips;
+  for (int round = 0; round < 3; ++round) {
+    for (int g = 0; g < 4; ++g) quad.push_back(arena.checkout(8192, std::byte{1}));
+    EXPECT_EQ(arena.footprint_bytes(), arena.high_water_bytes());
+    arena.give_back(quad);
+    // The strip pool reuses whole-grid storage: nothing new is held.
+    for (int b = 0; b < 2; ++b) strips.push_back(arena.checkout(512, std::byte{1}));
+    EXPECT_EQ(arena.footprint_bytes(), 4u * 8192u);
+    arena.give_back(strips);
+  }
+  EXPECT_EQ(arena.high_water_bytes(), 4u * 8192u);
+
+  // Requests larger than every spare free spares first: the four small
+  // storages go, and the footprint is just the two new ones.
+  for (int g = 0; g < 2; ++g) quad.push_back(arena.checkout(20000, std::byte{1}));
+  EXPECT_EQ(arena.high_water_bytes(), 2u * 20000u);
+  EXPECT_EQ(arena.footprint_bytes(), 2u * 20000u);
+  arena.give_back(quad);
+  EXPECT_EQ(arena.footprint_bytes(), 2u * 20000u);
+}
+
+TEST(BufferArena, ConcurrentCheckoutAndReturnFromTwoThreads) {
+  BufferArena arena;
+  const std::size_t live0 = Buffer::live_bytes();
+  auto worker = [&arena](std::size_t bytes, std::byte fill) {
+    std::vector<Buffer> bufs;
+    for (int it = 0; it < 200; ++it) {
+      for (int k = 0; k < 3; ++k) bufs.push_back(arena.checkout(bytes + k * 64, fill));
+      for (const Buffer& b : bufs) {
+        ASSERT_TRUE(all_bytes_are(b, fill));
+      }
+      for (Buffer& b : bufs) b.fill(std::byte{0});
+      arena.give_back(bufs);
+    }
+  };
+  std::thread a(worker, 2048, std::byte{0xA5});
+  std::thread b(worker, 700, std::byte{0x5A});
+  a.join();
+  b.join();
+  EXPECT_EQ(Buffer::live_bytes(), live0);
+  EXPECT_LE(arena.footprint_bytes(), arena.high_water_bytes());
 }
 
 }  // namespace

@@ -97,7 +97,7 @@ TEST(ShardedQueue, SingleShardQueueIsFifo) {
   EXPECT_FALSE(q.try_pop(0).has_value());
 }
 
-TEST(ShardedQueue, TryPopShardDrainsOnlyThatShardInOrder) {
+TEST(ShardedQueue, OwnShardPopsReturnTheProducersItemsInOrderWithoutSteals) {
   ShardedQueue<int> q(64, 4);
   const std::size_t own = q.producer_shard();
   for (int i = 0; i < 5; ++i) {
@@ -105,19 +105,16 @@ TEST(ShardedQueue, TryPopShardDrainsOnlyThatShardInOrder) {
     ASSERT_TRUE(q.try_push(v));
   }
   // Capacity is ample, so nothing fell over to a neighbour shard: the
-  // five items sit consecutively in this thread's shard.
+  // five items sit consecutively in this thread's shard, and a consumer
+  // whose own shard it is drains them in order without stealing.
   EXPECT_EQ(q.stats().push_fallovers, 0u);
-  for (std::size_t s = 0; s < q.shard_count(); ++s) {
-    if (s != own) {
-      EXPECT_FALSE(q.try_pop_shard(s).has_value());
-    }
-  }
   for (int i = 0; i < 5; ++i) {
-    const std::optional<int> v = q.try_pop_shard(own);
+    const std::optional<int> v = q.try_pop(own);
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, i);
   }
-  EXPECT_FALSE(q.try_pop_shard(own).has_value());
+  EXPECT_EQ(q.stats().pop_steals, 0u);
+  EXPECT_FALSE(q.try_pop(own).has_value());
 }
 
 TEST(ShardedQueue, ProducerShardIsStablePerThread) {

@@ -308,6 +308,50 @@ TEST(StreamedExecution, PeakDeviceResidencyIsBoundedByTheStripPool) {
   EXPECT_TRUE(grids_equal(ref, whole_g));
 }
 
+TEST(StreamedExecution, OneExecutorReusesDeviceBuffersAcrossProgramShapes) {
+  // quad-GPU -> streamed -> single-GPU -> quad-GPU on ONE executor: after
+  // the first run every GPU phase checks its buffers out of storage an
+  // earlier phase gave back (the streamed strip pool out of whole-grid
+  // storage). Each grid must still match run_serial, the streamed run's
+  // accounted residency must stay within its strip pool, and every
+  // buffer must be back in the arena once a run returns.
+  const std::size_t dim = 48;
+  const std::size_t strip_rows = 8, buffers = 2;
+  HybridExecutor ex(sim::make_i7_2600k(), 1);  // four simulated GPUs
+  for (const AppCase& app : small_apps(dim)) {
+    const std::string name = app.name;
+    if (name != "nash" && name != "synthetic") continue;
+    const InputParams in = app.spec.inputs();
+    TunableParams quad_params{4, 20, 2, 1};
+    quad_params.gpus = 4;
+    const PhaseProgram quad = plan_phases(in, quad_params);
+    const PhaseProgram single = plan_phases(in, TunableParams{4, 20, -1, 1});
+    const PhaseProgram streamed = apply_strips(single, strip_rows, buffers);
+    ASSERT_EQ(quad.max_gpu_count(), 4);
+
+    Grid serial(dim, app.spec.elem_bytes);
+    ex.run_serial(app.spec, serial);
+    const std::size_t live_before = ocl::Buffer::live_bytes();
+    const struct {
+      const char* name;
+      const PhaseProgram* program;
+    } steps[] = {{"quad", &quad}, {"streamed", &streamed}, {"single", &single}, {"quad", &quad}};
+    for (const auto& step : steps) {
+      Grid g(dim, app.spec.elem_bytes);
+      g.fill_poison();
+      ocl::Buffer::reset_peak();
+      ex.run(app.spec, *step.program, g);
+      const std::size_t peak = ocl::Buffer::peak_bytes();
+      EXPECT_TRUE(grids_equal(serial, g)) << name << " " << step.name;
+      EXPECT_EQ(ocl::Buffer::live_bytes(), live_before) << name << " " << step.name;
+      if (step.program == &streamed) {
+        EXPECT_LE(peak, streamed_resident_bytes(dim, app.spec.elem_bytes, strip_rows, buffers))
+            << name;
+      }
+    }
+  }
+}
+
 // --- checkpoint / resume --------------------------------------------------
 
 TEST(Checkpoint, SerializeDeserializeRoundTrip) {

@@ -17,6 +17,11 @@
 // grid with the cell-rung oracle. The AVX2 cases skip on hosts without
 // AVX2.
 //
+// nash and synthetic keep their tile-kernel scratch per thread; the
+// PerThreadScratch cases interleave 1-cell calls of two specs with
+// different scratch shapes on the same threads and compare each grid
+// with one whole-grid block() call.
+//
 // Also here: direct contract tests of make_tile_fallback's border-pointer
 // derivation (the i0 == 0 / j0 == 0 corners) and of the LoweredKernel
 // band clamp.
@@ -26,6 +31,7 @@
 #include <cstring>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -37,6 +43,7 @@
 #include "core/executor.hpp"
 #include "core/grid.hpp"
 #include "core/lowered.hpp"
+#include "core/diag.hpp"
 #include "core/phase_program.hpp"
 #include "core/spec.hpp"
 #include "cpu/dataflow_wavefront.hpp"
@@ -537,6 +544,76 @@ TEST(TileFallback, RejectsNullKernelAndZeroElem) {
   core::SegmentKernel ok = [](std::size_t, std::size_t, std::size_t, const std::byte*,
                               const std::byte*, const std::byte*, std::byte*) {};
   EXPECT_THROW(core::make_tile_fallback(ok, 0), std::invalid_argument);
+}
+
+// --- per-thread kernel scratch -------------------------------------------
+
+/// Computes `a` and `b` (same dim) cell by cell in diagonal order, one
+/// 1-cell block() per cell, alternating between the two specs on every
+/// cell — the call pattern of a simulated-GPU diagonal, with the scratch
+/// shape switching on each call. Two threads run the sweep at once, each
+/// on its own grids, so the per-thread scratch of both is exercised.
+void expect_interleaved_cells_match_whole_grid(const WavefrontSpec& a, const WavefrontSpec& b) {
+  ASSERT_EQ(a.dim, b.dim);
+  const std::size_t dim = a.dim;
+  const LoweredKernel la = a.lower();
+  const LoweredKernel lb = b.lower();
+  ASSERT_TRUE(la.native);
+  ASSERT_TRUE(lb.native);
+  Grid whole_a(dim, a.elem_bytes);
+  Grid whole_b(dim, b.elem_bytes);
+  la.block(whole_a.data(), 0, dim, 0, dim);
+  lb.block(whole_b.data(), 0, dim, 0, dim);
+
+  constexpr int kThreads = 2;
+  std::vector<Grid> cells_a, cells_b;
+  for (int t = 0; t < kThreads; ++t) {
+    cells_a.emplace_back(dim, a.elem_bytes);
+    cells_b.emplace_back(dim, b.elem_bytes);
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t d = 0; d < core::num_diagonals(dim); ++d) {
+        for (std::size_t i = core::diag_row_lo(dim, d); i <= core::diag_row_hi(dim, d); ++i) {
+          la.block(cells_a[t].data(), i, i + 1, d - i, d - i + 1);
+          lb.block(cells_b[t].data(), i, i + 1, d - i, d - i + 1);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(0, std::memcmp(cells_a[t].data(), whole_a.data(), whole_a.size_bytes()))
+        << "thread " << t;
+    EXPECT_EQ(0, std::memcmp(cells_b[t].data(), whole_b.data(), whole_b.size_bytes()))
+        << "thread " << t;
+  }
+}
+
+TEST(PerThreadScratch, NashCellsAlternatingStrategyCountsMatchWholeGridBlock) {
+  apps::NashParams p;
+  p.dim = 13;
+  p.fp_iterations = 3;
+  p.strategies = 3;
+  const WavefrontSpec three = apps::make_nash_spec(p);
+  p.strategies = 5;
+  p.seed = 99;
+  const WavefrontSpec five = apps::make_nash_spec(p);
+  expect_interleaved_cells_match_whole_grid(three, five);
+}
+
+TEST(PerThreadScratch, SyntheticCellsAlternatingDsizesMatchWholeGridBlock) {
+  apps::SyntheticParams p;
+  p.dim = 13;
+  p.tsize = 15.0;
+  p.functional_iters = 3;
+  p.dsize = 1;
+  const WavefrontSpec one = apps::make_synthetic_spec(p);
+  p.dsize = 4;
+  p.seed = 7;
+  const WavefrontSpec four = apps::make_synthetic_spec(p);
+  expect_interleaved_cells_match_whole_grid(one, four);
 }
 
 // --- LoweredKernel band clamp --------------------------------------------
