@@ -5,17 +5,22 @@
 // model inference.
 //
 // `--json[=PATH]` switches to the perf-tracking mode: for editdist and
-// seqcmp at dim 512 and 2048 it times (a) the kernel ABI ladder — the
-// seed's per-cell dispatch, the batched segment dispatch, and the
-// one-call-per-tile lowered dispatch (the --kernel-abi axis) — and (b)
-// the barriered per-tile-diagonal scheduler against the dataflow
-// dependency-counter scheduler (the --scheduler axis, small and medium
-// tiles, >= 4 workers), and writes the ns/cell numbers to PATH (default
-// BENCH_micro.json) so CI records the hot-loop trajectory on every push.
+// seqcmp at dim 512 and 2048 it times (a) the kernel ABI ladder — the spec
+// stripped down to its cell kernel, to its segment kernel, and whole (the
+// native tile kernel), each lowered by WavefrontSpec::lower() as
+// production lowers it, so the cell and segment rungs time the fallback
+// adapters a cell-only or segment-only spec really runs (the --kernel-abi
+// axis) — and (b) the barriered per-tile-diagonal scheduler against the
+// dataflow dependency-counter scheduler, both dispatching the lowered tile
+// kernel (the --scheduler axis, small and medium tiles, >= 4 workers), and
+// writes the ns/cell numbers to PATH (default BENCH_micro.json) so CI
+// records the hot-loop trajectory on every push.
 //
 //   --kernel-abi={cell,segment,tile,all}  which ABI rungs to measure
 //                                         (default all; implies --json)
 //   --scheduler={barrier,dataflow,both}   which schedulers to measure
+//                                         (runs with --kernel-abi=all, the
+//                                         default, or when given)
 //   --phase-plan={paper,cpu-only,split-band,all}
 //                                         phase-program shapes to run
 //                                         functionally through api::Engine
@@ -44,7 +49,6 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "api/engine.hpp"
@@ -178,17 +182,43 @@ void BM_ThreadPoolParallelFor(benchmark::State& state) {
 }
 BENCHMARK(BM_ThreadPoolParallelFor)->Arg(1)->Arg(2)->Arg(4);
 
+/// Lattice-path recurrence over uint32 cells as a native tile kernel (the
+/// core/lowered.hpp pointer contract): the scheduler benchmarks' stand-in
+/// for an app kernel.
+void paths_tile_kernel(const void*, std::size_t i0, std::size_t i1, std::size_t j0,
+                       std::size_t j1, std::size_t stride, const std::byte* west,
+                       const std::byte* north, const std::byte*, std::byte* out) {
+  for (std::size_t i = i0; i < i1; ++i) {
+    const std::size_t r = i - i0;
+    auto* row = reinterpret_cast<std::uint32_t*>(out + r * stride);
+    const auto* nrow = r == 0 ? reinterpret_cast<const std::uint32_t*>(north)
+                              : reinterpret_cast<const std::uint32_t*>(out + (r - 1) * stride);
+    std::uint32_t w = west ? *reinterpret_cast<const std::uint32_t*>(west + r * stride) : 0;
+    for (std::size_t c = 0; c < j1 - j0; ++c) {
+      w = (i == 0 && j0 + c == 0) ? 1 : w + (nrow ? nrow[c] : 0);
+      row[c] = w;
+    }
+  }
+}
+
+core::LoweredKernel paths_kernel(std::size_t dim) {
+  core::LoweredKernel k;
+  k.fn = &paths_tile_kernel;
+  k.dim = dim;
+  k.elem_bytes = sizeof(std::uint32_t);
+  k.native = true;
+  return k;
+}
+
 void BM_TiledWavefrontFunctional(benchmark::State& state) {
   const std::size_t dim = 128;
   std::vector<std::uint32_t> v(dim * dim, 0);
+  const core::StorageView view{reinterpret_cast<std::byte*>(v.data()), 0};
+  const core::LoweredKernel kernel = paths_kernel(dim);
   cpu::ThreadPool pool(2);
   const cpu::TiledRegion region{dim, 0, 2 * dim - 1, static_cast<std::size_t>(state.range(0))};
   for (auto _ : state) {
-    cpu::run_tiled_wavefront(region, pool, [&](std::size_t i, std::size_t j) {
-      const std::uint32_t w = j > 0 ? v[i * dim + j - 1] : 0;
-      const std::uint32_t n = i > 0 ? v[(i - 1) * dim + j] : 0;
-      v[i * dim + j] = (i == 0 && j == 0) ? 1 : w + n;
-    });
+    cpu::run_tiled_wavefront(region, pool, kernel, {&view, 1});
     benchmark::DoNotOptimize(v.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -204,16 +234,11 @@ void BM_WavefrontScheduler(benchmark::State& state) {
       state.range(0) == 0 ? cpu::Scheduler::kBarrier : cpu::Scheduler::kDataflow;
   const cpu::TiledRegion region{dim, 0, 2 * dim - 1, static_cast<std::size_t>(state.range(1))};
   std::vector<std::uint32_t> v(dim * dim, 0);
+  const core::StorageView view{reinterpret_cast<std::byte*>(v.data()), 0};
+  const core::LoweredKernel kernel = paths_kernel(dim);
   cpu::ThreadPool pool(4);
-  const cpu::RowSegmentFn seg = [&](std::size_t i, std::size_t j0, std::size_t j1) {
-    for (std::size_t j = j0; j < j1; ++j) {
-      const std::uint32_t w = j > 0 ? v[i * dim + j - 1] : 0;
-      const std::uint32_t n = i > 0 ? v[(i - 1) * dim + j] : 0;
-      v[i * dim + j] = (i == 0 && j == 0) ? 1 : w + n;
-    }
-  };
   for (auto _ : state) {
-    cpu::run_wavefront(sched, region, pool, seg);
+    cpu::run_wavefront(sched, region, pool, kernel, {&view, 1});
     benchmark::DoNotOptimize(v.data());
   }
   state.SetLabel(cpu::scheduler_name(sched));
@@ -274,38 +299,17 @@ core::WavefrontSpec micro_spec(const std::string& app, std::size_t dim) {
   return apps::make_seqcmp_spec(p);
 }
 
-/// Wall-clock of one full CPU sweep under the given scheduler,
-/// dispatching through a per-cell (seed path) or row-segment (batched
-/// path) callback.
-template <typename Dispatch>
-double time_sweep_ns(cpu::Scheduler sched, std::size_t dim, cpu::ThreadPool& pool,
-                     std::size_t tile, const Dispatch& dispatch) {
-  const cpu::TiledRegion region{dim, 0, core::num_diagonals(dim), tile};
-  const auto t0 = std::chrono::steady_clock::now();
-  if constexpr (std::is_convertible_v<Dispatch, cpu::RowSegmentFn>) {
-    cpu::run_wavefront(sched, region, pool, dispatch);
-  } else {
-    if (sched == cpu::Scheduler::kDataflow) {
-      cpu::run_dataflow_wavefront(region, pool, dispatch);
-    } else {
-      cpu::run_tiled_wavefront(region, pool, dispatch);
-    }
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(t1 - t0).count();
-}
-
 struct MicroResult {
   // ABI axis (single-worker pool: dispatch + compute, no pool noise):
-  double per_cell_ns = 0.0;  ///< ns/cell, per-cell dispatch
-  double segment_ns = 0.0;   ///< ns/cell, per-row-segment dispatch
-  double tile_ns = 0.0;      ///< ns/cell, one-call-per-tile lowered dispatch
+  double per_cell_ns = 0.0;  ///< ns/cell, cell-only spec (both fallbacks)
+  double segment_ns = 0.0;   ///< ns/cell, segment-only spec (tile fallback)
+  double tile_ns = 0.0;      ///< ns/cell, the spec's native tile kernel
   double lower_ns = 0.0;     ///< one-time plan lowering (spec.lower()), ns
   double dispatch_ns = 0.0;  ///< ns/cell, traversal+dispatch machinery only
                              ///< (no-op lowered kernel sweep)
   // Scheduler axis (>= 4-worker pool: contention is the signal):
-  double barrier_ns = 0.0;   ///< ns/cell, segment dispatch, barrier sched
-  double dataflow_ns = 0.0;  ///< ns/cell, segment dispatch, dataflow sched
+  double barrier_ns = 0.0;   ///< ns/cell, lowered tile kernel, barrier sched
+  double dataflow_ns = 0.0;  ///< ns/cell, lowered tile kernel, dataflow sched
   bool native_tile = false;  ///< lowering hit the spec's native TileKernel
 };
 
@@ -385,13 +389,14 @@ util::Json run_phase_plan(api::Engine& engine, const std::string& app, std::size
 }
 
 /// Wall-clock of one full CPU sweep through the lowered (tile-granular)
-/// dispatch path — exactly what the executor's CPU phases now run.
+/// dispatch path — exactly what the executor's CPU phases run.
 double time_lowered_sweep_ns(cpu::Scheduler sched, std::size_t dim, cpu::ThreadPool& pool,
                              std::size_t tile, const core::LoweredKernel& kernel,
                              std::byte* data) {
   const cpu::TiledRegion region{dim, 0, core::num_diagonals(dim), tile};
+  const core::StorageView view{data, 0};
   const auto t0 = std::chrono::steady_clock::now();
-  cpu::run_wavefront(sched, region, pool, kernel, data);
+  cpu::run_wavefront(sched, region, pool, kernel, {&view, 1});
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::nano>(t1 - t0).count();
 }
@@ -408,44 +413,19 @@ void noop_tile_kernel(const void*, std::size_t, std::size_t, std::size_t, std::s
 /// numbers (barrier vs dataflow) measure exactly that contention.
 MicroResult run_micro(const std::string& app, std::size_t dim, std::size_t tile,
                       cpu::ThreadPool& abi_pool, cpu::ThreadPool& sched_pool, int reps,
-                      SchedAxis sched_axis, AbiAxis abi_axis) {
+                      bool sched_axis_on, SchedAxis sched_axis, AbiAxis abi_axis) {
   const core::WavefrontSpec spec = micro_spec(app, dim);
   core::Grid grid(spec.dim, spec.elem_bytes);
   std::byte* data = grid.data();
-  const std::size_t elem = spec.elem_bytes;
 
   const bool abi_cell = abi_axis == AbiAxis::kCell || abi_axis == AbiAxis::kAll;
   const bool abi_segment = abi_axis == AbiAxis::kSegment || abi_axis == AbiAxis::kAll;
   const bool abi_tile = abi_axis == AbiAxis::kTile || abi_axis == AbiAxis::kAll;
-  const bool sched_barrier = abi_segment && sched_axis != SchedAxis::kDataflow;
-  const bool dataflow = sched_axis != SchedAxis::kBarrier && abi_segment;
+  const bool barrier = sched_axis_on && sched_axis != SchedAxis::kDataflow;
+  const bool dataflow = sched_axis_on && sched_axis != SchedAxis::kBarrier;
 
-  // Seed path (cell ABI): the pre-batching executor's host_cell verbatim —
-  // one type-erased kernel call plus up to four bounds-checked Grid::cell
-  // marshalling calls per cell.
-  const core::ByteKernel& kernel = spec.kernel;
-  cpu::CellFn per_cell = [&](std::size_t i, std::size_t j) {
-    const std::byte* w = j > 0 ? grid.cell(i, j - 1) : nullptr;
-    const std::byte* n = i > 0 ? grid.cell(i - 1, j) : nullptr;
-    const std::byte* nw = (i > 0 && j > 0) ? grid.cell(i - 1, j - 1) : nullptr;
-    kernel(i, j, w, n, nw, grid.cell(i, j));
-  };
-  // Segment ABI: the pre-lowering executor's host path verbatim — the
-  // RowSegmentFn hop into FunctionalCtx::compute_row_segment (per-row
-  // neighbour offsets recomputed from (i, j) coordinates) and the
-  // type-erased SegmentKernel call per clamped row-span.
-  const core::SegmentKernel seg = spec.segment_or_fallback();
-  const std::size_t dim_ = spec.dim;
-  cpu::RowSegmentFn segment = [&, data, elem, dim_](std::size_t i, std::size_t j0,
-                                                    std::size_t j1) {
-    const auto off = [&](std::size_t ii, std::size_t jj) { return (ii * dim_ + jj) * elem; };
-    const std::byte* w = j0 > 0 ? data + off(i, j0 - 1) : nullptr;
-    const std::byte* n = i > 0 ? data + off(i - 1, j0) : nullptr;
-    const std::byte* nw = (i > 0 && j0 > 0) ? data + off(i - 1, j0 - 1) : nullptr;
-    seg(i, j0, j1, w, n, nw, data + off(i, j0));
-  };
   // Tile ABI: plan-time lowering resolved ONCE, one indirect call per
-  // tile (exactly what HybridExecutor + Engine plans now dispatch).
+  // tile (exactly what HybridExecutor + Engine plans dispatch).
   MicroResult r;
   const auto l0 = std::chrono::steady_clock::now();
   const core::LoweredKernel lowered = spec.lower();
@@ -455,6 +435,17 @@ MicroResult run_micro(const std::string& app, std::size_t dim, std::size_t tile,
   core::LoweredKernel noop = lowered;
   noop.fn = &noop_tile_kernel;
   noop.ctx = nullptr;
+  // Segment and cell ABI: the spec stripped down to that rung and lowered
+  // the same way, so the sweep runs the fallback ladder a segment-only
+  // spec (make_tile_fallback: one type-erased call per tile row) or a
+  // cell-only spec (plus make_segment_fallback: one type-erased call per
+  // cell) really runs.
+  core::WavefrontSpec segment_only = spec;
+  segment_only.tile = {};
+  core::WavefrontSpec cell_only = segment_only;
+  cell_only.segment = nullptr;
+  const core::LoweredKernel segment = segment_only.lower();
+  const core::LoweredKernel per_cell = cell_only.lower();
 
   const double cells = static_cast<double>(dim) * static_cast<double>(dim);
   double best_cell = 1e300;
@@ -463,37 +454,37 @@ MicroResult run_micro(const std::string& app, std::size_t dim, std::size_t tile,
   double best_flow = 1e300;
   double best_tile = 1e300;
   double best_dispatch = 1e300;
+  const auto sweep = [&](cpu::Scheduler sched, cpu::ThreadPool& pool,
+                         const core::LoweredKernel& kernel) {
+    return time_lowered_sweep_ns(sched, dim, pool, tile, kernel, data);
+  };
+  constexpr cpu::Scheduler kBarrier = cpu::Scheduler::kBarrier;
   // One warmup each, then best-of-reps to shed noise.
-  if (abi_cell) time_sweep_ns(cpu::Scheduler::kBarrier, dim, abi_pool, tile, per_cell);
-  if (abi_segment) time_sweep_ns(cpu::Scheduler::kBarrier, dim, abi_pool, tile, segment);
-  if (abi_tile) {
-    time_lowered_sweep_ns(cpu::Scheduler::kBarrier, dim, abi_pool, tile, lowered, data);
-    time_lowered_sweep_ns(cpu::Scheduler::kBarrier, dim, abi_pool, tile, noop, data);
-  }
-  if (sched_barrier) time_sweep_ns(cpu::Scheduler::kBarrier, dim, sched_pool, tile, segment);
-  if (dataflow) time_sweep_ns(cpu::Scheduler::kDataflow, dim, sched_pool, tile, segment);
-  for (int rep = 0; rep < reps; ++rep) {
+  for (int rep = -1; rep < reps; ++rep) {
+    const bool warm = rep < 0;
     if (abi_cell) {
-      best_cell = std::min(best_cell,
-                           time_sweep_ns(cpu::Scheduler::kBarrier, dim, abi_pool, tile, per_cell));
+      const double t = sweep(kBarrier, abi_pool, per_cell);
+      if (!warm) best_cell = std::min(best_cell, t);
     }
     if (abi_segment) {
-      best_seg = std::min(best_seg,
-                          time_sweep_ns(cpu::Scheduler::kBarrier, dim, abi_pool, tile, segment));
+      const double t = sweep(kBarrier, abi_pool, segment);
+      if (!warm) best_seg = std::min(best_seg, t);
     }
     if (abi_tile) {
-      best_tile = std::min(best_tile, time_lowered_sweep_ns(cpu::Scheduler::kBarrier, dim,
-                                                            abi_pool, tile, lowered, data));
-      best_dispatch = std::min(best_dispatch, time_lowered_sweep_ns(cpu::Scheduler::kBarrier, dim,
-                                                                    abi_pool, tile, noop, data));
+      const double t = sweep(kBarrier, abi_pool, lowered);
+      const double d = sweep(kBarrier, abi_pool, noop);
+      if (!warm) {
+        best_tile = std::min(best_tile, t);
+        best_dispatch = std::min(best_dispatch, d);
+      }
     }
-    if (sched_barrier) {
-      best_bar = std::min(best_bar,
-                          time_sweep_ns(cpu::Scheduler::kBarrier, dim, sched_pool, tile, segment));
+    if (barrier) {
+      const double t = sweep(kBarrier, sched_pool, lowered);
+      if (!warm) best_bar = std::min(best_bar, t);
     }
     if (dataflow) {
-      best_flow = std::min(
-          best_flow, time_sweep_ns(cpu::Scheduler::kDataflow, dim, sched_pool, tile, segment));
+      const double t = sweep(cpu::Scheduler::kDataflow, sched_pool, lowered);
+      if (!warm) best_flow = std::min(best_flow, t);
     }
   }
   r.per_cell_ns = best_cell / cells;
@@ -515,14 +506,10 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_expl
   const bool abi_cell = abi_axis == AbiAxis::kCell || abi_axis == AbiAxis::kAll;
   const bool abi_segment = abi_axis == AbiAxis::kSegment || abi_axis == AbiAxis::kAll;
   const bool abi_tile = abi_axis == AbiAxis::kTile || abi_axis == AbiAxis::kAll;
-  // The scheduler sweeps ride on the segment dispatch path; an explicit
-  // --scheduler combined with a --kernel-abi that excludes the segment
-  // rung would silently measure nothing, so refuse the combination.
-  if (!abi_segment && sched_explicit) {
-    std::cerr << "bench_micro: --scheduler needs the segment rung; use "
-                 "--kernel-abi=segment or --kernel-abi=all alongside it\n";
-    return 1;
-  }
+  // The scheduler sweeps run the lowered tile kernel on their own pool;
+  // they ride along with the full ABI ladder (the default) or when asked
+  // for, so a single-rung run (the checked-in tile ledger) stays that.
+  const bool sched_on = sched_explicit || abi_axis == AbiAxis::kAll;
   // Two pools, one per axis: the scheduler comparison needs real
   // contention — at least 4 workers (more when the host has them), per
   // the perf-trajectory contract — while the kernel-ABI comparison wants
@@ -532,7 +519,7 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_expl
   std::size_t hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
   cpu::ThreadPool abi_pool(1);
-  cpu::ThreadPool sched_pool(abi_segment ? std::max<std::size_t>(4, hw) : 1);
+  cpu::ThreadPool sched_pool(sched_on ? std::max<std::size_t>(4, hw) : 1);
   const std::vector<std::size_t> dims =
       quick ? std::vector<std::size_t>{512} : std::vector<std::size_t>{512, 2048};
   // Best-of-N: single-run ratios are unstable on loaded hosts.
@@ -542,7 +529,7 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_expl
     for (const std::size_t dim : dims) {
       for (const std::size_t tile : tiles) {
         const MicroResult r =
-            run_micro(app, dim, tile, abi_pool, sched_pool, reps, sched_axis, abi_axis);
+            run_micro(app, dim, tile, abi_pool, sched_pool, reps, sched_on, sched_axis, abi_axis);
         util::Json row = util::Json::object();
         row["app"] = util::Json(app);
         row["dim"] = util::Json(dim);
@@ -575,11 +562,11 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_expl
         } else {
           std::cout << " ns/cell";
         }
-        if (abi_segment && sched_axis != SchedAxis::kDataflow) {
+        if (sched_on && sched_axis != SchedAxis::kDataflow) {
           row["barrier_ns_per_cell"] = util::Json(r.barrier_ns);
           std::cout << ", sched barrier " << r.barrier_ns;
         }
-        if (abi_segment && sched_axis != SchedAxis::kBarrier) {
+        if (sched_on && sched_axis != SchedAxis::kBarrier) {
           row["dataflow_ns_per_cell"] = util::Json(r.dataflow_ns);
           std::cout << " dataflow " << r.dataflow_ns << " ns/cell";
           if (sched_axis == SchedAxis::kBoth) {
@@ -593,13 +580,12 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_expl
     }
   }
   util::Json doc = util::Json::object();
-  doc["schema"] = util::Json("wavetune.bench_micro.v3");
+  doc["schema"] = util::Json("wavetune.bench_micro.v4");
   doc["mode"] = util::Json("tiled_cpu");
-  // The scheduler sweeps ride on the segment dispatch path; without the
-  // segment rung in the ABI axis none ran, and the header must say so
-  // rather than claim an axis the file has no data for.
+  // Without the scheduler sweeps the header must say so rather than claim
+  // an axis the file has no data for.
   doc["scheduler_axis"] =
-      util::Json(!abi_segment                        ? "none"
+      util::Json(!sched_on                           ? "none"
                  : sched_axis == SchedAxis::kBoth    ? "both"
                  : sched_axis == SchedAxis::kBarrier ? "barrier"
                                                      : "dataflow");
@@ -608,7 +594,7 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_expl
                                       : abi_axis == AbiAxis::kSegment ? "segment"
                                                                       : "tile");
   doc["quick"] = util::Json(quick);
-  if (abi_segment) doc["workers"] = util::Json(sched_pool.worker_count());
+  if (sched_on) doc["workers"] = util::Json(sched_pool.worker_count());
   doc["abi_workers"] = util::Json(abi_pool.worker_count());
   doc["runs"] = std::move(runs);
 

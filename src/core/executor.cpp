@@ -130,9 +130,9 @@ struct HybridExecutor::FunctionalCtx {
   /// Active member count per EXECUTED phase, recorded by execute() in run
   /// mode — the denominator for fused wall-time attribution.
   std::vector<std::size_t> phase_active;
-  /// Scratch for CPU phases: the active members' storages, rebuilt per
-  /// phase (members can be shed between phases).
-  std::vector<std::byte*> storages;
+  /// Scratch for CPU phases: whole-grid views of the active members'
+  /// host grids, rebuilt per phase (members can be shed between phases).
+  std::vector<StorageView> storages;
 
   // Streaming checkpoint/resume plumbing (single-member runs only).
   const StreamControl* stream = nullptr;
@@ -153,82 +153,33 @@ struct HybridExecutor::FunctionalCtx {
     for (Member& mem : members) arena->give_back(mem.dev);
   }
 
-  std::size_t real_elem() const { return spec->elem_bytes; }
-  std::size_t real_offset(std::size_t i, std::size_t j) const {
-    return (i * spec->dim + j) * spec->elem_bytes;
-  }
-  /// Byte offset of cell (i, j) inside a strip-local buffer whose first
-  /// resident grid row is `base_row`.
-  std::size_t local_offset(std::size_t base_row, std::size_t i, std::size_t j) const {
-    return ((i - base_row) * spec->dim + j) * spec->elem_bytes;
+  /// Address of cell (i, j) in the storage `v` views.
+  std::byte* at(StorageView v, std::size_t i, std::size_t j) const {
+    return v.base + ((i - v.base_row) * spec->dim + j) * spec->elem_bytes;
   }
 
   /// Computes cell (i, j): a one-cell block (diagonal sweeps have no
   /// row-contiguous runs to batch).
-  void compute_cell(std::byte* storage, std::size_t i, std::size_t j) const {
-    lowered->block(storage, i, i + 1, j, j + 1);
-  }
-  /// Strip-local variant against a row-window buffer.
-  void compute_cell_local(std::byte* base, std::size_t base_row, std::size_t i,
-                          std::size_t j) const {
-    lowered->block_local(base, base_row, i, i + 1, j, j + 1);
+  void compute_cell(StorageView v, std::size_t i, std::size_t j) const {
+    lowered->block(v, i, i + 1, j, j + 1);
   }
 
   /// Copies the cells of diagonals [d_begin, d_end) with rows in
-  /// [row_begin, row_end) from `src` to `dst` (both full-grid-shaped).
-  /// Each row's intersection with the diagonal band is one contiguous
-  /// column span, so this is one memcpy per row, not one per cell.
-  void copy_diag_rows(const std::byte* src, std::byte* dst, std::size_t d_begin,
-                      std::size_t d_end, std::size_t row_begin, std::size_t row_end) const {
+  /// [row_begin, row_end) from `src` to `dst`; both views must hold those
+  /// rows (a whole grid, or a strip buffer's resident rows). Each row's
+  /// intersection with the diagonal band is one contiguous column span, so
+  /// this is one move per row, not one per cell. memmove: the 1-buffer
+  /// strip pool moves a halo row within one buffer.
+  void copy_diag_rows(StorageView src, StorageView dst, std::size_t d_begin, std::size_t d_end,
+                      std::size_t row_begin, std::size_t row_end) const {
     const std::size_t dim = spec->dim;
     const std::size_t i_end = std::min(row_end, dim);
     for (std::size_t i = row_begin; i < i_end; ++i) {
       if (d_end <= i) break;  // spans only shrink as i grows
       const auto [j_lo, j_hi] = cpu::row_band_span(i, d_begin, d_end, 0, dim);
       if (j_lo >= j_hi) continue;
-      const std::size_t off = real_offset(i, j_lo);
-      std::memcpy(dst + off, src + off, (j_hi - j_lo) * real_elem());
+      std::memmove(at(dst, i, j_lo), at(src, i, j_lo), (j_hi - j_lo) * spec->elem_bytes);
     }
-  }
-
-  /// Strip-local counterparts of copy_diag_rows: one side is a row-window
-  /// buffer addressed through (base, base_row). Row [row_begin, row_end)
-  /// must lie inside the buffer's resident rows.
-  void copy_full_to_local(const std::byte* src, std::byte* dst_base, std::size_t base_row,
-                          std::size_t d_begin, std::size_t d_end, std::size_t row_begin,
-                          std::size_t row_end) const {
-    const std::size_t dim = spec->dim;
-    const std::size_t i_end = std::min(row_end, dim);
-    for (std::size_t i = row_begin; i < i_end; ++i) {
-      if (d_end <= i) break;
-      const auto [j_lo, j_hi] = cpu::row_band_span(i, d_begin, d_end, 0, dim);
-      if (j_lo >= j_hi) continue;
-      std::memcpy(dst_base + local_offset(base_row, i, j_lo), src + real_offset(i, j_lo),
-                  (j_hi - j_lo) * real_elem());
-    }
-  }
-  void copy_local_to_full(const std::byte* src_base, std::size_t base_row, std::byte* dst,
-                          std::size_t d_begin, std::size_t d_end, std::size_t row_begin,
-                          std::size_t row_end) const {
-    const std::size_t dim = spec->dim;
-    const std::size_t i_end = std::min(row_end, dim);
-    for (std::size_t i = row_begin; i < i_end; ++i) {
-      if (d_end <= i) break;
-      const auto [j_lo, j_hi] = cpu::row_band_span(i, d_begin, d_end, 0, dim);
-      if (j_lo >= j_hi) continue;
-      std::memcpy(dst + real_offset(i, j_lo), src_base + local_offset(base_row, i, j_lo),
-                  (j_hi - j_lo) * real_elem());
-    }
-  }
-  /// Halo-row move between two strip-local buffers (or within one, for
-  /// the 1-buffer pool — distinct rows, but memmove keeps it safe).
-  void copy_local_row(const std::byte* src_base, std::size_t src_base_row,
-                      std::byte* dst_base, std::size_t dst_base_row, std::size_t row,
-                      std::size_t j_lo, std::size_t j_hi) const {
-    if (j_lo >= j_hi) return;
-    std::memmove(dst_base + local_offset(dst_base_row, row, j_lo),
-                 src_base + local_offset(src_base_row, row, j_lo),
-                 (j_hi - j_lo) * real_elem());
   }
 
   /// Emits a strip-boundary checkpoint when the stream asks for one.
@@ -371,7 +322,7 @@ RunResult HybridExecutor::run_serial(const WavefrontSpec& spec, Grid& grid,
   }
   // A full serial sweep is ONE lowered-kernel call over the whole grid.
   const WallClock::time_point wall0 = WallClock::now();
-  cpu::run_serial_wavefront(region, *lowered, grid.data());
+  cpu::run_serial_wavefront(region, *lowered, {grid.data(), 0});
   const double wall = wall_since(wall0);
   RunResult r;
   r.params = TunableParams{1, -1, -1, 1};
@@ -469,10 +420,9 @@ RunResult HybridExecutor::execute(const InputParams& in, const PhaseProgram& pro
           // exactly the historical single-grid path.
           f->storages.clear();
           for (std::size_t m : f->active) {
-            f->storages.push_back(f->members[m].host->data());
+            f->storages.push_back({f->members[m].host->data(), 0});
           }
-          cpu::run_wavefront(ph.scheduler, region, *f->pool, *f->lowered,
-                             f->storages.data(), f->storages.size());
+          cpu::run_wavefront(ph.scheduler, region, *f->pool, *f->lowered, f->storages);
         }
       } else {
         // Streamed CPU phase: the strips run back to back on the host
@@ -492,10 +442,9 @@ RunResult HybridExecutor::execute(const InputParams& in, const PhaseProgram& pro
           if (f && s >= resume_strip) {
             f->storages.clear();
             for (std::size_t m : f->active) {
-              f->storages.push_back(f->members[m].host->data());
+              f->storages.push_back({f->members[m].host->data(), 0});
             }
-            cpu::run_wavefront(ph.scheduler, region, *f->pool, *f->lowered,
-                               f->storages.data(), f->storages.size());
+            cpu::run_wavefront(ph.scheduler, region, *f->pool, *f->lowered, f->storages);
             f->maybe_checkpoint(p, s + 1);
           }
         }
@@ -578,7 +527,8 @@ void HybridExecutor::gpu_phase_single(const InputParams& in, const PhaseDesc& ph
     fault::check(fault::Site::kGpuTransfer);
     for (std::size_t m : fctx->active) {
       FunctionalCtx::Member& mem = fctx->members[m];
-      fctx->copy_diag_rows(mem.host->data(), mem.dev[0].data(), frontier_lo, d1, 0, dim);
+      fctx->copy_diag_rows({mem.host->data(), 0}, {mem.dev[0].data(), 0}, frontier_lo, d1, 0,
+                           dim);
     }
   }
 
@@ -597,8 +547,8 @@ void HybridExecutor::gpu_phase_single(const InputParams& in, const PhaseDesc& ph
         const std::size_t lo = diag_row_lo(dim, d);
         const std::size_t hi = diag_row_hi(dim, d);
         for (std::size_t m : fctx->active) {
-          std::byte* storage = fctx->members[m].dev[0].data();
-          for (std::size_t i = lo; i <= hi; ++i) fctx->compute_cell(storage, i, d - i);
+          const StorageView dev{fctx->members[m].dev[0].data(), 0};
+          for (std::size_t i = lo; i <= hi; ++i) fctx->compute_cell(dev, i, d - i);
         }
       }
     }
@@ -629,7 +579,7 @@ void HybridExecutor::gpu_phase_single(const InputParams& in, const PhaseDesc& ph
           // included — the functional mirror of one simulated work-group;
           // grids iterate innermost so the batch shares the tile walk.
           for (std::size_t m : fctx->active) {
-            fctx->lowered->tile(fctx->members[m].dev[0].data(), I * g,
+            fctx->lowered->tile({fctx->members[m].dev[0].data(), 0}, I * g,
                                 std::min((I + 1) * g, dim), J * g,
                                 std::min((J + 1) * g, dim), d0, d1);
           }
@@ -646,7 +596,7 @@ void HybridExecutor::gpu_phase_single(const InputParams& in, const PhaseDesc& ph
     fault::check(fault::Site::kGpuTransfer);
     for (std::size_t m : fctx->active) {
       FunctionalCtx::Member& mem = fctx->members[m];
-      fctx->copy_diag_rows(mem.dev[0].data(), mem.host->data(), d0, d1, 0, dim);
+      fctx->copy_diag_rows({mem.dev[0].data(), 0}, {mem.host->data(), 0}, d0, d1, 0, dim);
     }
   }
 
@@ -757,12 +707,10 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
         const std::size_t b = buf_of(s);
         for (std::size_t m : f->active) {
           FunctionalCtx::Member& mem = f->members[m];
-          f->copy_full_to_local(mem.host->data(), mem.dev[b].data(), base_row, frontier_lo,
-                                d1, si.r0, si.r1);
-          if (fold_halo) {
-            f->copy_full_to_local(mem.host->data(), mem.dev[b].data(), base_row,
-                                  frontier_lo, d1, si.r0 - 1, si.r0);
-          }
+          const StorageView host{mem.host->data(), 0};
+          const StorageView strip{mem.dev[b].data(), base_row};
+          f->copy_diag_rows(host, strip, frontier_lo, d1, si.r0, si.r1);
+          if (fold_halo) f->copy_diag_rows(host, strip, frontier_lo, d1, si.r0 - 1, si.r0);
         }
       }
     };
@@ -776,19 +724,16 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
         const std::size_t b = buf_of(s);
         for (std::size_t m : f->active) {
           FunctionalCtx::Member& mem = f->members[m];
-          if (s == resume_strip && s > s_first) {
-            // The previous strip was charge-only on this resumed run; its
-            // buffer is poison, but the restored host grid holds the halo
-            // row's final values. The SIMULATED charge above is the
-            // normal internal copy either way — resume never perturbs
-            // the schedule.
-            f->copy_full_to_local(mem.host->data(), mem.dev[b].data(), base_row_of(s),
-                                  frontier_lo, d1, si.r0 - 1, si.r0);
-          } else {
-            f->copy_local_row(mem.dev[buf_of(s - 1)].data(), base_row_of(s - 1),
-                              mem.dev[b].data(), base_row_of(s), si.r0 - 1, si.halo_j_lo,
-                              si.halo_j_hi);
-          }
+          // On a resumed run the previous strip was charge-only: its
+          // buffer is poison, but the restored host grid holds the halo
+          // row's final values. The SIMULATED charge above is the normal
+          // internal copy either way — resume never perturbs the schedule.
+          const StorageView src = s == resume_strip && s > s_first
+                                      ? StorageView{mem.host->data(), 0}
+                                      : StorageView{mem.dev[buf_of(s - 1)].data(),
+                                                    base_row_of(s - 1)};
+          f->copy_diag_rows(src, {mem.dev[b].data(), base_row_of(s)}, frontier_lo, d1,
+                            si.r0 - 1, si.r0);
         }
       }
     };
@@ -830,10 +775,8 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
             const std::size_t lo = std::max(diag_row_lo(dim, d), si.r0);
             const std::size_t hi = std::min(diag_row_hi(dim, d), si.r1 - 1);
             for (std::size_t m : f->active) {
-              std::byte* base = f->members[m].dev[b].data();
-              for (std::size_t i = lo; i <= hi; ++i) {
-                f->compute_cell_local(base, base_row, i, d - i);
-              }
+              const StorageView strip{f->members[m].dev[b].data(), base_row};
+              for (std::size_t i = lo; i <= hi; ++i) f->compute_cell(strip, i, d - i);
             }
           }
         }
@@ -866,8 +809,8 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
               const std::size_t i0 = std::max(I * g, si.r0);
               const std::size_t i1 = std::min({(I + 1) * g, dim, si.r1});
               for (std::size_t m : f->active) {
-                f->lowered->tile_local(f->members[m].dev[b].data(), base_row, i0, i1,
-                                       J * g, std::min((J + 1) * g, dim), d0, d1);
+                f->lowered->tile({f->members[m].dev[b].data(), base_row}, i0, i1, J * g,
+                                 std::min((J + 1) * g, dim), d0, d1);
               }
             }
           }
@@ -887,8 +830,8 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
         const std::size_t b = buf_of(s);
         for (std::size_t m : f->active) {
           FunctionalCtx::Member& mem = f->members[m];
-          f->copy_local_to_full(mem.dev[b].data(), base_row_of(s), mem.host->data(), d0,
-                                d1, si.r0, si.r1);
+          f->copy_diag_rows({mem.dev[b].data(), base_row_of(s)}, {mem.host->data(), 0}, d0,
+                            d1, si.r0, si.r1);
         }
         f->maybe_checkpoint(phase_index, s + 1);
       }
@@ -959,7 +902,7 @@ void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
       fault::check(fault::Site::kGpuTransfer);
       for (std::size_t m : fctx->active) {
         FunctionalCtx::Member& mem = fctx->members[m];
-        fctx->copy_diag_rows(mem.host->data(), mem.dev[g].data(), frontier_lo, d1,
+        fctx->copy_diag_rows({mem.host->data(), 0}, {mem.dev[g].data(), 0}, frontier_lo, d1,
                              static_cast<std::size_t>(wedge_lo[g]),
                              static_cast<std::size_t>(split[g + 1]));
       }
@@ -1018,7 +961,7 @@ void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
             if (pd < 0) continue;
             for (std::size_t m : fctx->active) {
               FunctionalCtx::Member& mem = fctx->members[m];
-              fctx->copy_diag_rows(mem.dev[g - 1].data(), mem.dev[g].data(),
+              fctx->copy_diag_rows({mem.dev[g - 1].data(), 0}, {mem.dev[g].data(), 0},
                                    static_cast<std::size_t>(pd),
                                    static_cast<std::size_t>(pd) + 1,
                                    static_cast<std::size_t>(wedge_lo[g]),
@@ -1049,9 +992,9 @@ void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
       ++out.kernel_launches;
       if (fctx) {
         for (std::size_t m : fctx->active) {
-          std::byte* storage = fctx->members[m].dev[g].data();
+          const StorageView dev{fctx->members[m].dev[g].data(), 0};
           for (long long i = compute_lo[g]; i <= compute_hi[g]; ++i) {
-            fctx->compute_cell(storage, static_cast<std::size_t>(i),
+            fctx->compute_cell(dev, static_cast<std::size_t>(i),
                                d - static_cast<std::size_t>(i));
           }
         }
@@ -1074,7 +1017,7 @@ void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
       fault::check(fault::Site::kGpuTransfer);
       for (std::size_t m : fctx->active) {
         FunctionalCtx::Member& mem = fctx->members[m];
-        fctx->copy_diag_rows(mem.dev[g].data(), mem.host->data(), d0, d1,
+        fctx->copy_diag_rows({mem.dev[g].data(), 0}, {mem.host->data(), 0}, d0, d1,
                              static_cast<std::size_t>(split[g]),
                              static_cast<std::size_t>(split[g + 1]));
       }

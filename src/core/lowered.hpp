@@ -57,6 +57,16 @@ struct TileKernel {
   explicit operator bool() const { return fn != nullptr; }
 };
 
+/// A storage view every dispatch below the plan addresses grid storage
+/// through: `base` points at grid row `base_row`, column 0, with the full
+/// dim*elem_bytes row stride. {grid.data(), 0} is the whole-grid view; a
+/// streaming strip passes {strip_buffer, first_resident_row} instead, and
+/// every kernel still sees absolute coordinates.
+struct StorageView {
+  std::byte* base = nullptr;
+  std::size_t base_row = 0;
+};
+
 /// A WavefrontSpec resolved for dispatch: the tile entry point (native or
 /// the fallback adapter built at lowering time), the grid geometry the
 /// pointer math needs, and cold-path ownership of the context. Built by
@@ -74,13 +84,20 @@ struct LoweredKernel {
 
   explicit operator bool() const { return fn != nullptr; }
 
-  /// One raw call computing the full block [i0, i1) x [j0, j1) of
-  /// `storage` (a full-grid-shaped, row-major byte array). The neighbour
-  /// pointers are derived here, branch-free except for the border nulls.
-  void block(std::byte* storage, std::size_t i0, std::size_t i1, std::size_t j0,
+  /// One raw call computing the full block [i0, i1) x [j0, j1) of the
+  /// storage `view` addresses. The neighbour pointers are derived here,
+  /// branch-free except for the border nulls. The kernel receives
+  /// ABSOLUTE i0/j0 — apps index payloads by them — only the storage
+  /// addressing is rebased. Requires i0 >= view.base_row, and
+  /// i0 > view.base_row (or i0 == 0) for the north/northwest pointers to
+  /// stay inside the storage; the streaming executor guarantees that by
+  /// placing each strip's halo row at the window's first row. No pointer
+  /// before `view.base` is ever formed (base - base_row*stride could be
+  /// far out of bounds, which is UB even unread).
+  void block(StorageView view, std::size_t i0, std::size_t i1, std::size_t j0,
              std::size_t j1) const {
     const std::size_t stride = dim * elem_bytes;
-    std::byte* out = storage + i0 * stride + j0 * elem_bytes;
+    std::byte* out = view.base + (i0 - view.base_row) * stride + j0 * elem_bytes;
     const std::byte* w = j0 > 0 ? out - elem_bytes : nullptr;
     const std::byte* n = i0 > 0 ? out - stride : nullptr;
     const std::byte* nw = (i0 > 0 && j0 > 0) ? out - stride - elem_bytes : nullptr;
@@ -93,66 +110,20 @@ struct LoweredKernel {
   /// and every interior tile of a banded phase — is ONE block() call; a
   /// tile straddling a band edge degrades to one call per clamped row.
   /// Requires i0 < i1 <= dim and j0 < j1 <= dim.
-  void tile(std::byte* storage, std::size_t i0, std::size_t i1, std::size_t j0,
-            std::size_t j1, std::size_t d_begin, std::size_t d_end) const {
+  void tile(StorageView view, std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1,
+            std::size_t d_begin, std::size_t d_end) const {
     // Fully in band iff the top-left cell is past d_begin and the
     // bottom-right cell is before d_end.
     if (d_begin <= i0 + j0 && (i1 - 1) + j1 <= d_end) {
-      block(storage, i0, i1, j0, j1);
+      block(view, i0, i1, j0, j1);
       return;
     }
     for (std::size_t i = i0; i < i1; ++i) {
       if (d_end <= i) break;
       const auto [j_lo, j_hi] = row_band_span(i, d_begin, d_end, j0, j1);
-      if (j_lo < j_hi) block(storage, i, i + 1, j_lo, j_hi);
+      if (j_lo < j_hi) block(view, i, i + 1, j_lo, j_hi);
     }
   }
-
-  /// Strip-local block dispatch: same contract as block(), but `base`
-  /// points at grid row `base_row` of a row-window buffer (full width,
-  /// full row stride, holding only rows [base_row, ...)). The kernel
-  /// still receives ABSOLUTE i0/j0 — apps index payloads by them — only
-  /// the storage addressing is rebased. Requires i0 >= base_row, and
-  /// i0 > base_row (or i0 == 0) for the north/northwest pointers to stay
-  /// inside the buffer; the streaming executor guarantees that by
-  /// placing each strip's halo row at the window's first row. No pointer
-  /// before `base` is ever formed (base - base_row*stride could be far
-  /// out of bounds, which is UB even unread).
-  void block_local(std::byte* base, std::size_t base_row, std::size_t i0, std::size_t i1,
-                   std::size_t j0, std::size_t j1) const {
-    const std::size_t stride = dim * elem_bytes;
-    std::byte* out = base + (i0 - base_row) * stride + j0 * elem_bytes;
-    const std::byte* w = j0 > 0 ? out - elem_bytes : nullptr;
-    const std::byte* n = i0 > 0 ? out - stride : nullptr;
-    const std::byte* nw = (i0 > 0 && j0 > 0) ? out - stride - elem_bytes : nullptr;
-    fn(ctx, i0, i1, j0, j1, stride, w, n, nw, out);
-  }
-
-  /// Strip-local band-clamped tile dispatch: tile() against a row-window
-  /// buffer (see block_local for the base/base_row contract).
-  void tile_local(std::byte* base, std::size_t base_row, std::size_t i0, std::size_t i1,
-                  std::size_t j0, std::size_t j1, std::size_t d_begin,
-                  std::size_t d_end) const {
-    if (d_begin <= i0 + j0 && (i1 - 1) + j1 <= d_end) {
-      block_local(base, base_row, i0, i1, j0, j1);
-      return;
-    }
-    for (std::size_t i = i0; i < i1; ++i) {
-      if (d_end <= i) break;
-      const auto [j_lo, j_hi] = row_band_span(i, d_begin, d_end, j0, j1);
-      if (j_lo < j_hi) block_local(base, base_row, i, i + 1, j_lo, j_hi);
-    }
-  }
-};
-
-/// A storage view the CPU schedulers dispatch through: `base` addresses
-/// grid row `base_row`, column 0, with the full dim*elem_bytes row
-/// stride. {grid.data(), 0} is the whole-grid view; a streaming strip
-/// hands the schedulers {strip_buffer, first_resident_row} instead and
-/// every kernel still sees absolute coordinates.
-struct StorageView {
-  std::byte* base = nullptr;
-  std::size_t base_row = 0;
 };
 
 }  // namespace wavetune::core

@@ -92,11 +92,15 @@ TunableParams TunableParams::normalized(std::size_t dim) const {
   }
   p.band = std::min(p.band, static_cast<long long>(dim) - 1);
   if (p.gpus >= 3) {
-    // N-way extension: needs a halo and more devices than rows allow.
+    // N-way extension: needs a halo and no more devices than rows. A grid
+    // too small for three devices falls through to the 1-/2-GPU rules
+    // below (on a 1-row grid max_halo_multi has no valid halo at all).
     p.gpus = std::min<int>(p.gpus, static_cast<int>(std::min<std::size_t>(dim, 64)));
-    p.halo = std::clamp(p.halo, 0LL, max_halo_multi(dim, p.band, p.gpus));
-    p.gpu_tile = 1;
-    return p;
+    if (p.gpus >= 3) {
+      p.halo = std::clamp(p.halo, 0LL, max_halo_multi(dim, p.band, p.gpus));
+      p.gpu_tile = 1;
+      return p;
+    }
   }
   if (p.gpus == 1) p.halo = -1;
   if (p.gpus == 2 && p.halo < 0) p.halo = 0;

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
 #include <vector>
 
 #include "core/diag.hpp"
@@ -48,17 +49,12 @@ TileDiagRange tile_diag_range(const TiledRegion& region, std::size_t M) {
 struct DataflowState {
   const TiledRegion* region = nullptr;
   ThreadPool* pool = nullptr;
-  /// Tile dispatch: exactly one of `lowered` (hot path — one indirect
-  /// call per tile per grid over `storages`) or `segment` (legacy
-  /// type-erased per-row path) is set. `storages` points at n_grids
-  /// independent full-grid byte arrays; the fused batching path drives
-  /// several grids through ONE dep-counter graph by iterating them
-  /// innermost in execute(). The single-grid entry points pass a
-  /// 1-element array living on their own (blocking) stack frame.
-  const core::LoweredKernel* lowered = nullptr;
-  const core::StorageView* views = nullptr;
-  std::size_t n_grids = 1;
-  const RowSegmentFn* segment = nullptr;
+  /// Tile dispatch: one indirect call per tile per view. Several views
+  /// (a fused batch) share ONE dep-counter graph by iterating innermost
+  /// in execute(); the caller's frame owns the views and outlives every
+  /// worker access (run_dataflow_wavefront blocks until all tiles drain).
+  const core::LoweredKernel* kernel = nullptr;
+  std::span<const core::StorageView> views;
   std::size_t M = 0;  ///< tiles per side
   TileDiagRange range;
   /// Tile-row window [I_lo, I_hi) of the region's row window: tiles whose
@@ -117,9 +113,11 @@ struct DataflowState {
     return diag_offset[k - range.k_lo] + (I - first_row(k));
   }
 
-  /// Computes the cells of tile (I,J): row-major, each row's column run
-  /// clamped to the diagonal band (and the strip's row window) up front —
+  /// Computes the cells of tile (I,J), clipped to the strip's row window:
+  /// one lowered call per view, clamping and the row loop inside it —
   /// identical traversal to run_tiled_wavefront, hence identical results.
+  /// Each call touches only its own storage, so results per grid are
+  /// bit-identical to a lone run.
   void execute(std::size_t I, std::size_t J) const {
     const std::size_t dim = region->dim;
     const std::size_t T = region->tile;
@@ -127,22 +125,8 @@ struct DataflowState {
     const std::size_t row_hi = std::min({I * T + T, dim, region->row_hi()});  // exclusive
     const std::size_t col_lo = J * T;
     const std::size_t col_hi = std::min(col_lo + T, dim);
-    if (lowered) {
-      // One indirect call per tile per grid; clamping and the row loop
-      // live inside the lowered dispatch. Grids iterate innermost so the
-      // whole batch shares one counter graph and one steal schedule —
-      // each call touches only its own storage, so results per grid are
-      // bit-identical to a lone run.
-      for (std::size_t g = 0; g < n_grids; ++g) {
-        lowered->tile_local(views[g].base, views[g].base_row, row_lo, row_hi, col_lo, col_hi,
-                            region->d_begin, region->d_end);
-      }
-      return;
-    }
-    for (std::size_t i = row_lo; i < row_hi; ++i) {
-      if (region->d_end <= i) break;
-      const auto [j_lo, j_hi] = row_band_span(i, region->d_begin, region->d_end, col_lo, col_hi);
-      if (j_lo < j_hi) (*segment)(i, j_lo, j_hi);
+    for (const core::StorageView& view : views) {
+      kernel->tile(view, row_lo, row_hi, col_lo, col_hi, region->d_begin, region->d_end);
     }
   }
 
@@ -233,19 +217,28 @@ void run_inline(DataflowState& state) {
   }
 }
 
-/// Shared body of the LoweredKernel and RowSegmentFn entry points: `state`
-/// arrives with its dispatch fields (lowered/storage or segment) already
-/// set; everything else is initialised here.
-void run_dataflow_impl(const TiledRegion& region, ThreadPool& pool, DataflowState& state) {
+}  // namespace
+
+const char* scheduler_name(Scheduler s) {
+  return s == Scheduler::kDataflow ? "dataflow" : "barrier";
+}
+
+void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
+                            const core::LoweredKernel& kernel,
+                            std::span<const core::StorageView> views) {
   region.validate();
+  if (views.empty()) throw std::invalid_argument("run_dataflow_wavefront: no storage views");
   if (region.d_begin == region.d_end) return;
   const std::size_t T = region.tile;
   const std::size_t M = (region.dim + T - 1) / T;
   const TileDiagRange range = tile_diag_range(region, M);
   if (range.k_lo > range.k_hi) return;
 
+  DataflowState state;
   state.region = &region;
   state.pool = &pool;
+  state.kernel = &kernel;
+  state.views = views;
   state.M = M;
   state.range = range;
   state.I_lo = region.row_begin / T;
@@ -316,55 +309,6 @@ void run_dataflow_impl(const TiledRegion& region, ThreadPool& pool, DataflowStat
   if (state.error) std::rethrow_exception(state.error);
 }
 
-}  // namespace
-
-const char* scheduler_name(Scheduler s) {
-  return s == Scheduler::kDataflow ? "dataflow" : "barrier";
-}
-
-void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
-                            const core::LoweredKernel& kernel, std::byte* storage) {
-  // 1-element views array on this frame: run_dataflow_impl blocks until
-  // every tile drained, so the frame outlives all worker access.
-  const core::StorageView views[1] = {{storage, 0}};
-  DataflowState state;
-  state.lowered = &kernel;
-  state.views = views;
-  state.n_grids = 1;
-  run_dataflow_impl(region, pool, state);
-}
-
-void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
-                            const core::LoweredKernel& kernel,
-                            const core::StorageView* views, std::size_t n_grids) {
-  if (n_grids == 0) throw std::invalid_argument("run_dataflow_wavefront: n_grids == 0");
-  DataflowState state;
-  state.lowered = &kernel;
-  state.views = views;
-  state.n_grids = n_grids;
-  run_dataflow_impl(region, pool, state);
-}
-
-void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
-                            const core::LoweredKernel& kernel, std::byte* const* storages,
-                            std::size_t n_grids) {
-  if (n_grids == 0) throw std::invalid_argument("run_dataflow_wavefront: n_grids == 0");
-  std::vector<core::StorageView> views(n_grids);
-  for (std::size_t g = 0; g < n_grids; ++g) views[g] = {storages[g], 0};
-  run_dataflow_wavefront(region, pool, kernel, views.data(), n_grids);
-}
-
-void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
-                            const RowSegmentFn& segment) {
-  DataflowState state;
-  state.segment = &segment;
-  run_dataflow_impl(region, pool, state);
-}
-
-void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool, const CellFn& cell) {
-  run_dataflow_wavefront(region, pool, per_cell_adapter(cell));
-}
-
 double dataflow_wavefront_cost_ns(const TiledRegion& region, const sim::CpuModel& cpu,
                                   double tsize_units, std::size_t elem_bytes) {
   region.validate();
@@ -403,40 +347,11 @@ double dataflow_wavefront_cost_ns(const TiledRegion& region, const sim::CpuModel
 }
 
 void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
-                   const core::LoweredKernel& kernel, std::byte* storage) {
+                   const core::LoweredKernel& kernel, std::span<const core::StorageView> views) {
   if (s == Scheduler::kDataflow) {
-    run_dataflow_wavefront(region, pool, kernel, storage);
+    run_dataflow_wavefront(region, pool, kernel, views);
   } else {
-    run_tiled_wavefront(region, pool, kernel, storage);
-  }
-}
-
-void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
-                   const core::LoweredKernel& kernel, std::byte* const* storages,
-                   std::size_t n_grids) {
-  if (s == Scheduler::kDataflow) {
-    run_dataflow_wavefront(region, pool, kernel, storages, n_grids);
-  } else {
-    run_tiled_wavefront(region, pool, kernel, storages, n_grids);
-  }
-}
-
-void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
-                   const core::LoweredKernel& kernel, const core::StorageView* views,
-                   std::size_t n_grids) {
-  if (s == Scheduler::kDataflow) {
-    run_dataflow_wavefront(region, pool, kernel, views, n_grids);
-  } else {
-    run_tiled_wavefront(region, pool, kernel, views, n_grids);
-  }
-}
-
-void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
-                   const RowSegmentFn& segment) {
-  if (s == Scheduler::kDataflow) {
-    run_dataflow_wavefront(region, pool, segment);
-  } else {
-    run_tiled_wavefront(region, pool, segment);
+    run_tiled_wavefront(region, pool, kernel, views);
   }
 }
 

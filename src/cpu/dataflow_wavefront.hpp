@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "cpu/thread_pool.hpp"
 #include "cpu/tiled_wavefront.hpp"
@@ -42,39 +43,23 @@ enum class Scheduler {
 /// "barrier" / "dataflow" (stable names used by benches and logs).
 const char* scheduler_name(Scheduler s);
 
-/// Functionally executes the region under dataflow scheduling: every cell
-/// with i+j in [d_begin, d_end) is visited exactly once, in an order that
-/// respects the wavefront dependencies. The LoweredKernel overload is the
-/// hot path: each tile body is exactly ONE indirect call over `storage`
-/// (see core/lowered.hpp); the segment overload dispatches one
-/// type-erased call per clamped row-span; the CellFn overload adapts
-/// per-cell callees onto the same traversal. Exceptions thrown by the
-/// callee — including from tiles stolen by other workers — propagate to
-/// the caller (first one wins); remaining tiles are skipped.
-void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
-                            const core::LoweredKernel& kernel, std::byte* storage);
-void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
-                            const RowSegmentFn& segment);
-void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool, const CellFn& cell);
-
-/// Fused multi-grid variant: ONE dependency-counter graph and ONE steal
-/// schedule drive `n_grids` independent full-grid storages through the
-/// same kernel. Grids iterate INNERMOST inside each tile task, so the
-/// per-tile scheduling fixed cost (counter RMWs, deque traffic, pool
-/// wakes) is paid once per batch instead of once per grid; each grid's
-/// results stay bit-identical to a lone run. n_grids == 1 behaves exactly
-/// like the single-storage overload.
-void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
-                            const core::LoweredKernel& kernel, std::byte* const* storages,
-                            std::size_t n_grids);
-
-/// Strip-local storage-view variant (see run_tiled_wavefront's): the dep
-/// graph is built over the region's row window only, and each kernel call
-/// addresses the view's row-window buffer while receiving absolute cell
-/// coordinates.
+/// Functionally executes the region under dataflow scheduling over every
+/// storage view of `views` (same view contract as run_tiled_wavefront):
+/// each cell with i+j in [d_begin, d_end) inside the row window is
+/// computed exactly once per view, in an order that respects the
+/// wavefront dependencies. Each tile body is ONE indirect call per view
+/// (see core/lowered.hpp). Views iterate INNERMOST inside each tile task,
+/// so ONE dependency-counter graph and ONE steal schedule drive the whole
+/// batch: the per-tile scheduling fixed cost (counter RMWs, deque
+/// traffic, pool wakes) is paid once per batch instead of once per grid,
+/// and each grid's results stay bit-identical to a lone run. The dep
+/// graph is built over the region's row window only. Exceptions thrown by
+/// the kernel — including from tiles stolen by other workers — propagate
+/// to the caller (first one wins); remaining tiles are skipped. Throws
+/// std::invalid_argument when `views` is empty.
 void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
                             const core::LoweredKernel& kernel,
-                            const core::StorageView* views, std::size_t n_grids);
+                            std::span<const core::StorageView> views);
 
 /// Simulated time of run_dataflow_wavefront on `cpu`: a critical-path
 /// model. Per-tile cost is T^2 elements plus CpuModel::dataflow_dep_ns of
@@ -86,18 +71,12 @@ void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
 double dataflow_wavefront_cost_ns(const TiledRegion& region, const sim::CpuModel& cpu,
                                   double tsize_units, std::size_t elem_bytes);
 
-/// Dispatch helpers: one switch point for the executor's CPU phases. The
-/// LoweredKernel overload is what the executor uses.
+/// One switch point for the executor's CPU phases: run_wavefront runs the
+/// region under scheduler `s` (run_tiled_wavefront or
+/// run_dataflow_wavefront), and wavefront_cost_ns prices it under the
+/// matching cost model.
 void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
-                   const core::LoweredKernel& kernel, std::byte* storage);
-void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
-                   const core::LoweredKernel& kernel, std::byte* const* storages,
-                   std::size_t n_grids);
-void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
-                   const core::LoweredKernel& kernel, const core::StorageView* views,
-                   std::size_t n_grids);
-void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
-                   const RowSegmentFn& segment);
+                   const core::LoweredKernel& kernel, std::span<const core::StorageView> views);
 double wavefront_cost_ns(Scheduler s, const TiledRegion& region, const sim::CpuModel& cpu,
                          double tsize_units, std::size_t elem_bytes);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 #include "core/diag.hpp"
 
@@ -60,47 +59,23 @@ std::size_t tile_grain(std::size_t n_tiles, std::size_t tile, std::size_t worker
 
 namespace {
 
-/// Per-tile-diagonal state of the lowered barrier sweep, dispatched
-/// through ThreadPool's raw parallel_for so nothing type-erased is
-/// invoked per tile. Dispatch is view-based (base + first resident row):
-/// the whole-grid overloads pass {storage, 0}, streaming strips a
-/// row-window buffer, both through the same tile_local pointer math.
-struct LoweredDiagCtx {
+/// Per-tile-diagonal state of the barrier sweep, dispatched through
+/// ThreadPool's raw parallel_for so nothing type-erased is invoked per
+/// tile. One claim dispatches the same (I,J) tile across every view,
+/// grids innermost.
+struct DiagCtx {
   const core::LoweredKernel* kernel;
-  core::StorageView view;
+  std::span<const core::StorageView> views;
   const TiledRegion* region;
   std::size_t k;  ///< current tile-diagonal (I + J == k)
 };
 
-void run_lowered_diag_tile(void* pv, std::size_t I) {
-  const LoweredDiagCtx& c = *static_cast<const LoweredDiagCtx*>(pv);
+void run_diag_tile(void* pv, std::size_t I) {
+  const DiagCtx& c = *static_cast<const DiagCtx*>(pv);
   const std::size_t dim = c.region->dim;
   const std::size_t T = c.region->tile;
   const std::size_t J = c.k - I;
-  // One indirect call per tile: clamping and the row loop live inside
-  // the lowered kernel dispatch. The row window clips tiles the strip
-  // boundary cuts through.
-  const std::size_t row_lo = std::max(I * T, c.region->row_begin);
-  const std::size_t row_hi = std::min({I * T + T, dim, c.region->row_hi()});
-  c.kernel->tile_local(c.view.base, c.view.base_row, row_lo, row_hi, J * T,
-                       std::min(J * T + T, dim), c.region->d_begin, c.region->d_end);
-}
-
-/// Fused-batch counterpart of LoweredDiagCtx: one claim dispatches the
-/// same (I,J) tile across every batch member's storage, grids innermost.
-struct LoweredMultiDiagCtx {
-  const core::LoweredKernel* kernel;
-  const core::StorageView* views;
-  std::size_t n_grids;
-  const TiledRegion* region;
-  std::size_t k;  ///< current tile-diagonal (I + J == k)
-};
-
-void run_lowered_multi_diag_tile(void* pv, std::size_t I) {
-  const LoweredMultiDiagCtx& c = *static_cast<const LoweredMultiDiagCtx*>(pv);
-  const std::size_t dim = c.region->dim;
-  const std::size_t T = c.region->tile;
-  const std::size_t J = c.k - I;
+  // The row window clips tiles the strip boundary cuts through.
   const std::size_t row_lo = std::max(I * T, c.region->row_begin);
   const std::size_t row_hi = std::min({I * T + T, dim, c.region->row_hi()});
   const std::size_t col_lo = J * T;
@@ -108,9 +83,8 @@ void run_lowered_multi_diag_tile(void* pv, std::size_t I) {
   // Grids innermost: the tile geometry (and the claim that scheduled it)
   // amortizes over the whole batch; each storage is written only by its
   // own call, so member results cannot cross-contaminate.
-  for (std::size_t g = 0; g < c.n_grids; ++g) {
-    c.kernel->tile_local(c.views[g].base, c.views[g].base_row, row_lo, row_hi, col_lo, col_hi,
-                         c.region->d_begin, c.region->d_end);
+  for (const core::StorageView& view : c.views) {
+    c.kernel->tile(view, row_lo, row_hi, col_lo, col_hi, c.region->d_begin, c.region->d_end);
   }
 }
 
@@ -132,77 +106,15 @@ TileRowRange tile_rows_on_diag(const TiledRegion& region, std::size_t M, std::si
 }  // namespace
 
 void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
-                         const core::LoweredKernel& kernel, std::byte* storage) {
+                         const core::LoweredKernel& kernel,
+                         std::span<const core::StorageView> views) {
   region.validate();
+  if (views.empty()) throw std::invalid_argument("run_tiled_wavefront: no storage views");
   if (region.d_begin == region.d_end) return;
   const std::size_t T = region.tile;
   const std::size_t M = (region.dim + T - 1) / T;  // tiles per side
 
-  LoweredDiagCtx ctx{&kernel, {storage, 0}, &region, 0};
-  for (std::size_t k = 0; k < 2 * M - 1; ++k) {
-    const std::size_t span_lo = k * T;
-    const std::size_t span_hi = (k + 2) * T - 2;  // inclusive
-    if (span_lo >= region.d_end || span_hi < region.d_begin) continue;
-
-    const TileRowRange rows = tile_rows_on_diag(region, M, k);
-    if (rows.first > rows.last) continue;
-    const std::size_t grain = tile_grain(rows.last - rows.first + 1, T, pool.worker_count());
-    ctx.k = k;
-    pool.parallel_for(rows.first, rows.last + 1, &run_lowered_diag_tile, &ctx, grain);
-    // parallel_for blocks: that is the inter-tile-diagonal barrier.
-  }
-}
-
-void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
-                         const core::LoweredKernel& kernel, const core::StorageView* views,
-                         std::size_t n_grids) {
-  region.validate();
-  if (n_grids == 0) throw std::invalid_argument("run_tiled_wavefront: n_grids == 0");
-  if (region.d_begin == region.d_end) return;
-  const std::size_t T = region.tile;
-  const std::size_t M = (region.dim + T - 1) / T;  // tiles per side
-
-  LoweredMultiDiagCtx ctx{&kernel, views, n_grids, &region, 0};
-  for (std::size_t k = 0; k < 2 * M - 1; ++k) {
-    const std::size_t span_lo = k * T;
-    const std::size_t span_hi = (k + 2) * T - 2;  // inclusive
-    if (span_lo >= region.d_end || span_hi < region.d_begin) continue;
-
-    const TileRowRange rows = tile_rows_on_diag(region, M, k);
-    if (rows.first > rows.last) continue;
-    // Each claim carries n_grids tiles' worth of cells, so the per-claim
-    // batching the single-grid calibration picked shrinks accordingly
-    // (never below one tile per claim).
-    const std::size_t grain = std::max<std::size_t>(
-        1, tile_grain(rows.last - rows.first + 1, T, pool.worker_count()) / n_grids);
-    ctx.k = k;
-    pool.parallel_for(rows.first, rows.last + 1, &run_lowered_multi_diag_tile, &ctx, grain);
-    // parallel_for blocks: ONE inter-tile-diagonal barrier for the whole
-    // batch — the fixed cost continuous batching amortizes.
-  }
-}
-
-void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
-                         const core::LoweredKernel& kernel, std::byte* const* storages,
-                         std::size_t n_grids) {
-  if (n_grids == 1) {
-    run_tiled_wavefront(region, pool, kernel, storages[0]);
-    return;
-  }
-  if (n_grids == 0) throw std::invalid_argument("run_tiled_wavefront: n_grids == 0");
-  std::vector<core::StorageView> views(n_grids);
-  for (std::size_t g = 0; g < n_grids; ++g) views[g] = {storages[g], 0};
-  run_tiled_wavefront(region, pool, kernel, views.data(), n_grids);
-}
-
-void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
-                         const RowSegmentFn& segment) {
-  region.validate();
-  if (region.d_begin == region.d_end) return;
-  const std::size_t dim = region.dim;
-  const std::size_t T = region.tile;
-  const std::size_t M = (dim + T - 1) / T;  // tiles per side
-
+  DiagCtx ctx{&kernel, views, &region, 0};
   // Tile-diagonal k covers global diagonals [k*T, (k+2)*T - 2]; include k
   // when that span intersects [d_begin, d_end).
   for (std::size_t k = 0; k < 2 * M - 1; ++k) {
@@ -210,36 +122,18 @@ void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
     const std::size_t span_hi = (k + 2) * T - 2;  // inclusive
     if (span_lo >= region.d_end || span_hi < region.d_begin) continue;
 
-    // Tiles on tile-diagonal k: same row algebra as cells on a cell
-    // diagonal of an MxM grid (core/diag.hpp, with dim = M), clamped to
-    // the region's row window.
     const TileRowRange rows = tile_rows_on_diag(region, M, k);
     if (rows.first > rows.last) continue;
-    const std::size_t grain = tile_grain(rows.last - rows.first + 1, T, pool.worker_count());
-    pool.parallel_for(
-        rows.first, rows.last + 1,
-        [&](std::size_t I) {
-          const std::size_t J = k - I;
-          const std::size_t row_lo = std::max(I * T, region.row_begin);
-          const std::size_t row_hi = std::min({I * T + T, dim, region.row_hi()});  // exclusive
-          const std::size_t col_lo = J * T;
-          const std::size_t col_hi = std::min(col_lo + T, dim);
-          // Clamp each row's column run to the diagonal band up front and
-          // dispatch it whole: no per-cell membership branch.
-          for (std::size_t i = row_lo; i < row_hi; ++i) {
-            if (region.d_end <= i) break;
-            const auto [j_lo, j_hi] =
-                row_band_span(i, region.d_begin, region.d_end, col_lo, col_hi);
-            if (j_lo < j_hi) segment(i, j_lo, j_hi);
-          }
-        },
-        grain);
-    // parallel_for blocks: that is the inter-tile-diagonal barrier.
+    // Each claim carries views.size() tiles' worth of cells, so the
+    // per-claim batching the single-grid calibration picked shrinks
+    // accordingly (never below one tile per claim).
+    const std::size_t grain = std::max<std::size_t>(
+        1, tile_grain(rows.last - rows.first + 1, T, pool.worker_count()) / views.size());
+    ctx.k = k;
+    pool.parallel_for(rows.first, rows.last + 1, &run_diag_tile, &ctx, grain);
+    // parallel_for blocks: ONE inter-tile-diagonal barrier for the whole
+    // batch — the fixed cost continuous batching amortizes.
   }
-}
-
-void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool, const CellFn& cell) {
-  run_tiled_wavefront(region, pool, per_cell_adapter(cell));
 }
 
 void run_serial_wavefront(const TiledRegion& region, const core::LoweredKernel& kernel,
@@ -249,39 +143,15 @@ void run_serial_wavefront(const TiledRegion& region, const core::LoweredKernel& 
   // One band-clamped dispatch over the whole remaining rectangle: a full
   // sweep (everything in band) is a SINGLE kernel call — row-major order
   // over the rectangle satisfies every wavefront dependency — and a band
-  // slice degrades to one call per clamped row inside tile_local(), the
-  // same traversal as the segment overload below.
+  // slice degrades to one call per clamped row inside tile(). Rows below
+  // diag_row_lo(dim, d_begin) have an empty band span, so a band starting
+  // deep in the grid (phase-3 runs) skips straight to the first row that
+  // intersects it.
   const std::size_t i_first =
       std::max(core::diag_row_lo(region.dim, region.d_begin), region.row_begin);
   const std::size_t i_last = region.row_hi();
   if (i_first >= i_last) return;
-  kernel.tile_local(view.base, view.base_row, i_first, i_last, 0, region.dim, region.d_begin,
-                    region.d_end);
-}
-
-void run_serial_wavefront(const TiledRegion& region, const core::LoweredKernel& kernel,
-                          std::byte* storage) {
-  run_serial_wavefront(region, kernel, core::StorageView{storage, 0});
-}
-
-void run_serial_wavefront(const TiledRegion& region, const RowSegmentFn& segment) {
-  region.validate();
-  if (region.d_begin == region.d_end) return;
-  // Rows below diag_row_lo(dim, d_begin) have an empty band span: when the
-  // band starts deep in the grid (phase-3 runs), skip straight to the
-  // first row that intersects it instead of scanning empties.
-  const std::size_t i_first =
-      std::max(core::diag_row_lo(region.dim, region.d_begin), region.row_begin);
-  for (std::size_t i = i_first; i < region.row_hi(); ++i) {
-    // Clamp the column range to the diagonal band to avoid a full scan.
-    if (region.d_end <= i) break;
-    const auto [j_lo, j_hi] = row_band_span(i, region.d_begin, region.d_end, 0, region.dim);
-    if (j_lo < j_hi) segment(i, j_lo, j_hi);
-  }
-}
-
-void run_serial_wavefront(const TiledRegion& region, const CellFn& cell) {
-  run_serial_wavefront(region, per_cell_adapter(cell));
+  kernel.tile(view, i_first, i_last, 0, region.dim, region.d_begin, region.d_end);
 }
 
 double tiled_wavefront_cost_ns(const TiledRegion& region, const sim::CpuModel& cpu,

@@ -7,16 +7,17 @@
 // which respects the cell-level dependencies and maximises cache reuse —
 // the optimization the paper's cpu-tile parameter controls.
 //
-// The module operates on an abstract "compute cell (i,j)" callback plus a
-// diagonal range, so the hybrid executor can use it for phases 1 and 3 and
-// tests can drive it with any recurrence. The diagonal-geometry algebra
+// The module dispatches one lowered tile kernel (core/lowered.hpp) per
+// tile over a diagonal range and storage views, so the hybrid executor
+// can use it for phases 1 and 3 and tests can drive it with any
+// recurrence written as a TileKernelFn. The diagonal-geometry algebra
 // comes from core/diag.hpp — the single definition shared with the GPU
 // partitioner and the cost model.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
+#include <span>
 #include <utility>
 
 #include "core/lowered.hpp"
@@ -24,25 +25,6 @@
 #include "sim/hardware.hpp"
 
 namespace wavetune::cpu {
-
-/// Computes the value of cell (i, j); the callee reads whatever neighbour
-/// state it needs. Must be safe to call concurrently for cells on the same
-/// diagonal.
-using CellFn = std::function<void(std::size_t i, std::size_t j)>;
-
-/// Computes the contiguous run of cells (i, j) for j in [j_begin, j_end)
-/// in one call — the batched counterpart of CellFn that the hot loops
-/// dispatch (one call per clamped row-span instead of one per cell). Must
-/// be safe to call concurrently for segments of independent tiles.
-using RowSegmentFn = std::function<void(std::size_t i, std::size_t j_begin, std::size_t j_end)>;
-
-/// Adapts a per-cell callee onto the batched traversal. Captures `cell` by
-/// reference: the adapter must not outlive it.
-inline RowSegmentFn per_cell_adapter(const CellFn& cell) {
-  return [&cell](std::size_t i, std::size_t j_begin, std::size_t j_end) {
-    for (std::size_t j = j_begin; j < j_end; ++j) cell(i, j);
-  };
-}
 
 /// Column span of row i clamped to the diagonal band — the single clamp
 /// algebra, now defined in core/diag.hpp (the lowered-kernel dispatch
@@ -83,62 +65,36 @@ struct TiledRegion {
   void validate() const;
 };
 
-/// Functionally executes the region: every cell with i+j in
-/// [d_begin, d_end) is visited exactly once, in an order that respects the
+/// Functionally executes the region over every storage view of `views`:
+/// each cell with i+j in [d_begin, d_end) inside the row window is
+/// computed exactly once per view, in an order that respects the
 /// wavefront dependencies. Tiles of one tile-diagonal run concurrently on
-/// `pool`.
+/// `pool`, with a barrier between tile-diagonals; each tile is ONE
+/// indirect call into the lowered kernel per view — the row loop,
+/// neighbour-pointer advance and band clamp all live inside the call.
 ///
-/// The LoweredKernel overload is the hot path: each tile is exactly ONE
-/// indirect call into the lowered kernel over `storage` (a full-grid-
-/// shaped row-major byte array) — the row loop, neighbour-pointer advance
-/// and band clamp all live inside the call; nothing type-erased is
-/// invoked per tile. The RowSegmentFn overload dispatches one type-erased
-/// call per clamped tile row (the segment ABI); the CellFn overload
-/// adapts per-cell callees onto the same traversal. All three visit the
-/// identical cell order.
+/// Views iterate INNERMOST: each tile claim makes views.size()
+/// back-to-back calls on the same (I,J) block of every storage, so the
+/// per-diagonal scheduling fixed cost (claim RMWs, pool wake/park, the
+/// barrier) is paid once per batch instead of once per grid. The
+/// storages are independent (a kernel call reads and writes only its own
+/// storage), so each grid's results are bit-identical to a lone run. A
+/// whole grid is the view {data, 0}; a streaming strip passes its
+/// row-window buffer with the first resident row, and the region's row
+/// window must lie inside each view's resident rows (one halo row above
+/// row_begin when the band reads north neighbours). Throws
+/// std::invalid_argument when `views` is empty.
 void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
-                         const core::LoweredKernel& kernel, std::byte* storage);
-void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
-                         const RowSegmentFn& segment);
-void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool, const CellFn& cell);
-
-/// Fused multi-grid variant: ONE barrier schedule (one parallel_for +
-/// barrier per tile-diagonal) drives `n_grids` independent full-grid
-/// storages through the same kernel. Grids iterate INNERMOST — each tile
-/// claim makes n_grids back-to-back lowered calls on the same (I,J) block
-/// of every storage — so the per-diagonal scheduling fixed cost (claim
-/// RMWs, pool wake/park, the barrier) is paid once per batch instead of
-/// once per grid. The storages are independent (a kernel call reads and
-/// writes only its own storage), so each grid's results are bit-identical
-/// to a lone run. n_grids == 1 is exactly the single-storage overload.
-void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
-                         const core::LoweredKernel& kernel, std::byte* const* storages,
-                         std::size_t n_grids);
-
-/// Strip-local storage-view variant: each grid's storage is a row-window
-/// buffer described by a core::StorageView (base pointer + first resident
-/// row). {grid.data(), 0} reproduces the full-grid overloads exactly; a
-/// streaming strip passes the strip buffer with its halo row's index, and
-/// every kernel call still receives absolute cell coordinates. The
-/// region's row window must lie inside each view's resident rows (one
-/// halo row above row_begin when the band reads north neighbours).
-void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
-                         const core::LoweredKernel& kernel, const core::StorageView* views,
-                         std::size_t n_grids);
+                         const core::LoweredKernel& kernel,
+                         std::span<const core::StorageView> views);
 
 /// Sequential reference: visits the same cells in row-major order (which
-/// also respects dependencies). Used as the correctness oracle in tests
-/// and as the functional part of the sequential baseline. The
-/// LoweredKernel overload executes a fully-in-band region as a SINGLE
-/// kernel call over the whole rectangle (row-major order satisfies every
-/// dependency); banded regions degrade to one call per clamped row. The
-/// segment overload issues one type-erased call per row.
-void run_serial_wavefront(const TiledRegion& region, const core::LoweredKernel& kernel,
-                          std::byte* storage);
+/// also respects dependencies). Used as the functional part of the
+/// sequential baseline. A fully-in-band region is a SINGLE kernel call
+/// over the whole rectangle (row-major order satisfies every
+/// dependency); banded regions degrade to one call per clamped row.
 void run_serial_wavefront(const TiledRegion& region, const core::LoweredKernel& kernel,
                           core::StorageView view);
-void run_serial_wavefront(const TiledRegion& region, const RowSegmentFn& segment);
-void run_serial_wavefront(const TiledRegion& region, const CellFn& cell);
 
 /// Simulated time of run_tiled_wavefront on `cpu`: per tile-diagonal,
 /// max(1, tiles/P) tile slots of (T^2 elements + scheduling) plus a

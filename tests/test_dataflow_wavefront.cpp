@@ -3,37 +3,43 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdint>
-#include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "sim/system_profile.hpp"
+#include "wavefront_oracles.hpp"
 
 namespace wavetune::cpu {
 namespace {
 
-/// Deterministic integer recurrence whose value at every cell depends on
-/// the exact values of its west/north neighbours: any dependency
-/// violation, missed or duplicated cell changes the result, so equality
-/// with the serial reference is a bit-identical equivalence proof.
-RowSegmentFn mix_segment(std::vector<std::uint64_t>& v, std::size_t dim) {
-  return [&v, dim](std::size_t i, std::size_t j0, std::size_t j1) {
-    for (std::size_t j = j0; j < j1; ++j) {
-      const std::uint64_t w = j > 0 ? v[i * dim + j - 1] : 1;
-      const std::uint64_t n = i > 0 ? v[(i - 1) * dim + j] : 1;
-      v[i * dim + j] = 3 * w + n + i + j;
-    }
+using oracles::Cell;
+using oracles::lowered;
+using oracles::mix;
+using oracles::whole;
+
+/// The dataflow scheduler as a test runner.
+oracles::Runner dataflow_on(ThreadPool& pool) {
+  return [&pool](const TiledRegion& region, const core::LoweredKernel& kernel,
+                 std::span<const core::StorageView> views) {
+    run_dataflow_wavefront(region, pool, kernel, views);
   };
 }
 
-std::vector<std::uint64_t> serial_reference(const TiledRegion& region) {
-  std::vector<std::uint64_t> ref(region.dim * region.dim, 0);
-  TiledRegion serial = region;
-  serial.tile = 1;
-  run_serial_wavefront(serial, mix_segment(ref, region.dim));
-  return ref;
+/// Cell-order serial oracle of `region` (band and row window) from a zeroed
+/// grid.
+std::vector<Cell> serial_reference(const TiledRegion& region) {
+  return oracles::serial_oracle(mix, region);
+}
+
+/// Runs `region` through the dataflow scheduler over `g` (zeroed if empty).
+std::vector<Cell> dataflow(ThreadPool& pool, const TiledRegion& region,
+                           std::vector<Cell> g = {}) {
+  if (g.empty()) g.assign(region.dim * region.dim, 0);
+  const core::StorageView view = whole(g);
+  run_dataflow_wavefront(region, pool, lowered<mix>(region.dim), {&view, 1});
+  return g;
 }
 
 // Property: dataflow result is bit-identical to the serial reference for
@@ -44,12 +50,8 @@ class DataflowEqualsSerial
 TEST_P(DataflowEqualsSerial, FullGrid) {
   const auto [dim, tile] = GetParam();
   const TiledRegion region{dim, 0, 2 * dim - 1, tile};
-  const std::vector<std::uint64_t> ref = serial_reference(region);
-
   ThreadPool pool(4);
-  std::vector<std::uint64_t> got(dim * dim, 0);
-  run_dataflow_wavefront(region, pool, mix_segment(got, dim));
-  EXPECT_EQ(ref, got);
+  EXPECT_EQ(serial_reference(region), dataflow(pool, region));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -70,10 +72,8 @@ TEST(DataflowWavefront, BandSlicesMatchSerial) {
                           std::pair<std::size_t, std::size_t>{60, 65},
                           std::pair<std::size_t, std::size_t>{12, 12}}) {
       const TiledRegion region{dim, d0, d1, tile};
-      const std::vector<std::uint64_t> ref = serial_reference(region);
-      std::vector<std::uint64_t> got(dim * dim, 0);
-      run_dataflow_wavefront(region, pool, mix_segment(got, dim));
-      EXPECT_EQ(ref, got) << "tile=" << tile << " d=[" << d0 << "," << d1 << ")";
+      EXPECT_EQ(serial_reference(region), dataflow(pool, region))
+          << "tile=" << tile << " d=[" << d0 << "," << d1 << ")";
     }
   }
 }
@@ -84,33 +84,64 @@ TEST(DataflowWavefront, PhaseSplitSeamless) {
   ThreadPool pool(4);
   const std::size_t dim = 20;
   const std::size_t total = 2 * dim - 1;
+  const std::vector<Cell> ref = serial_reference(TiledRegion{dim, 0, total, 1});
   for (std::size_t a : {std::size_t{0}, std::size_t{5}, std::size_t{19}, std::size_t{39}}) {
     for (std::size_t len : {std::size_t{0}, std::size_t{7}, std::size_t{20}}) {
       const std::size_t b = std::min(a + len, total);
-      const TiledRegion full{dim, 0, total, 1};
-      const std::vector<std::uint64_t> ref = serial_reference(full);
-
-      std::vector<std::uint64_t> got(dim * dim, 0);
-      run_dataflow_wavefront(TiledRegion{dim, 0, a, 3}, pool, mix_segment(got, dim));
-      run_dataflow_wavefront(TiledRegion{dim, a, b, 5}, pool, mix_segment(got, dim));
-      run_dataflow_wavefront(TiledRegion{dim, b, total, 2}, pool, mix_segment(got, dim));
+      std::vector<Cell> got = dataflow(pool, TiledRegion{dim, 0, a, 3});
+      got = dataflow(pool, TiledRegion{dim, a, b, 5}, std::move(got));
+      got = dataflow(pool, TiledRegion{dim, b, total, 2}, std::move(got));
       EXPECT_EQ(ref, got) << "a=" << a << " b=" << b;
     }
   }
 }
 
 TEST(DataflowWavefront, VisitsEachCellExactlyOnce) {
-  const std::size_t dim = 15;
-  std::vector<std::atomic<int>> hits(dim * dim);
   ThreadPool pool(4);
-  run_dataflow_wavefront(TiledRegion{dim, 3, 20, 4}, pool,
-                         [&](std::size_t i, std::size_t j) { hits[i * dim + j].fetch_add(1); });
-  for (std::size_t i = 0; i < dim; ++i) {
-    for (std::size_t j = 0; j < dim; ++j) {
-      const int expected = (i + j >= 3 && i + j < 20) ? 1 : 0;
-      EXPECT_EQ(hits[i * dim + j].load(), expected) << i << "," << j;
+  oracles::expect_visits_region_once(dataflow_on(pool), TiledRegion{15, 3, 20, 4});
+  oracles::expect_visits_region_once(dataflow_on(pool), TiledRegion{15, 3, 20, 4, 2, 11});
+}
+
+// Every kernel call's block lies inside one tile, inside the band and
+// inside the strip's row window.
+TEST(DataflowWavefront, BlocksNeverCrossTileOrBandBoundaries) {
+  ThreadPool pool(4);
+  for (const TiledRegion& region : {TiledRegion{20, 6, 30, 8}, TiledRegion{37, 4, 60, 3},
+                                    TiledRegion{20, 6, 30, 8, 5, 13}}) {
+    oracles::expect_blocks_inside_tiles_and_band(dataflow_on(pool), region);
+  }
+}
+
+// A row-windowed region (the streaming-strip axis): strips of rows run in
+// turn, each through a whole-grid view or through its own row-window
+// buffer addressed by a view with base_row > 0 — the dep graph covers
+// only the window. Band phases and strips together equal one serial pass.
+TEST(DataflowWavefront, RowWindowedViewsMatchSerial) {
+  ThreadPool pool(4);
+  for (const bool rebased : {false, true}) {
+    for (const std::size_t tile : {std::size_t{1}, std::size_t{4}, std::size_t{7}}) {
+      oracles::expect_strips_match_oracle(dataflow_on(pool), 29, tile, 6, {0, 57}, rebased);
+      oracles::expect_strips_match_oracle(dataflow_on(pool), 29, tile, 5, {0, 11, 30, 44, 57},
+                                          rebased);
     }
   }
+}
+
+// Three fused grids through one dep-counter graph: each equals its own
+// serial pass.
+TEST(DataflowWavefront, ThreeFusedGridsMatchSerial) {
+  ThreadPool pool(4);
+  for (const std::size_t tile : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+    for (const std::size_t d_begin : {std::size_t{0}, std::size_t{9}, std::size_t{30}}) {
+      oracles::expect_fused_grids_match_oracle(dataflow_on(pool), 21, tile, d_begin, 3);
+    }
+  }
+}
+
+TEST(DataflowWavefront, RejectsAnEmptyViewList) {
+  ThreadPool pool(1);
+  EXPECT_THROW(run_dataflow_wavefront(TiledRegion{4, 0, 7, 2}, pool, lowered<mix>(4), {}),
+               std::invalid_argument);
 }
 
 // Many-thread stress: more workers than cores, many small tiles, repeated
@@ -119,14 +150,27 @@ TEST(DataflowWavefront, VisitsEachCellExactlyOnce) {
 TEST(DataflowWavefront, ManyThreadStressBitIdentical) {
   const std::size_t dim = 257;  // non-divisible by the tile
   const TiledRegion region{dim, 0, 2 * dim - 1, 8};
-  const std::vector<std::uint64_t> ref = serial_reference(region);
+  const std::vector<Cell> ref = serial_reference(region);
   ThreadPool pool(8);
   for (int rep = 0; rep < 5; ++rep) {
-    std::vector<std::uint64_t> got(dim * dim, 0);
-    run_dataflow_wavefront(region, pool, mix_segment(got, dim));
-    ASSERT_EQ(ref, got) << "rep=" << rep;
+    ASSERT_EQ(ref, dataflow(pool, region)) << "rep=" << rep;
   }
 }
+
+/// Tile kernel that counts its calls and throws on every block starting at
+/// or past the threshold row.
+struct Thrower {
+  std::size_t threshold;
+  mutable std::atomic<int> calls{0};
+
+  static void fn(const void* ctx, std::size_t i0, std::size_t, std::size_t, std::size_t,
+                 std::size_t, const std::byte*, const std::byte*, const std::byte*,
+                 std::byte*) {
+    const Thrower& t = *static_cast<const Thrower*>(ctx);
+    t.calls.fetch_add(1);
+    if (i0 >= t.threshold) throw std::runtime_error("boom");
+  }
+};
 
 // Exceptions from tiles — including tiles pushed to a deque and stolen by
 // other workers — propagate to the scheduler's caller, and the pool stays
@@ -135,30 +179,26 @@ TEST(DataflowWavefront, ExceptionFromStolenTilePropagates) {
   ThreadPool pool(4);
   const std::size_t dim = 64;
   const TiledRegion region{dim, 0, 2 * dim - 1, 4};
-  std::atomic<int> calls{0};
+  Thrower thrower{dim / 2};
+  std::vector<Cell> g(dim * dim, 0);
+  const core::StorageView view = whole(g);
   EXPECT_THROW(
-      run_dataflow_wavefront(region, pool,
-                             RowSegmentFn{[&](std::size_t i, std::size_t, std::size_t) {
-                               calls.fetch_add(1);
-                               if (i >= dim / 2) throw std::runtime_error("boom");
-                             }}),
+      run_dataflow_wavefront(region, pool, lowered(&Thrower::fn, dim, &thrower), {&view, 1}),
       std::runtime_error);
-  EXPECT_GT(calls.load(), 0);
+  EXPECT_GT(thrower.calls.load(), 0);
   // Pool reusable: a clean run still matches the reference.
-  const std::vector<std::uint64_t> ref = serial_reference(region);
-  std::vector<std::uint64_t> got(dim * dim, 0);
-  run_dataflow_wavefront(region, pool, mix_segment(got, dim));
-  EXPECT_EQ(ref, got);
+  EXPECT_EQ(serial_reference(region), dataflow(pool, region));
 }
 
+// A single-worker pool runs every tile inline on the calling thread.
 TEST(DataflowWavefront, SingleWorkerPoolRunsInline) {
   ThreadPool pool(1);
   const std::size_t dim = 31;
   const TiledRegion region{dim, 0, 2 * dim - 1, 4};
-  const std::vector<std::uint64_t> ref = serial_reference(region);
-  std::vector<std::uint64_t> got(dim * dim, 0);
-  run_dataflow_wavefront(region, pool, mix_segment(got, dim));
-  EXPECT_EQ(ref, got);
+  EXPECT_EQ(serial_reference(region), dataflow(pool, region));
+  for (const oracles::Block& b : oracles::record_blocks(dataflow_on(pool), region)) {
+    EXPECT_EQ(b.thread, std::this_thread::get_id());
+  }
 }
 
 TEST(DataflowWavefront, SchedulerNames) {
@@ -170,10 +210,11 @@ TEST(DataflowWavefront, DispatcherSelectsScheduler) {
   ThreadPool pool(2);
   const std::size_t dim = 17;
   const TiledRegion region{dim, 0, 2 * dim - 1, 4};
-  const std::vector<std::uint64_t> ref = serial_reference(region);
+  const std::vector<Cell> ref = serial_reference(region);
   for (Scheduler s : {Scheduler::kBarrier, Scheduler::kDataflow}) {
-    std::vector<std::uint64_t> got(dim * dim, 0);
-    run_wavefront(s, region, pool, mix_segment(got, dim));
+    std::vector<Cell> got(dim * dim, 0);
+    const core::StorageView view = whole(got);
+    run_wavefront(s, region, pool, lowered<mix>(dim), {&view, 1});
     EXPECT_EQ(ref, got) << scheduler_name(s);
   }
 }

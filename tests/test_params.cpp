@@ -106,6 +106,21 @@ TEST(TunableParams, NormalizedIsIdempotent) {
   EXPECT_EQ(once.normalized(200), once);
 }
 
+TEST(TunableParams, NWayRequestOnGridTooSmallForThreeDevicesNormalizes) {
+  // gpus = 4 on 1- and 2-row grids clamps below three devices; the result
+  // follows the 1-/2-GPU rules (no std::clamp with hi < lo on the way).
+  TunableParams raw{1, 0, 0, 1};
+  raw.gpus = 4;
+  for (const std::size_t dim : {std::size_t{1}, std::size_t{2}}) {
+    const TunableParams n = raw.normalized(dim);
+    EXPECT_TRUE(n.is_normalized(dim)) << "dim=" << dim;
+    EXPECT_EQ(n.gpu_count(), static_cast<int>(dim)) << "dim=" << dim;
+    EXPECT_EQ(n.gpu_tile, 1) << "dim=" << dim;
+  }
+  EXPECT_EQ(raw.normalized(1).halo, -1);
+  EXPECT_EQ(raw.normalized(2).halo, 0);
+}
+
 TEST(TunableParams, PredicateHelpers) {
   EXPECT_FALSE((TunableParams{8, -1, -1, 1}).uses_gpu());
   EXPECT_TRUE((TunableParams{8, 5, -1, 1}).uses_gpu());

@@ -308,7 +308,7 @@ void sweep_blocks(const LoweredKernel& k, Grid& g, std::size_t h, std::size_t w)
   const std::size_t dim = g.dim();
   for (std::size_t i = 0; i < dim; i += h) {
     for (std::size_t j = 0; j < dim; j += w) {
-      k.block(g.data(), i, std::min(dim, i + h), j, std::min(dim, j + w));
+      k.block({g.data(), 0}, i, std::min(dim, i + h), j, std::min(dim, j + w));
     }
   }
 }
@@ -346,7 +346,7 @@ TEST_P(TileKernelIsa, BandClampedTilesBitIdentical) {
                             for (std::size_t b = 0; b + 1 < std::size(cuts); ++b) {
                               for (std::size_t i = 0; i < dim; i += tile) {
                                 for (std::size_t j = 0; j < dim; j += tile) {
-                                  k.tile(g.data(), i, std::min(dim, i + tile), j,
+                                  k.tile({g.data(), 0}, i, std::min(dim, i + tile), j,
                                          std::min(dim, j + tile), cuts[b], cuts[b + 1]);
                                 }
                               }
@@ -355,7 +355,7 @@ TEST_P(TileKernelIsa, BandClampedTilesBitIdentical) {
   }
 }
 
-/// Strip-local block_local(): each strip of rows runs in a row-window
+/// Strip-local block(): each strip of rows runs in a row-window
 /// buffer whose first row is the halo (the last row of the strip above),
 /// as the streaming executor lays it out; the kernel sees absolute
 /// coordinates and rebased storage.
@@ -372,7 +372,7 @@ TEST_P(TileKernelIsa, StripLocalBlocksBitIdentical) {
       std::fill(window.begin(), window.end(), Grid::kPoison);
       if (s0 > 0) std::memcpy(window.data(), g.cell(base_row, 0), row_bytes);
       for (std::size_t j = 0; j < dim; j += w) {
-        k.block_local(window.data(), base_row, s0, s1, j, std::min(dim, j + w));
+        k.block({window.data(), base_row}, s0, s1, j, std::min(dim, j + w));
       }
       std::memcpy(g.cell(s0, 0), window.data() + (s0 - base_row) * row_bytes,
                   (s1 - s0) * row_bytes);
@@ -562,8 +562,8 @@ void expect_interleaved_cells_match_whole_grid(const WavefrontSpec& a, const Wav
   ASSERT_TRUE(lb.native);
   Grid whole_a(dim, a.elem_bytes);
   Grid whole_b(dim, b.elem_bytes);
-  la.block(whole_a.data(), 0, dim, 0, dim);
-  lb.block(whole_b.data(), 0, dim, 0, dim);
+  la.block({whole_a.data(), 0}, 0, dim, 0, dim);
+  lb.block({whole_b.data(), 0}, 0, dim, 0, dim);
 
   constexpr int kThreads = 2;
   std::vector<Grid> cells_a, cells_b;
@@ -576,8 +576,8 @@ void expect_interleaved_cells_match_whole_grid(const WavefrontSpec& a, const Wav
     threads.emplace_back([&, t] {
       for (std::size_t d = 0; d < core::num_diagonals(dim); ++d) {
         for (std::size_t i = core::diag_row_lo(dim, d); i <= core::diag_row_hi(dim, d); ++i) {
-          la.block(cells_a[t].data(), i, i + 1, d - i, d - i + 1);
-          lb.block(cells_b[t].data(), i, i + 1, d - i, d - i + 1);
+          la.block({cells_a[t].data(), 0}, i, i + 1, d - i, d - i + 1);
+          lb.block({cells_b[t].data(), 0}, i, i + 1, d - i, d - i + 1);
         }
       }
     });
@@ -638,7 +638,7 @@ TEST(LoweredKernel, TileDispatchClampsToBand) {
   std::vector<std::byte> storage(8 * 8);
 
   // Fully in band: exactly ONE call covering the whole tile.
-  k.tile(storage.data(), 2, 4, 2, 4, 0, 15);
+  k.tile({storage.data(), 0}, 2, 4, 2, 4, 0, 15);
   ASSERT_EQ(rec.calls.size(), 1u);
   EXPECT_EQ(rec.calls[0].i, 2u);
   EXPECT_EQ(rec.calls[0].j0, 2u);
@@ -647,7 +647,7 @@ TEST(LoweredKernel, TileDispatchClampsToBand) {
   // Band [5, 7): row 2 keeps cols [3,4), row 3 keeps [2,4) — one clamped
   // single-row call each.
   rec.calls.clear();
-  k.tile(storage.data(), 2, 4, 2, 4, 5, 7);
+  k.tile({storage.data(), 0}, 2, 4, 2, 4, 5, 7);
   ASSERT_EQ(rec.calls.size(), 2u);
   EXPECT_EQ(rec.calls[0].i, 2u);
   EXPECT_EQ(rec.calls[0].j0, 3u);
@@ -658,7 +658,7 @@ TEST(LoweredKernel, TileDispatchClampsToBand) {
 
   // Band entirely past the tile: no calls at all.
   rec.calls.clear();
-  k.tile(storage.data(), 2, 4, 2, 4, 10, 15);
+  k.tile({storage.data(), 0}, 2, 4, 2, 4, 10, 15);
   EXPECT_TRUE(rec.calls.empty());
 }
 

@@ -2,31 +2,47 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cstdint>
-#include <mutex>
+#include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "sim/system_profile.hpp"
+#include "wavefront_oracles.hpp"
 
 namespace wavetune::cpu {
 namespace {
 
-/// Path-counting recurrence over a plain vector — any dependency violation
-/// or missed/duplicated cell changes the result.
-struct PathGrid {
-  std::size_t dim;
-  std::vector<std::uint32_t> v;
-  explicit PathGrid(std::size_t d) : dim(d), v(d * d, 0) {}
-  CellFn cell_fn() {
-    return [this](std::size_t i, std::size_t j) {
-      const std::uint32_t w = j > 0 ? v[i * dim + j - 1] : 0;
-      const std::uint32_t n = i > 0 ? v[(i - 1) * dim + j] : 0;
-      v[i * dim + j] = (i == 0 && j == 0) ? 1 : w + n;
-    };
-  }
-};
+using oracles::Cell;
+using oracles::lowered;
+using oracles::mix;
+using oracles::serial_oracle;
+using oracles::whole;
+
+/// The barrier scheduler as a test runner.
+oracles::Runner tiled_on(ThreadPool& pool) {
+  return [&pool](const TiledRegion& region, const core::LoweredKernel& kernel,
+                 std::span<const core::StorageView> views) {
+    run_tiled_wavefront(region, pool, kernel, views);
+  };
+}
+
+/// The serial scheduler as a test runner (one view).
+oracles::Runner serial_runner() {
+  return [](const TiledRegion& region, const core::LoweredKernel& kernel,
+            std::span<const core::StorageView> views) {
+    ASSERT_EQ(views.size(), 1u);
+    run_serial_wavefront(region, kernel, views[0]);
+  };
+}
+
+/// Runs `region` through the barrier scheduler on a zeroed grid.
+std::vector<Cell> tiled(ThreadPool& pool, const TiledRegion& region, std::vector<Cell> g = {}) {
+  if (g.empty()) g.assign(region.dim * region.dim, 0);
+  const core::StorageView view = whole(g);
+  run_tiled_wavefront(region, pool, lowered<mix>(region.dim), {&view, 1});
+  return g;
+}
 
 TEST(TiledRegion, CellCountFullGrid) {
   TiledRegion r{10, 0, 19, 1};
@@ -47,26 +63,28 @@ TEST(TiledRegion, ValidateRejectsBadShapes) {
 }
 
 TEST(TiledWavefront, SerialReferenceMatchesPascal) {
-  PathGrid g(6);
-  run_serial_wavefront(TiledRegion{6, 0, 11, 1}, g.cell_fn());
-  EXPECT_EQ(g.v[0], 1u);
-  EXPECT_EQ(g.v[1 * 6 + 1], 2u);
-  EXPECT_EQ(g.v[2 * 6 + 2], 6u);
-  EXPECT_EQ(g.v[5 * 6 + 5], 252u);  // C(10,5)
+  std::vector<Cell> g(36, 0);
+  run_serial_wavefront(TiledRegion{6, 0, 11, 1}, lowered<oracles::paths>(6), whole(g));
+  EXPECT_EQ(g[0], 1u);
+  EXPECT_EQ(g[1 * 6 + 1], 2u);
+  EXPECT_EQ(g[2 * 6 + 2], 6u);
+  EXPECT_EQ(g[5 * 6 + 5], 252u);  // C(10,5)
 }
 
-// Property: tiled parallel result equals serial for any (dim, tile).
+// Property: tiled parallel result equals the cell-order serial oracle for
+// any (dim, tile), and so does the lowered serial sweep.
 class TiledEqualsSerial : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
 
 TEST_P(TiledEqualsSerial, FullGrid) {
   const auto [dim, tile] = GetParam();
-  PathGrid serial(dim);
-  run_serial_wavefront(TiledRegion{dim, 0, 2 * dim - 1, 1}, serial.cell_fn());
+  const std::vector<Cell> want = serial_oracle(mix, TiledRegion{dim, 0, 2 * dim - 1, 1});
 
-  PathGrid tiled(dim);
   ThreadPool pool(4);
-  run_tiled_wavefront(TiledRegion{dim, 0, 2 * dim - 1, tile}, pool, tiled.cell_fn());
-  EXPECT_EQ(serial.v, tiled.v);
+  EXPECT_EQ(want, tiled(pool, TiledRegion{dim, 0, 2 * dim - 1, tile}));
+
+  std::vector<Cell> serial(dim * dim, 0);
+  run_serial_wavefront(TiledRegion{dim, 0, 2 * dim - 1, tile}, lowered<mix>(dim), whole(serial));
+  EXPECT_EQ(want, serial);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -85,15 +103,13 @@ TEST_P(PhaseSplitSeamless, TwoCuts) {
   const std::size_t a = std::min(a_off, total);
   const std::size_t b = std::min(a + b_off, total);
 
-  PathGrid one_pass(dim);
-  run_serial_wavefront(TiledRegion{dim, 0, total, 1}, one_pass.cell_fn());
+  const std::vector<Cell> one_pass = serial_oracle(mix, TiledRegion{dim, 0, total, 1});
 
-  PathGrid phased(dim);
   ThreadPool pool(2);
-  run_tiled_wavefront(TiledRegion{dim, 0, a, 3}, pool, phased.cell_fn());
-  run_tiled_wavefront(TiledRegion{dim, a, b, 5}, pool, phased.cell_fn());
-  run_tiled_wavefront(TiledRegion{dim, b, total, 2}, pool, phased.cell_fn());
-  EXPECT_EQ(one_pass.v, phased.v);
+  std::vector<Cell> phased = tiled(pool, TiledRegion{dim, 0, a, 3});
+  phased = tiled(pool, TiledRegion{dim, a, b, 5}, std::move(phased));
+  phased = tiled(pool, TiledRegion{dim, b, total, 2}, std::move(phased));
+  EXPECT_EQ(one_pass, phased);
 }
 
 INSTANTIATE_TEST_SUITE_P(Cuts, PhaseSplitSeamless,
@@ -101,20 +117,69 @@ INSTANTIATE_TEST_SUITE_P(Cuts, PhaseSplitSeamless,
                                             ::testing::Values<std::size_t>(0, 1, 7, 20)));
 
 TEST(TiledWavefront, VisitsEachCellExactlyOnce) {
-  const std::size_t dim = 15;
-  std::vector<int> hits(dim * dim, 0);
-  std::mutex m;
   ThreadPool pool(4);
-  run_tiled_wavefront(TiledRegion{dim, 3, 20, 4}, pool, [&](std::size_t i, std::size_t j) {
-    std::lock_guard<std::mutex> lock(m);
-    ++hits[i * dim + j];
-  });
-  for (std::size_t i = 0; i < dim; ++i) {
-    for (std::size_t j = 0; j < dim; ++j) {
-      const int expected = (i + j >= 3 && i + j < 20) ? 1 : 0;
-      EXPECT_EQ(hits[i * dim + j], expected) << i << "," << j;
+  oracles::expect_visits_region_once(tiled_on(pool), TiledRegion{15, 3, 20, 4});
+  oracles::expect_visits_region_once(tiled_on(pool), TiledRegion{15, 3, 20, 4, 2, 11});
+}
+
+TEST(TiledWavefront, RejectsAnEmptyViewList) {
+  ThreadPool pool(1);
+  EXPECT_THROW(run_tiled_wavefront(TiledRegion{4, 0, 7, 2}, pool, lowered<mix>(4), {}),
+               std::invalid_argument);
+}
+
+// A row-windowed region (the streaming-strip axis): strips of rows run in
+// turn, each through a whole-grid view or through its own row-window
+// buffer addressed by a view with base_row > 0. Band phases and strips
+// together equal one serial pass.
+TEST(TiledWavefront, RowWindowedViewsMatchSerial) {
+  ThreadPool pool(4);
+  for (const bool rebased : {false, true}) {
+    for (const std::size_t tile : {std::size_t{1}, std::size_t{4}, std::size_t{7}}) {
+      oracles::expect_strips_match_oracle(tiled_on(pool), 29, tile, 6, {0, 57}, rebased);
+      oracles::expect_strips_match_oracle(tiled_on(pool), 29, tile, 5, {0, 11, 30, 44, 57},
+                                          rebased);
     }
   }
+}
+
+// The serial sweep honours the same row window and view addressing.
+TEST(TiledWavefront, SerialRowWindowedViewsMatchOracle) {
+  for (const bool rebased : {false, true}) {
+    oracles::expect_strips_match_oracle(serial_runner(), 23, 1, 4, {0, 9, 30, 45}, rebased);
+  }
+}
+
+// Three fused grids through one barrier schedule: each equals its own
+// serial pass.
+TEST(TiledWavefront, ThreeFusedGridsMatchSerial) {
+  ThreadPool pool(4);
+  for (const std::size_t tile : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+    for (const std::size_t d_begin : {std::size_t{0}, std::size_t{9}, std::size_t{30}}) {
+      oracles::expect_fused_grids_match_oracle(tiled_on(pool), 21, tile, d_begin, 3);
+    }
+  }
+}
+
+// An exception thrown by a tile propagates to the caller and leaves the
+// pool usable.
+void throwing_tile(const void* ctx, std::size_t i0, std::size_t, std::size_t, std::size_t,
+                   std::size_t, const std::byte*, const std::byte*, const std::byte*,
+                   std::byte*) {
+  if (i0 >= *static_cast<const std::size_t*>(ctx)) throw std::runtime_error("boom");
+}
+
+TEST(TiledWavefront, ExceptionFromTilePropagates) {
+  ThreadPool pool(4);
+  const std::size_t dim = 64;
+  const std::size_t threshold = dim / 2;
+  std::vector<Cell> g(dim * dim, 0);
+  const core::StorageView view = whole(g);
+  EXPECT_THROW(run_tiled_wavefront(TiledRegion{dim, 0, 2 * dim - 1, 4}, pool,
+                                   lowered(&throwing_tile, dim, &threshold), {&view, 1}),
+               std::runtime_error);
+  EXPECT_EQ(serial_oracle(mix, TiledRegion{dim, 0, 2 * dim - 1, 1}),
+            tiled(pool, TiledRegion{dim, 0, 2 * dim - 1, 4}));
 }
 
 TEST(TiledWavefrontCost, ZeroForEmptyRegion) {
@@ -156,83 +221,50 @@ TEST(TiledWavefrontCost, ParallelBeatsSerialAtScale) {
             serial_wavefront_cost_ns(r, cpu, 100.0, 16));
 }
 
-// --- batched row-segment dispatch ---
+// --- lowered dispatch ---
 
-// The segment overloads must visit exactly the cells of the region, as
-// contiguous in-band runs: same coverage as the per-cell overloads, fewer
-// dispatches.
-TEST(RowSegmentDispatch, SerialCoversRegionExactlyOnce) {
+// The serial sweep covers exactly the cells of the region, as in-band
+// blocks: at most one call per row, one call in all for a full sweep.
+TEST(LoweredDispatch, SerialCoversRegionExactlyOnce) {
   for (const TiledRegion& region :
        {TiledRegion{16, 0, 31, 1}, TiledRegion{16, 5, 20, 1}, TiledRegion{9, 3, 9, 1}}) {
-    std::vector<int> hits(region.dim * region.dim, 0);
-    std::size_t calls = 0;
-    run_serial_wavefront(region, RowSegmentFn{[&](std::size_t i, std::size_t j0, std::size_t j1) {
-                           ASSERT_LT(j0, j1);
-                           ++calls;
-                           for (std::size_t j = j0; j < j1; ++j) hits[i * region.dim + j]++;
-                         }});
-    for (std::size_t i = 0; i < region.dim; ++i) {
-      for (std::size_t j = 0; j < region.dim; ++j) {
-        const std::size_t d = i + j;
-        const int want = (d >= region.d_begin && d < region.d_end) ? 1 : 0;
-        ASSERT_EQ(hits[i * region.dim + j], want) << "i=" << i << " j=" << j;
-      }
-    }
-    // At most one segment per row.
-    EXPECT_LE(calls, region.dim);
+    oracles::expect_visits_region_once(serial_runner(), region);
+    EXPECT_LE(oracles::record_blocks(serial_runner(), region).size(), region.dim);
   }
+  EXPECT_EQ(oracles::record_blocks(serial_runner(), TiledRegion{16, 0, 31, 4}).size(), 1u);
 }
 
-TEST(RowSegmentDispatch, TiledMatchesSerialValues) {
+TEST(LoweredDispatch, TiledBandSlicesMatchSerialValues) {
   ThreadPool pool(4);
   const std::size_t dim = 33;
   for (std::size_t tile : {std::size_t{1}, std::size_t{4}, std::size_t{16}, std::size_t{40}}) {
     for (auto [d0, d1] : {std::pair<std::size_t, std::size_t>{0, 2 * dim - 1},
                           std::pair<std::size_t, std::size_t>{7, 41}}) {
-      std::vector<std::uint64_t> ref(dim * dim, 0);
-      run_serial_wavefront(TiledRegion{dim, d0, d1, 1},
-                           RowSegmentFn{[&](std::size_t i, std::size_t j0, std::size_t j1) {
-                             for (std::size_t j = j0; j < j1; ++j) {
-                               const std::uint64_t w = j > 0 ? ref[i * dim + j - 1] : 1;
-                               const std::uint64_t n = i > 0 ? ref[(i - 1) * dim + j] : 1;
-                               ref[i * dim + j] = 3 * w + n + i + j;
-                             }
-                           }});
-      std::vector<std::uint64_t> got(dim * dim, 0);
-      run_tiled_wavefront(TiledRegion{dim, d0, d1, tile}, pool,
-                          RowSegmentFn{[&](std::size_t i, std::size_t j0, std::size_t j1) {
-                            for (std::size_t j = j0; j < j1; ++j) {
-                              const std::uint64_t w = j > 0 ? got[i * dim + j - 1] : 1;
-                              const std::uint64_t n = i > 0 ? got[(i - 1) * dim + j] : 1;
-                              got[i * dim + j] = 3 * w + n + i + j;
-                            }
-                          }});
-      EXPECT_EQ(ref, got) << "tile=" << tile << " d=[" << d0 << "," << d1 << ")";
+      EXPECT_EQ(serial_oracle(mix, TiledRegion{dim, d0, d1, 1}),
+                tiled(pool, TiledRegion{dim, d0, d1, tile}))
+          << "tile=" << tile << " d=[" << d0 << "," << d1 << ")";
     }
   }
 }
 
-TEST(RowSegmentDispatch, SegmentsNeverCrossTileOrBandBoundaries) {
+// Every kernel call's block lies inside one tile and inside the band (and
+// the strip's row window), for the barrier and the serial sweeps.
+TEST(LoweredDispatch, BlocksNeverCrossTileOrBandBoundaries) {
   ThreadPool pool(1);  // deterministic single-worker run
-  const TiledRegion region{20, 6, 30, 8};
-  std::mutex m;
-  std::vector<std::array<std::size_t, 3>> segs;
-  run_tiled_wavefront(region, pool,
-                      RowSegmentFn{[&](std::size_t i, std::size_t j0, std::size_t j1) {
-                        std::lock_guard<std::mutex> lock(m);
-                        segs.push_back({i, j0, j1});
-                      }});
-  std::size_t cells = 0;
-  for (const auto& [i, j0, j1] : segs) {
-    ASSERT_LT(j0, j1);
-    // Within one tile column-wise...
-    EXPECT_EQ(j0 / region.tile, (j1 - 1) / region.tile);
-    // ...and fully inside the diagonal band.
-    EXPECT_GE(i + j0, region.d_begin);
-    EXPECT_LT(i + (j1 - 1), region.d_end);
-    cells += j1 - j0;
+  for (const TiledRegion& region : {TiledRegion{20, 6, 30, 8}, TiledRegion{20, 0, 39, 8},
+                                    TiledRegion{20, 6, 30, 8, 5, 13}}) {
+    oracles::expect_blocks_inside_tiles_and_band(tiled_on(pool), region);
   }
-  EXPECT_EQ(cells, region.cell_count());
+  ThreadPool wide(4);
+  oracles::expect_blocks_inside_tiles_and_band(tiled_on(wide), TiledRegion{37, 4, 60, 3});
+}
+
+// A single-worker pool runs every tile on the calling thread.
+TEST(TiledWavefront, SingleWorkerPoolRunsInline) {
+  ThreadPool pool(1);
+  for (const oracles::Block& b : oracles::record_blocks(tiled_on(pool), TiledRegion{31, 0, 61, 4})) {
+    EXPECT_EQ(b.thread, std::this_thread::get_id());
+  }
 }
 
 // tile_grain is calibrated for one-call-per-tile lowered dispatch: a
