@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks for the substrate hot paths: cost-model
 // estimation throughput (the inner loop of the exhaustive search), the
 // functional executors driven through the api::Engine session API (plans
-// compiled once, runs submitted per iteration), the thread pool, and
-// model inference.
+// compiled once, runs submitted per iteration), the thread pool, the
+// nash tile kernel, and model inference.
 //
 // `--json[=PATH]` switches to the perf-tracking mode: for editdist and
 // seqcmp at dim 512 and 2048 it times (a) the kernel ABI ladder — the spec
@@ -53,9 +53,11 @@
 
 #include "api/engine.hpp"
 #include "apps/editdist.hpp"
+#include "apps/nash.hpp"
 #include "apps/seqcmp.hpp"
 #include "apps/synthetic.hpp"
 #include "autotune/search.hpp"
+#include "core/diag.hpp"
 #include "core/phase_program.hpp"
 #include "cpu/dataflow_wavefront.hpp"
 #include "cpu/thread_pool.hpp"
@@ -250,6 +252,40 @@ BENCHMARK(BM_WavefrontScheduler)
     ->Args({1, 16})
     ->Args({0, 64})
     ->Args({1, 64});
+
+/// The nash native tile kernel at perfbench's offload-stream shape (k = 4,
+/// one fictitious-play round, dim 256): arg 0 is one whole-grid block()
+/// call (the row-major order the CPU schedulers and the single-GPU band
+/// phases run), arg 1 one 1x1 block per cell in diagonal order (the
+/// multi-GPU halo path's shape).
+void BM_NashTileKernel(benchmark::State& state) {
+  apps::NashParams p;
+  p.dim = 256;
+  p.strategies = 4;
+  p.fp_iterations = 1;
+  const core::WavefrontSpec spec = apps::make_nash_spec(p);
+  const core::LoweredKernel kernel = spec.lower();
+  core::Grid grid(spec.dim, spec.elem_bytes);
+  const core::StorageView view{grid.data(), 0};
+  const bool per_cell = state.range(0) == 1;
+  for (auto _ : state) {
+    if (per_cell) {
+      for (std::size_t d = 0; d < core::num_diagonals(p.dim); ++d) {
+        for (std::size_t i = core::diag_row_lo(p.dim, d); i <= core::diag_row_hi(p.dim, d); ++i) {
+          kernel.block(view, i, i + 1, d - i, d - i + 1);
+        }
+      }
+    } else {
+      kernel.block(view, 0, p.dim, 0, p.dim);
+    }
+    benchmark::DoNotOptimize(grid.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(per_cell ? "1x1 diagonal order" : "whole-grid block");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(p.dim * p.dim));
+}
+BENCHMARK(BM_NashTileKernel)->Arg(0)->Arg(1);
 
 void BM_M5Predict(benchmark::State& state) {
   ml::Dataset d({"a", "b", "c"});

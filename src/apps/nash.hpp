@@ -23,6 +23,11 @@
 
 namespace wavetune::apps {
 
+/// Largest supported `fp_iterations`: the native tile kernel keeps three
+/// per-spec tables of fp_iterations + 1 doubles (24 B per round, so at
+/// most 1.5 MiB), and make_nash_spec rejects anything above this bound.
+inline constexpr std::size_t kNashMaxFpIterations = std::size_t{1} << 16;
+
 struct NashParams {
   std::size_t dim = 64;           ///< grid of coupled subgames
   std::size_t strategies = 8;     ///< k: strategies per player
@@ -42,6 +47,9 @@ struct NashCell {
 /// Paper mapping: tsize = 750 per Nash iteration, dsize = 4.
 core::InputParams nash_model_inputs(const NashParams& params);
 
+/// Throws std::invalid_argument for dim == 0, fewer than 2 strategies, a
+/// strategies count whose k*k payoff matrix size overflows size_t, zero
+/// fp_iterations, or fp_iterations above kNashMaxFpIterations.
 core::WavefrontSpec make_nash_spec(const NashParams& params);
 
 NashCell nash_cell(const core::Grid& grid, std::size_t i, std::size_t j);

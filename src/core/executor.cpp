@@ -543,13 +543,15 @@ void HybridExecutor::gpu_phase_single(const InputParams& in, const PhaseDesc& ph
       shape.bytes_per_item = esize;
       dev.charge_kernel(shape);
       ++out.kernel_launches;
-      if (fctx) {
-        const std::size_t lo = diag_row_lo(dim, d);
-        const std::size_t hi = diag_row_hi(dim, d);
-        for (std::size_t m : fctx->active) {
-          const StorageView dev{fctx->members[m].dev[0].data(), 0};
-          for (std::size_t i = lo; i <= hi; ++i) fctx->compute_cell(dev, i, d - i);
-        }
+    }
+    // Functionally the band runs row-major, one band-clamped tile call per
+    // member: the kernel is pure, row-major order meets the west, north
+    // and northwest dependencies, and the staged frontier [d0-2, d1) holds
+    // every input outside the band — so the grid equals the diagonal
+    // order's, at a fraction of its per-cell dispatch cost.
+    if (fctx) {
+      for (std::size_t m : fctx->active) {
+        fctx->lowered->tile({fctx->members[m].dev[0].data(), 0}, 0, dim, 0, dim, d0, d1);
       }
     }
   } else {
@@ -771,13 +773,14 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
           shape.tsize_units = in.tsize;
           shape.bytes_per_item = esize;
           launch(shape);
-          if (f && s >= resume_strip) {
-            const std::size_t lo = std::max(diag_row_lo(dim, d), si.r0);
-            const std::size_t hi = std::min(diag_row_hi(dim, d), si.r1 - 1);
-            for (std::size_t m : f->active) {
-              const StorageView strip{f->members[m].dev[b].data(), base_row};
-              for (std::size_t i = lo; i <= hi; ++i) f->compute_cell(strip, i, d - i);
-            }
+        }
+        // The strip's band cells row-major in one band-clamped tile call
+        // per member, as in gpu_phase_single; the halo row at the
+        // buffer's base_row holds the north inputs of row r0.
+        if (f && s >= resume_strip) {
+          for (std::size_t m : f->active) {
+            f->lowered->tile({f->members[m].dev[b].data(), base_row}, si.r0, si.r1, 0, dim, d0,
+                             d1);
           }
         }
       } else {

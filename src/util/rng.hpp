@@ -14,8 +14,16 @@
 
 namespace wavetune::util {
 
-/// splitmix64 step; used to expand a single user seed into PCG state/stream.
-std::uint64_t splitmix64(std::uint64_t& state);
+/// splitmix64 step; used to expand a single user seed into PCG state/stream
+/// and as the stateless payoff/source hash of the nash and synthetic
+/// kernels. Inline: those kernels call it once per hashed entry.
+inline std::uint64_t splitmix64(std::uint64_t& state) {
+  state += 0x9e3779b97f4a7c15ULL;
+  std::uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 /// PCG32 generator. Satisfies UniformRandomBitGenerator so it can be used
 /// with <random> distributions, though the member helpers below are the

@@ -329,5 +329,32 @@ TEST(Nash, ParameterValidation) {
   EXPECT_THROW(make_nash_spec(p), std::invalid_argument);
 }
 
+TEST(Nash, FpIterationsBoundedByTableLimit) {
+  // The tile kernel's per-spec count tables hold fp_iterations + 1
+  // entries; the bound keeps them small.
+  NashParams p;
+  p.dim = 4;
+  p.fp_iterations = kNashMaxFpIterations;
+  EXPECT_NO_THROW(make_nash_spec(p));
+  p.fp_iterations = kNashMaxFpIterations + 1;
+  EXPECT_THROW(make_nash_spec(p), std::invalid_argument);
+}
+
+TEST(Nash, StrategiesWhosePayoffMatrixSizeOverflowsAreRejected) {
+  // Largest k with k*k representable in size_t, and the next one. Spec
+  // construction allocates nothing k-sized, so the bound itself builds.
+  const std::size_t max = std::numeric_limits<std::size_t>::max();
+  std::size_t k = static_cast<std::size_t>(std::sqrt(static_cast<double>(max)));
+  while (k > max / k) --k;
+  while (k + 1 <= max / (k + 1)) ++k;
+  NashParams p;
+  p.dim = 4;
+  p.fp_iterations = 1;
+  p.strategies = k;
+  EXPECT_NO_THROW(make_nash_spec(p));
+  p.strategies = k + 1;
+  EXPECT_THROW(make_nash_spec(p), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace wavetune::apps

@@ -17,6 +17,11 @@
 // grid with the cell-rung oracle. The AVX2 cases skip on hosts without
 // AVX2.
 //
+// The NashShapeEquivalence cases sweep nash's (k, rounds) over the
+// shapes that run and compare every program that reaches its tile kernel
+// (serial, CPU tiles, the row-major single-GPU band plain and streamed,
+// the quad-GPU halo band) with the cell-rung oracle.
+//
 // nash and synthetic keep their tile-kernel scratch per thread; the
 // PerThreadScratch cases interleave 1-cell calls of two specs with
 // different scratch shapes on the same threads and compare each grid
@@ -46,6 +51,7 @@
 #include "core/diag.hpp"
 #include "core/phase_program.hpp"
 #include "core/spec.hpp"
+#include "core/streaming.hpp"
 #include "cpu/dataflow_wavefront.hpp"
 #include "sim/system_profile.hpp"
 
@@ -185,6 +191,87 @@ INSTANTIATE_TEST_SUITE_P(Apps, TileKernelEquivalence,
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });
+
+// --- nash at the (k, rounds) shapes that run -----------------------------
+
+/// The nash tile kernel looks its counts and count*log(count) terms up in
+/// per-spec tables and hashes from a per-cell prefix; the cell rung runs
+/// solve_cell, which does neither. Every (k, rounds) shape that runs —
+/// perfbench's (4, 1), the default (8, 32) and corners around them — must
+/// reproduce the cell-rung serial grid byte for byte under each program
+/// that reaches the tile kernel: the serial sweep, barriered CPU tiles,
+/// the untiled single-GPU band (one row-major band-clamped call per
+/// member), that band streamed in strips under a residency cap, and the
+/// quad-GPU halo band (1x1 calls in diagonal order).
+class NashShapeEquivalence
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(NashShapeEquivalence, EveryProgramMatchesCellRungSerial) {
+  const auto [k, rounds] = GetParam();
+  const std::size_t dim = 37;  // prime: no tile or strip height divides it
+  apps::NashParams p;
+  p.dim = dim;
+  p.strategies = k;
+  p.fp_iterations = rounds;
+  p.seed = 2024;
+  const WavefrontSpec spec = apps::make_nash_spec(p);
+  ASSERT_TRUE(spec.lower().native);
+  HybridExecutor exec(sim::make_i7_2600k(), 2);  // four simulated GPUs
+
+  Grid oracle(dim, spec.elem_bytes);
+  exec.run_serial(with_abi(spec, Abi::kCell), oracle);
+
+  Grid serial(dim, spec.elem_bytes);
+  serial.fill_poison();
+  exec.run_serial(spec, serial);
+  ASSERT_EQ(0, std::memcmp(oracle.data(), serial.data(), oracle.size_bytes()))
+      << "k=" << k << " rounds=" << rounds << " program=serial";
+
+  const core::InputParams in = spec.inputs();
+  const TunableParams band{8, 9, -1, 1};
+  TunableParams quad{8, 9, 2, 1};
+  quad.gpus = 4;
+  core::PlanConstraints cap;
+  cap.max_resident_bytes = core::whole_grid_resident_bytes(dim, spec.elem_bytes) / 6;
+  const struct {
+    const char* name;
+    core::PhaseProgram program;
+  } programs[] = {
+      {"cpu-tiled", core::plan_phases(in, TunableParams{8, -1, -1, 1})},
+      {"single-gpu-band", core::plan_phases(in, band)},
+      {"streamed-band",
+       core::plan_phases_streamed(in, band, cpu::Scheduler::kBarrier, cap)},
+      {"quad-gpu-halo", core::plan_phases(in, quad)},
+  };
+  // The streamed program really splits its GPU band into several strips,
+  // and the quad program really runs four devices.
+  std::size_t gpu_strips = 0;
+  for (const core::PhaseDesc& ph : programs[2].program.phases) {
+    if (!ph.is_cpu() && ph.streamed()) gpu_strips += ph.strip_count(dim);
+  }
+  ASSERT_GT(gpu_strips, 1u);
+  ASSERT_EQ(programs[3].program.max_gpu_count(), 4);
+
+  for (const auto& prog : programs) {
+    Grid grid(dim, spec.elem_bytes);
+    grid.fill_poison();
+    exec.run(spec, prog.program, grid);
+    ASSERT_EQ(0, std::memcmp(oracle.data(), grid.data(), oracle.size_bytes()))
+        << "k=" << k << " rounds=" << rounds << " program=" << prog.name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KRounds, NashShapeEquivalence,
+    ::testing::Values(std::make_tuple(std::size_t{2}, std::size_t{1}),
+                      std::make_tuple(std::size_t{4}, std::size_t{1}),
+                      std::make_tuple(std::size_t{3}, std::size_t{3}),
+                      std::make_tuple(std::size_t{5}, std::size_t{7}),
+                      std::make_tuple(std::size_t{8}, std::size_t{32})),
+    [](const ::testing::TestParamInfo<std::tuple<std::size_t, std::size_t>>& info) {
+      return "k" + std::to_string(std::get<0>(info.param)) + "_rounds" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 // --- ISA variants of the editdist / seqcmp native tile kernels ----------
 
