@@ -256,8 +256,10 @@ BENCHMARK(BM_WavefrontScheduler)
 /// The nash native tile kernel at perfbench's offload-stream shape (k = 4,
 /// one fictitious-play round, dim 256): arg 0 is one whole-grid block()
 /// call (the row-major order the CPU schedulers and the single-GPU band
-/// phases run), arg 1 one 1x1 block per cell in diagonal order (the
-/// multi-GPU halo path's shape).
+/// phases run), arg 1 the grid in swap epochs of halo + 1 = 5 diagonals,
+/// each one band-clamped tile() call, i.e. one 5-cell block per row (the
+/// shape of the quad-GPU halo band at halo 4, which computes each device's
+/// rows one swap epoch at a time).
 void BM_NashTileKernel(benchmark::State& state) {
   apps::NashParams p;
   p.dim = 256;
@@ -267,13 +269,13 @@ void BM_NashTileKernel(benchmark::State& state) {
   const core::LoweredKernel kernel = spec.lower();
   core::Grid grid(spec.dim, spec.elem_bytes);
   const core::StorageView view{grid.data(), 0};
-  const bool per_cell = state.range(0) == 1;
+  const bool epochs = state.range(0) == 1;
+  const std::size_t epoch_diags = 5;
+  const std::size_t n_diags = core::num_diagonals(p.dim);
   for (auto _ : state) {
-    if (per_cell) {
-      for (std::size_t d = 0; d < core::num_diagonals(p.dim); ++d) {
-        for (std::size_t i = core::diag_row_lo(p.dim, d); i <= core::diag_row_hi(p.dim, d); ++i) {
-          kernel.block(view, i, i + 1, d - i, d - i + 1);
-        }
+    if (epochs) {
+      for (std::size_t d = 0; d < n_diags; d += epoch_diags) {
+        kernel.tile(view, 0, p.dim, 0, p.dim, d, std::min(d + epoch_diags, n_diags));
       }
     } else {
       kernel.block(view, 0, p.dim, 0, p.dim);
@@ -281,7 +283,7 @@ void BM_NashTileKernel(benchmark::State& state) {
     benchmark::DoNotOptimize(grid.data());
     benchmark::ClobberMemory();
   }
-  state.SetLabel(per_cell ? "1x1 diagonal order" : "whole-grid block");
+  state.SetLabel(epochs ? "5-cell rows, halo-4 epoch order" : "whole-grid block");
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(p.dim * p.dim));
 }

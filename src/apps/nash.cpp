@@ -241,9 +241,9 @@ NashCell solve_tile_cell(const NashTileCtx& c, std::uint64_t cell_hash, const Na
 }
 
 /// Native tile kernel: one plain call per tile, with the scratch vectors
-/// living per THREAD and resized only when `k` changes — the multi-GPU
-/// simulation calls it once per cell, and band-edge tiles once per row, so
-/// a per-call allocation would dominate. solve_tile_cell writes every
+/// living per THREAD and resized only when `k` changes — band-edge tiles
+/// call it once per row (the multi-GPU band's swap epochs with a few cells
+/// per row), so a per-call allocation would dominate. solve_tile_cell writes every
 /// scratch entry before reading it, so reuse cannot leak values between
 /// calls. Neighbour values slide through registers; rows past the first
 /// read their north row from the block's own output.

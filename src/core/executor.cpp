@@ -1,6 +1,7 @@
 #include "core/executor.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <climits>
 #include <cstring>
@@ -19,7 +20,19 @@ namespace {
 constexpr long long kValidAll = LLONG_MIN / 4;   ///< every existing row valid
 constexpr long long kValidNone = LLONG_MAX / 4;  ///< no row valid
 
-long long ll(std::size_t v) { return static_cast<long long>(v); }
+/// Checked size_t -> long long for the multi-GPU frontier arithmetic:
+/// every row and diagonal index must stay below the kValidNone sentinel.
+/// PhaseDesc::validate's kMaxMultiGpuDim bound keeps validated programs
+/// inside it.
+[[noreturn, gnu::cold]] void throw_past_frontier(std::size_t v) {
+  throw std::invalid_argument("HybridExecutor: multi-GPU index " + std::to_string(v) +
+                              " reaches the frontier sentinel 2^61 - 1");
+}
+
+long long ll(std::size_t v) {
+  if (v >= static_cast<std::size_t>(kValidNone)) [[unlikely]] throw_past_frontier(v);
+  return static_cast<long long>(v);
+}
 
 using WallClock = std::chrono::steady_clock;
 
@@ -156,12 +169,6 @@ struct HybridExecutor::FunctionalCtx {
   /// Address of cell (i, j) in the storage `v` views.
   std::byte* at(StorageView v, std::size_t i, std::size_t j) const {
     return v.base + ((i - v.base_row) * spec->dim + j) * spec->elem_bytes;
-  }
-
-  /// Computes cell (i, j): a one-cell block (diagonal sweeps have no
-  /// row-contiguous runs to batch).
-  void compute_cell(StorageView v, std::size_t i, std::size_t j) const {
-    lowered->block(v, i, i + 1, j, j + 1);
   }
 
   /// Copies the cells of diagonals [d_begin, d_end) with rows in
@@ -470,23 +477,24 @@ void HybridExecutor::gpu_phase(const InputParams& in, const PhaseDesc& ph,
                                std::size_t phase_index, ocl::Trace* trace,
                                PhaseTiming& out) const {
   if (fctx) {
-    // Device storage per active member: one full-grid-shaped buffer per
-    // device, or — for a streamed phase — the fixed strip pool of
-    // strip_buffers buffers of (strip_rows + 1) rows each, which is the
-    // whole point: peak residency O(strip_rows * dim), not O(dim^2).
-    // Buffers come from the executor's arena, poison-filled on every
-    // checkout so reads of cells the schedule never staged produce
-    // loudly-wrong values.
-    const std::size_t bytes =
-        ph.streamed() ? (ph.strip_rows + 1) * in.dim * fctx->spec->elem_bytes
-                      : in.dim * in.dim * fctx->spec->elem_bytes;
+    // Device storage per active member: one buffer per device holding its
+    // row window (PhaseDesc::device_rows — the whole grid on a single
+    // GPU, owned rows plus halo wedge on each of several), or — for a
+    // streamed phase — the fixed strip pool of strip_buffers buffers of
+    // (strip_rows + 1) rows each, which is the whole point: peak residency
+    // O(strip_rows * dim), not O(dim^2). Buffers come from the executor's
+    // arena, poison-filled on every checkout so reads of cells the
+    // schedule never staged produce loudly-wrong values.
+    const std::size_t row_bytes = in.dim * fctx->spec->elem_bytes;
     const std::size_t count =
         ph.streamed() ? ph.strip_buffers : static_cast<std::size_t>(ph.gpu_count);
     for (std::size_t m : fctx->active) {
       FunctionalCtx::Member& mem = fctx->members[m];
       mem.dev.reserve(count);  // the push_backs below cannot throw
       for (std::size_t g = 0; g < count; ++g) {
-        mem.dev.push_back(fctx->arena->checkout(bytes, Grid::kPoison));
+        const std::size_t rows =
+            ph.streamed() ? ph.strip_rows + 1 : ph.device_rows(in.dim, g).rows();
+        mem.dev.push_back(fctx->arena->checkout(rows * row_bytes, Grid::kPoison));
       }
     }
   }
@@ -876,17 +884,23 @@ void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
   const std::size_t d1 = ph.d_end;
   const std::size_t frontier_lo = d0 >= 2 ? d0 - 2 : 0;
   const auto n = static_cast<std::size_t>(ph.gpu_count);
-  const long long h = ph.halo;  // redundancy depth (>= 0)
 
-  // Fixed row split: device g owns rows [split[g], split[g+1]).
+  // Fixed row split: device g owns rows [split[g], split[g+1]) and stores
+  // rows [wedge_lo[g], split[g+1]) — its own rows plus the halo wedge that
+  // the initial transfer and every swap across boundary split[g] deliver.
   std::vector<long long> split(n + 1);
-  for (std::size_t g = 0; g <= n; ++g) {
-    split[g] = static_cast<long long>(dim * g / n);
+  std::vector<long long> wedge_lo(n);
+  for (std::size_t g = 0; g < n; ++g) {
+    const DeviceRows w = ph.device_rows(dim, g);
+    wedge_lo[g] = ll(w.lo);
+    split[g] = ll(w.own_lo);
+    split[g + 1] = ll(w.hi);
   }
-  // Per-device wedge floor: the initial transfer / every swap across
-  // boundary split[g] delivers rows >= wedge_lo[g].
-  std::vector<long long> wedge_lo(n, 0);
-  for (std::size_t g = 1; g < n; ++g) wedge_lo[g] = std::max(0LL, split[g] - h - 1);
+  auto row = [](long long i) { return static_cast<std::size_t>(i); };
+  // Member m's buffer for device g, addressed in absolute grid rows.
+  auto device_view = [&](std::size_t m, std::size_t g) {
+    return StorageView{fctx->members[m].dev[g].data(), row(wedge_lo[g])};
+  };
 
   ocl::Context ctx(profile_);
   if (trace) ctx.attach_trace(trace);
@@ -896,18 +910,15 @@ void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
   for (std::size_t g = 0; g < n; ++g) {
     std::size_t cells_in = 0;
     for (std::size_t d = frontier_lo; d < d1; ++d) {
-      cells_in += diag_rows_in(dim, d, static_cast<std::size_t>(wedge_lo[g]),
-                               static_cast<std::size_t>(split[g + 1]));
+      cells_in += diag_rows_in(dim, d, row(wedge_lo[g]), row(split[g + 1]));
     }
     ctx.device(g).charge_write(cells_in * esize);
     out.transfer_in_ns += ctx.pcie_model().transfer_ns(cells_in * esize);
     if (fctx) {
       fault::check(fault::Site::kGpuTransfer);
       for (std::size_t m : fctx->active) {
-        FunctionalCtx::Member& mem = fctx->members[m];
-        fctx->copy_diag_rows({mem.host->data(), 0}, {mem.dev[g].data(), 0}, frontier_lo, d1,
-                             static_cast<std::size_t>(wedge_lo[g]),
-                             static_cast<std::size_t>(split[g + 1]));
+        fctx->copy_diag_rows({fctx->members[m].host->data(), 0}, device_view(m, g), frontier_lo,
+                             d1, row(wedge_lo[g]), row(split[g + 1]));
       }
     }
   }
@@ -927,6 +938,44 @@ void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
     v_dm2[g] = frontier_v(g, ll(d0) - 2);
   }
 
+  // Run mode computes device g >= 1 one SWAP EPOCH at a time. Between
+  // two swaps into device g, every diagonal raises its lowest computed row
+  // by exactly one (can_lo = max(v_dm1, v_dm2) + 1 with v_dm1 the previous
+  // diagonal's compute_lo), so the cells the diagonals [d_begin, d) of an
+  // epoch compute are the band-clamped block of rows [row_lo, split[g+1])
+  // and columns [0, col_end), col_end = d_A - lo + 1 for the epoch's first
+  // diagonal d_A and its unclamped lo. That block runs as ONE row-major
+  // tile call per member (row-major order meets the W/N/NW dependencies
+  // inside it), deferred until the block must be final: before a swap
+  // reads device g-1's rows or overwrites device g's, when the device
+  // falls idle, and at the end of the phase. Estimates keep none of this
+  // state (fctx == nullptr): the planning and every charge below are the
+  // same walk either way.
+  struct Epoch {
+    bool open = false;
+    std::size_t d_begin = 0;  ///< first planned diagonal not yet computed
+    std::size_t row_lo = 0;   ///< compute_lo on the epoch's first diagonal
+    long long col_end = 0;    ///< one past the last computed column
+  };
+  std::vector<Epoch> epoch(fctx ? n : 0);
+  auto flush = [&](std::size_t g, std::size_t d_end) {
+    Epoch& e = epoch[g];
+    if (!e.open || e.d_begin >= d_end) return;
+    for (std::size_t m : fctx->active) {
+      fctx->lowered->tile(device_view(m, g), e.row_lo, row(split[g + 1]), 0, row(e.col_end),
+                          e.d_begin, d_end);
+    }
+    e.d_begin = d_end;
+  };
+
+  // Device 0 receives no swaps: the initial transfer holds every input of
+  // its rows, so its whole band is one epoch, computed up front.
+  if (fctx && split[1] > 0) {
+    for (std::size_t m : fctx->active) {
+      fctx->lowered->tile(device_view(m, 0), 0, row(split[1]), 0, dim, d0, d1);
+    }
+  }
+
   // Per-diagonal device plan, allocated once per phase.
   std::vector<bool> active(n);
   std::vector<long long> compute_lo(n);
@@ -943,46 +992,52 @@ void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
       compute_hi[g] = own_hi;
       active[g] = own_lo <= own_hi;
       if (!active[g]) continue;  // no owned cells on this diagonal
-      long long can_lo = std::max({std::max(v_dm1[g], v_dm2[g]) + 1, i_lo});
-      if (can_lo > own_lo) {
+      long long lo = std::max(v_dm1[g], v_dm2[g]) + 1;
+      const bool swap = std::max(lo, i_lo) > own_lo;
+      if (swap) {
         // Halo swap: device g-1 -> host -> device g, strips
         // [wedge_lo[g], split[g]) of the two previous diagonals
         // (paper Fig. 3, chained across every internal boundary).
         std::size_t strip_cells = 0;
         for (long long pd = ll(d) - 2; pd <= ll(d) - 1; ++pd) {
           if (pd < 0) continue;
-          strip_cells += diag_rows_in(dim, static_cast<std::size_t>(pd),
-                                      static_cast<std::size_t>(wedge_lo[g]),
-                                      static_cast<std::size_t>(split[g]));
+          strip_cells += diag_rows_in(dim, row(pd), row(wedge_lo[g]), row(split[g]));
         }
         const std::size_t bytes = strip_cells * esize;
         ctx.device(g - 1).charge_copy_to(ctx.device(g), bytes);
         out.swap_ns += 2.0 * ctx.pcie_model().transfer_ns(bytes);
         ++out.swap_count;
         if (fctx) {
-          for (long long pd = ll(d) - 2; pd <= ll(d) - 1; ++pd) {
-            if (pd < 0) continue;
-            for (std::size_t m : fctx->active) {
-              FunctionalCtx::Member& mem = fctx->members[m];
-              fctx->copy_diag_rows({mem.dev[g - 1].data(), 0}, {mem.dev[g].data(), 0},
-                                   static_cast<std::size_t>(pd),
-                                   static_cast<std::size_t>(pd) + 1,
-                                   static_cast<std::size_t>(wedge_lo[g]),
-                                   static_cast<std::size_t>(split[g]));
-            }
+          flush(g - 1, d);  // the swap reads g-1's rows on d-2 and d-1 ...
+          flush(g, d);      // ... and overwrites g's
+          for (std::size_t m : fctx->active) {
+            fctx->copy_diag_rows(device_view(m, g - 1), device_view(m, g), d >= 2 ? d - 2 : 0, d,
+                                 row(wedge_lo[g]), row(split[g]));
           }
         }
         v_dm1[g] = std::min(v_dm1[g], wedge_lo[g]);
         v_dm2[g] = std::min(v_dm2[g], wedge_lo[g]);
-        can_lo = std::max({std::max(v_dm1[g], v_dm2[g]) + 1, i_lo});
+        lo = std::max(v_dm1[g], v_dm2[g]) + 1;
       }
-      compute_lo[g] = can_lo;
-      out.redundant_cells += static_cast<std::size_t>(std::max(0LL, own_lo - can_lo));
+      compute_lo[g] = std::max(lo, i_lo);
+      out.redundant_cells += static_cast<std::size_t>(std::max(0LL, own_lo - compute_lo[g]));
+      if (fctx && g > 0) {
+        Epoch& e = epoch[g];
+        if (swap || !e.open) {
+          e = Epoch{true, d, row(compute_lo[g]), std::min(ll(dim), ll(d) - lo + 1)};
+        }
+        // The epoch rule above: this diagonal's rows are the block's.
+        assert(compute_lo[g] == std::max({ll(e.row_lo), i_lo, ll(d) - e.col_end + 1}));
+      }
     }
 
     // Launch this diagonal's kernels (devices run concurrently).
     for (std::size_t g = 0; g < n; ++g) {
       if (!active[g]) {
+        if (fctx) {
+          flush(g, d);
+          epoch[g].open = false;
+        }
         v_dm2[g] = v_dm1[g];
         v_dm1[g] = kValidNone;  // computed nothing: its copy of d is stale
         continue;
@@ -993,36 +1048,27 @@ void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
       shape.bytes_per_item = esize;
       ctx.device(g).charge_kernel(shape);
       ++out.kernel_launches;
-      if (fctx) {
-        for (std::size_t m : fctx->active) {
-          const StorageView dev{fctx->members[m].dev[g].data(), 0};
-          for (long long i = compute_lo[g]; i <= compute_hi[g]; ++i) {
-            fctx->compute_cell(dev, static_cast<std::size_t>(i),
-                               d - static_cast<std::size_t>(i));
-          }
-        }
-      }
       v_dm2[g] = v_dm1[g];
       v_dm1[g] = compute_lo[g] <= i_lo ? kValidAll : compute_lo[g];
     }
+  }
+  if (fctx) {
+    for (std::size_t g = 0; g < n; ++g) flush(g, d1);
   }
 
   // Bulk transfers out: each device returns its owned region cells.
   for (std::size_t g = 0; g < n; ++g) {
     std::size_t cells_out = 0;
     for (std::size_t d = d0; d < d1; ++d) {
-      cells_out += diag_rows_in(dim, d, static_cast<std::size_t>(split[g]),
-                                static_cast<std::size_t>(split[g + 1]));
+      cells_out += diag_rows_in(dim, d, row(split[g]), row(split[g + 1]));
     }
     ctx.device(g).charge_read(cells_out * esize);
     out.transfer_out_ns += ctx.pcie_model().transfer_ns(cells_out * esize);
     if (fctx) {
       fault::check(fault::Site::kGpuTransfer);
       for (std::size_t m : fctx->active) {
-        FunctionalCtx::Member& mem = fctx->members[m];
-        fctx->copy_diag_rows({mem.dev[g].data(), 0}, {mem.host->data(), 0}, d0, d1,
-                             static_cast<std::size_t>(split[g]),
-                             static_cast<std::size_t>(split[g + 1]));
+        fctx->copy_diag_rows(device_view(m, g), {fctx->members[m].host->data(), 0}, d0, d1,
+                             row(split[g]), row(split[g + 1]));
       }
     }
   }

@@ -14,7 +14,9 @@
 //               diagonal) or tiled (work-groups of gpu_tile x gpu_tile
 //               cells, one kernel per tile-diagonal).
 //   kGpuMulti   N-way fixed row split at rows dim*g/N with chained halo
-//               exchanges through host memory every halo+1 diagonals.
+//               exchanges through host memory every halo+1 diagonals;
+//               each device stores only its row window (PhaseDesc::
+//               device_rows) and computes one tile call per swap epoch.
 //
 // run() interprets the program functionally (real values, real threads
 // for the CPU phases) while charging simulated time; estimate() interprets

@@ -1,8 +1,10 @@
 #include "core/phase_program.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "core/diag.hpp"
 
@@ -18,6 +20,29 @@ const char* phase_device_name(PhaseDevice d) {
       return "gpu-multi";
   }
   return "?";
+}
+
+DeviceRows PhaseDesc::device_rows(std::size_t dim, std::size_t g) const {
+  const auto n = static_cast<std::size_t>(std::max(gpu_count, 0));
+  if (g >= n) {
+    throw std::invalid_argument("PhaseDesc::device_rows: device " + std::to_string(g) +
+                                " of a " + std::to_string(n) + "-device phase");
+  }
+  if (dim > std::numeric_limits<std::size_t>::max() / n) {
+    throw std::invalid_argument("PhaseDesc::device_rows: dim * gpu_count (" +
+                                std::to_string(dim) + " * " + std::to_string(n) +
+                                ") exceeds SIZE_MAX");
+  }
+  if (n >= 2 && dim > kMaxMultiGpuDim) {
+    throw std::invalid_argument("PhaseDesc::device_rows: dim " + std::to_string(dim) +
+                                " exceeds kMaxMultiGpuDim = 2^60");
+  }
+  DeviceRows w;
+  w.own_lo = dim * g / n;
+  w.hi = dim * (g + 1) / n;
+  const std::size_t reach = static_cast<std::size_t>(std::max(halo, 0LL)) + 1;
+  w.lo = g == 0 ? 0 : w.own_lo - std::min(w.own_lo, reach);
+  return w;
 }
 
 void PhaseDesc::validate(std::size_t dim) const {
@@ -55,6 +80,7 @@ void PhaseDesc::validate(std::size_t dim) const {
         throw std::invalid_argument("PhaseDesc: gpu-multi phase with gpu_count < 2");
       }
       if (halo < 0) throw std::invalid_argument("PhaseDesc: gpu-multi phase with halo < 0");
+      (void)device_rows(dim, static_cast<std::size_t>(gpu_count) - 1);  // split range checks
       if (gpu_tile != 1) {
         // Multi-GPU schedules run untiled (DESIGN.md §5, TunableParams::normalized).
         throw std::invalid_argument("PhaseDesc: gpu-multi phase must be untiled (gpu_tile == 1)");

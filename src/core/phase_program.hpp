@@ -37,9 +37,24 @@ enum class PhaseDevice {
 /// "cpu" / "gpu-single" / "gpu-multi" (stable names used in JSON + logs).
 const char* phase_device_name(PhaseDevice d);
 
+/// Row window of one device of a GPU phase (PhaseDesc::device_rows): the
+/// device owns rows [own_lo, hi) and stores rows [lo, hi) — its own rows
+/// plus the halo wedge that the initial transfer and every swap deliver.
+struct DeviceRows {
+  std::size_t lo = 0;      ///< first stored row (the wedge floor)
+  std::size_t own_lo = 0;  ///< first owned row: dim * g / gpu_count
+  std::size_t hi = 0;      ///< one past the last owned and stored row
+  std::size_t rows() const { return hi - lo; }
+};
+
 /// One phase: a device plus the diagonal range [d_begin, d_end) it owns
 /// and the tuning knobs that apply on that device.
 struct PhaseDesc {
+  /// Largest grid side a kGpuMulti phase accepts: every row and diagonal
+  /// index of its halo frontier then stays below 2^61, where the
+  /// executor's frontier sentinels sit.
+  static constexpr std::size_t kMaxMultiGpuDim = std::size_t{1} << 60;
+
   PhaseDevice device = PhaseDevice::kCpu;
   std::size_t d_begin = 0;  ///< first diagonal (i+j) of the phase
   std::size_t d_end = 0;    ///< one past the last diagonal
@@ -78,8 +93,17 @@ struct PhaseDesc {
     return strip_rows == 0 ? 1 : (dim + strip_rows - 1) / strip_rows;
   }
 
+  /// Row window of device `g` on a dim x dim grid: the fixed row split at
+  /// dim * g / gpu_count, with the stored rows reaching halo + 1 rows above
+  /// the owned ones (a single device stores the whole grid). Throws
+  /// std::invalid_argument, naming the bound, when g is not one of the
+  /// phase's devices, when dim * gpu_count overflows std::size_t, or when
+  /// dim exceeds kMaxMultiGpuDim.
+  DeviceRows device_rows(std::size_t dim, std::size_t g) const;
+
   /// Throws std::invalid_argument on device-specific nonsense (empty
-  /// range, zero tile, kGpuMulti with < 2 devices or negative halo, ...).
+  /// range, zero tile, kGpuMulti with < 2 devices or negative halo, a
+  /// kGpuMulti row split out of range, ...).
   void validate(std::size_t dim) const;
 };
 

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "apps/synthetic.hpp"
 #include "core/executor.hpp"
@@ -432,6 +435,84 @@ TEST_F(ExecutorTest, SwapCountMatchesIntervalFormula) {
   const std::size_t n_diags = 2 * band + 1;
   const std::size_t expected = (n_diags - 1) / 4;
   EXPECT_EQ(r.breakdown.swap_count(), expected);
+}
+
+// --- multi-GPU row split range checks ------------------------------------
+
+/// CPU [0, dim-1) | `gpus`-way halo band on the main diagonal | CPU rest.
+PhaseProgram main_diagonal_multi_program(std::size_t dim, int gpus) {
+  PhaseProgram prog;
+  prog.dim = dim;
+  PhaseDesc lo;
+  lo.d_begin = 0;
+  lo.d_end = dim - 1;
+  lo.cpu_tile = 8;
+  PhaseDesc band;
+  band.device = PhaseDevice::kGpuMulti;
+  band.d_begin = dim - 1;
+  band.d_end = dim;
+  band.gpu_count = gpus;
+  band.halo = 4;
+  PhaseDesc hi = lo;
+  hi.d_begin = dim;
+  hi.d_end = num_diagonals(dim);
+  prog.phases = {lo, band, hi};
+  return prog;
+}
+
+/// Runs `f`, which must throw std::invalid_argument naming `bound`.
+template <typename F>
+void expect_bound_error(F f, const std::string& bound) {
+  try {
+    f();
+    ADD_FAILURE() << "no error naming " << bound;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(bound), std::string::npos) << e.what();
+  }
+}
+
+TEST(MultiGpuRowSplit, DimAtAndPastKMaxMultiGpuDim) {
+  const std::size_t at = PhaseDesc::kMaxMultiGpuDim;
+  const PhaseProgram ok = main_diagonal_multi_program(at, 4);
+  EXPECT_NO_THROW(ok.validate());
+  const DeviceRows w = ok.phases[1].device_rows(at, 3);
+  EXPECT_EQ(w.own_lo, at / 4 * 3);
+  EXPECT_EQ(w.hi, at);
+  EXPECT_EQ(w.lo, at / 4 * 3 - 5);  // halo 4: five rows of wedge
+
+  const PhaseProgram past = main_diagonal_multi_program(at + 1, 4);
+  expect_bound_error([&] { (void)past.phases[1].device_rows(at + 1, 0); }, "kMaxMultiGpuDim");
+  expect_bound_error([&] { past.validate(); }, "kMaxMultiGpuDim");
+  // Both interpreter modes validate the program before walking it: the
+  // estimate, and a run handed the program (with any grid).
+  HybridExecutor exec(sim::make_i7_2600k(), 1);
+  expect_bound_error([&] { (void)exec.estimate(InputParams{at + 1, 1.0, 1}, past); },
+                     "kMaxMultiGpuDim");
+  const auto spec = apps::make_synthetic_spec(small_instance());
+  Grid g(spec.dim, spec.elem_bytes);
+  expect_bound_error([&] { (void)exec.run(spec, past, g); }, "kMaxMultiGpuDim");
+}
+
+TEST(MultiGpuRowSplit, SplitProductAtAndPastSizeMax) {
+  // At 64 devices dim * gpu_count overflows before kMaxMultiGpuDim does.
+  const std::size_t at = SIZE_MAX / 64;
+  ASSERT_LT(at, PhaseDesc::kMaxMultiGpuDim);
+  const PhaseProgram ok = main_diagonal_multi_program(at, 64);
+  EXPECT_NO_THROW(ok.validate());
+  const DeviceRows last = ok.phases[1].device_rows(at, 63);
+  EXPECT_EQ(last.hi, at);
+  EXPECT_EQ(last.own_lo, static_cast<std::size_t>(static_cast<unsigned __int128>(at) * 63 / 64));
+
+  const PhaseProgram past = main_diagonal_multi_program(at + 1, 64);
+  expect_bound_error([&] { (void)past.phases[1].device_rows(at + 1, 1); }, "SIZE_MAX");
+  HybridExecutor exec(sim::make_i7_2600k(), 1);
+  expect_bound_error([&] { (void)exec.estimate(InputParams{at + 1, 1.0, 1}, past); },
+                     "SIZE_MAX");
+  const auto spec = apps::make_synthetic_spec(small_instance());
+  Grid g(spec.dim, spec.elem_bytes);
+  expect_bound_error([&] { (void)exec.run(spec, past, g); }, "SIZE_MAX");
+  // A device index outside the phase is rejected the same way.
+  expect_bound_error([&] { (void)ok.phases[1].device_rows(at, 64); }, "64-device");
 }
 
 }  // namespace

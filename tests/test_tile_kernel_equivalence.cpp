@@ -22,6 +22,14 @@
 // (serial, CPU tiles, the row-major single-GPU band plain and streamed,
 // the quad-GPU halo band) with the cell-rung oracle.
 //
+// The MultiGpuRowsEquivalence cases sweep the multi-GPU halo band itself
+// (every app, 2-8 devices, halo depths up to max_halo_multi, grid sides no
+// device count divides, narrow to full bands) on poison-filled grids:
+// each device holds only its row window and computes one band-clamped
+// tile call per swap epoch, so the grid must still equal the serial one,
+// the run's simulated breakdown must equal the estimate's, and the peak
+// device residency must be exactly the row windows.
+//
 // nash and synthetic keep their tile-kernel scratch per thread; the
 // PerThreadScratch cases interleave 1-cell calls of two specs with
 // different scratch shapes on the same threads and compare each grid
@@ -52,6 +60,7 @@
 #include "core/phase_program.hpp"
 #include "core/spec.hpp"
 #include "core/streaming.hpp"
+#include "ocl/buffer.hpp"
 #include "cpu/dataflow_wavefront.hpp"
 #include "sim/system_profile.hpp"
 
@@ -137,7 +146,8 @@ TEST_P(TileKernelEquivalence, AllSchedulesAllAbisBitIdentical) {
       // Band slice, tiled GPU: the GPU-sim tiled loop's one-call-per-tile
       // dispatch with tiles straddling the band edges.
       {"hybrid-gputiled", TunableParams{8, 9, -1, 5}, cpu::Scheduler::kBarrier, false},
-      // Dual GPU with halo exchange: the per-diagonal 1x1-block path.
+      // Dual GPU with halo exchange: row windows, one tile call per
+      // device per swap epoch.
       {"hybrid-dual", TunableParams{8, 9, 2, 1}, cpu::Scheduler::kBarrier, false},
   };
 
@@ -202,7 +212,7 @@ INSTANTIATE_TEST_SUITE_P(Apps, TileKernelEquivalence,
 /// that reaches the tile kernel: the serial sweep, barriered CPU tiles,
 /// the untiled single-GPU band (one row-major band-clamped call per
 /// member), that band streamed in strips under a residency cap, and the
-/// quad-GPU halo band (1x1 calls in diagonal order).
+/// quad-GPU halo band (one row-major call per device per swap epoch).
 class NashShapeEquivalence
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
 
@@ -272,6 +282,112 @@ INSTANTIATE_TEST_SUITE_P(
       return "k" + std::to_string(std::get<0>(info.param)) + "_rounds" +
              std::to_string(std::get<1>(info.param));
     });
+
+// --- the multi-GPU halo band by rows ------------------------------------
+
+/// Bytes of device storage a lone run of a single `gpus`-way phase with
+/// halo `halo` holds: device g stores rows [split[g] - halo - 1, split[g+1])
+/// (from row 0 for device 0) of a dim-wide grid, split[g] = dim * g / gpus.
+std::size_t row_window_bytes(std::size_t dim, std::size_t elem_bytes, std::size_t gpus,
+                             long long halo) {
+  std::size_t rows = 0;
+  for (std::size_t g = 0; g < gpus; ++g) {
+    const auto lo = static_cast<long long>(dim * g / gpus) - (g == 0 ? 0 : halo + 1);
+    rows += dim * (g + 1) / gpus - static_cast<std::size_t>(std::max(0LL, lo));
+  }
+  return rows * dim * elem_bytes;
+}
+
+class MultiGpuRowsEquivalence : public ::testing::TestWithParam<std::string> {};
+
+/// Every (dim, gpus, halo, band) of the sweep on one app: the grid equals
+/// the serial one, the run's breakdown equals the estimate's phase by
+/// phase, and the peak device residency is exactly the row windows.
+TEST_P(MultiGpuRowsEquivalence, GridBreakdownAndResidency) {
+  const std::string app = GetParam();
+  sim::SystemProfile eight = sim::make_i7_2600k();
+  eight.gpus.resize(8, eight.gpus.front());
+  HybridExecutor exec(eight, 2);
+  std::size_t runs = 0;
+  for (const std::size_t dim : {std::size_t{37}, std::size_t{50}}) {
+    const WavefrontSpec spec = make_app_spec(app, dim);
+    const core::InputParams in = spec.inputs();
+    Grid oracle(dim, spec.elem_bytes);
+    exec.run_serial(spec, oracle);
+    for (const int gpus : {2, 3, 4, 8}) {
+      for (const long long band : {0LL, 5LL, static_cast<long long>(dim) - 1}) {
+        const long long max_halo = TunableParams::max_halo_multi(dim, band, gpus);
+        for (const long long halo : {0LL, 1LL, 4LL, max_halo}) {
+          TunableParams t{8, band, halo, 1};
+          t.gpus = gpus;
+          const core::PhaseProgram program = core::plan_phases(in, t);
+          const core::PhaseDesc* multi = nullptr;
+          for (const core::PhaseDesc& ph : program.phases) {
+            if (ph.device == core::PhaseDevice::kGpuMulti) multi = &ph;
+          }
+          ASSERT_NE(multi, nullptr) << app << " dim=" << dim << " gpus=" << gpus;
+          ASSERT_EQ(multi->gpu_count, gpus);
+          const std::string where = app + " dim=" + std::to_string(dim) +
+                                    " gpus=" + std::to_string(gpus) +
+                                    " band=" + std::to_string(band) +
+                                    " halo=" + std::to_string(multi->halo);
+
+          Grid grid(dim, spec.elem_bytes);
+          grid.fill_poison();
+          const std::size_t live0 = ocl::Buffer::live_bytes();
+          ocl::Buffer::reset_peak();
+          const core::RunResult run = exec.run(spec, program, grid);
+          EXPECT_EQ(ocl::Buffer::peak_bytes() - live0,
+                    row_window_bytes(dim, spec.elem_bytes, static_cast<std::size_t>(gpus),
+                                     multi->halo))
+              << where;
+          ASSERT_EQ(0, std::memcmp(oracle.data(), grid.data(), oracle.size_bytes())) << where;
+
+          const core::RunResult est = exec.estimate(in, program);
+          ASSERT_EQ(run.breakdown.phases.size(), est.breakdown.phases.size()) << where;
+          for (std::size_t p = 0; p < run.breakdown.phases.size(); ++p) {
+            const core::PhaseTiming& a = run.breakdown.phases[p];
+            const core::PhaseTiming& b = est.breakdown.phases[p];
+            EXPECT_EQ(a.ns, b.ns) << where << " phase " << p;
+            EXPECT_EQ(a.swap_ns, b.swap_ns) << where << " phase " << p;
+            EXPECT_EQ(a.swap_count, b.swap_count) << where << " phase " << p;
+            EXPECT_EQ(a.kernel_launches, b.kernel_launches) << where << " phase " << p;
+            EXPECT_EQ(a.redundant_cells, b.redundant_cells) << where << " phase " << p;
+          }
+          ++runs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 2u * 4u * 3u * 4u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Apps, MultiGpuRowsEquivalence,
+                         ::testing::Values("editdist", "seqcmp", "nash", "synthetic"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
+
+/// perfbench's quad-GPU offload-stream shape (nash-256, band 64, halo 4):
+/// the four devices hold 64 + 3 x 69 = 271 rows of 8 KiB, not four whole
+/// 2 MiB grids.
+TEST(MultiGpuRows, QuadNash256PeakIsRowWindows) {
+  apps::NashParams p;
+  p.dim = 256;
+  p.strategies = 4;
+  p.fp_iterations = 1;
+  const WavefrontSpec spec = apps::make_nash_spec(p);
+  ASSERT_EQ(spec.elem_bytes * p.dim, std::size_t{8192});
+  TunableParams t{16, 64, 4, 1};
+  t.gpus = 4;
+  HybridExecutor exec(sim::make_i7_2600k(), 1);
+  Grid grid(p.dim, spec.elem_bytes);
+  const std::size_t live0 = ocl::Buffer::live_bytes();
+  ocl::Buffer::reset_peak();
+  exec.run(spec, core::plan_phases(spec.inputs(), t), grid);
+  EXPECT_EQ(ocl::Buffer::peak_bytes() - live0, std::size_t{2220032});
+  EXPECT_EQ(row_window_bytes(p.dim, spec.elem_bytes, 4, 4), std::size_t{2220032});
+}
 
 // --- ISA variants of the editdist / seqcmp native tile kernels ----------
 
