@@ -12,9 +12,11 @@
 // adapters a cell-only or segment-only spec really runs (the --kernel-abi
 // axis) — and (b) the barriered per-tile-diagonal scheduler against the
 // dataflow dependency-counter scheduler, both dispatching the lowered tile
-// kernel (the --scheduler axis, small and medium tiles, >= 4 workers), and
-// writes the ns/cell numbers to PATH (default BENCH_micro.json) so CI
-// records the hot-loop trajectory on every push.
+// kernel (the --scheduler axis, small and medium tiles, >= 4 workers),
+// then (c) the nash tile kernel, scalar and AVX2, in each dispatch shape
+// of BM_NashTileKernel, and writes the ns/cell numbers with the host's
+// core count to PATH (default BENCH_micro.json) so CI records the
+// hot-loop trajectory on every push.
 //
 //   --kernel-abi={cell,segment,tile,all}  which ABI rungs to measure
 //                                         (default all; implies --json)
@@ -47,6 +49,7 @@
 #include <chrono>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -56,6 +59,7 @@
 #include "apps/nash.hpp"
 #include "apps/seqcmp.hpp"
 #include "apps/synthetic.hpp"
+#include "apps/tile_kernels.hpp"
 #include "autotune/search.hpp"
 #include "core/diag.hpp"
 #include "core/phase_program.hpp"
@@ -253,41 +257,89 @@ BENCHMARK(BM_WavefrontScheduler)
     ->Args({0, 64})
     ->Args({1, 64});
 
-/// The nash native tile kernel at perfbench's offload-stream shape (k = 4,
-/// one fictitious-play round, dim 256): arg 0 is one whole-grid block()
-/// call (the row-major order the CPU schedulers and the single-GPU band
-/// phases run), arg 1 the grid in swap epochs of halo + 1 = 5 diagonals,
-/// each one band-clamped tile() call, i.e. one 5-cell block per row (the
-/// shape of the quad-GPU halo band at halo 4, which computes each device's
-/// rows one swap epoch at a time).
-void BM_NashTileKernel(benchmark::State& state) {
+/// The dispatch shapes the nash tile kernel runs in at perfbench's
+/// offload-stream size (k = 4, one fictitious-play round, dim 256):
+///   0 one whole-grid block() call (the serial sweep);
+///   1 swap epochs of halo + 1 = 5 diagonals, each one band-clamped tile()
+///     call (the quad-GPU halo band at halo 4 computes each device's rows
+///     one swap epoch at a time; 2-column row groups plus wedges);
+///   2 16x16 tiles in row-major order, one block() each (the CPU phases'
+///     interior tiles at cpu tile 16);
+///   3 bands of 129 diagonals, each one band-clamped tile() call (the
+///     single-GPU band at band 64, 126 of each row group's cells in one
+///     block).
+constexpr std::size_t kNashShapes = 4;
+constexpr std::size_t kNashDim = 256;
+
+const char* nash_shape_name(std::size_t shape) {
+  switch (shape) {
+    case 0: return "whole-grid block";
+    case 1: return "halo-4 epochs (5-diagonal tile calls)";
+    case 2: return "16x16 tiles";
+    default: return "129-diagonal band tile calls";
+  }
+}
+
+/// The offload-stream nash spec.
+core::WavefrontSpec nash_micro_spec() {
   apps::NashParams p;
-  p.dim = 256;
+  p.dim = kNashDim;
   p.strategies = 4;
   p.fp_iterations = 1;
-  const core::WavefrontSpec spec = apps::make_nash_spec(p);
-  const core::LoweredKernel kernel = spec.lower();
-  core::Grid grid(spec.dim, spec.elem_bytes);
-  const core::StorageView view{grid.data(), 0};
-  const bool epochs = state.range(0) == 1;
-  const std::size_t epoch_diags = 5;
-  const std::size_t n_diags = core::num_diagonals(p.dim);
-  for (auto _ : state) {
-    if (epochs) {
-      for (std::size_t d = 0; d < n_diags; d += epoch_diags) {
-        kernel.tile(view, 0, p.dim, 0, p.dim, d, std::min(d + epoch_diags, n_diags));
+  return apps::make_nash_spec(p);
+}
+
+/// The nash tile kernel variant `isa` (0 scalar, 1 AVX2); null when this
+/// host cannot run it.
+core::TileKernelFn nash_variant(std::size_t isa) {
+  return isa == 0 ? apps::detail::nash_scalar_tile_kernel()
+                  : apps::detail::nash_avx2_tile_kernel();
+}
+
+/// One sweep of the whole grid in dispatch shape `shape`.
+void nash_sweep(const core::LoweredKernel& kernel, core::StorageView view, std::size_t shape) {
+  const std::size_t dim = kernel.dim;
+  const std::size_t n_diags = core::num_diagonals(dim);
+  if (shape == 0) {
+    kernel.block(view, 0, dim, 0, dim);
+  } else if (shape == 2) {
+    for (std::size_t i = 0; i < dim; i += 16) {
+      for (std::size_t j = 0; j < dim; j += 16) {
+        kernel.block(view, i, std::min(dim, i + 16), j, std::min(dim, j + 16));
       }
-    } else {
-      kernel.block(view, 0, p.dim, 0, p.dim);
     }
+  } else {
+    const std::size_t band = shape == 1 ? 5 : 129;
+    for (std::size_t d = 0; d < n_diags; d += band) {
+      kernel.tile(view, 0, dim, 0, dim, d, std::min(d + band, n_diags));
+    }
+  }
+}
+
+/// Args {shape, isa}: the nash tile kernel's dispatch shapes above, each
+/// with the scalar (0) and the AVX2 (1) variant.
+void BM_NashTileKernel(benchmark::State& state) {
+  const auto shape = static_cast<std::size_t>(state.range(0));
+  const auto isa = static_cast<std::size_t>(state.range(1));
+  const core::TileKernelFn fn = nash_variant(isa);
+  if (!fn) {
+    state.SkipWithError("this host has no AVX2");
+    return;
+  }
+  const core::WavefrontSpec spec = nash_micro_spec();
+  core::LoweredKernel kernel = spec.lower();
+  kernel.fn = fn;
+  core::Grid grid(spec.dim, spec.elem_bytes);
+  for (auto _ : state) {
+    nash_sweep(kernel, {grid.data(), 0}, shape);
     benchmark::DoNotOptimize(grid.data());
     benchmark::ClobberMemory();
   }
-  state.SetLabel(epochs ? "5-cell rows, halo-4 epoch order" : "whole-grid block");
+  state.SetLabel(std::string(nash_shape_name(shape)) + (isa == 0 ? ", scalar" : ", avx2"));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(p.dim * p.dim));
+                          static_cast<std::int64_t>(spec.dim * spec.dim));
 }
-BENCHMARK(BM_NashTileKernel)->Arg(0)->Arg(1);
+BENCHMARK(BM_NashTileKernel)->ArgsProduct({{0, 1, 2, 3}, {0, 1}});
 
 void BM_M5Predict(benchmark::State& state) {
   ml::Dataset d({"a", "b", "c"});
@@ -617,8 +669,39 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_expl
       }
     }
   }
+  // The nash tile kernel in each dispatch shape, scalar and AVX2: best of
+  // `reps` whole-grid sweeps on the calling thread.
+  util::Json nash_runs = util::Json::array();
+  const core::WavefrontSpec nash = nash_micro_spec();
+  core::Grid nash_grid(nash.dim, nash.elem_bytes);
+  for (std::size_t shape = 0; shape < kNashShapes; ++shape) {
+    for (std::size_t isa = 0; isa < 2; ++isa) {
+      core::LoweredKernel kernel = nash.lower();
+      kernel.fn = nash_variant(isa);
+      if (!kernel.fn) continue;
+      double best = std::numeric_limits<double>::infinity();
+      for (int r = 0; r < reps; ++r) {
+        const auto t0 = std::chrono::steady_clock::now();
+        nash_sweep(kernel, {nash_grid.data(), 0}, shape);
+        const auto t1 = std::chrono::steady_clock::now();
+        best = std::min(best, std::chrono::duration<double, std::nano>(t1 - t0).count());
+      }
+      const double ns = best / static_cast<double>(nash.dim * nash.dim);
+      util::Json row = util::Json::object();
+      row["app"] = util::Json("nash");
+      row["dim"] = util::Json(nash.dim);
+      row["shape"] = util::Json(nash_shape_name(shape));
+      row["isa"] = util::Json(isa == 0 ? "scalar" : "avx2");
+      row["ns_per_cell"] = util::Json(ns);
+      std::cout << "nash dim=" << nash.dim << " " << nash_shape_name(shape) << " "
+                << (isa == 0 ? "scalar" : "avx2") << ": " << ns << " ns/cell\n";
+      nash_runs.push_back(std::move(row));
+    }
+  }
+
   util::Json doc = util::Json::object();
-  doc["schema"] = util::Json("wavetune.bench_micro.v4");
+  doc["schema"] = util::Json("wavetune.bench_micro.v5");
+  doc["host_cores"] = util::Json(hw);
   doc["mode"] = util::Json("tiled_cpu");
   // Without the scheduler sweeps the header must say so rather than claim
   // an axis the file has no data for.
@@ -635,6 +718,7 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_expl
   if (sched_on) doc["workers"] = util::Json(sched_pool.worker_count());
   doc["abi_workers"] = util::Json(abi_pool.worker_count());
   doc["runs"] = std::move(runs);
+  doc["nash_tile_kernel"] = std::move(nash_runs);
 
   // The --phase-plan axis: functional engine runs of whole phase-program
   // shapes, recording the interpreter's per-phase simulated ns.

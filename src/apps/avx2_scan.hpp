@@ -1,5 +1,6 @@
 // Internal: AVX2 building blocks of the row-scan tile kernels
-// (apps/editdist.cpp, apps/seqcmp.cpp).
+// (apps/editdist.cpp, apps/seqcmp.cpp). The nash kernel (apps/nash.cpp)
+// uses only the target macro, cpu_has_avx2() and kMinVectorWidth.
 //
 // x86 only. Every function carries target("avx2"), so the including file
 // needs no -mavx2 and the rest of it stays baseline x86-64; only code
@@ -27,11 +28,12 @@ namespace wavetune::apps::avx2 {
 
 inline bool cpu_has_avx2() { return __builtin_cpu_supports("avx2"); }
 
-/// Blocks narrower than this many cells take the scalar sweep, in both
-/// apps. It is the narrowest block that fills one vector, and already
-/// there the row scan beats the scalar kernel's two-rows-at-a-time sweep
-/// (1.2-2.0x in bench_micro --tiles=8 on 512 and 2048 grids; README,
-/// "Vector tile kernels").
+/// Blocks narrower than this many cells take the scalar sweep, in all
+/// three apps. For the row scans it is the narrowest block that fills one
+/// vector, and already there the row scan beats the scalar kernel's
+/// two-rows-at-a-time sweep (1.2-2.0x in bench_micro --tiles=8 on 512 and
+/// 2048 grids; README, "Vector tile kernels"). nash's anti-diagonal lanes
+/// spend 3 ramp steps per row group and break even at 3-4 columns.
 inline constexpr std::size_t kMinVectorWidth = 8;
 
 /// Loads 8 two-int cells starting at `p`: field 0 into `first`, field 1

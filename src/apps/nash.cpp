@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "apps/avx2_scan.hpp"
+#include "apps/tile_kernels.hpp"
 #include "util/rng.hpp"
 
 namespace wavetune::apps {
@@ -242,11 +244,12 @@ NashCell solve_tile_cell(const NashTileCtx& c, std::uint64_t cell_hash, const Na
 
 /// Native tile kernel: one plain call per tile, with the scratch vectors
 /// living per THREAD and resized only when `k` changes — band-edge tiles
-/// call it once per row (the multi-GPU band's swap epochs with a few cells
-/// per row), so a per-call allocation would dominate. solve_tile_cell writes every
-/// scratch entry before reading it, so reuse cannot leak values between
-/// calls. Neighbour values slide through registers; rows past the first
-/// read their north row from the block's own output.
+/// call it once per row group and once per wedge row (the multi-GPU band's
+/// swap epochs with a few cells per row), so a per-call allocation would
+/// dominate. solve_tile_cell writes every scratch entry before reading it,
+/// so reuse cannot leak values between calls. Neighbour values slide
+/// through registers; rows past the first read their north row from the
+/// block's own output.
 void nash_tile_kernel(const void* pv, std::size_t i0, std::size_t i1, std::size_t j0,
                       std::size_t j1, std::size_t stride, const std::byte* w,
                       const std::byte* n, const std::byte* nw, std::byte* out) {
@@ -274,7 +277,337 @@ void nash_tile_kernel(const void* pv, std::size_t i0, std::size_t i1, std::size_
   }
 }
 
+#ifdef WAVETUNE_AVX2_KERNELS
+
+/// Cells per vector step of the AVX2 kernel, one per row of a row group:
+/// the height of the groups band-straddling tiles are dispatched in.
+constexpr std::size_t kNashLanes = 4;
+static_assert(kNashLanes == core::LoweredKernel::kRowGroup);
+
+/// Blocks with fewer rows than this run the scalar kernel: a one-row
+/// group would fill a single lane.
+constexpr std::size_t kNashMinVectorRows = 2;
+
+/// Per-thread working buffers of the AVX2 kernel, resized only when `k`
+/// changes. Every entry holds four lanes (one 32-byte aligned __m256d):
+/// entry e of a buffer is [4e, 4e + 4). The buffers point into `storage`,
+/// so the scratch is neither copied nor moved.
+struct NashLaneScratch {
+  NashLaneScratch() = default;
+  NashLaneScratch(const NashLaneScratch&) = delete;
+  NashLaneScratch& operator=(const NashLaneScratch&) = delete;
+
+  std::vector<double> storage;
+  std::size_t k = 0;
+  double* pay_row = nullptr;   ///< k*k entries, (a, b) row-major
+  double* pay_col = nullptr;
+  double* cnt_row = nullptr;   ///< k entries: ctx.count, then ctx.share
+  double* cnt_col = nullptr;
+  double* hits_row = nullptr;  ///< k entries of int64 lanes: best responses
+  double* hits_col = nullptr;
+
+  void resize(std::size_t k_) {
+    if (k_ == k) return;
+    k = k_;
+    storage.assign(4 * (2 * k * k + 4 * k) + 4, 0.0);  // + 4: room to align
+    auto* p = reinterpret_cast<double*>(
+        (reinterpret_cast<std::uintptr_t>(storage.data()) + 31) & ~std::uintptr_t{31});
+    pay_row = p;
+    pay_col = pay_row + 4 * k * k;
+    cnt_row = pay_col + 4 * k * k;
+    cnt_col = cnt_row + 4 * k;
+    hits_row = cnt_col + 4 * k;
+    hits_col = hits_row + 4 * k;
+  }
+};
+
+/// x * c mod 2^64 in each 64-bit lane. AVX2 has no 64-bit lane multiply,
+/// so it is lo*c_lo + ((hi*c_lo + lo*c_hi) << 32) from three 32x32->64
+/// multiplies.
+WAVETUNE_TARGET_AVX2 inline __m256i mul64(__m256i x, std::uint64_t c) {
+  const __m256i c_lo = _mm256_set1_epi64x(static_cast<long long>(c & 0xffffffffULL));
+  const __m256i c_hi = _mm256_set1_epi64x(static_cast<long long>(c >> 32));
+  const __m256i cross = _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(x, 32), c_lo),
+                                         _mm256_mul_epu32(x, c_hi));
+  return _mm256_add_epi64(_mm256_mul_epu32(x, c_lo), _mm256_slli_epi64(cross, 32));
+}
+
+/// util::splitmix64 of four states, each as its [0, 1) payoff
+/// (z >> 11) * 2^-53. z >> 11 is below 2^53 and converts exactly: its
+/// high 21 bits fill the mantissa of 2^84 + hi * 2^32, its low 32 bits
+/// that of 2^52 + lo, and (2^84 + hi * 2^32 - (2^84 + 2^52)) + (2^52 + lo)
+/// rounds nowhere.
+WAVETUNE_TARGET_AVX2 inline __m256d splitmix_unit(__m256i state) {
+  __m256i z = _mm256_add_epi64(state, _mm256_set1_epi64x(static_cast<long long>(
+                                          0x9e3779b97f4a7c15ULL)));
+  z = mul64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)), 0xbf58476d1ce4e5b9ULL);
+  z = mul64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)), 0x94d049bb133111ebULL);
+  z = _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
+  const __m256i v = _mm256_srli_epi64(z, 11);
+  const __m256d hi = _mm256_castsi256_pd(
+      _mm256_or_si256(_mm256_srli_epi64(v, 32), _mm256_castpd_si256(_mm256_set1_pd(0x1.0p84))));
+  const __m256d lo = _mm256_castsi256_pd(
+      _mm256_blend_epi32(v, _mm256_castpd_si256(_mm256_set1_pd(0x1.0p52)), 0xaa));
+  const __m256d exact = _mm256_add_pd(_mm256_sub_pd(hi, _mm256_set1_pd(0x1.0p84 + 0x1.0p52)), lo);
+  return _mm256_mul_pd(exact, _mm256_set1_pd(0x1.0p-53));
+}
+
+/// Four NashCells, one per lane, as one vector per field.
+struct NashLanes {
+  __m256d value_row, value_col, entropy_row, entropy_col;
+};
+
+/// One candidate of solve_tile_cell's argmax in every lane: `idx` becomes
+/// a lane's best when `val` beats its best so far under a strict >, so
+/// ties keep the first maximum, as in the scalar loop.
+WAVETUNE_TARGET_AVX2 inline void argmax_step(__m256d val, std::size_t idx, __m256d& best_val,
+                                             __m256i& best_idx) {
+  const __m256d gt = _mm256_cmp_pd(val, best_val, _CMP_GT_OQ);
+  best_val = _mm256_blendv_pd(best_val, val, gt);
+  best_idx = _mm256_castpd_si256(_mm256_blendv_pd(
+      _mm256_castsi256_pd(best_idx),
+      _mm256_castsi256_pd(_mm256_set1_epi64x(static_cast<long long>(idx))), gt));
+}
+
+/// solve_tile_cell for four cells at once, lane r solving the cell with
+/// hash prefix `cell_hash` lane r and neighbour values lane r of the
+/// W/N/NW vectors. Each lane runs solve_tile_cell's operations in its
+/// order (no fused multiply-add; the strict-> first-max argmax; the
+/// value sums and entropy subtractions in (a, b) order), so every lane's
+/// cell is bit-identical to the scalar one.
+WAVETUNE_TARGET_AVX2 inline NashLanes solve_tile_cells_avx2(
+    const NashTileCtx& c, __m256i cell_hash, __m256d w_row, __m256d w_col, __m256d n_row,
+    __m256d n_col, __m256d nw_row, __m256d nw_col, NashLaneScratch& s) {
+  const std::size_t k = c.k;
+  const __m256d c35 = _mm256_set1_pd(0.35);
+  const __m256d c30 = _mm256_set1_pd(0.3);
+  const __m256d c10 = _mm256_set1_pd(0.1);
+  const __m256d bias_row = _mm256_mul_pd(
+      c10, _mm256_add_pd(_mm256_add_pd(_mm256_mul_pd(c35, w_row), _mm256_mul_pd(c35, n_row)),
+                         _mm256_mul_pd(c30, nw_row)));
+  const __m256d bias_col = _mm256_mul_pd(
+      c10, _mm256_add_pd(_mm256_add_pd(_mm256_mul_pd(c35, w_col), _mm256_mul_pd(c35, n_col)),
+                         _mm256_mul_pd(c30, nw_col)));
+
+  const __m256i salt_row = _mm256_xor_si256(cell_hash, _mm256_set1_epi64x(0xabcd));
+  const __m256i salt_col = _mm256_xor_si256(cell_hash, _mm256_set1_epi64x(0x1234));
+  for (std::size_t a = 0; a < k; ++a) {
+    for (std::size_t b = 0; b < k; ++b) {
+      const __m256i ab = _mm256_set1_epi64x(static_cast<long long>((a << 9) ^ (b << 3)));
+      const std::size_t e = 4 * (a * k + b);
+      _mm256_store_pd(s.pay_row + e,
+                      _mm256_add_pd(splitmix_unit(_mm256_xor_si256(salt_row, ab)), bias_row));
+      _mm256_store_pd(s.pay_col + e,
+                      _mm256_add_pd(splitmix_unit(_mm256_xor_si256(salt_col, ab)), bias_col));
+    }
+  }
+
+  const __m256d count0 = _mm256_set1_pd(c.count[0]);
+  for (std::size_t a = 0; a < k; ++a) {
+    _mm256_store_pd(s.cnt_row + 4 * a, count0);
+    _mm256_store_pd(s.cnt_col + 4 * a, count0);
+    _mm256_store_pd(s.hits_row + 4 * a, _mm256_setzero_pd());
+    _mm256_store_pd(s.hits_col + 4 * a, _mm256_setzero_pd());
+  }
+  for (std::size_t round = 0; round < c.rounds; ++round) {
+    __m256i best_a = _mm256_setzero_si256();
+    __m256i best_b = _mm256_setzero_si256();
+    __m256d best_a_val = _mm256_set1_pd(-1e300);
+    __m256d best_b_val = _mm256_set1_pd(-1e300);
+    for (std::size_t a = 0; a < k; ++a) {
+      __m256d va = _mm256_setzero_pd();
+      for (std::size_t b = 0; b < k; ++b) {
+        va = _mm256_add_pd(va, _mm256_mul_pd(_mm256_load_pd(s.pay_row + 4 * (a * k + b)),
+                                             _mm256_load_pd(s.cnt_col + 4 * b)));
+      }
+      argmax_step(va, a, best_a_val, best_a);
+    }
+    for (std::size_t b = 0; b < k; ++b) {
+      __m256d vb = _mm256_setzero_pd();
+      for (std::size_t a = 0; a < k; ++a) {
+        vb = _mm256_add_pd(vb, _mm256_mul_pd(_mm256_load_pd(s.pay_col + 4 * (a * k + b)),
+                                             _mm256_load_pd(s.cnt_row + 4 * a)));
+      }
+      argmax_step(vb, b, best_b_val, best_b);
+    }
+    // One more best response for each lane's winner (cmpeq is -1 there),
+    // and the counts the next round reads.
+    const bool more = round + 1 < c.rounds;
+    for (std::size_t a = 0; a < k; ++a) {
+      const __m256i ia = _mm256_set1_epi64x(static_cast<long long>(a));
+      const __m256i hr = _mm256_sub_epi64(_mm256_castpd_si256(_mm256_load_pd(s.hits_row + 4 * a)),
+                                          _mm256_cmpeq_epi64(best_a, ia));
+      const __m256i hc = _mm256_sub_epi64(_mm256_castpd_si256(_mm256_load_pd(s.hits_col + 4 * a)),
+                                          _mm256_cmpeq_epi64(best_b, ia));
+      _mm256_store_pd(s.hits_row + 4 * a, _mm256_castsi256_pd(hr));
+      _mm256_store_pd(s.hits_col + 4 * a, _mm256_castsi256_pd(hc));
+      if (more) {
+        _mm256_store_pd(s.cnt_row + 4 * a, _mm256_i64gather_pd(c.count.data(), hr, 8));
+        _mm256_store_pd(s.cnt_col + 4 * a, _mm256_i64gather_pd(c.count.data(), hc, 8));
+      }
+    }
+  }
+
+  // The normalised strategies, gathered from the share table into the
+  // count buffers, then the values and entropies.
+  NashLanes r{_mm256_setzero_pd(), _mm256_setzero_pd(), _mm256_setzero_pd(),
+              _mm256_setzero_pd()};
+  for (std::size_t a = 0; a < k; ++a) {
+    const __m256i hr = _mm256_castpd_si256(_mm256_load_pd(s.hits_row + 4 * a));
+    const __m256i hc = _mm256_castpd_si256(_mm256_load_pd(s.hits_col + 4 * a));
+    _mm256_store_pd(s.cnt_row + 4 * a, _mm256_i64gather_pd(c.share.data(), hr, 8));
+    _mm256_store_pd(s.cnt_col + 4 * a, _mm256_i64gather_pd(c.share.data(), hc, 8));
+  }
+  for (std::size_t a = 0; a < k; ++a) {
+    const __m256d sa = _mm256_load_pd(s.cnt_row + 4 * a);
+    for (std::size_t b = 0; b < k; ++b) {
+      const __m256d t = _mm256_mul_pd(sa, _mm256_load_pd(s.cnt_col + 4 * b));
+      const std::size_t e = 4 * (a * k + b);
+      r.value_row = _mm256_add_pd(r.value_row, _mm256_mul_pd(t, _mm256_load_pd(s.pay_row + e)));
+      r.value_col = _mm256_add_pd(r.value_col, _mm256_mul_pd(t, _mm256_load_pd(s.pay_col + e)));
+    }
+  }
+  for (std::size_t a = 0; a < k; ++a) {
+    const __m256i hr = _mm256_castpd_si256(_mm256_load_pd(s.hits_row + 4 * a));
+    const __m256i hc = _mm256_castpd_si256(_mm256_load_pd(s.hits_col + 4 * a));
+    r.entropy_row = _mm256_sub_pd(r.entropy_row, _mm256_i64gather_pd(c.share_log.data(), hr, 8));
+    r.entropy_col = _mm256_sub_pd(r.entropy_col, _mm256_i64gather_pd(c.share_log.data(), hc, 8));
+  }
+  return r;
+}
+
+/// Rows [gi, gi + rows) (2 <= rows <= 4) x columns [j0, j1) of a block,
+/// one anti-diagonal of the row group per vector step: at step t, lane r
+/// computes cell (gi + r, j0 + t - r). Its west value is lane r's output
+/// of the step before, its north lane r - 1's (lane 0 reads the north
+/// row), and its northwest lane r's north of the step before; a lane's
+/// first step reads west and northwest from the border column instead.
+/// Lanes outside their row's steps [r, width + r) compute on stale values
+/// and store nothing. `out` points at cell (gi, j0), `wcol` at
+/// (gi, j0 - 1) (null iff j0 == 0) and `nrow` at (gi - 1, j0) (null iff
+/// gi == 0), as the scalar kernel's row sweep reads them.
+WAVETUNE_TARGET_AVX2 void nash_row_group_avx2(const NashTileCtx& c, std::size_t gi,
+                                              std::size_t rows, std::size_t j0, std::size_t j1,
+                                              std::size_t stride, const std::byte* wcol,
+                                              const std::byte* nrow, std::byte* out,
+                                              NashLaneScratch& s) {
+  const std::size_t width = j1 - j0;
+  const auto* north = reinterpret_cast<const NashCell*>(nrow);
+  alignas(32) double w0_row[kNashLanes] = {};
+  alignas(32) double w0_col[kNashLanes] = {};
+  alignas(32) double nw0_row[kNashLanes] = {};
+  alignas(32) double nw0_col[kNashLanes] = {};
+  alignas(32) std::uint64_t row_hash[kNashLanes] = {};
+  for (std::size_t r = 0; r < rows; ++r) {
+    row_hash[r] = c.seed ^ (static_cast<std::uint64_t>(gi + r) * 0x9e3779b97f4a7c15ULL);
+    if (!wcol) continue;
+    const auto* west = reinterpret_cast<const NashCell*>(wcol + r * stride);
+    w0_row[r] = west->value_row;
+    w0_col[r] = west->value_col;
+    // Row gi + r's northwest border cell ends the west column's row above.
+    const NashCell* nw = r > 0 ? reinterpret_cast<const NashCell*>(wcol + (r - 1) * stride)
+                        : north ? north - 1
+                                : nullptr;
+    if (nw) {
+      nw0_row[r] = nw->value_row;
+      nw0_col[r] = nw->value_col;
+    }
+  }
+
+  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+  const __m256i hash = _mm256_load_si256(reinterpret_cast<const __m256i*>(row_hash));
+  // Lane r's column j0 + t - r; wraps below zero before its row starts.
+  __m256i col = _mm256_sub_epi64(_mm256_set1_epi64x(static_cast<long long>(j0)), lane);
+  __m256d out_row = _mm256_setzero_pd();
+  __m256d out_col = _mm256_setzero_pd();
+  __m256d n_row = _mm256_setzero_pd();
+  __m256d n_col = _mm256_setzero_pd();
+  for (std::size_t t = 0; t + 1 < width + rows; ++t) {
+    __m256d nw_row = n_row;
+    __m256d nw_col = n_col;
+    __m256d w_row = out_row;
+    __m256d w_col = out_col;
+    const bool lane0_in = north && t < width;
+    n_row = _mm256_blend_pd(_mm256_permute4x64_pd(out_row, _MM_SHUFFLE(2, 1, 0, 0)),
+                            _mm256_set1_pd(lane0_in ? north[t].value_row : 0.0), 0x1);
+    n_col = _mm256_blend_pd(_mm256_permute4x64_pd(out_col, _MM_SHUFFLE(2, 1, 0, 0)),
+                            _mm256_set1_pd(lane0_in ? north[t].value_col : 0.0), 0x1);
+    if (t < rows) {
+      // Lane t starts its row.
+      const __m256d first = _mm256_castsi256_pd(
+          _mm256_cmpeq_epi64(lane, _mm256_set1_epi64x(static_cast<long long>(t))));
+      w_row = _mm256_blendv_pd(w_row, _mm256_set1_pd(w0_row[t]), first);
+      w_col = _mm256_blendv_pd(w_col, _mm256_set1_pd(w0_col[t]), first);
+      nw_row = _mm256_blendv_pd(nw_row, _mm256_set1_pd(nw0_row[t]), first);
+      nw_col = _mm256_blendv_pd(nw_col, _mm256_set1_pd(nw0_col[t]), first);
+    }
+    const NashLanes cell = solve_tile_cells_avx2(
+        c, _mm256_xor_si256(hash, _mm256_slli_epi64(col, 21)), w_row, w_col, n_row, n_col,
+        nw_row, nw_col, s);
+    col = _mm256_add_epi64(col, _mm256_set1_epi64x(1));
+    out_row = cell.value_row;
+    out_col = cell.value_col;
+
+    // Transpose the four fields into four NashCells and store the lanes
+    // whose row is running.
+    const __m256d v02 = _mm256_unpacklo_pd(cell.value_row, cell.value_col);
+    const __m256d v13 = _mm256_unpackhi_pd(cell.value_row, cell.value_col);
+    const __m256d e02 = _mm256_unpacklo_pd(cell.entropy_row, cell.entropy_col);
+    const __m256d e13 = _mm256_unpackhi_pd(cell.entropy_row, cell.entropy_col);
+    const __m256d cells[kNashLanes] = {
+        _mm256_permute2f128_pd(v02, e02, 0x20), _mm256_permute2f128_pd(v13, e13, 0x20),
+        _mm256_permute2f128_pd(v02, e02, 0x31), _mm256_permute2f128_pd(v13, e13, 0x31)};
+    const std::size_t r_lo = t < width ? 0 : t - width + 1;
+    const std::size_t r_hi = std::min(rows - 1, t);
+    for (std::size_t r = r_lo; r <= r_hi; ++r) {
+      _mm256_storeu_pd(reinterpret_cast<double*>(out + r * stride) + 4 * (t - r), cells[r]);
+    }
+  }
+}
+
+/// AVX2 variant of the tile kernel: same contract, bit-identical cells.
+/// Walks the block in groups of kNashLanes rows, four cells per step
+/// (nash_row_group_avx2); a last group of one row, and blocks under
+/// kNashMinVectorRows rows or avx2::kMinVectorWidth columns, run the
+/// scalar kernel. On 4-row blocks the vector kernel already breaks even
+/// at 3-4 columns; 8 keeps the one threshold all three apps share.
+WAVETUNE_TARGET_AVX2 void nash_tile_kernel_avx2(const void* pv, std::size_t i0, std::size_t i1,
+                                                std::size_t j0, std::size_t j1,
+                                                std::size_t stride, const std::byte* w,
+                                                const std::byte* n, const std::byte* nw,
+                                                std::byte* out) {
+  if (i1 - i0 < kNashMinVectorRows || j1 - j0 < avx2::kMinVectorWidth) {
+    return nash_tile_kernel(pv, i0, i1, j0, j1, stride, w, n, nw, out);
+  }
+  const NashTileCtx& c = *static_cast<const NashTileCtx*>(pv);
+  thread_local NashLaneScratch scratch;
+  scratch.resize(c.k);
+  for (std::size_t gi = i0; gi < i1; gi += kNashLanes) {
+    std::byte* o = out + (gi - i0) * stride;
+    const std::byte* nrow = gi == i0 ? n : o - stride;
+    const std::byte* wcol = w ? w + (gi - i0) * stride : nullptr;
+    if (i1 - gi == 1) {
+      nash_tile_kernel(pv, gi, i1, j0, j1, stride, wcol, nrow,
+                       nrow && wcol ? nrow - sizeof(NashCell) : nullptr, o);
+    } else {
+      nash_row_group_avx2(c, gi, std::min(kNashLanes, i1 - gi), j0, j1, stride, wcol, nrow, o,
+                          scratch);
+    }
+  }
+}
+
+#endif  // WAVETUNE_AVX2_KERNELS
+
 }  // namespace
+
+core::TileKernelFn detail::nash_scalar_tile_kernel() { return &nash_tile_kernel; }
+
+core::TileKernelFn detail::nash_avx2_tile_kernel() {
+#ifdef WAVETUNE_AVX2_KERNELS
+  if (avx2::cpu_has_avx2()) return &nash_tile_kernel_avx2;
+#endif
+  return nullptr;
+}
 
 core::InputParams nash_model_inputs(const NashParams& params) {
   // Paper §3.2.1: "one iteration of Nash corresponds to a tsize=750 with
@@ -343,8 +676,9 @@ core::WavefrontSpec make_nash_spec(const NashParams& params) {
     }
   };
   // Native tile kernel (rung three): per-spec count tables, per-thread
-  // scratch.
-  spec.tile = core::TileKernel{&nash_tile_kernel,
+  // scratch; four cells per step when the host has AVX2.
+  const core::TileKernelFn avx2 = detail::nash_avx2_tile_kernel();
+  spec.tile = core::TileKernel{avx2 ? avx2 : &nash_tile_kernel,
                                std::make_shared<const NashTileCtx>(k, rounds, seed)};
   return spec;
 }

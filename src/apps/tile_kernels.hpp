@@ -1,16 +1,20 @@
-// Internal: the native tile kernels of the integer apps (editdist,
-// seqcmp) and the guard on their cost range. Not part of the public API —
-// make_editdist_spec / make_seqcmp_spec pick a kernel and ship it through
-// core::TileKernel; this header exists so the equivalence suite can call
-// each ISA variant directly.
+// Internal: the native tile kernels with ISA variants (editdist, seqcmp,
+// nash) and the guard on the integer apps' cost range. Not part of the
+// public API — make_editdist_spec / make_seqcmp_spec / make_nash_spec pick
+// a kernel and ship it through core::TileKernel; this header exists so the
+// equivalence suite can call each ISA variant directly.
 //
 // Every app has two variants with one contract (core::TileKernelFn) and
 // bit-identical results:
-//   - the scalar kernel: pair-blocked row sweeps, the fallback on hosts
-//     without AVX2 and the test oracle for the vector kernel;
-//   - the AVX2 row-scan kernel (apps/avx2_scan.hpp): 8 cells per step,
-//     the west carry chain resolved by an in-register prefix scan. Blocks
-//     narrower than avx2::kMinVectorWidth run the scalar sweep inside it.
+//   - the scalar kernel: the fallback on hosts without AVX2 and the test
+//     oracle for the vector kernel;
+//   - the AVX2 kernel. editdist and seqcmp scan rows (apps/avx2_scan.hpp):
+//     8 cells per step, the west carry chain resolved by an in-register
+//     prefix scan; blocks narrower than avx2::kMinVectorWidth run the
+//     scalar sweep inside it. nash walks groups of 4 rows along their
+//     anti-diagonals, one cell per row and step, each lane replaying the
+//     scalar solve's operations; blocks under 2 rows or
+//     avx2::kMinVectorWidth columns run the scalar kernel.
 // The spec factories choose once, at spec construction: the AVX2 variant
 // when the host has it, the scalar one otherwise.
 #pragma once
@@ -31,12 +35,14 @@ namespace wavetune::apps::detail {
 /// The scalar kernels.
 core::TileKernelFn editdist_scalar_tile_kernel();
 core::TileKernelFn seqcmp_scalar_tile_kernel();
+core::TileKernelFn nash_scalar_tile_kernel();
 
-/// The AVX2 row-scan variants, or null when the build target is not x86
-/// or this CPU lacks AVX2. Both take the same ctx as the scalar kernel of
-/// their app (the `ctx` of the spec's TileKernel).
+/// The AVX2 variants, or null when the build target is not x86 or this
+/// CPU lacks AVX2. Each takes the same ctx as the scalar kernel of its app
+/// (the `ctx` of the spec's TileKernel).
 core::TileKernelFn editdist_avx2_tile_kernel();
 core::TileKernelFn seqcmp_avx2_tile_kernel();
+core::TileKernelFn nash_avx2_tile_kernel();
 
 /// Throws std::invalid_argument unless max |cost| * (2 * dim + 8) fits
 /// in int32. Every DP value is the cost of a monotone path of at most

@@ -8,9 +8,10 @@
 // std::function anywhere in the dispatch path. The execution engine
 // resolves a spec ONCE (api::Engine::compile, or the top of
 // HybridExecutor::run) and threads the LoweredKernel by reference through
-// every scheduler, so the per-tile hot-loop cost is exactly one indirect
-// call with the row loop, neighbour-pointer advance, and band clamping
-// inlined inside it.
+// every scheduler, so the per-tile hot-loop cost of an in-band tile is
+// exactly one indirect call with the row loop and neighbour-pointer
+// advance inside it; tiles straddling a band edge take the out-of-line
+// grouped path (tile_banded).
 #pragma once
 
 #include <cstddef>
@@ -107,8 +108,8 @@ struct LoweredKernel {
   /// Band-clamped tile dispatch: computes the cells of the block
   /// [i0, i1) x [j0, j1) whose diagonal i + j lies in [d_begin, d_end).
   /// A tile fully inside the band — the common case of every full sweep
-  /// and every interior tile of a banded phase — is ONE block() call; a
-  /// tile straddling a band edge degrades to one call per clamped row.
+  /// and every interior tile of a banded phase — is ONE block() call,
+  /// inline; a tile straddling a band edge goes to tile_banded().
   /// Requires i0 < i1 <= dim and j0 < j1 <= dim.
   void tile(StorageView view, std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1,
             std::size_t d_begin, std::size_t d_end) const {
@@ -118,12 +119,23 @@ struct LoweredKernel {
       block(view, i0, i1, j0, j1);
       return;
     }
-    for (std::size_t i = i0; i < i1; ++i) {
-      if (d_end <= i) break;
-      const auto [j_lo, j_hi] = row_band_span(i, d_begin, d_end, j0, j1);
-      if (j_lo < j_hi) block(view, i, i + 1, j_lo, j_hi);
-    }
+    tile_banded(view, i0, i1, j0, j1, d_begin, d_end);
   }
+
+  /// Rows a band-straddling tile is dispatched in groups of: as many as a
+  /// row-group tile kernel (nash's AVX2 one) computes at once.
+  static constexpr std::size_t kRowGroup = 4;
+
+  /// tile()'s band-straddling path. Walks the tile in groups of kRowGroup
+  /// rows. The columns every row of a group has in band, [L, H) with L the
+  /// first row's band start and H the last row's band end, run as ONE
+  /// block; the per-row wedges left of it run before it and those right
+  /// of it after, each one single-row block, so the W/N/NW dependencies
+  /// hold. A group whose rows share no column (L >= H) runs one block per
+  /// clamped row. Every in-band cell of the tile is computed exactly once
+  /// and no block crosses the band.
+  void tile_banded(StorageView view, std::size_t i0, std::size_t i1, std::size_t j0,
+                   std::size_t j1, std::size_t d_begin, std::size_t d_end) const;
 };
 
 }  // namespace wavetune::core

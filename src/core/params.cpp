@@ -102,6 +102,12 @@ TunableParams TunableParams::normalized(std::size_t dim) const {
       return p;
     }
   }
+  // A 1-row grid has no row for a second device (PhaseDesc::validate):
+  // a dual-GPU tuning runs on one.
+  if (dim < 2 && p.gpu_count() == 2) {
+    p.gpus = std::min(p.gpus, 1);
+    p.halo = -1;
+  }
   if (p.gpus == 1) p.halo = -1;
   if (p.gpus == 2 && p.halo < 0) p.halo = 0;
   if (p.halo >= 0) {

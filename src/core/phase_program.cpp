@@ -81,6 +81,21 @@ void PhaseDesc::validate(std::size_t dim) const {
       }
       if (halo < 0) throw std::invalid_argument("PhaseDesc: gpu-multi phase with halo < 0");
       (void)device_rows(dim, static_cast<std::size_t>(gpu_count) - 1);  // split range checks
+      // The executor is exact only while every device owns a row and every
+      // swap copies rows the upstream device owns: gpu_count <= dim and
+      // halo <= the narrowest device's rows - 1 (the row split's shortest
+      // share is dim / gpu_count), the range max_halo_multi clamps to.
+      if (static_cast<std::size_t>(gpu_count) > dim) {
+        throw std::invalid_argument("PhaseDesc: gpu-multi phase with gpu_count " +
+                                    std::to_string(gpu_count) + " > dim " +
+                                    std::to_string(dim) + " (every device needs a row)");
+      }
+      if (static_cast<std::size_t>(halo) >= dim / static_cast<std::size_t>(gpu_count)) {
+        throw std::invalid_argument(
+            "PhaseDesc: gpu-multi halo " + std::to_string(halo) +
+            " exceeds the narrowest device's rows - 1 = " +
+            std::to_string(dim / static_cast<std::size_t>(gpu_count) - 1));
+      }
       if (gpu_tile != 1) {
         // Multi-GPU schedules run untiled (DESIGN.md §5, TunableParams::normalized).
         throw std::invalid_argument("PhaseDesc: gpu-multi phase must be untiled (gpu_tile == 1)");

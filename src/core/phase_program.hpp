@@ -103,7 +103,8 @@ struct PhaseDesc {
 
   /// Throws std::invalid_argument on device-specific nonsense (empty
   /// range, zero tile, kGpuMulti with < 2 devices or negative halo, a
-  /// kGpuMulti row split out of range, ...).
+  /// kGpuMulti row split out of range, more devices than rows, a halo
+  /// beyond the narrowest device's rows - 1, ...).
   void validate(std::size_t dim) const;
 };
 

@@ -92,7 +92,8 @@ void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
 /// also respects dependencies). Used as the functional part of the
 /// sequential baseline. A fully-in-band region is a SINGLE kernel call
 /// over the whole rectangle (row-major order satisfies every
-/// dependency); banded regions degrade to one call per clamped row.
+/// dependency); banded regions go through LoweredKernel::tile_banded
+/// (one block per group of kRowGroup rows plus single-row band wedges).
 void run_serial_wavefront(const TiledRegion& region, const core::LoweredKernel& kernel,
                           core::StorageView view);
 

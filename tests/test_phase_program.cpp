@@ -19,6 +19,8 @@
 
 #include <cstring>
 #include <random>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "api/engine.hpp"
@@ -53,7 +55,9 @@ bool has_poison_cell(const Grid& g) {
 
 /// A randomized VALID program: random contiguous cut points over
 /// [0, 2*dim-1), each slice assigned a random device (bounded by
-/// max_gpus) with random per-device knobs.
+/// max_gpus) with random per-device knobs. Multi-GPU slices stay inside
+/// PhaseDesc::validate's range: at most dim devices, and a halo of at
+/// most the narrowest device's rows (dim / gpu_count) - 1.
 PhaseProgram random_program(std::size_t dim, std::mt19937& rng, int max_gpus) {
   const std::size_t d_total = num_diagonals(dim);
   std::uniform_int_distribution<std::size_t> n_cuts_dist(0, 5);
@@ -69,8 +73,8 @@ PhaseProgram random_program(std::size_t dim, std::mt19937& rng, int max_gpus) {
   std::uniform_int_distribution<int> tile_dist(1, 9);
   std::uniform_int_distribution<int> sched_dist(0, 1);
   std::uniform_int_distribution<int> gpu_tile_dist(1, 5);
-  std::uniform_int_distribution<int> halo_dist(0, 3);
-  std::uniform_int_distribution<int> gpus_dist(2, std::max(2, max_gpus));
+  std::uniform_int_distribution<int> gpus_dist(
+      2, std::min(std::max(2, max_gpus), static_cast<int>(std::min<std::size_t>(dim, 64))));
   for (std::size_t s = 0; s + 1 < cuts.size(); ++s) {
     PhaseDesc ph;
     ph.d_begin = cuts[s];
@@ -88,7 +92,8 @@ PhaseProgram random_program(std::size_t dim, std::mt19937& rng, int max_gpus) {
       default:
         ph.device = PhaseDevice::kGpuMulti;
         ph.gpu_count = gpus_dist(rng);
-        ph.halo = halo_dist(rng);
+        ph.halo = std::uniform_int_distribution<long long>(
+            0, std::min<long long>(3, static_cast<long long>(dim) / ph.gpu_count - 1))(rng);
         break;
     }
     prog.phases.push_back(ph);
@@ -176,6 +181,75 @@ TEST(PhaseProgramValidate, RejectsGapOverlapDisorderAndBadDevices) {
   EXPECT_THROW(zero_tile.validate(), std::invalid_argument);
 }
 
+/// One kGpuMulti phase over the whole dim x dim grid.
+PhaseProgram multi_gpu_program(std::size_t dim, int gpus, long long halo) {
+  PhaseProgram p;
+  p.dim = dim;
+  PhaseDesc ph;
+  ph.device = PhaseDevice::kGpuMulti;
+  ph.d_begin = 0;
+  ph.d_end = num_diagonals(dim);
+  ph.gpu_count = gpus;
+  ph.halo = halo;
+  ph.gpu_tile = 1;
+  p.phases.push_back(ph);
+  return p;
+}
+
+/// The multi-GPU executor is exact only while every device owns a row
+/// (gpu_count <= dim) and every swap copies rows the upstream device owns
+/// (halo <= the narrowest device's rows - 1); validate() accepts each
+/// bound and rejects one past it, naming the bound.
+TEST(PhaseProgramValidate, MultiGpuPhaseNeedsARowPerDeviceAndAHaloInsideTheNarrowestDevice) {
+  const auto rejects = [](const PhaseProgram& p, const std::string& bound) {
+    try {
+      p.validate();
+      ADD_FAILURE() << p.describe() << " validated";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(bound), std::string::npos) << e.what();
+    }
+  };
+  EXPECT_NO_THROW(multi_gpu_program(4, 4, 0).validate());
+  rejects(multi_gpu_program(4, 5, 0), "gpu_count 5 > dim 4");
+  rejects(multi_gpu_program(2, 4, 0), "gpu_count 4 > dim 2");
+  rejects(multi_gpu_program(4, 6, 0), "gpu_count 6 > dim 4");
+
+  // 37 rows over 8 devices: the narrowest device has 4 rows.
+  EXPECT_NO_THROW(multi_gpu_program(37, 8, 3).validate());
+  rejects(multi_gpu_program(37, 8, 4), "rows - 1 = 3");
+  // The program that returned a wrong grid before validate() checked it.
+  rejects(multi_gpu_program(37, 8, 6), "rows - 1 = 3");
+  // Two devices on 9 rows: 4 and 5 rows.
+  EXPECT_NO_THROW(multi_gpu_program(9, 2, 3).validate());
+  rejects(multi_gpu_program(9, 2, 4), "rows - 1 = 3");
+
+  // A 1-row grid cannot hold two devices, so a dual-GPU tuning plans one.
+  const PhaseProgram one_row = plan_phases(InputParams{1, 10.0, 1}, TunableParams{1, 0, 0, 1});
+  for (const PhaseDesc& ph : one_row.phases) EXPECT_NE(ph.device, PhaseDevice::kGpuMulti);
+}
+
+/// At the bounds the executor's grid equals run_serial's.
+TEST(PhaseProgramInterpreter, MultiGpuProgramsAtTheValidateBoundsMatchSerial) {
+  sim::SystemProfile eight = sim::make_i7_2600k();
+  eight.gpus.resize(8, eight.gpus.front());
+  HybridExecutor ex(eight, 2);
+  apps::SyntheticParams sp;
+  sp.tsize = 20.0;
+  sp.dsize = 2;
+  sp.functional_iters = 3;
+  for (const auto& [dim, gpus, halo] :
+       {std::tuple<std::size_t, int, long long>{37, 8, 3}, {4, 4, 0}, {9, 2, 3}, {8, 8, 0}}) {
+    sp.dim = dim;
+    const WavefrontSpec spec = apps::make_synthetic_spec(sp);
+    Grid ref(dim, spec.elem_bytes);
+    ex.run_serial(spec, ref);
+    Grid g(dim, spec.elem_bytes);
+    g.fill_poison();
+    ex.run(spec, multi_gpu_program(dim, gpus, halo), g);
+    EXPECT_TRUE(grids_equal(ref, g)) << dim << " rows, " << gpus << " devices, halo " << halo;
+  }
+}
+
 TEST(PhaseProgramValidate, FuzzRandomProgramsValidateAndMutationsDont) {
   std::mt19937 rng(20260728);
   std::uniform_int_distribution<std::size_t> dim_dist(2, 80);
@@ -197,7 +271,7 @@ TEST(PhaseProgramValidate, FuzzRandomProgramsValidateAndMutationsDont) {
     PhaseProgram bad = p;
     std::uniform_int_distribution<std::size_t> pick(0, bad.phases.size() - 1);
     PhaseDesc& ph = bad.phases[pick(rng)];
-    switch (iter % 3) {
+    switch (iter % 4) {
       case 0:
         if (ph.d_end - ph.d_begin > 1) {
           ph.d_end -= 1;  // gap (or tail shortfall)
@@ -208,8 +282,23 @@ TEST(PhaseProgramValidate, FuzzRandomProgramsValidateAndMutationsDont) {
       case 1:
         ph.d_end += 1;  // overlap (or runs past the last diagonal)
         break;
-      default:
+      case 2:
         bad.phases.push_back(bad.phases.front());  // duplicate: disorder
+        break;
+      default:
+        // A multi-GPU phase just outside the executor's exact range: one
+        // device more than rows, or a halo one past the narrowest
+        // device's rows - 1.
+        ph.device = PhaseDevice::kGpuMulti;
+        ph.gpu_tile = 1;
+        ph.strip_rows = 0;
+        if (iter % 8 == 3) {
+          ph.gpu_count = static_cast<int>(dim) + 1;
+          ph.halo = 0;
+        } else {
+          ph.gpu_count = static_cast<int>(std::min<std::size_t>(dim, 4));
+          ph.halo = static_cast<long long>(dim) / ph.gpu_count;
+        }
         break;
     }
     EXPECT_THROW(bad.validate(), std::invalid_argument) << bad.describe();

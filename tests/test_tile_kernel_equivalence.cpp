@@ -17,10 +17,14 @@
 // grid with the cell-rung oracle. The AVX2 cases skip on hosts without
 // AVX2.
 //
-// The NashShapeEquivalence cases sweep nash's (k, rounds) over the
-// shapes that run and compare every program that reaches its tile kernel
-// (serial, CPU tiles, the row-major single-GPU band plain and streamed,
-// the quad-GPU halo band) with the cell-rung oracle.
+// nash ships a scalar and an AVX2 tile kernel too (four cells per step
+// along a 4-row group's anti-diagonals). The NashShapeEquivalence cases
+// sweep nash's (k, rounds) over the shapes that run and compare every
+// program that reaches the spec's tile kernel (serial, CPU tiles, the
+// single-GPU band plain and streamed, the quad-GPU halo band) with the
+// cell-rung oracle; the NashIsaSweep cases call both variants directly
+// on every small block shape and compare them byte for byte; and
+// TileKernelPick checks that an AVX2 host's specs ship the AVX2 kernels.
 //
 // The MultiGpuRowsEquivalence cases sweep the multi-GPU halo band itself
 // (every app, 2-8 devices, halo depths up to max_halo_multi, grid sides no
@@ -37,7 +41,10 @@
 //
 // Also here: direct contract tests of make_tile_fallback's border-pointer
 // derivation (the i0 == 0 / j0 == 0 corners) and of the LoweredKernel
-// band clamp.
+// band clamp, whose band-straddling tiles run in 4-row groups: the exact
+// blocks issued, exactly-once coverage in dependency order over many
+// bands and tiles, and every app's grid over bands narrower than, as
+// wide as and wider than a group.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -192,6 +199,39 @@ TEST_P(TileKernelEquivalence, BandSlicedRegionsBitIdentical) {
             << app << " band=" << band << " abi=" << abi_name(abi)
             << " sched=" << cpu::scheduler_name(s);
       }
+    }
+  }
+}
+
+/// tile()'s grouped band dispatch (LoweredKernel::tile_banded) on the
+/// spec's own kernel: the grid cut into bands narrower than, as wide as
+/// and wider than a row group of LoweredKernel::kRowGroup rows, each band
+/// swept as one whole-grid tile() call and as 9x9 tiles in row-major
+/// order, must equal the cell-rung serial grid.
+TEST_P(TileKernelEquivalence, GroupedBandDispatchBitIdentical) {
+  const std::string app = GetParam();
+  const std::size_t dim = 37;
+  const WavefrontSpec spec = make_app_spec(app, dim);
+  HybridExecutor exec(sim::make_i7_2600k(), 2);
+  Grid oracle(dim, spec.elem_bytes);
+  exec.run_serial(with_abi(spec, Abi::kCell), oracle);
+  const LoweredKernel k = spec.lower();
+  const std::size_t n_diags = core::num_diagonals(dim);
+  constexpr std::size_t G = LoweredKernel::kRowGroup;
+  for (const std::size_t width : {G - 2, G - 1, G, G + 1, 3 * G, 4 * G + 3}) {
+    for (const std::size_t tile : {std::size_t{9}, dim}) {
+      Grid grid(dim, spec.elem_bytes);
+      grid.fill_poison();
+      for (std::size_t d = 0; d < n_diags; d += width) {
+        for (std::size_t i = 0; i < dim; i += tile) {
+          for (std::size_t j = 0; j < dim; j += tile) {
+            k.tile({grid.data(), 0}, i, std::min(dim, i + tile), j, std::min(dim, j + tile), d,
+                   std::min(n_diags, d + width));
+          }
+        }
+      }
+      ASSERT_EQ(0, std::memcmp(oracle.data(), grid.data(), oracle.size_bytes()))
+          << app << " band width=" << width << " tile=" << tile;
     }
   }
 }
@@ -538,8 +578,8 @@ TEST_P(TileKernelIsa, WholeGridBlockBitIdentical) {
   }
 }
 
-/// Band-clamped tile(): tiles straddling a band edge degrade to one
-/// single-row block per clamped row, of every width up to the tile's.
+/// Band-clamped tile(): tiles straddling a band edge run as 4-row group
+/// blocks plus single-row wedges, of every width up to the tile's.
 TEST_P(TileKernelIsa, BandClampedTilesBitIdentical) {
   const std::size_t dim = 43;
   const std::size_t cuts[] = {0, 13, 37, 60, core::num_diagonals(dim)};
@@ -638,6 +678,120 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Isa::kScalar, Isa::kAvx2)),
     [](const ::testing::TestParamInfo<std::tuple<std::string, Isa>>& info) {
       return std::get<0>(info.param) + "_" + isa_name(std::get<1>(info.param));
+    });
+
+// --- nash: the AVX2 kernel against the scalar one ------------------------
+
+/// Whether this host runs AVX2, asked independently of the kernel getters.
+bool host_has_avx2() {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+/// On an AVX2 host every app's spec ships its AVX2 kernel, so a silent
+/// fallback cannot leave the equivalence suites comparing the scalar
+/// kernel with itself.
+TEST(TileKernelPick, SpecsShipTheAvx2KernelOnAvx2Hosts) {
+  const WavefrontSpec specs[] = {make_app_spec("editdist", 16), make_app_spec("seqcmp", 16),
+                                 make_app_spec("nash", 16)};
+  const core::TileKernelFn scalar[] = {apps::detail::editdist_scalar_tile_kernel(),
+                                       apps::detail::seqcmp_scalar_tile_kernel(),
+                                       apps::detail::nash_scalar_tile_kernel()};
+  const core::TileKernelFn avx2[] = {apps::detail::editdist_avx2_tile_kernel(),
+                                     apps::detail::seqcmp_avx2_tile_kernel(),
+                                     apps::detail::nash_avx2_tile_kernel()};
+  for (std::size_t a = 0; a < std::size(specs); ++a) {
+    if (host_has_avx2()) {
+      ASSERT_NE(avx2[a], nullptr) << "app " << a;
+      EXPECT_NE(avx2[a], scalar[a]) << "app " << a;
+      EXPECT_EQ(specs[a].tile.fn, avx2[a]) << "app " << a;
+    } else {
+      EXPECT_EQ(avx2[a], nullptr) << "app " << a;
+      EXPECT_EQ(specs[a].tile.fn, scalar[a]) << "app " << a;
+    }
+  }
+}
+
+class NashIsaSweep : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+/// The AVX2 nash kernel byte-equal to the scalar one, called directly:
+/// every block of 1-9 rows x 1-20 columns, at the grid's corner, on its
+/// top and left borders and inside it, with the natural neighbour
+/// pointers and with null west, null north, or both (a null neighbour
+/// reads as zero). Each call runs on a copy of a base grid whose block is
+/// poisoned, and the whole copies must match, so a stray write outside
+/// the block shows too. Two base grids: a solved one, and one all poison,
+/// whose neighbour values (about -3.4e66 as doubles) swamp every payoff
+/// hash so that all strategies tie and the argmax's first-max rule
+/// decides. Over NashShapeEquivalence's (k, rounds).
+TEST_P(NashIsaSweep, EveryBlockShapeOffsetAndBorderByteEqualToScalar) {
+  const core::TileKernelFn avx2 = apps::detail::nash_avx2_tile_kernel();
+  if (!avx2) GTEST_SKIP() << "this host has no AVX2";
+  const core::TileKernelFn scalar = apps::detail::nash_scalar_tile_kernel();
+  const auto [k, rounds] = GetParam();
+  const std::size_t dim = 32;
+  apps::NashParams p;
+  p.dim = dim;
+  p.strategies = k;
+  p.fp_iterations = rounds;
+  p.seed = 2024;
+  const WavefrontSpec spec = apps::make_nash_spec(p);
+  const void* ctx = spec.tile.ctx.get();
+  Grid solved(dim, spec.elem_bytes);
+  spec.lower().block({solved.data(), 0}, 0, dim, 0, dim);
+  Grid poisoned(dim, spec.elem_bytes);
+  poisoned.fill_poison();
+
+  const std::size_t stride = dim * spec.elem_bytes;
+  const std::size_t offsets[] = {0, 7};
+  Grid want(dim, spec.elem_bytes);
+  Grid got(dim, spec.elem_bytes);
+  for (const Grid* base : {&solved, &poisoned}) {
+    const char* base_name = base == &solved ? "solved" : "poisoned";
+    for (std::size_t h = 1; h <= 9; ++h) {
+      for (std::size_t w = 1; w <= 20; ++w) {
+        for (const std::size_t i0 : offsets) {
+          for (const std::size_t j0 : offsets) {
+            for (int nulls = 0; nulls < 4; ++nulls) {
+              // A border block's pointer is null already.
+              if (((nulls & 1) && j0 == 0) || ((nulls & 2) && i0 == 0)) continue;
+              for (Grid* g : {&want, &got}) {
+                std::memcpy(g->data(), base->data(), base->size_bytes());
+                for (std::size_t i = i0; i < i0 + h; ++i) {
+                  std::fill_n(g->cell(i, j0), w * spec.elem_bytes, Grid::kPoison);
+                }
+                std::byte* out = g->cell(i0, j0);
+                const std::byte* west = j0 > 0 && !(nulls & 1) ? out - spec.elem_bytes : nullptr;
+                const std::byte* north = i0 > 0 && !(nulls & 2) ? out - stride : nullptr;
+                const std::byte* nw = west && north ? north - spec.elem_bytes : nullptr;
+                (g == &want ? scalar : avx2)(ctx, i0, i0 + h, j0, j0 + w, stride, west, north,
+                                             nw, out);
+              }
+              ASSERT_EQ(0, std::memcmp(want.data(), got.data(), want.size_bytes()))
+                  << "k=" << k << " rounds=" << rounds << " block " << h << "x" << w << " at "
+                  << i0 << "," << j0 << " nulls=" << nulls << " on the " << base_name
+                  << " grid";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KRounds, NashIsaSweep,
+    ::testing::Values(std::make_tuple(std::size_t{2}, std::size_t{1}),
+                      std::make_tuple(std::size_t{4}, std::size_t{1}),
+                      std::make_tuple(std::size_t{3}, std::size_t{3}),
+                      std::make_tuple(std::size_t{5}, std::size_t{7}),
+                      std::make_tuple(std::size_t{8}, std::size_t{32})),
+    [](const ::testing::TestParamInfo<std::tuple<std::size_t, std::size_t>>& info) {
+      return "k" + std::to_string(std::get<0>(info.param)) + "_rounds" +
+             std::to_string(std::get<1>(info.param));
     });
 
 // --- make_tile_fallback border-pointer contract --------------------------
@@ -821,48 +975,148 @@ TEST(PerThreadScratch, SyntheticCellsAlternatingDsizesMatchWholeGridBlock) {
 
 // --- LoweredKernel band clamp --------------------------------------------
 
-TEST(LoweredKernel, TileDispatchClampsToBand) {
-  // Record every block the lowered dispatch issues for a banded tile.
-  struct Rec {
-    std::vector<SegCall> calls;
-  };
-  Rec rec;
+/// One block a LoweredKernel dispatched, with the pointers block() derived.
+struct BlockCall {
+  std::size_t i0, i1, j0, j1;
+  const std::byte* w;
+  const std::byte* n;
+  const std::byte* nw;
+  std::byte* out;
+
+  bool operator==(const BlockCall& o) const {
+    return i0 == o.i0 && i1 == o.i1 && j0 == o.j0 && j1 == o.j1;
+  }
+};
+
+void PrintTo(const BlockCall& c, std::ostream* os) {
+  *os << "rows [" << c.i0 << "," << c.i1 << ") cols [" << c.j0 << "," << c.j1 << ")";
+}
+
+/// Records every block tile() issues on a dim x dim grid of 1-byte cells.
+std::vector<BlockCall> record_tile(std::size_t dim, std::size_t i0, std::size_t i1,
+                                   std::size_t j0, std::size_t j1, std::size_t d_begin,
+                                   std::size_t d_end) {
+  std::vector<BlockCall> calls;
   LoweredKernel k;
-  k.dim = 8;
+  k.dim = dim;
   k.elem_bytes = 1;
-  k.ctx = &rec;
+  k.ctx = &calls;
   k.fn = [](const void* ctx, std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1,
             std::size_t, const std::byte* w, const std::byte* n, const std::byte* nw,
             std::byte* out) {
-    auto* r = const_cast<Rec*>(static_cast<const Rec*>(ctx));
-    r->calls.push_back(SegCall{i0, j0, j1, w, n, nw, out});
-    (void)i1;
+    auto* c = const_cast<std::vector<BlockCall>*>(static_cast<const std::vector<BlockCall>*>(ctx));
+    c->push_back(BlockCall{i0, i1, j0, j1, w, n, nw, out});
   };
-  std::vector<std::byte> storage(8 * 8);
+  std::vector<std::byte> storage(dim * dim);
+  k.tile({storage.data(), 0}, i0, i1, j0, j1, d_begin, d_end);
+  // Every block's pointers follow block()'s border rule.
+  for (const BlockCall& c : calls) {
+    EXPECT_EQ(c.out, storage.data() + c.i0 * dim + c.j0);
+    EXPECT_EQ(c.w, c.j0 > 0 ? c.out - 1 : nullptr);
+    EXPECT_EQ(c.n, c.i0 > 0 ? c.out - dim : nullptr);
+    EXPECT_EQ(c.nw, c.i0 > 0 && c.j0 > 0 ? c.out - dim - 1 : nullptr);
+  }
+  return calls;
+}
 
+BlockCall rows_cols(std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1) {
+  return BlockCall{i0, i1, j0, j1, nullptr, nullptr, nullptr, nullptr};
+}
+
+TEST(LoweredKernel, TileDispatchClampsToBand) {
   // Fully in band: exactly ONE call covering the whole tile.
-  k.tile({storage.data(), 0}, 2, 4, 2, 4, 0, 15);
-  ASSERT_EQ(rec.calls.size(), 1u);
-  EXPECT_EQ(rec.calls[0].i, 2u);
-  EXPECT_EQ(rec.calls[0].j0, 2u);
-  EXPECT_EQ(rec.calls[0].j1, 4u);
+  EXPECT_EQ(record_tile(8, 2, 4, 2, 4, 0, 15), (std::vector{rows_cols(2, 4, 2, 4)}));
 
-  // Band [5, 7): row 2 keeps cols [3,4), row 3 keeps [2,4) — one clamped
-  // single-row call each.
-  rec.calls.clear();
-  k.tile({storage.data(), 0}, 2, 4, 2, 4, 5, 7);
-  ASSERT_EQ(rec.calls.size(), 2u);
-  EXPECT_EQ(rec.calls[0].i, 2u);
-  EXPECT_EQ(rec.calls[0].j0, 3u);
-  EXPECT_EQ(rec.calls[0].j1, 4u);
-  EXPECT_EQ(rec.calls[1].i, 3u);
-  EXPECT_EQ(rec.calls[1].j0, 2u);
-  EXPECT_EQ(rec.calls[1].j1, 4u);
+  // Band [5, 7): row 2 keeps cols [3,4), row 3 keeps [2,4). Column 3 is in
+  // band for both rows: one two-row block, after row 3's left wedge.
+  EXPECT_EQ(record_tile(8, 2, 4, 2, 4, 5, 7),
+            (std::vector{rows_cols(3, 4, 2, 3), rows_cols(2, 4, 3, 4)}));
+
+  // Band [5, 6): rows 2 and 3 share no column, so one call per clamped row.
+  EXPECT_EQ(record_tile(8, 2, 4, 2, 4, 5, 6),
+            (std::vector{rows_cols(2, 3, 3, 4), rows_cols(3, 4, 2, 3)}));
+
+  // A whole 8x8 grid over band [3, 7). Rows 0-3: the left wedges of rows
+  // 1-3 in row order, the shared column 3 as one 4-row block, then the
+  // right wedges of rows 0-2. Rows 4-7 share no column (row 7 is past the
+  // band): one call per clamped row.
+  EXPECT_EQ(record_tile(8, 0, 8, 0, 8, 3, 7),
+            (std::vector{rows_cols(1, 2, 2, 3), rows_cols(2, 3, 1, 3), rows_cols(3, 4, 0, 3),
+                         rows_cols(0, 4, 3, 4), rows_cols(0, 1, 4, 7), rows_cols(1, 2, 4, 6),
+                         rows_cols(2, 3, 4, 5), rows_cols(4, 5, 0, 3), rows_cols(5, 6, 0, 2),
+                         rows_cols(6, 7, 0, 1)}));
 
   // Band entirely past the tile: no calls at all.
-  rec.calls.clear();
-  k.tile({storage.data(), 0}, 2, 4, 2, 4, 10, 15);
-  EXPECT_TRUE(rec.calls.empty());
+  EXPECT_TRUE(record_tile(8, 2, 4, 2, 4, 10, 15).empty());
+}
+
+/// Every tile of every band of a few grids: the blocks tile() issues
+/// cover the tile's in-band cells exactly once, never cross the band, and
+/// each block reads only cells that are final when it runs — its west,
+/// north and northwest neighbours inside the tile and the band were
+/// computed by an earlier block.
+TEST(LoweredKernel, GroupedTileDispatchCoversBandOnceInDependencyOrder) {
+  for (const std::size_t dim : {std::size_t{1}, std::size_t{5}, std::size_t{9}, std::size_t{17}}) {
+    const std::size_t n_diags = core::num_diagonals(dim);
+    for (std::size_t d_begin = 0; d_begin < n_diags; d_begin += 2) {
+      for (const std::size_t width : {std::size_t{1}, std::size_t{3}, std::size_t{4},
+                                      std::size_t{5}, std::size_t{12}}) {
+        const std::size_t d_end = std::min(n_diags, d_begin + width);
+        for (const std::size_t tile : {std::size_t{3}, std::size_t{7}, dim}) {
+          for (std::size_t i0 = 0; i0 < dim; i0 += tile) {
+            for (std::size_t j0 = 0; j0 < dim; j0 += tile) {
+              const std::size_t i1 = std::min(dim, i0 + tile);
+              const std::size_t j1 = std::min(dim, j0 + tile);
+              const std::string where = "dim=" + std::to_string(dim) + " band=[" +
+                                        std::to_string(d_begin) + "," + std::to_string(d_end) +
+                                        ") tile at " + std::to_string(i0) + "," +
+                                        std::to_string(j0) + " side " + std::to_string(tile);
+              std::vector<int> done(dim * dim, 0);
+              const auto needed = [&](std::size_t i, std::size_t j) {
+                return i >= i0 && i < i1 && j >= j0 && j < j1 && i + j >= d_begin &&
+                       i + j < d_end;
+              };
+              for (const BlockCall& c : record_tile(dim, i0, i1, j0, j1, d_begin, d_end)) {
+                ASSERT_LT(c.i0, c.i1) << where;
+                ASSERT_LT(c.j0, c.j1) << where;
+                ASSERT_GE(c.i0 + c.j0, d_begin) << where;
+                ASSERT_LT((c.i1 - 1) + (c.j1 - 1), d_end) << where;
+                for (std::size_t i = c.i0; i < c.i1; ++i) {
+                  for (std::size_t j = c.j0; j < c.j1; ++j) {
+                    // Inside the block, row-major order supplies the
+                    // neighbours; outside it they must already be done.
+                    const auto ready = [&](std::size_t ni, std::size_t nj) {
+                      const bool in_block = ni >= c.i0 && nj >= c.j0;
+                      return in_block || !needed(ni, nj) || done[ni * dim + nj] == 1;
+                    };
+                    if (j > 0) {
+                      EXPECT_TRUE(ready(i, j - 1)) << where << " west of " << i << "," << j;
+                    }
+                    if (i > 0) {
+                      EXPECT_TRUE(ready(i - 1, j)) << where << " north of " << i << "," << j;
+                    }
+                    if (i > 0 && j > 0) {
+                      EXPECT_TRUE(ready(i - 1, j - 1)) << where << " northwest of " << i << ","
+                                                       << j;
+                    }
+                  }
+                }
+                for (std::size_t i = c.i0; i < c.i1; ++i) {
+                  for (std::size_t j = c.j0; j < c.j1; ++j) ++done[i * dim + j];
+                }
+              }
+              for (std::size_t i = 0; i < dim; ++i) {
+                for (std::size_t j = 0; j < dim; ++j) {
+                  ASSERT_EQ(done[i * dim + j], needed(i, j) ? 1 : 0)
+                      << where << " cell " << i << "," << j;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -224,14 +224,34 @@ TEST(TiledWavefrontCost, ParallelBeatsSerialAtScale) {
 // --- lowered dispatch ---
 
 // The serial sweep covers exactly the cells of the region, as in-band
-// blocks: at most one call per row, one call in all for a full sweep.
+// blocks: one call in all for a full sweep at any tile; a band slice
+// (here also 2, 4 and 7 diagonals wide: narrower than, as wide as and
+// wider than a row group) runs per group of kRowGroup rows at most one
+// multi-row block plus single-row wedges, so at most 2 * kRowGroup - 1
+// calls per group.
 TEST(LoweredDispatch, SerialCoversRegionExactlyOnce) {
+  constexpr std::size_t G = core::LoweredKernel::kRowGroup;
   for (const TiledRegion& region :
-       {TiledRegion{16, 0, 31, 1}, TiledRegion{16, 5, 20, 1}, TiledRegion{9, 3, 9, 1}}) {
+       {TiledRegion{16, 0, 31, 1}, TiledRegion{16, 0, 31, 4}, TiledRegion{16, 5, 20, 1},
+        TiledRegion{9, 3, 9, 1}, TiledRegion{16, 7, 9, 1}, TiledRegion{16, 7, 11, 1},
+        TiledRegion{16, 7, 14, 1}}) {
     oracles::expect_visits_region_once(serial_runner(), region);
-    EXPECT_LE(oracles::record_blocks(serial_runner(), region).size(), region.dim);
+    const std::vector<oracles::Block> blocks = oracles::record_blocks(serial_runner(), region);
+    if (region.d_begin == 0 && region.d_end == core::num_diagonals(region.dim)) {
+      EXPECT_EQ(blocks.size(), 1u);
+      continue;
+    }
+    const std::size_t groups = (region.dim + G - 1) / G;
+    EXPECT_LE(blocks.size(), groups * (2 * G - 1));
+    std::size_t multi_row = 0;
+    for (const oracles::Block& b : blocks) {
+      EXPECT_GE(b.i0 + b.j0, region.d_begin);
+      EXPECT_LT((b.i1 - 1) + (b.j1 - 1), region.d_end);
+      EXPECT_LE(b.i1 - b.i0, G);
+      if (b.i1 - b.i0 > 1) ++multi_row;
+    }
+    EXPECT_LE(multi_row, groups);
   }
-  EXPECT_EQ(oracles::record_blocks(serial_runner(), TiledRegion{16, 0, 31, 4}).size(), 1u);
 }
 
 TEST(LoweredDispatch, TiledBandSlicesMatchSerialValues) {
