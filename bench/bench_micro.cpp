@@ -262,12 +262,11 @@ BENCHMARK(BM_WavefrontScheduler)
 ///   0 one whole-grid block() call (the serial sweep);
 ///   1 swap epochs of halo + 1 = 5 diagonals, each one band-clamped tile()
 ///     call (the quad-GPU halo band at halo 4 computes each device's rows
-///     one swap epoch at a time; 2-column row groups plus wedges);
+///     one swap epoch at a time; 5 vector steps per 4-row group);
 ///   2 16x16 tiles in row-major order, one block() each (the CPU phases'
 ///     interior tiles at cpu tile 16);
 ///   3 bands of 129 diagonals, each one band-clamped tile() call (the
-///     single-GPU band at band 64, 126 of each row group's cells in one
-///     block).
+///     single-GPU band at band 64).
 constexpr std::size_t kNashShapes = 4;
 constexpr std::size_t kNashDim = 256;
 
@@ -289,11 +288,16 @@ core::WavefrontSpec nash_micro_spec() {
   return apps::make_nash_spec(p);
 }
 
-/// The nash tile kernel variant `isa` (0 scalar, 1 AVX2); null when this
-/// host cannot run it.
-core::TileKernelFn nash_variant(std::size_t isa) {
-  return isa == 0 ? apps::detail::nash_scalar_tile_kernel()
-                  : apps::detail::nash_avx2_tile_kernel();
+/// The nash spec lowered onto tile kernel variant `isa` (0 scalar, 1
+/// AVX2), both of its entries swapped: the AVX2 kernel's band-clamped
+/// entry rides along with it, and the scalar kernel has none. Its `fn` is
+/// null when this host cannot run the variant.
+core::LoweredKernel nash_variant(const core::WavefrontSpec& spec, std::size_t isa) {
+  core::LoweredKernel kernel = spec.lower();
+  kernel.fn = isa == 0 ? apps::detail::nash_scalar_tile_kernel()
+                       : apps::detail::nash_avx2_tile_kernel();
+  kernel.banded = isa == 0 ? nullptr : apps::detail::nash_avx2_band_kernel();
+  return kernel;
 }
 
 /// One sweep of the whole grid in dispatch shape `shape`.
@@ -321,14 +325,12 @@ void nash_sweep(const core::LoweredKernel& kernel, core::StorageView view, std::
 void BM_NashTileKernel(benchmark::State& state) {
   const auto shape = static_cast<std::size_t>(state.range(0));
   const auto isa = static_cast<std::size_t>(state.range(1));
-  const core::TileKernelFn fn = nash_variant(isa);
-  if (!fn) {
+  const core::WavefrontSpec spec = nash_micro_spec();
+  const core::LoweredKernel kernel = nash_variant(spec, isa);
+  if (!kernel.fn) {
     state.SkipWithError("this host has no AVX2");
     return;
   }
-  const core::WavefrontSpec spec = nash_micro_spec();
-  core::LoweredKernel kernel = spec.lower();
-  kernel.fn = fn;
   core::Grid grid(spec.dim, spec.elem_bytes);
   for (auto _ : state) {
     nash_sweep(kernel, {grid.data(), 0}, shape);
@@ -676,8 +678,7 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_expl
   core::Grid nash_grid(nash.dim, nash.elem_bytes);
   for (std::size_t shape = 0; shape < kNashShapes; ++shape) {
     for (std::size_t isa = 0; isa < 2; ++isa) {
-      core::LoweredKernel kernel = nash.lower();
-      kernel.fn = nash_variant(isa);
+      const core::LoweredKernel kernel = nash_variant(nash, isa);
       if (!kernel.fn) continue;
       double best = std::numeric_limits<double>::infinity();
       for (int r = 0; r < reps; ++r) {

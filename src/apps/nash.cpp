@@ -244,10 +244,10 @@ NashCell solve_tile_cell(const NashTileCtx& c, std::uint64_t cell_hash, const Na
 
 /// Native tile kernel: one plain call per tile, with the scratch vectors
 /// living per THREAD and resized only when `k` changes — band-edge tiles
-/// call it once per row group and once per wedge row (the multi-GPU band's
-/// swap epochs with a few cells per row), so a per-call allocation would
-/// dominate. solve_tile_cell writes every scratch entry before reading it,
-/// so reuse cannot leak values between calls. Neighbour values slide
+/// call it once per clamped row (a few cells each in the multi-GPU band's
+/// swap epochs), so a per-call allocation would dominate. solve_tile_cell
+/// writes every scratch entry before reading it, so reuse cannot leak
+/// values between calls. Neighbour values slide
 /// through registers; rows past the first read their north row from the
 /// block's own output.
 void nash_tile_kernel(const void* pv, std::size_t i0, std::size_t i1, std::size_t j0,
@@ -279,14 +279,15 @@ void nash_tile_kernel(const void* pv, std::size_t i0, std::size_t i1, std::size_
 
 #ifdef WAVETUNE_AVX2_KERNELS
 
-/// Cells per vector step of the AVX2 kernel, one per row of a row group:
-/// the height of the groups band-straddling tiles are dispatched in.
+/// Cells per vector step of the AVX2 kernel, one per row of a row group.
 constexpr std::size_t kNashLanes = 4;
-static_assert(kNashLanes == core::LoweredKernel::kRowGroup);
 
-/// Blocks with fewer rows than this run the scalar kernel: a one-row
-/// group would fill a single lane.
-constexpr std::size_t kNashMinVectorRows = 2;
+/// A vector step costs about as much as two scalar cells (bench_micro's
+/// whole-grid nash rows: 62 against 124 ns/cell), so a row group takes the
+/// vector walk only where its steps average more than two busy lanes; the
+/// rest (one- and two-row groups, narrow blocks, band corners) runs the
+/// scalar kernel one clamped row at a time.
+constexpr std::size_t kNashStepCostCells = 2;
 
 /// Per-thread working buffers of the AVX2 kernel, resized only when `k`
 /// changes. Every entry holds four lanes (one 32-byte aligned __m256d):
@@ -476,70 +477,114 @@ WAVETUNE_TARGET_AVX2 inline NashLanes solve_tile_cells_avx2(
   return r;
 }
 
-/// Rows [gi, gi + rows) (2 <= rows <= 4) x columns [j0, j1) of a block,
-/// one anti-diagonal of the row group per vector step: at step t, lane r
-/// computes cell (gi + r, j0 + t - r). Its west value is lane r's output
-/// of the step before, its north lane r - 1's (lane 0 reads the north
-/// row), and its northwest lane r's north of the step before; a lane's
-/// first step reads west and northwest from the border column instead.
-/// Lanes outside their row's steps [r, width + r) compute on stale values
-/// and store nothing. `out` points at cell (gi, j0), `wcol` at
-/// (gi, j0 - 1) (null iff j0 == 0) and `nrow` at (gi - 1, j0) (null iff
-/// gi == 0), as the scalar kernel's row sweep reads them.
+/// Rows [gi, gi + rows) (rows <= 4) x columns [j0, j1) of a tile, over
+/// the steps [t_begin, t_end): at step t lane r computes cell
+/// (gi + r, j0 + t - r), on the group's anti-diagonal gi + j0 + t, so a
+/// diagonal range is a step range and the columns are a per-lane mask.
+/// A lane's west value is its own output of the step before, its north
+/// lane r - 1's (lane 0 reads the north row) and its northwest its north
+/// of the step before, except where that neighbour was not computed in
+/// this call: on the first step every lane reads W/N/NW from storage, and
+/// a lane starting its row at column j0 reads W/NW from the border column.
+/// Lanes outside [j0, j1) compute on stale values and store nothing.
+/// `out` points at cell (gi, j0), `wcol` at (gi, j0 - 1) (null: the west
+/// border, read as zero) and `nrow` at (gi - 1, j0) (null: the north
+/// border), as the scalar kernel's row sweep reads them; every read stays
+/// in rows [gi - 1, gi + rows) x columns [j0 - 1, j1).
 WAVETUNE_TARGET_AVX2 void nash_row_group_avx2(const NashTileCtx& c, std::size_t gi,
                                               std::size_t rows, std::size_t j0, std::size_t j1,
+                                              std::size_t t_begin, std::size_t t_end,
                                               std::size_t stride, const std::byte* wcol,
                                               const std::byte* nrow, std::byte* out,
                                               NashLaneScratch& s) {
   const std::size_t width = j1 - j0;
   const auto* north = reinterpret_cast<const NashCell*>(nrow);
+  const auto row_of = [&](std::size_t r) {
+    return reinterpret_cast<const NashCell*>(out + r * stride);
+  };
+  const NashCell zero{0, 0, 0, 0};
   alignas(32) double w0_row[kNashLanes] = {};
   alignas(32) double w0_col[kNashLanes] = {};
   alignas(32) double nw0_row[kNashLanes] = {};
   alignas(32) double nw0_col[kNashLanes] = {};
   alignas(32) std::uint64_t row_hash[kNashLanes] = {};
+  // The first step's W/N/NW per lane, from storage.
+  alignas(32) double f_w_row[kNashLanes] = {};
+  alignas(32) double f_w_col[kNashLanes] = {};
+  alignas(32) double f_n_row[kNashLanes] = {};
+  alignas(32) double f_n_col[kNashLanes] = {};
+  alignas(32) double f_nw_row[kNashLanes] = {};
+  alignas(32) double f_nw_col[kNashLanes] = {};
   for (std::size_t r = 0; r < rows; ++r) {
     row_hash[r] = c.seed ^ (static_cast<std::uint64_t>(gi + r) * 0x9e3779b97f4a7c15ULL);
-    if (!wcol) continue;
-    const auto* west = reinterpret_cast<const NashCell*>(wcol + r * stride);
-    w0_row[r] = west->value_row;
-    w0_col[r] = west->value_col;
-    // Row gi + r's northwest border cell ends the west column's row above.
-    const NashCell* nw = r > 0 ? reinterpret_cast<const NashCell*>(wcol + (r - 1) * stride)
-                        : north ? north - 1
-                                : nullptr;
-    if (nw) {
-      nw0_row[r] = nw->value_row;
-      nw0_col[r] = nw->value_col;
+    if (wcol) {
+      const auto* west = reinterpret_cast<const NashCell*>(wcol + r * stride);
+      w0_row[r] = west->value_row;
+      w0_col[r] = west->value_col;
+      // Row gi + r's northwest border cell ends the west column's row above.
+      const NashCell* nw = r > 0 ? reinterpret_cast<const NashCell*>(wcol + (r - 1) * stride)
+                           : north ? north - 1
+                                   : nullptr;
+      if (nw) {
+        nw0_row[r] = nw->value_row;
+        nw0_col[r] = nw->value_col;
+      }
+    }
+    if (t_begin < r || t_begin - r >= width) continue;  // no cell on the first step
+    const std::size_t q = t_begin - r;                   // the lane's column - j0
+    const NashCell* above = r > 0 ? row_of(r - 1) : north;
+    const NashCell n = above ? above[q] : zero;
+    f_n_row[r] = n.value_row;
+    f_n_col[r] = n.value_col;
+    if (q == 0) {
+      f_w_row[r] = w0_row[r];
+      f_w_col[r] = w0_col[r];
+      f_nw_row[r] = nw0_row[r];
+      f_nw_col[r] = nw0_col[r];
+    } else {
+      const NashCell& w = row_of(r)[q - 1];
+      const NashCell nw = above ? above[q - 1] : zero;
+      f_w_row[r] = w.value_row;
+      f_w_col[r] = w.value_col;
+      f_nw_row[r] = nw.value_row;
+      f_nw_col[r] = nw.value_col;
     }
   }
 
   const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
   const __m256i hash = _mm256_load_si256(reinterpret_cast<const __m256i*>(row_hash));
   // Lane r's column j0 + t - r; wraps below zero before its row starts.
-  __m256i col = _mm256_sub_epi64(_mm256_set1_epi64x(static_cast<long long>(j0)), lane);
-  __m256d out_row = _mm256_setzero_pd();
-  __m256d out_col = _mm256_setzero_pd();
-  __m256d n_row = _mm256_setzero_pd();
-  __m256d n_col = _mm256_setzero_pd();
-  for (std::size_t t = 0; t + 1 < width + rows; ++t) {
+  __m256i col =
+      _mm256_sub_epi64(_mm256_set1_epi64x(static_cast<long long>(j0 + t_begin)), lane);
+  // Seeded with what the walk carries into a step: the first step's W as
+  // the previous output, its NW as the previous north.
+  __m256d out_row = _mm256_load_pd(f_w_row);
+  __m256d out_col = _mm256_load_pd(f_w_col);
+  __m256d n_row = _mm256_load_pd(f_nw_row);
+  __m256d n_col = _mm256_load_pd(f_nw_col);
+  for (std::size_t t = t_begin; t < t_end; ++t) {
     __m256d nw_row = n_row;
     __m256d nw_col = n_col;
     __m256d w_row = out_row;
     __m256d w_col = out_col;
-    const bool lane0_in = north && t < width;
-    n_row = _mm256_blend_pd(_mm256_permute4x64_pd(out_row, _MM_SHUFFLE(2, 1, 0, 0)),
-                            _mm256_set1_pd(lane0_in ? north[t].value_row : 0.0), 0x1);
-    n_col = _mm256_blend_pd(_mm256_permute4x64_pd(out_col, _MM_SHUFFLE(2, 1, 0, 0)),
-                            _mm256_set1_pd(lane0_in ? north[t].value_col : 0.0), 0x1);
-    if (t < rows) {
-      // Lane t starts its row.
-      const __m256d first = _mm256_castsi256_pd(
-          _mm256_cmpeq_epi64(lane, _mm256_set1_epi64x(static_cast<long long>(t))));
-      w_row = _mm256_blendv_pd(w_row, _mm256_set1_pd(w0_row[t]), first);
-      w_col = _mm256_blendv_pd(w_col, _mm256_set1_pd(w0_col[t]), first);
-      nw_row = _mm256_blendv_pd(nw_row, _mm256_set1_pd(nw0_row[t]), first);
-      nw_col = _mm256_blendv_pd(nw_col, _mm256_set1_pd(nw0_col[t]), first);
+    if (t == t_begin) {
+      n_row = _mm256_load_pd(f_n_row);
+      n_col = _mm256_load_pd(f_n_col);
+    } else {
+      const bool lane0_in = north && t < width;
+      n_row = _mm256_blend_pd(_mm256_permute4x64_pd(out_row, _MM_SHUFFLE(2, 1, 0, 0)),
+                              _mm256_set1_pd(lane0_in ? north[t].value_row : 0.0), 0x1);
+      n_col = _mm256_blend_pd(_mm256_permute4x64_pd(out_col, _MM_SHUFFLE(2, 1, 0, 0)),
+                              _mm256_set1_pd(lane0_in ? north[t].value_col : 0.0), 0x1);
+      if (t < rows) {
+        // Lane t starts its row.
+        const __m256d first = _mm256_castsi256_pd(
+            _mm256_cmpeq_epi64(lane, _mm256_set1_epi64x(static_cast<long long>(t))));
+        w_row = _mm256_blendv_pd(w_row, _mm256_set1_pd(w0_row[t]), first);
+        w_col = _mm256_blendv_pd(w_col, _mm256_set1_pd(w0_col[t]), first);
+        nw_row = _mm256_blendv_pd(nw_row, _mm256_set1_pd(nw0_row[t]), first);
+        nw_col = _mm256_blendv_pd(nw_col, _mm256_set1_pd(nw0_col[t]), first);
+      }
     }
     const NashLanes cell = solve_tile_cells_avx2(
         c, _mm256_xor_si256(hash, _mm256_slli_epi64(col, 21)), w_row, w_col, n_row, n_col,
@@ -549,7 +594,7 @@ WAVETUNE_TARGET_AVX2 void nash_row_group_avx2(const NashTileCtx& c, std::size_t 
     out_col = cell.value_col;
 
     // Transpose the four fields into four NashCells and store the lanes
-    // whose row is running.
+    // whose column lies in [j0, j1).
     const __m256d v02 = _mm256_unpacklo_pd(cell.value_row, cell.value_col);
     const __m256d v13 = _mm256_unpackhi_pd(cell.value_row, cell.value_col);
     const __m256d e02 = _mm256_unpacklo_pd(cell.entropy_row, cell.entropy_col);
@@ -565,35 +610,60 @@ WAVETUNE_TARGET_AVX2 void nash_row_group_avx2(const NashTileCtx& c, std::size_t 
   }
 }
 
-/// AVX2 variant of the tile kernel: same contract, bit-identical cells.
-/// Walks the block in groups of kNashLanes rows, four cells per step
-/// (nash_row_group_avx2); a last group of one row, and blocks under
-/// kNashMinVectorRows rows or avx2::kMinVectorWidth columns, run the
-/// scalar kernel. On 4-row blocks the vector kernel already breaks even
-/// at 3-4 columns; 8 keeps the one threshold all three apps share.
+/// The AVX2 kernel's band-clamped entry (core::TileBandKernelFn): walks
+/// the tile in groups of kNashLanes rows, each over the steps whose
+/// diagonal lies in [d_begin, d_end) (nash_row_group_avx2), or as scalar
+/// rows clamped to the band where the vector steps would run mostly idle
+/// lanes (kNashStepCostCells). Bit-identical to the scalar kernel run one
+/// clamped row at a time.
+WAVETUNE_TARGET_AVX2 void nash_band_kernel_avx2(const void* pv, std::size_t i0, std::size_t i1,
+                                                std::size_t j0, std::size_t j1,
+                                                std::size_t d_begin, std::size_t d_end,
+                                                std::size_t stride, const std::byte* w,
+                                                const std::byte* n, const std::byte*,
+                                                std::byte* out) {
+  const NashTileCtx& c = *static_cast<const NashTileCtx*>(pv);
+  thread_local NashLaneScratch scratch;
+  scratch.resize(c.k);
+  constexpr std::size_t elem = sizeof(NashCell);
+  for (std::size_t gi = i0; gi < i1 && gi + j0 < d_end; gi += kNashLanes) {
+    const std::size_t rows = std::min(kNashLanes, i1 - gi);
+    std::byte* o = out + (gi - i0) * stride;
+    const std::byte* nrow = gi == i0 ? n : o - stride;
+    const std::byte* wcol = w ? w + (gi - i0) * stride : nullptr;
+    // Step t of the group runs diagonal gi + j0 + t.
+    const std::size_t t_begin = d_begin > gi + j0 ? d_begin - (gi + j0) : 0;
+    const std::size_t t_end = std::min(j1 - j0 + rows - 1, d_end - (gi + j0));
+    if (t_begin >= t_end) continue;
+    std::size_t cells = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const auto [lo, hi] = core::row_band_span(gi + r, d_begin, d_end, j0, j1);
+      if (lo < hi) cells += hi - lo;
+    }
+    if (cells > kNashStepCostCells * (t_end - t_begin)) {
+      nash_row_group_avx2(c, gi, rows, j0, j1, t_begin, t_end, stride, wcol, nrow, o, scratch);
+      continue;
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      const auto [lo, hi] = core::row_band_span(gi + r, d_begin, d_end, j0, j1);
+      if (lo >= hi) continue;
+      std::byte* ro = o + r * stride + (lo - j0) * elem;
+      const std::byte* rw = lo > j0 ? ro - elem : wcol ? wcol + r * stride : nullptr;
+      const std::byte* rn = r > 0 ? ro - stride : nrow ? nrow + (lo - j0) * elem : nullptr;
+      nash_tile_kernel(pv, gi + r, gi + r + 1, lo, hi, stride, rw, rn,
+                       rw && rn ? rn - elem : nullptr, ro);
+    }
+  }
+}
+
+/// AVX2 variant of the tile kernel: same contract, bit-identical cells —
+/// the band-clamped entry over the block's whole diagonal range.
 WAVETUNE_TARGET_AVX2 void nash_tile_kernel_avx2(const void* pv, std::size_t i0, std::size_t i1,
                                                 std::size_t j0, std::size_t j1,
                                                 std::size_t stride, const std::byte* w,
                                                 const std::byte* n, const std::byte* nw,
                                                 std::byte* out) {
-  if (i1 - i0 < kNashMinVectorRows || j1 - j0 < avx2::kMinVectorWidth) {
-    return nash_tile_kernel(pv, i0, i1, j0, j1, stride, w, n, nw, out);
-  }
-  const NashTileCtx& c = *static_cast<const NashTileCtx*>(pv);
-  thread_local NashLaneScratch scratch;
-  scratch.resize(c.k);
-  for (std::size_t gi = i0; gi < i1; gi += kNashLanes) {
-    std::byte* o = out + (gi - i0) * stride;
-    const std::byte* nrow = gi == i0 ? n : o - stride;
-    const std::byte* wcol = w ? w + (gi - i0) * stride : nullptr;
-    if (i1 - gi == 1) {
-      nash_tile_kernel(pv, gi, i1, j0, j1, stride, wcol, nrow,
-                       nrow && wcol ? nrow - sizeof(NashCell) : nullptr, o);
-    } else {
-      nash_row_group_avx2(c, gi, std::min(kNashLanes, i1 - gi), j0, j1, stride, wcol, nrow, o,
-                          scratch);
-    }
-  }
+  nash_band_kernel_avx2(pv, i0, i1, j0, j1, i0 + j0, i1 + j1 - 1, stride, w, n, nw, out);
 }
 
 #endif  // WAVETUNE_AVX2_KERNELS
@@ -605,6 +675,13 @@ core::TileKernelFn detail::nash_scalar_tile_kernel() { return &nash_tile_kernel;
 core::TileKernelFn detail::nash_avx2_tile_kernel() {
 #ifdef WAVETUNE_AVX2_KERNELS
   if (avx2::cpu_has_avx2()) return &nash_tile_kernel_avx2;
+#endif
+  return nullptr;
+}
+
+core::TileBandKernelFn detail::nash_avx2_band_kernel() {
+#ifdef WAVETUNE_AVX2_KERNELS
+  if (avx2::cpu_has_avx2()) return &nash_band_kernel_avx2;
 #endif
   return nullptr;
 }
@@ -676,10 +753,12 @@ core::WavefrontSpec make_nash_spec(const NashParams& params) {
     }
   };
   // Native tile kernel (rung three): per-spec count tables, per-thread
-  // scratch; four cells per step when the host has AVX2.
+  // scratch; four cells per step when the host has AVX2, whose kernel
+  // also takes band-straddling tiles in one call.
   const core::TileKernelFn avx2 = detail::nash_avx2_tile_kernel();
   spec.tile = core::TileKernel{avx2 ? avx2 : &nash_tile_kernel,
-                               std::make_shared<const NashTileCtx>(k, rounds, seed)};
+                               std::make_shared<const NashTileCtx>(k, rounds, seed),
+                               avx2 ? detail::nash_avx2_band_kernel() : nullptr};
   return spec;
 }
 

@@ -13,8 +13,10 @@
 //     prefix scan; blocks narrower than avx2::kMinVectorWidth run the
 //     scalar sweep inside it. nash walks groups of 4 rows along their
 //     anti-diagonals, one cell per row and step, each lane replaying the
-//     scalar solve's operations; blocks under 2 rows or
-//     avx2::kMinVectorWidth columns run the scalar kernel.
+//     scalar solve's operations; groups whose steps would average two
+//     busy lanes or fewer run the scalar kernel row by row. Its
+//     band-clamped entry walks only the steps of a diagonal range, so a
+//     band-straddling tile is one call.
 // The spec factories choose once, at spec construction: the AVX2 variant
 // when the host has it, the scalar one otherwise.
 #pragma once
@@ -43,6 +45,11 @@ core::TileKernelFn nash_scalar_tile_kernel();
 core::TileKernelFn editdist_avx2_tile_kernel();
 core::TileKernelFn seqcmp_avx2_tile_kernel();
 core::TileKernelFn nash_avx2_tile_kernel();
+
+/// nash's AVX2 band-clamped entry (core::TileBandKernelFn), or null like
+/// nash_avx2_tile_kernel. The scalar kernels have none: they compute a
+/// row at a time, so LoweredKernel's per-row band clamp serves them.
+core::TileBandKernelFn nash_avx2_band_kernel();
 
 /// Throws std::invalid_argument unless max |cost| * (2 * dim + 8) fits
 /// in int32. Every DP value is the cost of a monotone path of at most

@@ -10,10 +10,13 @@
 // HybridExecutor::run) and threads the LoweredKernel by reference through
 // every scheduler, so the per-tile hot-loop cost of an in-band tile is
 // exactly one indirect call with the row loop and neighbour-pointer
-// advance inside it; tiles straddling a band edge take the out-of-line
-// grouped path (tile_banded).
+// advance inside it. A tile straddling a band edge is one call too when
+// the kernel has a band-clamped entry (nash's AVX2 kernel, whose 4-row
+// groups walk anti-diagonals, so a diagonal range is a range of its
+// steps); other kernels take the out-of-line per-row path (tile_banded).
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <memory>
 
@@ -48,12 +51,30 @@ using TileKernelFn = void (*)(const void* ctx, std::size_t i0, std::size_t i1,
                               const std::byte* west, const std::byte* north,
                               const std::byte* northwest, std::byte* out);
 
-/// A tile kernel: plain function pointer + shared ownership of whatever
-/// state the function reads. Deliberately NOT a std::function — invoking
-/// it is one indirect call, and the hot loops never touch the shared_ptr.
+/// Optional band-clamped tile entry point: computes the cells of the block
+/// [i0, i1) x [j0, j1) whose diagonal i + j lies in [d_begin, d_end), in
+/// an order that meets every W/N/NW dependency inside them, and no other
+/// cell. Same pointers as TileKernelFn for the block's corner; a cell's
+/// neighbour outside the computed cells is read from storage (they are
+/// final: earlier diagonals, or the border row and column), and every read
+/// stays in rows [i0 - 1, i1) x columns [j0 - 1, j1) — block()'s footprint.
+/// Requires i0 + j0 < d_end and d_begin <= (i1 - 1) + (j1 - 1).
+using TileBandKernelFn = void (*)(const void* ctx, std::size_t i0, std::size_t i1,
+                                  std::size_t j0, std::size_t j1, std::size_t d_begin,
+                                  std::size_t d_end, std::size_t row_stride,
+                                  const std::byte* west, const std::byte* north,
+                                  const std::byte* northwest, std::byte* out);
+
+/// A tile kernel: plain function pointers + shared ownership of whatever
+/// state they read. Deliberately NOT a std::function — invoking it is one
+/// indirect call, and the hot loops never touch the shared_ptr.
 struct TileKernel {
   TileKernelFn fn = nullptr;
   std::shared_ptr<const void> ctx;  ///< owns the state `fn` reads (may be null)
+  /// Optional band-clamped entry over the same `ctx`, bit-identical to
+  /// `fn` run one clamped row at a time. A capability of the kernel (the
+  /// spec factory sets it with `fn`), not a dispatch option.
+  TileBandKernelFn banded = nullptr;
 
   explicit operator bool() const { return fn != nullptr; }
 };
@@ -76,6 +97,7 @@ struct StorageView {
 /// only.
 struct LoweredKernel {
   TileKernelFn fn = nullptr;
+  TileBandKernelFn banded = nullptr;  ///< the spec's band-clamped entry, if any
   const void* ctx = nullptr;
   std::size_t dim = 0;         ///< grid side; row stride = dim * elem_bytes
   std::size_t elem_bytes = 0;
@@ -97,20 +119,19 @@ struct LoweredKernel {
   /// far out of bounds, which is UB even unread).
   void block(StorageView view, std::size_t i0, std::size_t i1, std::size_t j0,
              std::size_t j1) const {
-    const std::size_t stride = dim * elem_bytes;
-    std::byte* out = view.base + (i0 - view.base_row) * stride + j0 * elem_bytes;
-    const std::byte* w = j0 > 0 ? out - elem_bytes : nullptr;
-    const std::byte* n = i0 > 0 ? out - stride : nullptr;
-    const std::byte* nw = (i0 > 0 && j0 > 0) ? out - stride - elem_bytes : nullptr;
-    fn(ctx, i0, i1, j0, j1, stride, w, n, nw, out);
+    const Corner c = corner(view, i0, j0);
+    fn(ctx, i0, i1, j0, j1, c.stride, c.w, c.n, c.nw, c.out);
   }
 
   /// Band-clamped tile dispatch: computes the cells of the block
   /// [i0, i1) x [j0, j1) whose diagonal i + j lies in [d_begin, d_end).
   /// A tile fully inside the band — the common case of every full sweep
   /// and every interior tile of a banded phase — is ONE block() call,
-  /// inline; a tile straddling a band edge goes to tile_banded().
-  /// Requires i0 < i1 <= dim and j0 < j1 <= dim.
+  /// inline. A tile straddling a band edge is ONE call of the kernel's
+  /// band-clamped entry when it has one, with the tile's own bounds, and
+  /// goes to tile_banded() otherwise; a tile the band misses is no call.
+  /// Same storage requirements as block(). Requires i0 < i1 <= dim and
+  /// j0 < j1 <= dim.
   void tile(StorageView view, std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1,
             std::size_t d_begin, std::size_t d_end) const {
     // Fully in band iff the top-left cell is past d_begin and the
@@ -119,23 +140,39 @@ struct LoweredKernel {
       block(view, i0, i1, j0, j1);
       return;
     }
-    tile_banded(view, i0, i1, j0, j1, d_begin, d_end);
+    if (!banded) {
+      tile_banded(view, i0, i1, j0, j1, d_begin, d_end);
+      return;
+    }
+    if (i0 + j0 >= d_end || (i1 - 1) + (j1 - 1) < d_begin) return;
+    const Corner c = corner(view, i0, j0);
+    banded(ctx, i0, i1, j0, j1, d_begin, d_end, c.stride, c.w, c.n, c.nw, c.out);
   }
 
-  /// Rows a band-straddling tile is dispatched in groups of: as many as a
-  /// row-group tile kernel (nash's AVX2 one) computes at once.
-  static constexpr std::size_t kRowGroup = 4;
-
-  /// tile()'s band-straddling path. Walks the tile in groups of kRowGroup
-  /// rows. The columns every row of a group has in band, [L, H) with L the
-  /// first row's band start and H the last row's band end, run as ONE
-  /// block; the per-row wedges left of it run before it and those right
-  /// of it after, each one single-row block, so the W/N/NW dependencies
-  /// hold. A group whose rows share no column (L >= H) runs one block per
-  /// clamped row. Every in-band cell of the tile is computed exactly once
-  /// and no block crosses the band.
+  /// tile()'s band-straddling path for kernels without a band-clamped
+  /// entry: one block per row, clamped to the band (row order meets the
+  /// W/N/NW dependencies). Every in-band cell of the tile is computed
+  /// exactly once and no block crosses the band.
   void tile_banded(StorageView view, std::size_t i0, std::size_t i1, std::size_t j0,
                    std::size_t j1, std::size_t d_begin, std::size_t d_end) const;
+
+private:
+  /// A block's corner pointers, as TileKernelFn receives them.
+  struct Corner {
+    std::size_t stride;
+    std::byte* out;
+    const std::byte* w;
+    const std::byte* n;
+    const std::byte* nw;
+  };
+
+  Corner corner(StorageView view, std::size_t i0, std::size_t j0) const {
+    assert(i0 >= view.base_row && (i0 == 0 || i0 > view.base_row));
+    const std::size_t stride = dim * elem_bytes;
+    std::byte* out = view.base + (i0 - view.base_row) * stride + j0 * elem_bytes;
+    return {stride, out, j0 > 0 ? out - elem_bytes : nullptr, i0 > 0 ? out - stride : nullptr,
+            (i0 > 0 && j0 > 0) ? out - stride - elem_bytes : nullptr};
+  }
 };
 
 }  // namespace wavetune::core

@@ -166,9 +166,10 @@ struct WavefrontSpec {
   SegmentKernel segment;
 
   /// Optional native tile kernel (rung three — the widest ABI, see
-  /// core/lowered.hpp for the full contract). When set, it MUST compute
-  /// exactly the same values as `kernel`/`segment`; when null, lower()
-  /// adapts the next rung down. All bundled apps ship one.
+  /// core/lowered.hpp for the full contract), with its optional
+  /// band-clamped entry. When set, it MUST compute exactly the same values
+  /// as `kernel`/`segment`; when null, lower() adapts the next rung down.
+  /// All bundled apps ship one.
   TileKernel tile;
 
   /// The segment-granular view: the native segment kernel when present,
@@ -190,6 +191,7 @@ struct WavefrontSpec {
     k.elem_bytes = elem_bytes;
     if (tile) {
       k.fn = tile.fn;
+      k.banded = tile.banded;
       k.ctx = tile.ctx.get();
       k.keepalive = tile.ctx;
       k.native = true;

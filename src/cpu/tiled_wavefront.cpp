@@ -143,8 +143,8 @@ void run_serial_wavefront(const TiledRegion& region, const core::LoweredKernel& 
   // One band-clamped dispatch over the whole remaining rectangle: a full
   // sweep (everything in band) is a SINGLE kernel call — row-major order
   // over the rectangle satisfies every wavefront dependency — and a band
-  // slice runs inside tile() as one block per 4-row group plus its
-  // single-row wedges. Rows below diag_row_lo(dim, d_begin) have an empty
+  // slice is one call of the kernel's band-clamped entry, or one block per
+  // clamped row for kernels without one. Rows below diag_row_lo(dim, d_begin) have an empty
   // band span, so a band starting deep in the grid (phase-3 runs) skips
   // straight to the first row that intersects it.
   const std::size_t i_first =

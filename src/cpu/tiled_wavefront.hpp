@@ -92,8 +92,9 @@ void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
 /// also respects dependencies). Used as the functional part of the
 /// sequential baseline. A fully-in-band region is a SINGLE kernel call
 /// over the whole rectangle (row-major order satisfies every
-/// dependency); banded regions go through LoweredKernel::tile_banded
-/// (one block per group of kRowGroup rows plus single-row band wedges).
+/// dependency); a banded region is one LoweredKernel::tile() call too,
+/// which the kernel's band-clamped entry takes whole where it has one
+/// (one block per clamped row otherwise).
 void run_serial_wavefront(const TiledRegion& region, const core::LoweredKernel& kernel,
                           core::StorageView view);
 

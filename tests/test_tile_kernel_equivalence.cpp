@@ -18,13 +18,15 @@
 // AVX2.
 //
 // nash ships a scalar and an AVX2 tile kernel too (four cells per step
-// along a 4-row group's anti-diagonals). The NashShapeEquivalence cases
-// sweep nash's (k, rounds) over the shapes that run and compare every
-// program that reaches the spec's tile kernel (serial, CPU tiles, the
-// single-GPU band plain and streamed, the quad-GPU halo band) with the
-// cell-rung oracle; the NashIsaSweep cases call both variants directly
-// on every small block shape and compare them byte for byte; and
-// TileKernelPick checks that an AVX2 host's specs ship the AVX2 kernels.
+// along a 4-row group's anti-diagonals), and the AVX2 one a band-clamped
+// entry that takes a band-straddling tile in one call. The
+// NashShapeEquivalence cases sweep nash's (k, rounds) over the shapes that
+// run and compare every program that reaches the spec's tile kernel
+// (serial, CPU tiles, the single-GPU band plain and streamed, the quad-GPU
+// halo band) with the cell-rung oracle; the NashIsaSweep cases call both
+// variants directly on small block shapes and diagonal ranges and compare
+// them byte for byte; and TileKernelPick checks that an AVX2 host's specs
+// ship the AVX2 kernels.
 //
 // The MultiGpuRowsEquivalence cases sweep the multi-GPU halo band itself
 // (every app, 2-8 devices, halo depths up to max_halo_multi, grid sides no
@@ -41,15 +43,18 @@
 //
 // Also here: direct contract tests of make_tile_fallback's border-pointer
 // derivation (the i0 == 0 / j0 == 0 corners) and of the LoweredKernel
-// band clamp, whose band-straddling tiles run in 4-row groups: the exact
-// blocks issued, exactly-once coverage in dependency order over many
-// bands and tiles, and every app's grid over bands narrower than, as
-// wide as and wider than a group.
+// band clamp: the exact calls issued to kernels with and without a
+// band-clamped entry (one per straddling tile, or one block per clamped
+// row), exactly-once coverage in dependency order over many bands and
+// tiles, and every app's grid over bands narrower than, as wide as and
+// wider than a nash row group.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <ostream>
+#include <span>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -203,9 +208,9 @@ TEST_P(TileKernelEquivalence, BandSlicedRegionsBitIdentical) {
   }
 }
 
-/// tile()'s grouped band dispatch (LoweredKernel::tile_banded) on the
-/// spec's own kernel: the grid cut into bands narrower than, as wide as
-/// and wider than a row group of LoweredKernel::kRowGroup rows, each band
+/// tile()'s band dispatch on the spec's own kernel (nash's band-clamped
+/// entry on AVX2 hosts, per-row blocks otherwise): the grid cut into bands
+/// narrower than, as wide as and wider than nash's 4-row groups, each band
 /// swept as one whole-grid tile() call and as 9x9 tiles in row-major
 /// order, must equal the cell-rung serial grid.
 TEST_P(TileKernelEquivalence, GroupedBandDispatchBitIdentical) {
@@ -217,7 +222,7 @@ TEST_P(TileKernelEquivalence, GroupedBandDispatchBitIdentical) {
   exec.run_serial(with_abi(spec, Abi::kCell), oracle);
   const LoweredKernel k = spec.lower();
   const std::size_t n_diags = core::num_diagonals(dim);
-  constexpr std::size_t G = LoweredKernel::kRowGroup;
+  constexpr std::size_t G = 4;  // rows per nash vector walk
   for (const std::size_t width : {G - 2, G - 1, G, G + 1, 3 * G, 4 * G + 3}) {
     for (const std::size_t tile : {std::size_t{9}, dim}) {
       Grid grid(dim, spec.elem_bytes);
@@ -578,8 +583,8 @@ TEST_P(TileKernelIsa, WholeGridBlockBitIdentical) {
   }
 }
 
-/// Band-clamped tile(): tiles straddling a band edge run as 4-row group
-/// blocks plus single-row wedges, of every width up to the tile's.
+/// Band-clamped tile(): tiles straddling a band edge run as one clamped
+/// block per row, of every width up to the tile's.
 TEST_P(TileKernelIsa, BandClampedTilesBitIdentical) {
   const std::size_t dim = 43;
   const std::size_t cuts[] = {0, 13, 37, 60, core::num_diagonals(dim)};
@@ -715,71 +720,184 @@ TEST(TileKernelPick, SpecsShipTheAvx2KernelOnAvx2Hosts) {
   }
 }
 
-class NashIsaSweep : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+/// Only nash's AVX2 kernel has a band-clamped entry: the nash spec ships it
+/// exactly on AVX2 hosts, lower() carries it, and the integer apps have
+/// none.
+TEST(TileKernelPick, OnlyNashAvx2ShipsABandClampedEntry) {
+  const WavefrontSpec nash = make_app_spec("nash", 16);
+  EXPECT_EQ(host_has_avx2(), apps::detail::nash_avx2_band_kernel() != nullptr);
+  EXPECT_EQ(nash.tile.banded, apps::detail::nash_avx2_band_kernel());
+  EXPECT_EQ(nash.lower().banded, nash.tile.banded);
+  EXPECT_EQ(make_app_spec("editdist", 16).lower().banded, nullptr);
+  EXPECT_EQ(make_app_spec("seqcmp", 16).lower().banded, nullptr);
+  EXPECT_EQ(make_app_spec("synthetic", 16).lower().banded, nullptr);
+}
 
-/// The AVX2 nash kernel byte-equal to the scalar one, called directly:
-/// every block of 1-9 rows x 1-20 columns, at the grid's corner, on its
-/// top and left borders and inside it, with the natural neighbour
-/// pointers and with null west, null north, or both (a null neighbour
-/// reads as zero). Each call runs on a copy of a base grid whose block is
-/// poisoned, and the whole copies must match, so a stray write outside
-/// the block shows too. Two base grids: a solved one, and one all poison,
-/// whose neighbour values (about -3.4e66 as doubles) swamp every payoff
-/// hash so that all strategies tie and the argmax's first-max rule
-/// decides. Over NashShapeEquivalence's (k, rounds).
-TEST_P(NashIsaSweep, EveryBlockShapeOffsetAndBorderByteEqualToScalar) {
-  const core::TileKernelFn avx2 = apps::detail::nash_avx2_tile_kernel();
-  if (!avx2) GTEST_SKIP() << "this host has no AVX2";
-  const core::TileKernelFn scalar = apps::detail::nash_scalar_tile_kernel();
-  const auto [k, rounds] = GetParam();
-  const std::size_t dim = 32;
-  apps::NashParams p;
-  p.dim = dim;
-  p.strategies = k;
-  p.fp_iterations = rounds;
-  p.seed = 2024;
-  const WavefrontSpec spec = apps::make_nash_spec(p);
-  const void* ctx = spec.tile.ctx.get();
-  Grid solved(dim, spec.elem_bytes);
-  spec.lower().block({solved.data(), 0}, 0, dim, 0, dim);
-  Grid poisoned(dim, spec.elem_bytes);
-  poisoned.fill_poison();
+/// The AVX2 nash kernel against the scalar one, both called directly on
+/// copies of two base grids: a solved one, and one all poison, whose
+/// neighbour values (about -3.4e66 as doubles) swamp every payoff hash so
+/// that all strategies tie and the argmax's first-max rule decides. Over
+/// NashShapeEquivalence's (k, rounds).
+class NashIsaSweep : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
+protected:
+  static constexpr std::size_t kDim = 32;
 
-  const std::size_t stride = dim * spec.elem_bytes;
-  const std::size_t offsets[] = {0, 7};
-  Grid want(dim, spec.elem_bytes);
-  Grid got(dim, spec.elem_bytes);
-  for (const Grid* base : {&solved, &poisoned}) {
-    const char* base_name = base == &solved ? "solved" : "poisoned";
-    for (std::size_t h = 1; h <= 9; ++h) {
-      for (std::size_t w = 1; w <= 20; ++w) {
-        for (const std::size_t i0 : offsets) {
-          for (const std::size_t j0 : offsets) {
-            for (int nulls = 0; nulls < 4; ++nulls) {
-              // A border block's pointer is null already.
-              if (((nulls & 1) && j0 == 0) || ((nulls & 2) && i0 == 0)) continue;
-              for (Grid* g : {&want, &got}) {
-                std::memcpy(g->data(), base->data(), base->size_bytes());
-                for (std::size_t i = i0; i < i0 + h; ++i) {
-                  std::fill_n(g->cell(i, j0), w * spec.elem_bytes, Grid::kPoison);
-                }
-                std::byte* out = g->cell(i0, j0);
-                const std::byte* west = j0 > 0 && !(nulls & 1) ? out - spec.elem_bytes : nullptr;
-                const std::byte* north = i0 > 0 && !(nulls & 2) ? out - stride : nullptr;
-                const std::byte* nw = west && north ? north - spec.elem_bytes : nullptr;
-                (g == &want ? scalar : avx2)(ctx, i0, i0 + h, j0, j0 + w, stride, west, north,
-                                             nw, out);
+  void SetUp() override {
+    avx2_ = apps::detail::nash_avx2_tile_kernel();
+    band_ = apps::detail::nash_avx2_band_kernel();
+    if (!avx2_) GTEST_SKIP() << "this host has no AVX2";
+    ASSERT_NE(band_, nullptr);
+    apps::NashParams p;
+    p.dim = kDim;
+    p.strategies = std::get<0>(GetParam());
+    p.fp_iterations = std::get<1>(GetParam());
+    p.seed = 2024;
+    spec_ = apps::make_nash_spec(p);
+    spec_.lower().block({solved_.data(), 0}, 0, kDim, 0, kDim);
+    poisoned_.fill_poison();
+  }
+
+  /// Calls visit(base name, base, h, w, i0, j0, nulls) for every block of
+  /// `heights` x `widths` at the grid's corner, on its top and left
+  /// borders and inside it, with the natural neighbour pointers and, inside
+  /// the grid, with null west (nulls & 1), null north (nulls & 2) or both;
+  /// a null neighbour reads as zero. Stops at the first failure.
+  template <typename Visit>
+  void for_each_block(std::span<const std::size_t> heights, std::span<const std::size_t> widths,
+                      const Visit& visit) {
+    const std::size_t offsets[] = {0, 7};
+    for (const Grid* base : {&solved_, &poisoned_}) {
+      const char* name = base == &solved_ ? "solved" : "poisoned";
+      want_ = *base;
+      got_ = *base;
+      for (const std::size_t h : heights) {
+        for (const std::size_t w : widths) {
+          for (const std::size_t i0 : offsets) {
+            for (const std::size_t j0 : offsets) {
+              for (int nulls = 0; nulls < 4; ++nulls) {
+                // A border block's pointer is null already.
+                if (((nulls & 1) && j0 == 0) || ((nulls & 2) && i0 == 0)) continue;
+                visit(name, *base, h, w, i0, j0, nulls);
+                if (HasFailure()) return;
               }
-              ASSERT_EQ(0, std::memcmp(want.data(), got.data(), want.size_bytes()))
-                  << "k=" << k << " rounds=" << rounds << " block " << h << "x" << w << " at "
-                  << i0 << "," << j0 << " nulls=" << nulls << " on the " << base_name
-                  << " grid";
             }
           }
         }
       }
     }
   }
+
+  /// On want_ and got_, both copies of `base`: poisons the cells of block
+  /// [i0, i0 + h) x [j0, j0 + w) on diagonals [d_begin, d_end), runs
+  /// call(vector, west, north, northwest, out) with the block's corner
+  /// pointers, the scalar side on want_ and the AVX2 side on got_, and
+  /// compares the whole copies (so a stray write outside the cells shows
+  /// too). Then restores the block's rows, the only ones a call writes.
+  template <typename Call>
+  bool same_on_copies(const Grid& base, std::size_t h, std::size_t w, std::size_t i0,
+                      std::size_t j0, int nulls, std::size_t d_begin, std::size_t d_end,
+                      const Call& call) {
+    const std::size_t elem = spec_.elem_bytes;
+    for (Grid* g : {&want_, &got_}) {
+      for (std::size_t i = i0; i < i0 + h; ++i) {
+        const auto [lo, hi] = core::row_band_span(i, d_begin, d_end, j0, j0 + w);
+        if (lo < hi) std::fill_n(g->cell(i, lo), (hi - lo) * elem, Grid::kPoison);
+      }
+      std::byte* out = g->cell(i0, j0);
+      const std::byte* west = j0 > 0 && !(nulls & 1) ? out - elem : nullptr;
+      const std::byte* north = i0 > 0 && !(nulls & 2) ? out - kDim * elem : nullptr;
+      call(g == &got_, west, north, west && north ? north - elem : nullptr, out);
+    }
+    const bool same = std::memcmp(want_.data(), got_.data(), want_.size_bytes()) == 0;
+    for (Grid* g : {&want_, &got_}) {
+      std::memcpy(g->cell(i0, 0), base.cell(i0, 0), h * kDim * elem);
+    }
+    return same;
+  }
+
+  core::TileKernelFn avx2_ = nullptr;
+  core::TileBandKernelFn band_ = nullptr;
+  const core::TileKernelFn scalar_ = apps::detail::nash_scalar_tile_kernel();
+  WavefrontSpec spec_;
+  Grid solved_{kDim, sizeof(apps::NashCell)};
+  Grid poisoned_{kDim, sizeof(apps::NashCell)};
+  Grid want_{kDim, sizeof(apps::NashCell)};
+  Grid got_{kDim, sizeof(apps::NashCell)};
+};
+
+/// The AVX2 tile kernel byte-equal to the scalar one on every block.
+TEST_P(NashIsaSweep, EveryBlockShapeOffsetAndBorderByteEqualToScalar) {
+  const void* ctx = spec_.tile.ctx.get();
+  const std::size_t stride = kDim * spec_.elem_bytes;
+  std::vector<std::size_t> heights(9);
+  std::vector<std::size_t> widths(20);
+  std::iota(heights.begin(), heights.end(), std::size_t{1});
+  std::iota(widths.begin(), widths.end(), std::size_t{1});
+  for_each_block(heights, widths, [&](const char* base_name, const Grid& base, std::size_t h, std::size_t w,
+                     std::size_t i0, std::size_t j0, int nulls) {
+    EXPECT_TRUE(same_on_copies(
+        base, h, w, i0, j0, nulls, 0, core::num_diagonals(kDim),
+        [&](bool vector, const std::byte* west, const std::byte* north, const std::byte* nw,
+            std::byte* out) {
+          (vector ? avx2_ : scalar_)(ctx, i0, i0 + h, j0, j0 + w, stride, west, north, nw, out);
+        }))
+        << "block " << h << "x" << w << " at " << i0 << "," << j0 << " nulls=" << nulls
+        << " on the " << base_name << " grid";
+  });
+}
+
+/// The AVX2 band-clamped entry byte-equal to the scalar kernel run one
+/// clamped row at a time, on the blocks below and every diagonal range
+/// of 1-9 diagonals that meets it: starting before the block, at a row
+/// group's first diagonal, or inside a group's steps, and ending inside
+/// the block or past it. Only the range's cells of the block are
+/// poisoned: the solved grid's earlier diagonals are the first step's
+/// real inputs, read from storage.
+TEST_P(NashIsaSweep, BandedEntryByteEqualToScalarRows) {
+  const void* ctx = spec_.tile.ctx.get();
+  const std::size_t elem = spec_.elem_bytes;
+  const std::size_t stride = kDim * elem;
+  // Heights: a 2-row group (scalar rows), a 3-row one, one 4-row group,
+  // 4 + 3 rows, and 4 + 4 + 1. Widths: one column per lane, fewer columns
+  // than lanes, just more, and a wide block. (Every cell of a block runs
+  // once per range that covers it, 45 times over widths 1-9; the shapes
+  // are few so that k = 8, 32 rounds stays quick.)
+  const std::size_t heights[] = {2, 3, 4, 7, 9};
+  const std::size_t widths[] = {1, 3, 5, 13};
+  for_each_block(heights, widths, [&](const char* base_name, const Grid& base, std::size_t h, std::size_t w,
+                     std::size_t i0, std::size_t j0, int nulls) {
+    const std::size_t first = i0 + j0;
+    const std::size_t last = first + h + w - 2;  // the block's last diagonal
+    for (std::size_t width = 1; width <= 9; ++width) {
+      for (std::size_t d_begin = first > 0 ? first - 1 : 0; d_begin <= last; ++d_begin) {
+        const std::size_t d_end = d_begin + width;
+        if (d_end <= first) continue;  // the range misses the block
+        const bool same = same_on_copies(
+            base, h, w, i0, j0, nulls, d_begin, d_end,
+            [&](bool vector, const std::byte* west, const std::byte* north,
+                const std::byte* nw, std::byte* out) {
+              if (vector) {
+                band_(ctx, i0, i0 + h, j0, j0 + w, d_begin, d_end, stride, west, north, nw, out);
+                return;
+              }
+              for (std::size_t i = i0; i < i0 + h; ++i) {
+                const auto [lo, hi] = core::row_band_span(i, d_begin, d_end, j0, j0 + w);
+                if (lo >= hi) continue;
+                std::byte* o = out + (i - i0) * stride + (lo - j0) * elem;
+                const std::byte* rw = lo > j0 ? o - elem : west ? west + (i - i0) * stride
+                                                                : nullptr;
+                const std::byte* rn = i > i0 ? o - stride : north ? north + (lo - j0) * elem
+                                                                  : nullptr;
+                scalar_(ctx, i, i + 1, lo, hi, stride, rw, rn, rw && rn ? rn - elem : nullptr,
+                        o);
+              }
+            });
+        ASSERT_TRUE(same) << "block " << h << "x" << w << " at " << i0 << "," << j0
+                          << " diagonals [" << d_begin << "," << d_end << ") nulls=" << nulls
+                          << " on the " << base_name << " grid";
+      }
+    }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -975,27 +1093,34 @@ TEST(PerThreadScratch, SyntheticCellsAlternatingDsizesMatchWholeGridBlock) {
 
 // --- LoweredKernel band clamp --------------------------------------------
 
-/// One block a LoweredKernel dispatched, with the pointers block() derived.
+/// One call a LoweredKernel dispatched: a block() of the tile entry, or
+/// one call of the band-clamped entry with its diagonal range, and the
+/// pointers derived for it.
 struct BlockCall {
   std::size_t i0, i1, j0, j1;
-  const std::byte* w;
-  const std::byte* n;
-  const std::byte* nw;
-  std::byte* out;
+  bool banded = false;
+  std::size_t d_begin = 0, d_end = 0;  ///< the band-clamped entry's range
+  const std::byte* w = nullptr;
+  const std::byte* n = nullptr;
+  const std::byte* nw = nullptr;
+  std::byte* out = nullptr;
 
   bool operator==(const BlockCall& o) const {
-    return i0 == o.i0 && i1 == o.i1 && j0 == o.j0 && j1 == o.j1;
+    return i0 == o.i0 && i1 == o.i1 && j0 == o.j0 && j1 == o.j1 && banded == o.banded &&
+           d_begin == o.d_begin && d_end == o.d_end;
   }
 };
 
 void PrintTo(const BlockCall& c, std::ostream* os) {
   *os << "rows [" << c.i0 << "," << c.i1 << ") cols [" << c.j0 << "," << c.j1 << ")";
+  if (c.banded) *os << " diagonals [" << c.d_begin << "," << c.d_end << ")";
 }
 
-/// Records every block tile() issues on a dim x dim grid of 1-byte cells.
+/// Records every call tile() issues on a dim x dim grid of 1-byte cells,
+/// to a kernel with a band-clamped entry when `with_band_entry`.
 std::vector<BlockCall> record_tile(std::size_t dim, std::size_t i0, std::size_t i1,
                                    std::size_t j0, std::size_t j1, std::size_t d_begin,
-                                   std::size_t d_end) {
+                                   std::size_t d_end, bool with_band_entry = false) {
   std::vector<BlockCall> calls;
   LoweredKernel k;
   k.dim = dim;
@@ -1005,11 +1130,20 @@ std::vector<BlockCall> record_tile(std::size_t dim, std::size_t i0, std::size_t 
             std::size_t, const std::byte* w, const std::byte* n, const std::byte* nw,
             std::byte* out) {
     auto* c = const_cast<std::vector<BlockCall>*>(static_cast<const std::vector<BlockCall>*>(ctx));
-    c->push_back(BlockCall{i0, i1, j0, j1, w, n, nw, out});
+    c->push_back(BlockCall{i0, i1, j0, j1, false, 0, 0, w, n, nw, out});
   };
+  if (with_band_entry) {
+    k.banded = [](const void* ctx, std::size_t i0, std::size_t i1, std::size_t j0,
+                  std::size_t j1, std::size_t d_begin, std::size_t d_end, std::size_t,
+                  const std::byte* w, const std::byte* n, const std::byte* nw, std::byte* out) {
+      auto* c =
+          const_cast<std::vector<BlockCall>*>(static_cast<const std::vector<BlockCall>*>(ctx));
+      c->push_back(BlockCall{i0, i1, j0, j1, true, d_begin, d_end, w, n, nw, out});
+    };
+  }
   std::vector<std::byte> storage(dim * dim);
   k.tile({storage.data(), 0}, i0, i1, j0, j1, d_begin, d_end);
-  // Every block's pointers follow block()'s border rule.
+  // Every call's pointers follow block()'s border rule.
   for (const BlockCall& c : calls) {
     EXPECT_EQ(c.out, storage.data() + c.i0 * dim + c.j0);
     EXPECT_EQ(c.w, c.j0 > 0 ? c.out - 1 : nullptr);
@@ -1020,42 +1154,58 @@ std::vector<BlockCall> record_tile(std::size_t dim, std::size_t i0, std::size_t 
 }
 
 BlockCall rows_cols(std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1) {
-  return BlockCall{i0, i1, j0, j1, nullptr, nullptr, nullptr, nullptr};
+  return BlockCall{i0, i1, j0, j1};
+}
+
+BlockCall band_call(std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1,
+                    std::size_t d_begin, std::size_t d_end) {
+  return BlockCall{i0, i1, j0, j1, true, d_begin, d_end};
 }
 
 TEST(LoweredKernel, TileDispatchClampsToBand) {
-  // Fully in band: exactly ONE call covering the whole tile.
-  EXPECT_EQ(record_tile(8, 2, 4, 2, 4, 0, 15), (std::vector{rows_cols(2, 4, 2, 4)}));
+  for (const bool band_entry : {false, true}) {
+    // Fully in band: exactly ONE block() call covering the whole tile,
+    // with or without a band-clamped entry.
+    EXPECT_EQ(record_tile(8, 2, 4, 2, 4, 0, 15, band_entry), (std::vector{rows_cols(2, 4, 2, 4)}));
+    // Band entirely past the tile: no calls at all.
+    EXPECT_TRUE(record_tile(8, 2, 4, 2, 4, 10, 15, band_entry).empty());
+    EXPECT_TRUE(record_tile(8, 2, 4, 2, 4, 0, 4, band_entry).empty());
+  }
 
-  // Band [5, 7): row 2 keeps cols [3,4), row 3 keeps [2,4). Column 3 is in
-  // band for both rows: one two-row block, after row 3's left wedge.
+  // Without a band-clamped entry, one block per row, clamped to the band.
+  // Band [5, 7): row 2 keeps cols [3,4), row 3 keeps [2,4).
   EXPECT_EQ(record_tile(8, 2, 4, 2, 4, 5, 7),
-            (std::vector{rows_cols(3, 4, 2, 3), rows_cols(2, 4, 3, 4)}));
-
-  // Band [5, 6): rows 2 and 3 share no column, so one call per clamped row.
+            (std::vector{rows_cols(2, 3, 3, 4), rows_cols(3, 4, 2, 4)}));
+  // Band [5, 6): one cell per row.
   EXPECT_EQ(record_tile(8, 2, 4, 2, 4, 5, 6),
             (std::vector{rows_cols(2, 3, 3, 4), rows_cols(3, 4, 2, 3)}));
-
-  // A whole 8x8 grid over band [3, 7). Rows 0-3: the left wedges of rows
-  // 1-3 in row order, the shared column 3 as one 4-row block, then the
-  // right wedges of rows 0-2. Rows 4-7 share no column (row 7 is past the
-  // band): one call per clamped row.
+  // A whole 8x8 grid over band [3, 7): rows 0-6 in order, row 7 is past
+  // the band.
   EXPECT_EQ(record_tile(8, 0, 8, 0, 8, 3, 7),
-            (std::vector{rows_cols(1, 2, 2, 3), rows_cols(2, 3, 1, 3), rows_cols(3, 4, 0, 3),
-                         rows_cols(0, 4, 3, 4), rows_cols(0, 1, 4, 7), rows_cols(1, 2, 4, 6),
-                         rows_cols(2, 3, 4, 5), rows_cols(4, 5, 0, 3), rows_cols(5, 6, 0, 2),
+            (std::vector{rows_cols(0, 1, 3, 7), rows_cols(1, 2, 2, 6), rows_cols(2, 3, 1, 5),
+                         rows_cols(3, 4, 0, 4), rows_cols(4, 5, 0, 3), rows_cols(5, 6, 0, 2),
                          rows_cols(6, 7, 0, 1)}));
 
-  // Band entirely past the tile: no calls at all.
-  EXPECT_TRUE(record_tile(8, 2, 4, 2, 4, 10, 15).empty());
+  // With one, ONE call per straddling tile, with the tile's own bounds and
+  // the band (the entry clamps inside).
+  EXPECT_EQ(record_tile(8, 2, 4, 2, 4, 5, 7, true), (std::vector{band_call(2, 4, 2, 4, 5, 7)}));
+  EXPECT_EQ(record_tile(8, 2, 4, 2, 4, 5, 6, true), (std::vector{band_call(2, 4, 2, 4, 5, 6)}));
+  EXPECT_EQ(record_tile(8, 0, 8, 0, 8, 3, 7, true), (std::vector{band_call(0, 8, 0, 8, 3, 7)}));
+  // The band touching only the tile's last or first cell still straddles.
+  EXPECT_EQ(record_tile(8, 2, 4, 2, 4, 6, 9, true), (std::vector{band_call(2, 4, 2, 4, 6, 9)}));
+  EXPECT_EQ(record_tile(8, 2, 4, 2, 4, 1, 5, true), (std::vector{band_call(2, 4, 2, 4, 1, 5)}));
 }
 
-/// Every tile of every band of a few grids: the blocks tile() issues
-/// cover the tile's in-band cells exactly once, never cross the band, and
-/// each block reads only cells that are final when it runs — its west,
-/// north and northwest neighbours inside the tile and the band were
-/// computed by an earlier block.
-TEST(LoweredKernel, GroupedTileDispatchCoversBandOnceInDependencyOrder) {
+/// Every tile of every band of a few grids. Without a band-clamped entry,
+/// the blocks tile() issues are single clamped rows (or the one whole tile
+/// when it lies in band), cover the tile's in-band cells exactly once,
+/// never cross the band, and each block reads only cells that are final
+/// when it runs — its west, north and northwest neighbours inside the tile
+/// and the band were computed by an earlier block. With one, tile() issues
+/// exactly one call when the tile straddles the band (the band entry, with
+/// the tile's bounds and the band), one whole-tile block when it lies
+/// inside, and none when the band misses it.
+TEST(LoweredKernel, PerRowTileDispatchCoversBandOnceInDependencyOrder) {
   for (const std::size_t dim : {std::size_t{1}, std::size_t{5}, std::size_t{9}, std::size_t{17}}) {
     const std::size_t n_diags = core::num_diagonals(dim);
     for (std::size_t d_begin = 0; d_begin < n_diags; d_begin += 2) {
@@ -1071,14 +1221,35 @@ TEST(LoweredKernel, GroupedTileDispatchCoversBandOnceInDependencyOrder) {
                                         std::to_string(d_begin) + "," + std::to_string(d_end) +
                                         ") tile at " + std::to_string(i0) + "," +
                                         std::to_string(j0) + " side " + std::to_string(tile);
+              const bool inside = d_begin <= i0 + j0 && (i1 - 1) + (j1 - 1) < d_end;
+              const bool missed = i0 + j0 >= d_end || (i1 - 1) + (j1 - 1) < d_begin;
+              const std::vector<BlockCall> one = record_tile(dim, i0, i1, j0, j1, d_begin, d_end,
+                                                             true);
+              if (missed) {
+                EXPECT_TRUE(one.empty()) << where;
+              } else {
+                ASSERT_EQ(one.size(), 1u) << where;
+                EXPECT_EQ(one[0], inside ? rows_cols(i0, i1, j0, j1)
+                                         : band_call(i0, i1, j0, j1, d_begin, d_end))
+                    << where;
+              }
+
               std::vector<int> done(dim * dim, 0);
               const auto needed = [&](std::size_t i, std::size_t j) {
                 return i >= i0 && i < i1 && j >= j0 && j < j1 && i + j >= d_begin &&
                        i + j < d_end;
               };
-              for (const BlockCall& c : record_tile(dim, i0, i1, j0, j1, d_begin, d_end)) {
+              const std::vector<BlockCall> rows = record_tile(dim, i0, i1, j0, j1, d_begin,
+                                                              d_end);
+              if (inside) {
+                EXPECT_EQ(rows, (std::vector{rows_cols(i0, i1, j0, j1)})) << where;
+              }
+              for (const BlockCall& c : rows) {
                 ASSERT_LT(c.i0, c.i1) << where;
                 ASSERT_LT(c.j0, c.j1) << where;
+                if (!inside) {
+                  ASSERT_EQ(c.i1 - c.i0, 1u) << where;
+                }
                 ASSERT_GE(c.i0 + c.j0, d_begin) << where;
                 ASSERT_LT((c.i1 - 1) + (c.j1 - 1), d_end) << where;
                 for (std::size_t i = c.i0; i < c.i1; ++i) {

@@ -224,13 +224,12 @@ TEST(TiledWavefrontCost, ParallelBeatsSerialAtScale) {
 // --- lowered dispatch ---
 
 // The serial sweep covers exactly the cells of the region, as in-band
-// blocks: one call in all for a full sweep at any tile; a band slice
-// (here also 2, 4 and 7 diagonals wide: narrower than, as wide as and
-// wider than a row group) runs per group of kRowGroup rows at most one
-// multi-row block plus single-row wedges, so at most 2 * kRowGroup - 1
-// calls per group.
+// blocks: one call in all for a full sweep at any tile. A band slice (here
+// also 2, 4 and 7 diagonals wide) runs as one block per row clamped to the
+// band, in row order, for a kernel without a band-clamped entry, and as
+// ONE call of that entry over the rows the band meets for a kernel with
+// one.
 TEST(LoweredDispatch, SerialCoversRegionExactlyOnce) {
-  constexpr std::size_t G = core::LoweredKernel::kRowGroup;
   for (const TiledRegion& region :
        {TiledRegion{16, 0, 31, 1}, TiledRegion{16, 0, 31, 4}, TiledRegion{16, 5, 20, 1},
         TiledRegion{9, 3, 9, 1}, TiledRegion{16, 7, 9, 1}, TiledRegion{16, 7, 11, 1},
@@ -241,16 +240,38 @@ TEST(LoweredDispatch, SerialCoversRegionExactlyOnce) {
       EXPECT_EQ(blocks.size(), 1u);
       continue;
     }
-    const std::size_t groups = (region.dim + G - 1) / G;
-    EXPECT_LE(blocks.size(), groups * (2 * G - 1));
-    std::size_t multi_row = 0;
-    for (const oracles::Block& b : blocks) {
-      EXPECT_GE(b.i0 + b.j0, region.d_begin);
-      EXPECT_LT((b.i1 - 1) + (b.j1 - 1), region.d_end);
-      EXPECT_LE(b.i1 - b.i0, G);
-      if (b.i1 - b.i0 > 1) ++multi_row;
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      EXPECT_EQ(blocks[b].i1 - blocks[b].i0, 1u);
+      if (b > 0) {
+        EXPECT_GT(blocks[b].i0, blocks[b - 1].i0);
+      }
+      EXPECT_GE(blocks[b].i0 + blocks[b].j0, region.d_begin);
+      EXPECT_LT((blocks[b].i1 - 1) + (blocks[b].j1 - 1), region.d_end);
     }
-    EXPECT_LE(multi_row, groups);
+
+    // A kernel with a band-clamped entry: one call, from the band's first
+    // row to the region's last, over every column.
+    struct Call {
+      std::size_t i0, i1, j0, j1, d_begin, d_end;
+    };
+    std::vector<Call> calls;
+    core::LoweredKernel k = lowered<mix>(region.dim);
+    k.ctx = &calls;
+    k.banded = [](const void* ctx, std::size_t i0, std::size_t i1, std::size_t j0,
+                  std::size_t j1, std::size_t d_begin, std::size_t d_end, std::size_t,
+                  const std::byte*, const std::byte*, const std::byte*, std::byte*) {
+      static_cast<std::vector<Call>*>(const_cast<void*>(ctx))
+          ->push_back({i0, i1, j0, j1, d_begin, d_end});
+    };
+    std::vector<Cell> storage(region.dim * region.dim, 0);
+    run_serial_wavefront(region, k, whole(storage));
+    ASSERT_EQ(calls.size(), 1u);
+    EXPECT_EQ(calls[0].i0, core::diag_row_lo(region.dim, region.d_begin));
+    EXPECT_EQ(calls[0].i1, region.dim);
+    EXPECT_EQ(calls[0].j0, 0u);
+    EXPECT_EQ(calls[0].j1, region.dim);
+    EXPECT_EQ(calls[0].d_begin, region.d_begin);
+    EXPECT_EQ(calls[0].d_end, region.d_end);
   }
 }
 
