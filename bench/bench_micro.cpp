@@ -13,7 +13,7 @@
 // axis) — and (b) the barriered per-tile-diagonal scheduler against the
 // dataflow dependency-counter scheduler, both dispatching the lowered tile
 // kernel (the --scheduler axis, small and medium tiles, >= 4 workers),
-// then (c) the nash tile kernel, scalar and AVX2, in each dispatch shape
+// then (c) the nash tile kernel, scalar, AVX2 and AVX-512, in each dispatch shape
 // of BM_NashTileKernel, and writes the ns/cell numbers with the host's
 // core count to PATH (default BENCH_micro.json) so CI records the
 // hot-loop trajectory on every push.
@@ -288,15 +288,22 @@ core::WavefrontSpec nash_micro_spec() {
   return apps::make_nash_spec(p);
 }
 
+/// The nash tile kernel variants, by BM_NashTileKernel's isa argument.
+constexpr const char* kNashIsaNames[] = {"scalar", "avx2", "avx512"};
+constexpr std::size_t kNashIsas = std::size(kNashIsaNames);
+
 /// The nash spec lowered onto tile kernel variant `isa` (0 scalar, 1
-/// AVX2), both of its entries swapped: the AVX2 kernel's band-clamped
-/// entry rides along with it, and the scalar kernel has none. Its `fn` is
-/// null when this host cannot run the variant.
+/// AVX2, 2 AVX-512), both of its entries swapped: a vector kernel's
+/// band-clamped entry rides along with it, and the scalar kernel has
+/// none. Its `fn` is null when this host cannot run the variant.
 core::LoweredKernel nash_variant(const core::WavefrontSpec& spec, std::size_t isa) {
   core::LoweredKernel kernel = spec.lower();
-  kernel.fn = isa == 0 ? apps::detail::nash_scalar_tile_kernel()
-                       : apps::detail::nash_avx2_tile_kernel();
-  kernel.banded = isa == 0 ? nullptr : apps::detail::nash_avx2_band_kernel();
+  kernel.fn = isa == 0   ? apps::detail::nash_scalar_tile_kernel()
+              : isa == 1 ? apps::detail::nash_avx2_tile_kernel()
+                         : apps::detail::nash_avx512_tile_kernel();
+  kernel.banded = isa == 0   ? nullptr
+                  : isa == 1 ? apps::detail::nash_avx2_band_kernel()
+                             : apps::detail::nash_avx512_band_kernel();
   return kernel;
 }
 
@@ -321,14 +328,14 @@ void nash_sweep(const core::LoweredKernel& kernel, core::StorageView view, std::
 }
 
 /// Args {shape, isa}: the nash tile kernel's dispatch shapes above, each
-/// with the scalar (0) and the AVX2 (1) variant.
+/// with the scalar (0), the AVX2 (1) and the AVX-512 (2) variant.
 void BM_NashTileKernel(benchmark::State& state) {
   const auto shape = static_cast<std::size_t>(state.range(0));
   const auto isa = static_cast<std::size_t>(state.range(1));
   const core::WavefrontSpec spec = nash_micro_spec();
   const core::LoweredKernel kernel = nash_variant(spec, isa);
   if (!kernel.fn) {
-    state.SkipWithError("this host has no AVX2");
+    state.SkipWithError(isa == 1 ? "this host has no AVX2" : "this host has no AVX-512 F/DQ/VL");
     return;
   }
   core::Grid grid(spec.dim, spec.elem_bytes);
@@ -337,11 +344,11 @@ void BM_NashTileKernel(benchmark::State& state) {
     benchmark::DoNotOptimize(grid.data());
     benchmark::ClobberMemory();
   }
-  state.SetLabel(std::string(nash_shape_name(shape)) + (isa == 0 ? ", scalar" : ", avx2"));
+  state.SetLabel(std::string(nash_shape_name(shape)) + ", " + kNashIsaNames[isa]);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(spec.dim * spec.dim));
 }
-BENCHMARK(BM_NashTileKernel)->ArgsProduct({{0, 1, 2, 3}, {0, 1}});
+BENCHMARK(BM_NashTileKernel)->ArgsProduct({{0, 1, 2, 3}, {0, 1, 2}});
 
 void BM_M5Predict(benchmark::State& state) {
   ml::Dataset d({"a", "b", "c"});
@@ -671,13 +678,13 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_expl
       }
     }
   }
-  // The nash tile kernel in each dispatch shape, scalar and AVX2: best of
+  // The nash tile kernel in each dispatch shape and variant: best of
   // `reps` whole-grid sweeps on the calling thread.
   util::Json nash_runs = util::Json::array();
   const core::WavefrontSpec nash = nash_micro_spec();
   core::Grid nash_grid(nash.dim, nash.elem_bytes);
   for (std::size_t shape = 0; shape < kNashShapes; ++shape) {
-    for (std::size_t isa = 0; isa < 2; ++isa) {
+    for (std::size_t isa = 0; isa < kNashIsas; ++isa) {
       const core::LoweredKernel kernel = nash_variant(nash, isa);
       if (!kernel.fn) continue;
       double best = std::numeric_limits<double>::infinity();
@@ -692,10 +699,10 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_expl
       row["app"] = util::Json("nash");
       row["dim"] = util::Json(nash.dim);
       row["shape"] = util::Json(nash_shape_name(shape));
-      row["isa"] = util::Json(isa == 0 ? "scalar" : "avx2");
+      row["isa"] = util::Json(kNashIsaNames[isa]);
       row["ns_per_cell"] = util::Json(ns);
       std::cout << "nash dim=" << nash.dim << " " << nash_shape_name(shape) << " "
-                << (isa == 0 ? "scalar" : "avx2") << ": " << ns << " ns/cell\n";
+                << kNashIsaNames[isa] << ": " << ns << " ns/cell\n";
       nash_runs.push_back(std::move(row));
     }
   }

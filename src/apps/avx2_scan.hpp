@@ -1,6 +1,6 @@
 // Internal: AVX2 building blocks of the row-scan tile kernels
-// (apps/editdist.cpp, apps/seqcmp.cpp). The nash kernel (apps/nash.cpp)
-// uses only the target macro, cpu_has_avx2() and kMinVectorWidth.
+// (apps/editdist.cpp, apps/seqcmp.cpp). The nash kernels (apps/nash.cpp)
+// use only the target macro and cpu_has_avx2().
 //
 // x86 only. Every function carries target("avx2"), so the including file
 // needs no -mavx2 and the rest of it stays baseline x86-64; only code

@@ -279,20 +279,44 @@ void nash_tile_kernel(const void* pv, std::size_t i0, std::size_t i1, std::size_
 
 #ifdef WAVETUNE_AVX2_KERNELS
 
-/// Cells per vector step of the AVX2 kernel, one per row of a row group.
-constexpr std::size_t kNashLanes = 4;
+// The vector kernels walk groups of rows along their anti-diagonals, one
+// cell per row and step, in one template over a lane-ops type: Avx2Lanes
+// (4 lanes) and Avx512Lanes (8 lanes) below. The templates carry no
+// target attribute; each ISA's band entry does, with `flatten`, so every
+// template and lane op is inlined into it and compiled for its ISA alone.
+// No multiply may fuse with an add, or a lane would round differently
+// from the scalar solve. AVX-512F implies FMA, and GCC contracts a
+// multiply and an add into an FMA even across intrinsics, so each lane
+// op's multiply ends in an empty asm that makes its product opaque. That
+// holds whatever -ffp-contract the sources are built with: this build
+// passes -ffp-contract=off, but other builds of src/ (perfbench's) do not.
 
-/// A vector step costs about as much as two scalar cells (bench_micro's
-/// whole-grid nash rows: 62 against 124 ns/cell), so a row group takes the
-/// vector walk only where its steps average more than two busy lanes; the
-/// rest (one- and two-row groups, narrow blocks, band corners) runs the
-/// scalar kernel one clamped row at a time.
-constexpr std::size_t kNashStepCostCells = 2;
+/// The scalar kernel run one band-clamped row at a time over rows
+/// [i0, i1) (core::TileBandKernelFn): where the 4-lane walk does not pay.
+/// noinline keeps it out of the flattened vector entries.
+__attribute__((noinline)) void nash_band_rows(const void* pv, std::size_t i0, std::size_t i1,
+                                              std::size_t j0, std::size_t j1,
+                                              std::size_t d_begin, std::size_t d_end,
+                                              std::size_t stride, const std::byte* w,
+                                              const std::byte* n, const std::byte*,
+                                              std::byte* out) {
+  constexpr std::size_t elem = sizeof(NashCell);
+  for (std::size_t i = i0; i < i1; ++i) {
+    const auto [lo, hi] = core::row_band_span(i, d_begin, d_end, j0, j1);
+    if (lo >= hi) continue;
+    std::byte* ro = out + (i - i0) * stride + (lo - j0) * elem;
+    const std::byte* rw = lo > j0 ? ro - elem : w ? w + (i - i0) * stride : nullptr;
+    const std::byte* rn = i > i0 ? ro - stride : n ? n + (lo - j0) * elem : nullptr;
+    nash_tile_kernel(pv, i, i + 1, lo, hi, stride, rw, rn, rw && rn ? rn - elem : nullptr, ro);
+  }
+}
 
-/// Per-thread working buffers of the AVX2 kernel, resized only when `k`
-/// changes. Every entry holds four lanes (one 32-byte aligned __m256d):
-/// entry e of a buffer is [4e, 4e + 4). The buffers point into `storage`,
-/// so the scratch is neither copied nor moved.
+/// Per-thread working buffers of a lane walk, resized only when `k`
+/// changes. Every entry holds `kLanes` lanes (one vector, aligned to its
+/// size): entry e of a buffer is [kLanes * e, kLanes * e + kLanes). The
+/// buffers point into `storage`, so the scratch is neither copied nor
+/// moved.
+template <std::size_t kLanes>
 struct NashLaneScratch {
   NashLaneScratch() = default;
   NashLaneScratch(const NashLaneScratch&) = delete;
@@ -310,175 +334,134 @@ struct NashLaneScratch {
   void resize(std::size_t k_) {
     if (k_ == k) return;
     k = k_;
-    storage.assign(4 * (2 * k * k + 4 * k) + 4, 0.0);  // + 4: room to align
+    constexpr std::uintptr_t align = kLanes * sizeof(double);
+    storage.assign(kLanes * (2 * k * k + 4 * k + 1), 0.0);  // + 1 entry: room to align
     auto* p = reinterpret_cast<double*>(
-        (reinterpret_cast<std::uintptr_t>(storage.data()) + 31) & ~std::uintptr_t{31});
+        (reinterpret_cast<std::uintptr_t>(storage.data()) + align - 1) & ~(align - 1));
     pay_row = p;
-    pay_col = pay_row + 4 * k * k;
-    cnt_row = pay_col + 4 * k * k;
-    cnt_col = cnt_row + 4 * k;
-    hits_row = cnt_col + 4 * k;
-    hits_col = hits_row + 4 * k;
+    pay_col = pay_row + kLanes * k * k;
+    cnt_row = pay_col + kLanes * k * k;
+    cnt_col = cnt_row + kLanes * k;
+    hits_row = cnt_col + kLanes * k;
+    hits_col = hits_row + kLanes * k;
   }
 };
 
-/// x * c mod 2^64 in each 64-bit lane. AVX2 has no 64-bit lane multiply,
-/// so it is lo*c_lo + ((hi*c_lo + lo*c_hi) << 32) from three 32x32->64
-/// multiplies.
-WAVETUNE_TARGET_AVX2 inline __m256i mul64(__m256i x, std::uint64_t c) {
-  const __m256i c_lo = _mm256_set1_epi64x(static_cast<long long>(c & 0xffffffffULL));
-  const __m256i c_hi = _mm256_set1_epi64x(static_cast<long long>(c >> 32));
-  const __m256i cross = _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(x, 32), c_lo),
-                                         _mm256_mul_epu32(x, c_hi));
-  return _mm256_add_epi64(_mm256_mul_epu32(x, c_lo), _mm256_slli_epi64(cross, 32));
-}
-
-/// util::splitmix64 of four states, each as its [0, 1) payoff
-/// (z >> 11) * 2^-53. z >> 11 is below 2^53 and converts exactly: its
-/// high 21 bits fill the mantissa of 2^84 + hi * 2^32, its low 32 bits
-/// that of 2^52 + lo, and (2^84 + hi * 2^32 - (2^84 + 2^52)) + (2^52 + lo)
-/// rounds nowhere.
-WAVETUNE_TARGET_AVX2 inline __m256d splitmix_unit(__m256i state) {
-  __m256i z = _mm256_add_epi64(state, _mm256_set1_epi64x(static_cast<long long>(
-                                          0x9e3779b97f4a7c15ULL)));
-  z = mul64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)), 0xbf58476d1ce4e5b9ULL);
-  z = mul64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)), 0x94d049bb133111ebULL);
-  z = _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
-  const __m256i v = _mm256_srli_epi64(z, 11);
-  const __m256d hi = _mm256_castsi256_pd(
-      _mm256_or_si256(_mm256_srli_epi64(v, 32), _mm256_castpd_si256(_mm256_set1_pd(0x1.0p84))));
-  const __m256d lo = _mm256_castsi256_pd(
-      _mm256_blend_epi32(v, _mm256_castpd_si256(_mm256_set1_pd(0x1.0p52)), 0xaa));
-  const __m256d exact = _mm256_add_pd(_mm256_sub_pd(hi, _mm256_set1_pd(0x1.0p84 + 0x1.0p52)), lo);
-  return _mm256_mul_pd(exact, _mm256_set1_pd(0x1.0p-53));
-}
-
-/// Four NashCells, one per lane, as one vector per field.
+/// One NashCell per lane, as one vector per field.
+template <typename L>
 struct NashLanes {
-  __m256d value_row, value_col, entropy_row, entropy_col;
+  typename L::D value_row, value_col, entropy_row, entropy_col;
 };
 
-/// One candidate of solve_tile_cell's argmax in every lane: `idx` becomes
-/// a lane's best when `val` beats its best so far under a strict >, so
-/// ties keep the first maximum, as in the scalar loop.
-WAVETUNE_TARGET_AVX2 inline void argmax_step(__m256d val, std::size_t idx, __m256d& best_val,
-                                             __m256i& best_idx) {
-  const __m256d gt = _mm256_cmp_pd(val, best_val, _CMP_GT_OQ);
-  best_val = _mm256_blendv_pd(best_val, val, gt);
-  best_idx = _mm256_castpd_si256(_mm256_blendv_pd(
-      _mm256_castsi256_pd(best_idx),
-      _mm256_castsi256_pd(_mm256_set1_epi64x(static_cast<long long>(idx))), gt));
-}
+// The templates take vectors from lane ops, by value, and run only
+// inlined into a target entry, so GCC's warning that a vector return
+// changes the ABI in code without the target does not apply.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpsabi"
 
-/// solve_tile_cell for four cells at once, lane r solving the cell with
-/// hash prefix `cell_hash` lane r and neighbour values lane r of the
+/// solve_tile_cell for L::kLanes cells at once, lane r solving the cell
+/// with hash prefix `cell_hash` lane r and neighbour values lane r of the
 /// W/N/NW vectors. Each lane runs solve_tile_cell's operations in its
-/// order (no fused multiply-add; the strict-> first-max argmax; the
-/// value sums and entropy subtractions in (a, b) order), so every lane's
-/// cell is bit-identical to the scalar one.
-WAVETUNE_TARGET_AVX2 inline NashLanes solve_tile_cells_avx2(
-    const NashTileCtx& c, __m256i cell_hash, __m256d w_row, __m256d w_col, __m256d n_row,
-    __m256d n_col, __m256d nw_row, __m256d nw_col, NashLaneScratch& s) {
+/// order (no fused multiply-add; the strict-> first-max argmax; the value
+/// sums and entropy subtractions in (a, b) order), so every lane's cell
+/// is bit-identical to the scalar one.
+template <typename L>
+NashLanes<L> solve_tile_cells(const NashTileCtx& c, const typename L::I& cell_hash,
+                              const typename L::D& w_row, const typename L::D& w_col,
+                              const typename L::D& n_row, const typename L::D& n_col,
+                              const typename L::D& nw_row, const typename L::D& nw_col,
+                              NashLaneScratch<L::kLanes>& s) {
+  using D = typename L::D;
+  using I = typename L::I;
+  constexpr std::size_t kL = L::kLanes;
   const std::size_t k = c.k;
-  const __m256d c35 = _mm256_set1_pd(0.35);
-  const __m256d c30 = _mm256_set1_pd(0.3);
-  const __m256d c10 = _mm256_set1_pd(0.1);
-  const __m256d bias_row = _mm256_mul_pd(
-      c10, _mm256_add_pd(_mm256_add_pd(_mm256_mul_pd(c35, w_row), _mm256_mul_pd(c35, n_row)),
-                         _mm256_mul_pd(c30, nw_row)));
-  const __m256d bias_col = _mm256_mul_pd(
-      c10, _mm256_add_pd(_mm256_add_pd(_mm256_mul_pd(c35, w_col), _mm256_mul_pd(c35, n_col)),
-                         _mm256_mul_pd(c30, nw_col)));
+  const D c35 = L::set1(0.35);
+  const D c30 = L::set1(0.3);
+  const D c10 = L::set1(0.1);
+  const D bias_row =
+      L::mul(c10, L::add(L::add(L::mul(c35, w_row), L::mul(c35, n_row)), L::mul(c30, nw_row)));
+  const D bias_col =
+      L::mul(c10, L::add(L::add(L::mul(c35, w_col), L::mul(c35, n_col)), L::mul(c30, nw_col)));
 
-  const __m256i salt_row = _mm256_xor_si256(cell_hash, _mm256_set1_epi64x(0xabcd));
-  const __m256i salt_col = _mm256_xor_si256(cell_hash, _mm256_set1_epi64x(0x1234));
+  const I salt_row = L::xori(cell_hash, L::seti(0xabcd));
+  const I salt_col = L::xori(cell_hash, L::seti(0x1234));
   for (std::size_t a = 0; a < k; ++a) {
     for (std::size_t b = 0; b < k; ++b) {
-      const __m256i ab = _mm256_set1_epi64x(static_cast<long long>((a << 9) ^ (b << 3)));
-      const std::size_t e = 4 * (a * k + b);
-      _mm256_store_pd(s.pay_row + e,
-                      _mm256_add_pd(splitmix_unit(_mm256_xor_si256(salt_row, ab)), bias_row));
-      _mm256_store_pd(s.pay_col + e,
-                      _mm256_add_pd(splitmix_unit(_mm256_xor_si256(salt_col, ab)), bias_col));
+      const I ab = L::seti((a << 9) ^ (b << 3));
+      const std::size_t e = kL * (a * k + b);
+      L::store(s.pay_row + e, L::add(L::hash_unit(L::xori(salt_row, ab)), bias_row));
+      L::store(s.pay_col + e, L::add(L::hash_unit(L::xori(salt_col, ab)), bias_col));
     }
   }
 
-  const __m256d count0 = _mm256_set1_pd(c.count[0]);
+  const D count0 = L::set1(c.count[0]);
   for (std::size_t a = 0; a < k; ++a) {
-    _mm256_store_pd(s.cnt_row + 4 * a, count0);
-    _mm256_store_pd(s.cnt_col + 4 * a, count0);
-    _mm256_store_pd(s.hits_row + 4 * a, _mm256_setzero_pd());
-    _mm256_store_pd(s.hits_col + 4 * a, _mm256_setzero_pd());
+    L::store(s.cnt_row + kL * a, count0);
+    L::store(s.cnt_col + kL * a, count0);
+    L::storei(s.hits_row + kL * a, L::seti(0));
+    L::storei(s.hits_col + kL * a, L::seti(0));
   }
   for (std::size_t round = 0; round < c.rounds; ++round) {
-    __m256i best_a = _mm256_setzero_si256();
-    __m256i best_b = _mm256_setzero_si256();
-    __m256d best_a_val = _mm256_set1_pd(-1e300);
-    __m256d best_b_val = _mm256_set1_pd(-1e300);
+    I best_a = L::seti(0);
+    I best_b = L::seti(0);
+    D best_a_val = L::set1(-1e300);
+    D best_b_val = L::set1(-1e300);
     for (std::size_t a = 0; a < k; ++a) {
-      __m256d va = _mm256_setzero_pd();
+      D va = L::set1(0.0);
       for (std::size_t b = 0; b < k; ++b) {
-        va = _mm256_add_pd(va, _mm256_mul_pd(_mm256_load_pd(s.pay_row + 4 * (a * k + b)),
-                                             _mm256_load_pd(s.cnt_col + 4 * b)));
+        va = L::add(va, L::mul(L::load(s.pay_row + kL * (a * k + b)), L::load(s.cnt_col + kL * b)));
       }
-      argmax_step(va, a, best_a_val, best_a);
+      L::argmax(va, a, best_a_val, best_a);
     }
     for (std::size_t b = 0; b < k; ++b) {
-      __m256d vb = _mm256_setzero_pd();
+      D vb = L::set1(0.0);
       for (std::size_t a = 0; a < k; ++a) {
-        vb = _mm256_add_pd(vb, _mm256_mul_pd(_mm256_load_pd(s.pay_col + 4 * (a * k + b)),
-                                             _mm256_load_pd(s.cnt_row + 4 * a)));
+        vb = L::add(vb, L::mul(L::load(s.pay_col + kL * (a * k + b)), L::load(s.cnt_row + kL * a)));
       }
-      argmax_step(vb, b, best_b_val, best_b);
+      L::argmax(vb, b, best_b_val, best_b);
     }
-    // One more best response for each lane's winner (cmpeq is -1 there),
-    // and the counts the next round reads.
+    // One more best response for each lane's winner, and the counts the
+    // next round reads.
     const bool more = round + 1 < c.rounds;
     for (std::size_t a = 0; a < k; ++a) {
-      const __m256i ia = _mm256_set1_epi64x(static_cast<long long>(a));
-      const __m256i hr = _mm256_sub_epi64(_mm256_castpd_si256(_mm256_load_pd(s.hits_row + 4 * a)),
-                                          _mm256_cmpeq_epi64(best_a, ia));
-      const __m256i hc = _mm256_sub_epi64(_mm256_castpd_si256(_mm256_load_pd(s.hits_col + 4 * a)),
-                                          _mm256_cmpeq_epi64(best_b, ia));
-      _mm256_store_pd(s.hits_row + 4 * a, _mm256_castsi256_pd(hr));
-      _mm256_store_pd(s.hits_col + 4 * a, _mm256_castsi256_pd(hc));
+      const I hr = L::count_hit(L::loadi(s.hits_row + kL * a), best_a, a);
+      const I hc = L::count_hit(L::loadi(s.hits_col + kL * a), best_b, a);
+      L::storei(s.hits_row + kL * a, hr);
+      L::storei(s.hits_col + kL * a, hc);
       if (more) {
-        _mm256_store_pd(s.cnt_row + 4 * a, _mm256_i64gather_pd(c.count.data(), hr, 8));
-        _mm256_store_pd(s.cnt_col + 4 * a, _mm256_i64gather_pd(c.count.data(), hc, 8));
+        L::store(s.cnt_row + kL * a, L::gather(c.count.data(), hr));
+        L::store(s.cnt_col + kL * a, L::gather(c.count.data(), hc));
       }
     }
   }
 
   // The normalised strategies, gathered from the share table into the
   // count buffers, then the values and entropies.
-  NashLanes r{_mm256_setzero_pd(), _mm256_setzero_pd(), _mm256_setzero_pd(),
-              _mm256_setzero_pd()};
+  NashLanes<L> r{L::set1(0.0), L::set1(0.0), L::set1(0.0), L::set1(0.0)};
   for (std::size_t a = 0; a < k; ++a) {
-    const __m256i hr = _mm256_castpd_si256(_mm256_load_pd(s.hits_row + 4 * a));
-    const __m256i hc = _mm256_castpd_si256(_mm256_load_pd(s.hits_col + 4 * a));
-    _mm256_store_pd(s.cnt_row + 4 * a, _mm256_i64gather_pd(c.share.data(), hr, 8));
-    _mm256_store_pd(s.cnt_col + 4 * a, _mm256_i64gather_pd(c.share.data(), hc, 8));
+    L::store(s.cnt_row + kL * a, L::gather(c.share.data(), L::loadi(s.hits_row + kL * a)));
+    L::store(s.cnt_col + kL * a, L::gather(c.share.data(), L::loadi(s.hits_col + kL * a)));
   }
   for (std::size_t a = 0; a < k; ++a) {
-    const __m256d sa = _mm256_load_pd(s.cnt_row + 4 * a);
+    const D sa = L::load(s.cnt_row + kL * a);
     for (std::size_t b = 0; b < k; ++b) {
-      const __m256d t = _mm256_mul_pd(sa, _mm256_load_pd(s.cnt_col + 4 * b));
-      const std::size_t e = 4 * (a * k + b);
-      r.value_row = _mm256_add_pd(r.value_row, _mm256_mul_pd(t, _mm256_load_pd(s.pay_row + e)));
-      r.value_col = _mm256_add_pd(r.value_col, _mm256_mul_pd(t, _mm256_load_pd(s.pay_col + e)));
+      const D t = L::mul(sa, L::load(s.cnt_col + kL * b));
+      const std::size_t e = kL * (a * k + b);
+      r.value_row = L::add(r.value_row, L::mul(t, L::load(s.pay_row + e)));
+      r.value_col = L::add(r.value_col, L::mul(t, L::load(s.pay_col + e)));
     }
   }
   for (std::size_t a = 0; a < k; ++a) {
-    const __m256i hr = _mm256_castpd_si256(_mm256_load_pd(s.hits_row + 4 * a));
-    const __m256i hc = _mm256_castpd_si256(_mm256_load_pd(s.hits_col + 4 * a));
-    r.entropy_row = _mm256_sub_pd(r.entropy_row, _mm256_i64gather_pd(c.share_log.data(), hr, 8));
-    r.entropy_col = _mm256_sub_pd(r.entropy_col, _mm256_i64gather_pd(c.share_log.data(), hc, 8));
+    r.entropy_row =
+        L::sub(r.entropy_row, L::gather(c.share_log.data(), L::loadi(s.hits_row + kL * a)));
+    r.entropy_col =
+        L::sub(r.entropy_col, L::gather(c.share_log.data(), L::loadi(s.hits_col + kL * a)));
   }
   return r;
 }
 
-/// Rows [gi, gi + rows) (rows <= 4) x columns [j0, j1) of a tile, over
-/// the steps [t_begin, t_end): at step t lane r computes cell
+/// Rows [gi, gi + rows) (rows <= L::kLanes) x columns [j0, j1) of a tile,
+/// over the steps [t_begin, t_end): at step t lane r computes cell
 /// (gi + r, j0 + t - r), on the group's anti-diagonal gi + j0 + t, so a
 /// diagonal range is a step range and the columns are a per-lane mask.
 /// A lane's west value is its own output of the step before, its north
@@ -491,30 +474,32 @@ WAVETUNE_TARGET_AVX2 inline NashLanes solve_tile_cells_avx2(
 /// border, read as zero) and `nrow` at (gi - 1, j0) (null: the north
 /// border), as the scalar kernel's row sweep reads them; every read stays
 /// in rows [gi - 1, gi + rows) x columns [j0 - 1, j1).
-WAVETUNE_TARGET_AVX2 void nash_row_group_avx2(const NashTileCtx& c, std::size_t gi,
-                                              std::size_t rows, std::size_t j0, std::size_t j1,
-                                              std::size_t t_begin, std::size_t t_end,
-                                              std::size_t stride, const std::byte* wcol,
-                                              const std::byte* nrow, std::byte* out,
-                                              NashLaneScratch& s) {
+template <typename L>
+void nash_row_group(const NashTileCtx& c, std::size_t gi, std::size_t rows, std::size_t j0,
+                    std::size_t j1, std::size_t t_begin, std::size_t t_end, std::size_t stride,
+                    const std::byte* wcol, const std::byte* nrow, std::byte* out,
+                    NashLaneScratch<L::kLanes>& s) {
+  using D = typename L::D;
+  constexpr std::size_t kL = L::kLanes;
+  constexpr std::size_t kAlign = sizeof(D);
   const std::size_t width = j1 - j0;
   const auto* north = reinterpret_cast<const NashCell*>(nrow);
   const auto row_of = [&](std::size_t r) {
     return reinterpret_cast<const NashCell*>(out + r * stride);
   };
   const NashCell zero{0, 0, 0, 0};
-  alignas(32) double w0_row[kNashLanes] = {};
-  alignas(32) double w0_col[kNashLanes] = {};
-  alignas(32) double nw0_row[kNashLanes] = {};
-  alignas(32) double nw0_col[kNashLanes] = {};
-  alignas(32) std::uint64_t row_hash[kNashLanes] = {};
+  alignas(kAlign) double w0_row[kL] = {};
+  alignas(kAlign) double w0_col[kL] = {};
+  alignas(kAlign) double nw0_row[kL] = {};
+  alignas(kAlign) double nw0_col[kL] = {};
+  alignas(kAlign) std::uint64_t row_hash[kL] = {};
   // The first step's W/N/NW per lane, from storage.
-  alignas(32) double f_w_row[kNashLanes] = {};
-  alignas(32) double f_w_col[kNashLanes] = {};
-  alignas(32) double f_n_row[kNashLanes] = {};
-  alignas(32) double f_n_col[kNashLanes] = {};
-  alignas(32) double f_nw_row[kNashLanes] = {};
-  alignas(32) double f_nw_col[kNashLanes] = {};
+  alignas(kAlign) double f_w_row[kL] = {};
+  alignas(kAlign) double f_w_col[kL] = {};
+  alignas(kAlign) double f_n_row[kL] = {};
+  alignas(kAlign) double f_n_col[kL] = {};
+  alignas(kAlign) double f_nw_row[kL] = {};
+  alignas(kAlign) double f_nw_col[kL] = {};
   for (std::size_t r = 0; r < rows; ++r) {
     row_hash[r] = c.seed ^ (static_cast<std::uint64_t>(gi + r) * 0x9e3779b97f4a7c15ULL);
     if (wcol) {
@@ -551,83 +536,64 @@ WAVETUNE_TARGET_AVX2 void nash_row_group_avx2(const NashTileCtx& c, std::size_t 
     }
   }
 
-  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
-  const __m256i hash = _mm256_load_si256(reinterpret_cast<const __m256i*>(row_hash));
-  // Lane r's column j0 + t - r; wraps below zero before its row starts.
-  __m256i col =
-      _mm256_sub_epi64(_mm256_set1_epi64x(static_cast<long long>(j0 + t_begin)), lane);
+  const typename L::I hash = L::loadi(row_hash);
   // Seeded with what the walk carries into a step: the first step's W as
   // the previous output, its NW as the previous north.
-  __m256d out_row = _mm256_load_pd(f_w_row);
-  __m256d out_col = _mm256_load_pd(f_w_col);
-  __m256d n_row = _mm256_load_pd(f_nw_row);
-  __m256d n_col = _mm256_load_pd(f_nw_col);
+  D out_row = L::load(f_w_row);
+  D out_col = L::load(f_w_col);
+  D n_row = L::load(f_nw_row);
+  D n_col = L::load(f_nw_col);
   for (std::size_t t = t_begin; t < t_end; ++t) {
-    __m256d nw_row = n_row;
-    __m256d nw_col = n_col;
-    __m256d w_row = out_row;
-    __m256d w_col = out_col;
+    D nw_row = n_row;
+    D nw_col = n_col;
+    D w_row = out_row;
+    D w_col = out_col;
     if (t == t_begin) {
-      n_row = _mm256_load_pd(f_n_row);
-      n_col = _mm256_load_pd(f_n_col);
+      n_row = L::load(f_n_row);
+      n_col = L::load(f_n_col);
     } else {
       const bool lane0_in = north && t < width;
-      n_row = _mm256_blend_pd(_mm256_permute4x64_pd(out_row, _MM_SHUFFLE(2, 1, 0, 0)),
-                              _mm256_set1_pd(lane0_in ? north[t].value_row : 0.0), 0x1);
-      n_col = _mm256_blend_pd(_mm256_permute4x64_pd(out_col, _MM_SHUFFLE(2, 1, 0, 0)),
-                              _mm256_set1_pd(lane0_in ? north[t].value_col : 0.0), 0x1);
+      n_row = L::shift_north(out_row, lane0_in ? north[t].value_row : 0.0);
+      n_col = L::shift_north(out_col, lane0_in ? north[t].value_col : 0.0);
       if (t < rows) {
         // Lane t starts its row.
-        const __m256d first = _mm256_castsi256_pd(
-            _mm256_cmpeq_epi64(lane, _mm256_set1_epi64x(static_cast<long long>(t))));
-        w_row = _mm256_blendv_pd(w_row, _mm256_set1_pd(w0_row[t]), first);
-        w_col = _mm256_blendv_pd(w_col, _mm256_set1_pd(w0_col[t]), first);
-        nw_row = _mm256_blendv_pd(nw_row, _mm256_set1_pd(nw0_row[t]), first);
-        nw_col = _mm256_blendv_pd(nw_col, _mm256_set1_pd(nw0_col[t]), first);
+        w_row = L::with_lane(w_row, t, w0_row);
+        w_col = L::with_lane(w_col, t, w0_col);
+        nw_row = L::with_lane(nw_row, t, nw0_row);
+        nw_col = L::with_lane(nw_col, t, nw0_col);
       }
     }
-    const NashLanes cell = solve_tile_cells_avx2(
-        c, _mm256_xor_si256(hash, _mm256_slli_epi64(col, 21)), w_row, w_col, n_row, n_col,
-        nw_row, nw_col, s);
-    col = _mm256_add_epi64(col, _mm256_set1_epi64x(1));
+    // Lane r's column is j0 + t - r; it wraps below zero before its row
+    // starts.
+    const NashLanes<L> cell = solve_tile_cells<L>(c, L::cell_hash(hash, j0 + t), w_row, w_col,
+                                                  n_row, n_col, nw_row, nw_col, s);
     out_row = cell.value_row;
     out_col = cell.value_col;
-
-    // Transpose the four fields into four NashCells and store the lanes
-    // whose column lies in [j0, j1).
-    const __m256d v02 = _mm256_unpacklo_pd(cell.value_row, cell.value_col);
-    const __m256d v13 = _mm256_unpackhi_pd(cell.value_row, cell.value_col);
-    const __m256d e02 = _mm256_unpacklo_pd(cell.entropy_row, cell.entropy_col);
-    const __m256d e13 = _mm256_unpackhi_pd(cell.entropy_row, cell.entropy_col);
-    const __m256d cells[kNashLanes] = {
-        _mm256_permute2f128_pd(v02, e02, 0x20), _mm256_permute2f128_pd(v13, e13, 0x20),
-        _mm256_permute2f128_pd(v02, e02, 0x31), _mm256_permute2f128_pd(v13, e13, 0x31)};
+    // The lanes whose column lies in [j0, j1).
     const std::size_t r_lo = t < width ? 0 : t - width + 1;
     const std::size_t r_hi = std::min(rows - 1, t);
-    for (std::size_t r = r_lo; r <= r_hi; ++r) {
-      _mm256_storeu_pd(reinterpret_cast<double*>(out + r * stride) + 4 * (t - r), cells[r]);
-    }
+    L::store_cells(cell, out, stride, t, r_lo, r_hi);
   }
 }
 
-/// The AVX2 kernel's band-clamped entry (core::TileBandKernelFn): walks
-/// the tile in groups of kNashLanes rows, each over the steps whose
-/// diagonal lies in [d_begin, d_end) (nash_row_group_avx2), or as scalar
-/// rows clamped to the band where the vector steps would run mostly idle
-/// lanes (kNashStepCostCells). Bit-identical to the scalar kernel run one
-/// clamped row at a time.
-WAVETUNE_TARGET_AVX2 void nash_band_kernel_avx2(const void* pv, std::size_t i0, std::size_t i1,
-                                                std::size_t j0, std::size_t j1,
-                                                std::size_t d_begin, std::size_t d_end,
-                                                std::size_t stride, const std::byte* w,
-                                                const std::byte* n, const std::byte*,
-                                                std::byte* out) {
+/// The band-clamped entry (core::TileBandKernelFn) of lane width
+/// L::kLanes: walks the tile in groups of L::kLanes rows, each over the
+/// steps whose diagonal lies in [d_begin, d_end) (nash_row_group). A group
+/// shorter than L::kMinGroupRows, or whose steps would run mostly idle
+/// lanes (L::kStepCostCells), goes to the next narrower entry,
+/// L::narrower. Bit-identical to the scalar kernel run one clamped row at
+/// a time.
+template <typename L>
+void nash_band_walk(const void* pv, std::size_t i0, std::size_t i1, std::size_t j0,
+                    std::size_t j1, std::size_t d_begin, std::size_t d_end, std::size_t stride,
+                    const std::byte* w, const std::byte* n, std::byte* out) {
+  constexpr std::size_t kL = L::kLanes;
   const NashTileCtx& c = *static_cast<const NashTileCtx*>(pv);
-  thread_local NashLaneScratch scratch;
+  thread_local NashLaneScratch<kL> scratch;
   scratch.resize(c.k);
   constexpr std::size_t elem = sizeof(NashCell);
-  for (std::size_t gi = i0; gi < i1 && gi + j0 < d_end; gi += kNashLanes) {
-    const std::size_t rows = std::min(kNashLanes, i1 - gi);
+  for (std::size_t gi = i0; gi < i1 && gi + j0 < d_end; gi += kL) {
+    const std::size_t rows = std::min(kL, i1 - gi);
     std::byte* o = out + (gi - i0) * stride;
     const std::byte* nrow = gi == i0 ? n : o - stride;
     const std::byte* wcol = w ? w + (gi - i0) * stride : nullptr;
@@ -640,30 +606,285 @@ WAVETUNE_TARGET_AVX2 void nash_band_kernel_avx2(const void* pv, std::size_t i0, 
       const auto [lo, hi] = core::row_band_span(gi + r, d_begin, d_end, j0, j1);
       if (lo < hi) cells += hi - lo;
     }
-    if (cells > kNashStepCostCells * (t_end - t_begin)) {
-      nash_row_group_avx2(c, gi, rows, j0, j1, t_begin, t_end, stride, wcol, nrow, o, scratch);
-      continue;
-    }
-    for (std::size_t r = 0; r < rows; ++r) {
-      const auto [lo, hi] = core::row_band_span(gi + r, d_begin, d_end, j0, j1);
-      if (lo >= hi) continue;
-      std::byte* ro = o + r * stride + (lo - j0) * elem;
-      const std::byte* rw = lo > j0 ? ro - elem : wcol ? wcol + r * stride : nullptr;
-      const std::byte* rn = r > 0 ? ro - stride : nrow ? nrow + (lo - j0) * elem : nullptr;
-      nash_tile_kernel(pv, gi + r, gi + r + 1, lo, hi, stride, rw, rn,
-                       rw && rn ? rn - elem : nullptr, ro);
+    if (rows >= L::kMinGroupRows && cells > L::kStepCostCells * (t_end - t_begin)) {
+      nash_row_group<L>(c, gi, rows, j0, j1, t_begin, t_end, stride, wcol, nrow, o, scratch);
+    } else {
+      L::narrower(pv, gi, gi + rows, j0, j1, d_begin, d_end, stride, wcol, nrow,
+                  wcol && nrow ? nrow - elem : nullptr, o);
     }
   }
 }
 
-/// AVX2 variant of the tile kernel: same contract, bit-identical cells —
-/// the band-clamped entry over the block's whole diagonal range.
-WAVETUNE_TARGET_AVX2 void nash_tile_kernel_avx2(const void* pv, std::size_t i0, std::size_t i1,
-                                                std::size_t j0, std::size_t j1,
-                                                std::size_t stride, const std::byte* w,
-                                                const std::byte* n, const std::byte* nw,
-                                                std::byte* out) {
-  nash_band_kernel_avx2(pv, i0, i1, j0, j1, i0 + j0, i1 + j1 - 1, stride, w, n, nw, out);
+#pragma GCC diagnostic pop
+
+/// x * c mod 2^64 in each 64-bit lane. AVX2 has no 64-bit lane multiply,
+/// so it is lo*c_lo + ((hi*c_lo + lo*c_hi) << 32) from three 32x32->64
+/// multiplies.
+WAVETUNE_TARGET_AVX2 inline __m256i mul64(__m256i x, std::uint64_t c) {
+  const __m256i c_lo = _mm256_set1_epi64x(static_cast<long long>(c & 0xffffffffULL));
+  const __m256i c_hi = _mm256_set1_epi64x(static_cast<long long>(c >> 32));
+  const __m256i cross = _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(x, 32), c_lo),
+                                         _mm256_mul_epu32(x, c_hi));
+  return _mm256_add_epi64(_mm256_mul_epu32(x, c_lo), _mm256_slli_epi64(cross, 32));
+}
+
+/// Stores the cells of lanes [r_lo, r_hi] of four (lanes 0-3 of `cell`
+/// when `half` is 0, 4-7 when it is 1): lane r's cell goes to row r of
+/// `out`, column t - r. The four fields are transposed into four NashCells.
+WAVETUNE_TARGET_AVX2 inline void store_four_cells(__m256d value_row, __m256d value_col,
+                                                  __m256d entropy_row, __m256d entropy_col,
+                                                  std::size_t half, std::byte* out,
+                                                  std::size_t stride, std::size_t t,
+                                                  std::size_t r_lo, std::size_t r_hi) {
+  const __m256d v02 = _mm256_unpacklo_pd(value_row, value_col);
+  const __m256d v13 = _mm256_unpackhi_pd(value_row, value_col);
+  const __m256d e02 = _mm256_unpacklo_pd(entropy_row, entropy_col);
+  const __m256d e13 = _mm256_unpackhi_pd(entropy_row, entropy_col);
+  const __m256d cells[4] = {
+      _mm256_permute2f128_pd(v02, e02, 0x20), _mm256_permute2f128_pd(v13, e13, 0x20),
+      _mm256_permute2f128_pd(v02, e02, 0x31), _mm256_permute2f128_pd(v13, e13, 0x31)};
+  const std::size_t base = 4 * half;
+  for (std::size_t r = std::max(r_lo, base); r <= r_hi && r < base + 4; ++r) {
+    _mm256_storeu_pd(reinterpret_cast<double*>(out + r * stride) + 4 * (t - r), cells[r - base]);
+  }
+}
+
+/// The 4-lane lane ops: one __m256d lane per row.
+struct Avx2Lanes {
+  using D = __m256d;
+  using I = __m256i;
+  static constexpr std::size_t kLanes = 4;
+  /// A 4-lane step costs about as much as two scalar cells (bench_micro's
+  /// whole-grid nash rows: 91.9 against 190.5 ns/cell), so a group walks
+  /// only where its steps average more than two busy lanes; that rule
+  /// alone turns the one- and two-row groups away.
+  static constexpr std::size_t kStepCostCells = 2;
+  static constexpr std::size_t kMinGroupRows = 1;
+  static constexpr core::TileBandKernelFn narrower = &nash_band_rows;
+
+  WAVETUNE_TARGET_AVX2 static D set1(double x) { return _mm256_set1_pd(x); }
+  WAVETUNE_TARGET_AVX2 static D load(const double* p) { return _mm256_load_pd(p); }
+  WAVETUNE_TARGET_AVX2 static void store(double* p, D v) { _mm256_store_pd(p, v); }
+  WAVETUNE_TARGET_AVX2 static D add(D a, D b) { return _mm256_add_pd(a, b); }
+  WAVETUNE_TARGET_AVX2 static D sub(D a, D b) { return _mm256_sub_pd(a, b); }
+  /// a * b, opaque to fusion (see the note above the templates).
+  WAVETUNE_TARGET_AVX2 static D mul(D a, D b) {
+    D p = _mm256_mul_pd(a, b);
+    asm("" : "+x"(p));
+    return p;
+  }
+  WAVETUNE_TARGET_AVX2 static I seti(std::uint64_t x) {
+    return _mm256_set1_epi64x(static_cast<long long>(x));
+  }
+  WAVETUNE_TARGET_AVX2 static I xori(I a, I b) { return _mm256_xor_si256(a, b); }
+  WAVETUNE_TARGET_AVX2 static I loadi(const void* p) {
+    return _mm256_load_si256(static_cast<const __m256i*>(p));
+  }
+  WAVETUNE_TARGET_AVX2 static void storei(void* p, I v) {
+    _mm256_store_si256(static_cast<__m256i*>(p), v);
+  }
+
+  /// Lane r: `row_hash` lane r ^ ((col - r) << 21), the hash prefix of
+  /// the lane's cell in column col - r.
+  WAVETUNE_TARGET_AVX2 static I cell_hash(I row_hash, std::size_t col) {
+    const I cols = _mm256_sub_epi64(seti(col), _mm256_setr_epi64x(0, 1, 2, 3));
+    return _mm256_xor_si256(row_hash, _mm256_slli_epi64(cols, 21));
+  }
+
+  /// util::splitmix64 of each lane's state, as its [0, 1) payoff
+  /// (z >> 11) * 2^-53. z >> 11 is below 2^53 and converts exactly: its
+  /// high 21 bits fill the mantissa of 2^84 + hi * 2^32, its low 32 bits
+  /// that of 2^52 + lo, and (2^84 + hi * 2^32 - (2^84 + 2^52)) + (2^52 + lo)
+  /// rounds nowhere.
+  WAVETUNE_TARGET_AVX2 static D hash_unit(I state) {
+    __m256i z = _mm256_add_epi64(state, seti(0x9e3779b97f4a7c15ULL));
+    z = mul64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)), 0xbf58476d1ce4e5b9ULL);
+    z = mul64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)), 0x94d049bb133111ebULL);
+    z = _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
+    const __m256i v = _mm256_srli_epi64(z, 11);
+    const __m256d hi = _mm256_castsi256_pd(
+        _mm256_or_si256(_mm256_srli_epi64(v, 32), _mm256_castpd_si256(set1(0x1.0p84))));
+    const __m256d lo =
+        _mm256_castsi256_pd(_mm256_blend_epi32(v, _mm256_castpd_si256(set1(0x1.0p52)), 0xaa));
+    const __m256d exact = _mm256_add_pd(_mm256_sub_pd(hi, set1(0x1.0p84 + 0x1.0p52)), lo);
+    return mul(exact, set1(0x1.0p-53));
+  }
+
+  /// One candidate of solve_tile_cell's argmax in every lane: `idx`
+  /// becomes a lane's best when `val` beats its best so far under a strict
+  /// >, so ties keep the first maximum, as in the scalar loop.
+  WAVETUNE_TARGET_AVX2 static void argmax(D val, std::size_t idx, D& best_val, I& best_idx) {
+    const __m256d gt = _mm256_cmp_pd(val, best_val, _CMP_GT_OQ);
+    best_val = _mm256_blendv_pd(best_val, val, gt);
+    best_idx = _mm256_castpd_si256(
+        _mm256_blendv_pd(_mm256_castsi256_pd(best_idx), _mm256_castsi256_pd(seti(idx)), gt));
+  }
+
+  /// `hits` plus one in the lanes whose `best` is `idx` (cmpeq is -1 there).
+  WAVETUNE_TARGET_AVX2 static I count_hit(I hits, I best, std::size_t idx) {
+    return _mm256_sub_epi64(hits, _mm256_cmpeq_epi64(best, seti(idx)));
+  }
+
+  /// table[idx] in every lane.
+  WAVETUNE_TARGET_AVX2 static D gather(const double* table, I idx) {
+    return _mm256_i64gather_pd(table, idx, 8);
+  }
+
+  /// Lane r gets `out` lane r - 1, lane 0 gets `lane0`: a step's north
+  /// values from the outputs of the step before.
+  WAVETUNE_TARGET_AVX2 static D shift_north(D out, double lane0) {
+    return _mm256_blend_pd(_mm256_permute4x64_pd(out, _MM_SHUFFLE(2, 1, 0, 0)), set1(lane0), 0x1);
+  }
+
+  /// `v` with lane `lane` replaced by src[lane] (`src` aligned).
+  WAVETUNE_TARGET_AVX2 static D with_lane(D v, std::size_t lane, const double* src) {
+    const __m256d at = _mm256_castsi256_pd(
+        _mm256_cmpeq_epi64(_mm256_setr_epi64x(0, 1, 2, 3), seti(lane)));
+    return _mm256_blendv_pd(v, load(src), at);
+  }
+
+  /// Stores lanes [r_lo, r_hi]: lane r's cell to row r of `out`, column
+  /// t - r.
+  WAVETUNE_TARGET_AVX2 static void store_cells(const NashLanes<Avx2Lanes>& cell, std::byte* out,
+                                               std::size_t stride, std::size_t t,
+                                               std::size_t r_lo, std::size_t r_hi) {
+    store_four_cells(cell.value_row, cell.value_col, cell.entropy_row, cell.entropy_col, 0, out,
+                     stride, t, r_lo, r_hi);
+  }
+};
+
+/// The 4-lane kernel's band-clamped entry.
+WAVETUNE_TARGET_AVX2 __attribute__((flatten, noinline)) void nash_band_kernel_avx2(
+    const void* pv, std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1,
+    std::size_t d_begin, std::size_t d_end, std::size_t stride, const std::byte* w,
+    const std::byte* n, const std::byte*, std::byte* out) {
+  nash_band_walk<Avx2Lanes>(pv, i0, i1, j0, j1, d_begin, d_end, stride, w, n, out);
+}
+
+#define WAVETUNE_TARGET_AVX512 __attribute__((target("avx512f,avx512dq,avx512vl")))
+
+/// The 8-lane lane ops: one __m512d lane per row, with AVX-512DQ's native
+/// 64-bit multiply and u64 -> double conversion.
+struct Avx512Lanes {
+  using D = __m512d;
+  using I = __m512i;
+  static constexpr std::size_t kLanes = 8;
+  /// An 8-lane step costs about two scalar cells too (bench_micro's
+  /// whole-grid nash rows: 51.5 against 190.5 ns/cell, 2.2 cells per
+  /// step), and about one 4-lane step.
+  static constexpr std::size_t kStepCostCells = 2;
+  /// Groups of fewer than eight rows (a block's last 1-7) take the 4-lane
+  /// entry, as does a full group the cost rule turns away.
+  static constexpr std::size_t kMinGroupRows = kLanes;
+  static constexpr core::TileBandKernelFn narrower = &nash_band_kernel_avx2;
+
+  WAVETUNE_TARGET_AVX512 static D set1(double x) { return _mm512_set1_pd(x); }
+  WAVETUNE_TARGET_AVX512 static D load(const double* p) { return _mm512_load_pd(p); }
+  WAVETUNE_TARGET_AVX512 static void store(double* p, D v) { _mm512_store_pd(p, v); }
+  WAVETUNE_TARGET_AVX512 static D add(D a, D b) { return _mm512_add_pd(a, b); }
+  WAVETUNE_TARGET_AVX512 static D sub(D a, D b) { return _mm512_sub_pd(a, b); }
+  /// a * b, opaque to fusion (see the note above the templates).
+  WAVETUNE_TARGET_AVX512 static D mul(D a, D b) {
+    D p = _mm512_mul_pd(a, b);
+    asm("" : "+v"(p));
+    return p;
+  }
+  WAVETUNE_TARGET_AVX512 static I seti(std::uint64_t x) {
+    return _mm512_set1_epi64(static_cast<long long>(x));
+  }
+  WAVETUNE_TARGET_AVX512 static I xori(I a, I b) { return _mm512_xor_si512(a, b); }
+  WAVETUNE_TARGET_AVX512 static I loadi(const void* p) { return _mm512_load_si512(p); }
+  WAVETUNE_TARGET_AVX512 static void storei(void* p, I v) { _mm512_store_si512(p, v); }
+  // GCC 12's unmasked 512-bit shift, alignr, gather and extract
+  // intrinsics merge into an _mm512_undefined_* vector, which
+  // -Wmaybe-uninitialized flags once they are inlined. The lane ops use
+  // the masked forms, whose merge source is defined; with every lane
+  // selected they are the same instructions.
+  WAVETUNE_TARGET_AVX512 static I srli(I x, unsigned n) {
+    return _mm512_maskz_srli_epi64(0xff, x, n);
+  }
+
+  WAVETUNE_TARGET_AVX512 static I cell_hash(I row_hash, std::size_t col) {
+    const I cols = _mm512_sub_epi64(seti(col), _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
+    return _mm512_xor_si512(row_hash, _mm512_maskz_slli_epi64(0xff, cols, 21));
+  }
+
+  /// Avx2Lanes::hash_unit with one vpmullq per multiply, and the exact
+  /// (z >> 11 < 2^53) conversion in one instruction.
+  WAVETUNE_TARGET_AVX512 static D hash_unit(I state) {
+    __m512i z = _mm512_add_epi64(state, seti(0x9e3779b97f4a7c15ULL));
+    z = _mm512_mullo_epi64(_mm512_xor_si512(z, srli(z, 30)), seti(0xbf58476d1ce4e5b9ULL));
+    z = _mm512_mullo_epi64(_mm512_xor_si512(z, srli(z, 27)), seti(0x94d049bb133111ebULL));
+    z = _mm512_xor_si512(z, srli(z, 31));
+    return mul(_mm512_cvtepu64_pd(srli(z, 11)), set1(0x1.0p-53));
+  }
+
+  /// Avx2Lanes::argmax on a compare mask: strict >, first maximum wins.
+  WAVETUNE_TARGET_AVX512 static void argmax(D val, std::size_t idx, D& best_val, I& best_idx) {
+    const __mmask8 gt = _mm512_cmp_pd_mask(val, best_val, _CMP_GT_OQ);
+    best_val = _mm512_mask_blend_pd(gt, best_val, val);
+    best_idx = _mm512_mask_blend_epi64(gt, best_idx, seti(idx));
+  }
+
+  WAVETUNE_TARGET_AVX512 static I count_hit(I hits, I best, std::size_t idx) {
+    return _mm512_mask_add_epi64(hits, _mm512_cmpeq_epi64_mask(best, seti(idx)), hits, seti(1));
+  }
+
+  WAVETUNE_TARGET_AVX512 static D gather(const double* table, I idx) {
+    return _mm512_mask_i64gather_pd(set1(0.0), 0xff, idx, table, 8);
+  }
+
+  WAVETUNE_TARGET_AVX512 static D shift_north(D out, double lane0) {
+    // (out : out) shifted up one lane into lanes 1-7; lane 0 keeps lane0.
+    const I o = _mm512_castpd_si512(out);
+    return _mm512_castsi512_pd(
+        _mm512_mask_alignr_epi64(_mm512_castpd_si512(set1(lane0)), 0xfe, o, o, 7));
+  }
+
+  WAVETUNE_TARGET_AVX512 static D with_lane(D v, std::size_t lane, const double* src) {
+    return _mm512_mask_mov_pd(v, static_cast<__mmask8>(1u << lane), load(src));
+  }
+
+  WAVETUNE_TARGET_AVX512 static void store_cells(const NashLanes<Avx512Lanes>& cell,
+                                                 std::byte* out, std::size_t stride,
+                                                 std::size_t t, std::size_t r_lo,
+                                                 std::size_t r_hi) {
+    store_four_cells(_mm512_maskz_extractf64x4_pd(0xff, cell.value_row, 0),
+                     _mm512_maskz_extractf64x4_pd(0xff, cell.value_col, 0),
+                     _mm512_maskz_extractf64x4_pd(0xff, cell.entropy_row, 0),
+                     _mm512_maskz_extractf64x4_pd(0xff, cell.entropy_col, 0), 0, out, stride, t,
+                     r_lo, r_hi);
+    if (r_hi >= 4) {
+      store_four_cells(_mm512_maskz_extractf64x4_pd(0xff, cell.value_row, 1),
+                       _mm512_maskz_extractf64x4_pd(0xff, cell.value_col, 1),
+                       _mm512_maskz_extractf64x4_pd(0xff, cell.entropy_row, 1),
+                       _mm512_maskz_extractf64x4_pd(0xff, cell.entropy_col, 1), 1, out, stride,
+                       t, r_lo, r_hi);
+    }
+  }
+};
+
+/// The 8-lane kernel's band-clamped entry.
+WAVETUNE_TARGET_AVX512 __attribute__((flatten)) void nash_band_kernel_avx512(
+    const void* pv, std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1,
+    std::size_t d_begin, std::size_t d_end, std::size_t stride, const std::byte* w,
+    const std::byte* n, const std::byte*, std::byte* out) {
+  nash_band_walk<Avx512Lanes>(pv, i0, i1, j0, j1, d_begin, d_end, stride, w, n, out);
+}
+
+bool cpu_has_avx512() {
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
+         __builtin_cpu_supports("avx512vl");
+}
+
+/// A vector kernel's rectangle entry (core::TileKernelFn): its band entry
+/// over the block's whole diagonal range. Same contract as the scalar
+/// kernel, bit-identical cells.
+template <core::TileBandKernelFn band>
+void nash_tile_kernel_lanes(const void* pv, std::size_t i0, std::size_t i1, std::size_t j0,
+                            std::size_t j1, std::size_t stride, const std::byte* w,
+                            const std::byte* n, const std::byte* nw, std::byte* out) {
+  band(pv, i0, i1, j0, j1, i0 + j0, i1 + j1 - 1, stride, w, n, nw, out);
 }
 
 #endif  // WAVETUNE_AVX2_KERNELS
@@ -674,7 +895,7 @@ core::TileKernelFn detail::nash_scalar_tile_kernel() { return &nash_tile_kernel;
 
 core::TileKernelFn detail::nash_avx2_tile_kernel() {
 #ifdef WAVETUNE_AVX2_KERNELS
-  if (avx2::cpu_has_avx2()) return &nash_tile_kernel_avx2;
+  if (avx2::cpu_has_avx2()) return &nash_tile_kernel_lanes<&nash_band_kernel_avx2>;
 #endif
   return nullptr;
 }
@@ -682,6 +903,20 @@ core::TileKernelFn detail::nash_avx2_tile_kernel() {
 core::TileBandKernelFn detail::nash_avx2_band_kernel() {
 #ifdef WAVETUNE_AVX2_KERNELS
   if (avx2::cpu_has_avx2()) return &nash_band_kernel_avx2;
+#endif
+  return nullptr;
+}
+
+core::TileKernelFn detail::nash_avx512_tile_kernel() {
+#ifdef WAVETUNE_AVX2_KERNELS
+  if (cpu_has_avx512()) return &nash_tile_kernel_lanes<&nash_band_kernel_avx512>;
+#endif
+  return nullptr;
+}
+
+core::TileBandKernelFn detail::nash_avx512_band_kernel() {
+#ifdef WAVETUNE_AVX2_KERNELS
+  if (cpu_has_avx512()) return &nash_band_kernel_avx512;
 #endif
   return nullptr;
 }
@@ -753,12 +988,18 @@ core::WavefrontSpec make_nash_spec(const NashParams& params) {
     }
   };
   // Native tile kernel (rung three): per-spec count tables, per-thread
-  // scratch; four cells per step when the host has AVX2, whose kernel
-  // also takes band-straddling tiles in one call.
-  const core::TileKernelFn avx2 = detail::nash_avx2_tile_kernel();
-  spec.tile = core::TileKernel{avx2 ? avx2 : &nash_tile_kernel,
-                               std::make_shared<const NashTileCtx>(k, rounds, seed),
-                               avx2 ? detail::nash_avx2_band_kernel() : nullptr};
+  // scratch; eight cells per step when the host has AVX-512, four when it
+  // has AVX2, and the vector kernels also take band-straddling tiles in
+  // one call.
+  spec.tile = core::TileKernel{&nash_tile_kernel,
+                               std::make_shared<const NashTileCtx>(k, rounds, seed), nullptr};
+  if (const core::TileKernelFn avx512 = detail::nash_avx512_tile_kernel()) {
+    spec.tile.fn = avx512;
+    spec.tile.banded = detail::nash_avx512_band_kernel();
+  } else if (const core::TileKernelFn avx2 = detail::nash_avx2_tile_kernel()) {
+    spec.tile.fn = avx2;
+    spec.tile.banded = detail::nash_avx2_band_kernel();
+  }
   return spec;
 }
 

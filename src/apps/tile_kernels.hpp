@@ -4,21 +4,26 @@
 // a kernel and ship it through core::TileKernel; this header exists so the
 // equivalence suite can call each ISA variant directly.
 //
-// Every app has two variants with one contract (core::TileKernelFn) and
+// Every variant of an app has one contract (core::TileKernelFn) and
 // bit-identical results:
 //   - the scalar kernel: the fallback on hosts without AVX2 and the test
-//     oracle for the vector kernel;
+//     oracle for the vector kernels;
 //   - the AVX2 kernel. editdist and seqcmp scan rows (apps/avx2_scan.hpp):
 //     8 cells per step, the west carry chain resolved by an in-register
 //     prefix scan; blocks narrower than avx2::kMinVectorWidth run the
 //     scalar sweep inside it. nash walks groups of 4 rows along their
 //     anti-diagonals, one cell per row and step, each lane replaying the
 //     scalar solve's operations; groups whose steps would average two
-//     busy lanes or fewer run the scalar kernel row by row. Its
-//     band-clamped entry walks only the steps of a diagonal range, so a
-//     band-straddling tile is one call.
-// The spec factories choose once, at spec construction: the AVX2 variant
-// when the host has it, the scalar one otherwise.
+//     busy lanes or fewer run the scalar kernel row by row;
+//   - nash only: the AVX-512 (F+DQ+VL) kernel, the same walk on groups of
+//     8 rows with native 64-bit multiplies; a block's last 1-7 rows, and
+//     groups whose steps would run mostly idle lanes, take the AVX2 walk.
+// nash's two walks are one template over a lane-ops type, and each has a
+// band-clamped entry that walks only the steps of a diagonal range, so a
+// band-straddling tile is one call. No variant fuses a multiply with an
+// add (the library builds with -ffp-contract=off).
+// The spec factories choose once, at spec construction: the widest
+// variant the host runs (nash: AVX-512, then AVX2, then scalar).
 #pragma once
 
 #include <algorithm>
@@ -50,6 +55,11 @@ core::TileKernelFn nash_avx2_tile_kernel();
 /// nash_avx2_tile_kernel. The scalar kernels have none: they compute a
 /// row at a time, so LoweredKernel's per-row band clamp serves them.
 core::TileBandKernelFn nash_avx2_band_kernel();
+
+/// nash's AVX-512 kernel and its band-clamped entry, or null when the
+/// build target is not x86 or this CPU lacks AVX-512 F, DQ or VL.
+core::TileKernelFn nash_avx512_tile_kernel();
+core::TileBandKernelFn nash_avx512_band_kernel();
 
 /// Throws std::invalid_argument unless max |cost| * (2 * dim + 8) fits
 /// in int32. Every DP value is the cost of a monotone path of at most

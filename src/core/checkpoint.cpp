@@ -9,15 +9,18 @@ namespace wavetune::core {
 
 namespace {
 
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  out.insert(out.end(), p, p + sizeof v);
+/// Appends `n` bytes at `p`. resize + memcpy rather than vector::insert of
+/// a byte range: GCC 12 at -O2 reports a false -Wstringop-overflow on
+/// the inlined insert of these small fixed-size ranges.
+void put_bytes(std::vector<std::byte>& out, const void* p, std::size_t n) {
+  const std::size_t at = out.size();
+  out.resize(at + n);
+  std::memcpy(out.data() + at, p, n);
 }
 
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  out.insert(out.end(), p, p + sizeof v);
-}
+void put_u32(std::vector<std::byte>& out, std::uint32_t v) { put_bytes(out, &v, sizeof v); }
+
+void put_u64(std::vector<std::byte>& out, std::uint64_t v) { put_bytes(out, &v, sizeof v); }
 
 struct Cursor {
   std::span<const std::byte> bytes;

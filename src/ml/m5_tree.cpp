@@ -223,7 +223,7 @@ std::string M5Tree::describe(const std::vector<std::string>& feature_names) cons
       return;
     }
     const auto f = static_cast<std::size_t>(nd.feature);
-    const std::string name = f < feature_names.size() ? feature_names[f] : "x" + std::to_string(f);
+    const std::string name = feature_label(feature_names, f);
     out << pad << name << " <= " << util::format_double(nd.threshold, 4) << " :\n";
     rec(nd.left, indent + 1);
     out << pad << name << " > " << util::format_double(nd.threshold, 4) << " :\n";

@@ -33,6 +33,17 @@ public:
   }
 };
 
+/// The name describe() prints for feature `c`: feature_names[c], or "x<c>"
+/// past the end of the list. Built by appending, not as "x" +
+/// std::to_string(c): GCC 12 at -O3 reports a false -Wrestrict on that
+/// inlined prepend.
+inline std::string feature_label(const std::vector<std::string>& feature_names, std::size_t c) {
+  if (c < feature_names.size()) return feature_names[c];
+  std::string label = "x";
+  label += std::to_string(c);
+  return label;
+}
+
 /// Reconstructs a regressor from its to_json() output (see registry.cpp).
 std::unique_ptr<Regressor> regressor_from_json(const util::Json& j);
 

@@ -17,16 +17,16 @@
 // grid with the cell-rung oracle. The AVX2 cases skip on hosts without
 // AVX2.
 //
-// nash ships a scalar and an AVX2 tile kernel too (four cells per step
-// along a 4-row group's anti-diagonals), and the AVX2 one a band-clamped
-// entry that takes a band-straddling tile in one call. The
+// nash ships a scalar, an AVX2 and an AVX-512 tile kernel (four or eight
+// cells per step along a row group's anti-diagonals), and each vector one
+// a band-clamped entry that takes a band-straddling tile in one call. The
 // NashShapeEquivalence cases sweep nash's (k, rounds) over the shapes that
 // run and compare every program that reaches the spec's tile kernel
 // (serial, CPU tiles, the single-GPU band plain and streamed, the quad-GPU
-// halo band) with the cell-rung oracle; the NashIsaSweep cases call both
-// variants directly on small block shapes and diagonal ranges and compare
-// them byte for byte; and TileKernelPick checks that an AVX2 host's specs
-// ship the AVX2 kernels.
+// halo band) with the cell-rung oracle; the NashIsaSweep cases call each
+// vector variant and the scalar one directly on small block shapes and
+// diagonal ranges and compare them byte for byte; and TileKernelPick
+// checks that every spec ships the widest kernel its host runs.
 //
 // The MultiGpuRowsEquivalence cases sweep the multi-GPU halo band itself
 // (every app, 2-8 devices, halo depths up to max_halo_multi, grid sides no
@@ -685,7 +685,7 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param) + "_" + isa_name(std::get<1>(info.param));
     });
 
-// --- nash: the AVX2 kernel against the scalar one ------------------------
+// --- nash: the vector kernels against the scalar one ---------------------
 
 /// Whether this host runs AVX2, asked independently of the kernel getters.
 bool host_has_avx2() {
@@ -696,18 +696,26 @@ bool host_has_avx2() {
 #endif
 }
 
-/// On an AVX2 host every app's spec ships its AVX2 kernel, so a silent
-/// fallback cannot leave the equivalence suites comparing the scalar
-/// kernel with itself.
+/// Whether this host runs AVX-512 F, DQ and VL, the nash AVX-512 kernel's
+/// target, asked independently of the kernel getters.
+bool host_has_avx512() {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
+         __builtin_cpu_supports("avx512vl");
+#else
+  return false;
+#endif
+}
+
+/// On an AVX2 host the integer apps' specs ship their AVX2 kernel, so a
+/// silent fallback cannot leave the equivalence suites comparing the
+/// scalar kernel with itself.
 TEST(TileKernelPick, SpecsShipTheAvx2KernelOnAvx2Hosts) {
-  const WavefrontSpec specs[] = {make_app_spec("editdist", 16), make_app_spec("seqcmp", 16),
-                                 make_app_spec("nash", 16)};
+  const WavefrontSpec specs[] = {make_app_spec("editdist", 16), make_app_spec("seqcmp", 16)};
   const core::TileKernelFn scalar[] = {apps::detail::editdist_scalar_tile_kernel(),
-                                       apps::detail::seqcmp_scalar_tile_kernel(),
-                                       apps::detail::nash_scalar_tile_kernel()};
+                                       apps::detail::seqcmp_scalar_tile_kernel()};
   const core::TileKernelFn avx2[] = {apps::detail::editdist_avx2_tile_kernel(),
-                                     apps::detail::seqcmp_avx2_tile_kernel(),
-                                     apps::detail::nash_avx2_tile_kernel()};
+                                     apps::detail::seqcmp_avx2_tile_kernel()};
   for (std::size_t a = 0; a < std::size(specs); ++a) {
     if (host_has_avx2()) {
       ASSERT_NE(avx2[a], nullptr) << "app " << a;
@@ -720,32 +728,65 @@ TEST(TileKernelPick, SpecsShipTheAvx2KernelOnAvx2Hosts) {
   }
 }
 
-/// Only nash's AVX2 kernel has a band-clamped entry: the nash spec ships it
-/// exactly on AVX2 hosts, lower() carries it, and the integer apps have
-/// none.
-TEST(TileKernelPick, OnlyNashAvx2ShipsABandClampedEntry) {
+/// nash ships the widest kernel its host runs, with that kernel's
+/// band-clamped entry: the AVX-512 one on an AVX-512 host, the AVX2 one on
+/// any other AVX2 host, the scalar one (which has no band entry)
+/// elsewhere. Each getter answers exactly on the hosts that run it.
+TEST(TileKernelPick, NashShipsAvx512ThenAvx2ThenScalar) {
   const WavefrontSpec nash = make_app_spec("nash", 16);
+  const core::TileKernelFn avx512 = apps::detail::nash_avx512_tile_kernel();
+  const core::TileKernelFn avx2 = apps::detail::nash_avx2_tile_kernel();
+  EXPECT_EQ(host_has_avx512(), avx512 != nullptr);
+  EXPECT_EQ(host_has_avx512(), apps::detail::nash_avx512_band_kernel() != nullptr);
+  EXPECT_EQ(host_has_avx2(), avx2 != nullptr);
   EXPECT_EQ(host_has_avx2(), apps::detail::nash_avx2_band_kernel() != nullptr);
-  EXPECT_EQ(nash.tile.banded, apps::detail::nash_avx2_band_kernel());
+  if (host_has_avx512()) {
+    EXPECT_NE(avx512, avx2);
+    EXPECT_EQ(nash.tile.fn, avx512);
+    EXPECT_EQ(nash.tile.banded, apps::detail::nash_avx512_band_kernel());
+  } else if (host_has_avx2()) {
+    EXPECT_EQ(nash.tile.fn, avx2);
+    EXPECT_EQ(nash.tile.banded, apps::detail::nash_avx2_band_kernel());
+  } else {
+    EXPECT_EQ(nash.tile.fn, apps::detail::nash_scalar_tile_kernel());
+    EXPECT_EQ(nash.tile.banded, nullptr);
+  }
+}
+
+/// Only nash's vector kernels have a band-clamped entry: lower() carries
+/// the one the nash spec ships, and the other apps have none.
+TEST(TileKernelPick, OnlyNashVectorKernelsShipABandClampedEntry) {
+  const WavefrontSpec nash = make_app_spec("nash", 16);
   EXPECT_EQ(nash.lower().banded, nash.tile.banded);
   EXPECT_EQ(make_app_spec("editdist", 16).lower().banded, nullptr);
   EXPECT_EQ(make_app_spec("seqcmp", 16).lower().banded, nullptr);
   EXPECT_EQ(make_app_spec("synthetic", 16).lower().banded, nullptr);
 }
 
-/// The AVX2 nash kernel against the scalar one, both called directly on
+/// nash's vector kernels, each with its band-clamped entry.
+enum class NashIsa { kAvx2, kAvx512 };
+
+const char* nash_isa_name(NashIsa isa) { return isa == NashIsa::kAvx2 ? "avx2" : "avx512"; }
+
+void PrintTo(NashIsa isa, std::ostream* os) { *os << nash_isa_name(isa); }
+
+/// A nash vector kernel against the scalar one, both called directly on
 /// copies of two base grids: a solved one, and one all poison, whose
 /// neighbour values (about -3.4e66 as doubles) swamp every payoff hash so
 /// that all strategies tie and the argmax's first-max rule decides. Over
-/// NashShapeEquivalence's (k, rounds).
-class NashIsaSweep : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
+/// NashShapeEquivalence's (k, rounds) and both vector kernels; the cases
+/// of a kernel this host cannot run skip.
+class NashIsaSweep
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t, NashIsa>> {
 protected:
   static constexpr std::size_t kDim = 32;
 
   void SetUp() override {
-    avx2_ = apps::detail::nash_avx2_tile_kernel();
-    band_ = apps::detail::nash_avx2_band_kernel();
-    if (!avx2_) GTEST_SKIP() << "this host has no AVX2";
+    vector_ = avx512() ? apps::detail::nash_avx512_tile_kernel()
+                       : apps::detail::nash_avx2_tile_kernel();
+    band_ = avx512() ? apps::detail::nash_avx512_band_kernel()
+                     : apps::detail::nash_avx2_band_kernel();
+    if (!vector_) GTEST_SKIP() << "this host has no " << (avx512() ? "AVX-512 F/DQ/VL" : "AVX2");
     ASSERT_NE(band_, nullptr);
     apps::NashParams p;
     p.dim = kDim;
@@ -815,7 +856,9 @@ protected:
     return same;
   }
 
-  core::TileKernelFn avx2_ = nullptr;
+  bool avx512() const { return std::get<2>(GetParam()) == NashIsa::kAvx512; }
+
+  core::TileKernelFn vector_ = nullptr;
   core::TileBandKernelFn band_ = nullptr;
   const core::TileKernelFn scalar_ = apps::detail::nash_scalar_tile_kernel();
   WavefrontSpec spec_;
@@ -825,7 +868,10 @@ protected:
   Grid got_{kDim, sizeof(apps::NashCell)};
 };
 
-/// The AVX2 tile kernel byte-equal to the scalar one on every block.
+/// The vector tile kernel byte-equal to the scalar one on every block of
+/// 1-9 rows; the AVX-512 kernel also on 11, 13, 15, 16 and 17 rows, so
+/// that one or two full 8-row groups are followed by remainders of 0, 1,
+/// 3, 5 and 7 rows (the 4-lane walk's 3- and 4-row groups among them).
 TEST_P(NashIsaSweep, EveryBlockShapeOffsetAndBorderByteEqualToScalar) {
   const void* ctx = spec_.tile.ctx.get();
   const std::size_t stride = kDim * spec_.elem_bytes;
@@ -833,20 +879,21 @@ TEST_P(NashIsaSweep, EveryBlockShapeOffsetAndBorderByteEqualToScalar) {
   std::vector<std::size_t> widths(20);
   std::iota(heights.begin(), heights.end(), std::size_t{1});
   std::iota(widths.begin(), widths.end(), std::size_t{1});
+  if (avx512()) heights.insert(heights.end(), {11, 13, 15, 16, 17});
   for_each_block(heights, widths, [&](const char* base_name, const Grid& base, std::size_t h, std::size_t w,
                      std::size_t i0, std::size_t j0, int nulls) {
     EXPECT_TRUE(same_on_copies(
         base, h, w, i0, j0, nulls, 0, core::num_diagonals(kDim),
         [&](bool vector, const std::byte* west, const std::byte* north, const std::byte* nw,
             std::byte* out) {
-          (vector ? avx2_ : scalar_)(ctx, i0, i0 + h, j0, j0 + w, stride, west, north, nw, out);
+          (vector ? vector_ : scalar_)(ctx, i0, i0 + h, j0, j0 + w, stride, west, north, nw, out);
         }))
         << "block " << h << "x" << w << " at " << i0 << "," << j0 << " nulls=" << nulls
         << " on the " << base_name << " grid";
   });
 }
 
-/// The AVX2 band-clamped entry byte-equal to the scalar kernel run one
+/// The vector band-clamped entry byte-equal to the scalar kernel run one
 /// clamped row at a time, on the blocks below and every diagonal range
 /// of 1-9 diagonals that meets it: starting before the block, at a row
 /// group's first diagonal, or inside a group's steps, and ending inside
@@ -858,11 +905,14 @@ TEST_P(NashIsaSweep, BandedEntryByteEqualToScalarRows) {
   const std::size_t elem = spec_.elem_bytes;
   const std::size_t stride = kDim * elem;
   // Heights: a 2-row group (scalar rows), a 3-row one, one 4-row group,
-  // 4 + 3 rows, and 4 + 4 + 1. Widths: one column per lane, fewer columns
-  // than lanes, just more, and a wide block. (Every cell of a block runs
-  // once per range that covers it, 45 times over widths 1-9; the shapes
-  // are few so that k = 8, 32 rounds stays quick.)
-  const std::size_t heights[] = {2, 3, 4, 7, 9};
+  // 4 + 3 rows, and 4 + 4 + 1; for the AVX-512 entry, whose blocks of
+  // fewer than 8 rows take the 4-lane entry, also one 8-row group, 8 + 4
+  // + 3 and 8 + 8 + 1. Widths: one column per lane, fewer columns than
+  // lanes, just more, and a wide block. (Every cell of a block runs once
+  // per range that covers it, 45 times over widths 1-9; the shapes are
+  // few so that k = 8, 32 rounds stays quick.)
+  std::vector<std::size_t> heights = {2, 3, 4, 7, 9};
+  if (avx512()) heights.insert(heights.end(), {8, 15, 17});
   const std::size_t widths[] = {1, 3, 5, 13};
   for_each_block(heights, widths, [&](const char* base_name, const Grid& base, std::size_t h, std::size_t w,
                      std::size_t i0, std::size_t j0, int nulls) {
@@ -900,16 +950,22 @@ TEST_P(NashIsaSweep, BandedEntryByteEqualToScalarRows) {
   });
 }
 
+/// NashShapeEquivalence's (k, rounds), each on both vector kernels.
+std::vector<std::tuple<std::size_t, std::size_t, NashIsa>> nash_isa_sweep_params() {
+  const std::pair<std::size_t, std::size_t> k_rounds[] = {{2, 1}, {4, 1}, {3, 3}, {5, 7}, {8, 32}};
+  std::vector<std::tuple<std::size_t, std::size_t, NashIsa>> out;
+  for (const NashIsa isa : {NashIsa::kAvx2, NashIsa::kAvx512}) {
+    for (const auto& [k, rounds] : k_rounds) out.emplace_back(k, rounds, isa);
+  }
+  return out;
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    KRounds, NashIsaSweep,
-    ::testing::Values(std::make_tuple(std::size_t{2}, std::size_t{1}),
-                      std::make_tuple(std::size_t{4}, std::size_t{1}),
-                      std::make_tuple(std::size_t{3}, std::size_t{3}),
-                      std::make_tuple(std::size_t{5}, std::size_t{7}),
-                      std::make_tuple(std::size_t{8}, std::size_t{32})),
-    [](const ::testing::TestParamInfo<std::tuple<std::size_t, std::size_t>>& info) {
+    KRoundsIsa, NashIsaSweep, ::testing::ValuesIn(nash_isa_sweep_params()),
+    [](const ::testing::TestParamInfo<std::tuple<std::size_t, std::size_t, NashIsa>>& info) {
       return "k" + std::to_string(std::get<0>(info.param)) + "_rounds" +
-             std::to_string(std::get<1>(info.param));
+             std::to_string(std::get<1>(info.param)) + "_" +
+             nash_isa_name(std::get<2>(info.param));
     });
 
 // --- make_tile_fallback border-pointer contract --------------------------
