@@ -284,6 +284,10 @@ void nash_tile_kernel(const void* pv, std::size_t i0, std::size_t i1, std::size_
 // (4 lanes) and Avx512Lanes (8 lanes) below. The templates carry no
 // target attribute; each ISA's band entry does, with `flatten`, so every
 // template and lane op is inlined into it and compiled for its ISA alone.
+// `flatten` does not inline at -O0, though: a template left out of line
+// runs its vector code without the entry's target, where the aligned
+// AVX-512 loads of its 64-byte locals fault. So the templates are also
+// always_inline, which inlines them at every optimisation level.
 // No multiply may fuse with an add, or a lane would round differently
 // from the scalar solve. AVX-512F implies FMA, and GCC contracts a
 // multiply and an add into an FMA even across intrinsics, so each lane
@@ -366,11 +370,10 @@ struct NashLanes {
 /// sums and entropy subtractions in (a, b) order), so every lane's cell
 /// is bit-identical to the scalar one.
 template <typename L>
-NashLanes<L> solve_tile_cells(const NashTileCtx& c, const typename L::I& cell_hash,
-                              const typename L::D& w_row, const typename L::D& w_col,
-                              const typename L::D& n_row, const typename L::D& n_col,
-                              const typename L::D& nw_row, const typename L::D& nw_col,
-                              NashLaneScratch<L::kLanes>& s) {
+[[gnu::always_inline]] inline NashLanes<L> solve_tile_cells(
+    const NashTileCtx& c, const typename L::I& cell_hash, const typename L::D& w_row,
+    const typename L::D& w_col, const typename L::D& n_row, const typename L::D& n_col,
+    const typename L::D& nw_row, const typename L::D& nw_col, NashLaneScratch<L::kLanes>& s) {
   using D = typename L::D;
   using I = typename L::I;
   constexpr std::size_t kL = L::kLanes;
@@ -475,10 +478,10 @@ NashLanes<L> solve_tile_cells(const NashTileCtx& c, const typename L::I& cell_ha
 /// border), as the scalar kernel's row sweep reads them; every read stays
 /// in rows [gi - 1, gi + rows) x columns [j0 - 1, j1).
 template <typename L>
-void nash_row_group(const NashTileCtx& c, std::size_t gi, std::size_t rows, std::size_t j0,
-                    std::size_t j1, std::size_t t_begin, std::size_t t_end, std::size_t stride,
-                    const std::byte* wcol, const std::byte* nrow, std::byte* out,
-                    NashLaneScratch<L::kLanes>& s) {
+[[gnu::always_inline]] inline void nash_row_group(
+    const NashTileCtx& c, std::size_t gi, std::size_t rows, std::size_t j0, std::size_t j1,
+    std::size_t t_begin, std::size_t t_end, std::size_t stride, const std::byte* wcol,
+    const std::byte* nrow, std::byte* out, NashLaneScratch<L::kLanes>& s) {
   using D = typename L::D;
   constexpr std::size_t kL = L::kLanes;
   constexpr std::size_t kAlign = sizeof(D);
@@ -584,9 +587,10 @@ void nash_row_group(const NashTileCtx& c, std::size_t gi, std::size_t rows, std:
 /// L::narrower. Bit-identical to the scalar kernel run one clamped row at
 /// a time.
 template <typename L>
-void nash_band_walk(const void* pv, std::size_t i0, std::size_t i1, std::size_t j0,
-                    std::size_t j1, std::size_t d_begin, std::size_t d_end, std::size_t stride,
-                    const std::byte* w, const std::byte* n, std::byte* out) {
+[[gnu::always_inline]] inline void nash_band_walk(
+    const void* pv, std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1,
+    std::size_t d_begin, std::size_t d_end, std::size_t stride, const std::byte* w,
+    const std::byte* n, std::byte* out) {
   constexpr std::size_t kL = L::kLanes;
   const NashTileCtx& c = *static_cast<const NashTileCtx*>(pv);
   thread_local NashLaneScratch<kL> scratch;

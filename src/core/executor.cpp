@@ -16,16 +16,16 @@ namespace wavetune::core {
 
 namespace {
 
-/// Sentinels for the multi-GPU validity frontier (see gpu_phase_multi).
+/// Sentinels for the band walk's validity frontier (see gpu_phase_band).
 constexpr long long kValidAll = LLONG_MIN / 4;   ///< every existing row valid
 constexpr long long kValidNone = LLONG_MAX / 4;  ///< no row valid
 
-/// Checked size_t -> long long for the multi-GPU frontier arithmetic:
+/// Checked size_t -> long long for the band walk's frontier arithmetic:
 /// every row and diagonal index must stay below the kValidNone sentinel.
-/// PhaseDesc::validate's kMaxMultiGpuDim bound keeps validated programs
-/// inside it.
+/// PhaseDesc::validate's kMaxGpuDim bound keeps validated programs inside
+/// it.
 [[noreturn, gnu::cold]] void throw_past_frontier(std::size_t v) {
-  throw std::invalid_argument("HybridExecutor: multi-GPU index " + std::to_string(v) +
+  throw std::invalid_argument("HybridExecutor: GPU band index " + std::to_string(v) +
                               " reaches the frontier sentinel 2^61 - 1");
 }
 
@@ -38,6 +38,38 @@ using WallClock = std::chrono::steady_clock;
 
 double wall_since(WallClock::time_point t0) {
   return std::chrono::duration<double, std::nano>(WallClock::now() - t0).count();
+}
+
+/// The kernels of a tiled GPU phase (gpu_tile > 1) over rows [r0, r1): one
+/// launch per tile-diagonal k of gpu_tile x gpu_tile tiles that meets the
+/// phase's diagonal range, its work-groups the tiles of k in those rows,
+/// each running an intra-tile wavefront with barriers. Over rows [0, dim)
+/// that is min(k + 1, Mg, 2Mg - 1 - k) groups (Mg tiles a side); a strip's
+/// rows clip them, and a tile straddling a strip boundary launches in
+/// both strips with its rows clamped (honest strip-execution cost).
+template <typename Launch>
+void launch_tile_diagonals(const InputParams& in, const PhaseDesc& ph, std::size_t r0,
+                           std::size_t r1, Launch&& launch) {
+  const std::size_t g = ph.gpu_tile;
+  const std::size_t Mg = (in.dim + g - 1) / g;
+  const std::size_t I_rows_lo = r0 / g;
+  const std::size_t I_rows_hi = (r1 - 1) / g;
+  for (std::size_t k = 0; k < 2 * Mg - 1; ++k) {
+    const std::size_t span_lo = k * g;
+    const std::size_t span_hi = (k + 2) * g - 2;  // inclusive
+    if (span_lo >= ph.d_end || span_hi < ph.d_begin) continue;
+    const std::size_t I_lo = std::max(diag_row_lo(Mg, k), I_rows_lo);
+    const std::size_t I_hi = std::min(diag_row_hi(Mg, k), I_rows_hi);
+    if (I_lo > I_hi) continue;
+    ocl::LaunchShape shape;
+    shape.groups = I_hi - I_lo + 1;
+    shape.serial_steps = 2 * g - 1;
+    shape.syncs = 2 * g - 1;
+    shape.tsize_units = in.tsize;
+    shape.bytes_per_item = in.elem_bytes();
+    shape.items = shape.groups * g * g;
+    launch(shape);
+  }
 }
 
 }  // namespace
@@ -498,126 +530,238 @@ void HybridExecutor::gpu_phase(const InputParams& in, const PhaseDesc& ph,
       }
     }
   }
-  if (ph.gpu_count >= 2) {
-    gpu_phase_multi(in, ph, fctx, trace, out);
-  } else if (ph.streamed()) {
-    gpu_phase_single_streamed(in, ph, fctx, resume_strip, phase_index, trace, out);
+  if (ph.streamed()) {
+    gpu_phase_strips(in, ph, fctx, resume_strip, phase_index, trace, out);
   } else {
-    gpu_phase_single(in, ph, fctx, trace, out);
+    gpu_phase_band(in, ph, fctx, trace, out);
   }
   if (fctx) fctx->give_back_buffers();
 }
 
-void HybridExecutor::gpu_phase_single(const InputParams& in, const PhaseDesc& ph,
-                                      FunctionalCtx* fctx, ocl::Trace* trace,
-                                      PhaseTiming& out) const {
+void HybridExecutor::gpu_phase_band(const InputParams& in, const PhaseDesc& ph,
+                                    FunctionalCtx* fctx, ocl::Trace* trace,
+                                    PhaseTiming& out) const {
   const std::size_t dim = in.dim;
   const std::size_t esize = in.elem_bytes();
   const std::size_t d0 = ph.d_begin;
   const std::size_t d1 = ph.d_end;
   const std::size_t frontier_lo = d0 >= 2 ? d0 - 2 : 0;
+  const auto n = static_cast<std::size_t>(ph.gpu_count);
+
+  // Fixed row split: device g owns rows [split[g], split[g+1]) and stores
+  // rows [wedge_lo[g], split[g+1]) — its own rows plus the halo wedge that
+  // the initial transfer and every swap across boundary split[g] deliver.
+  // A single device owns and stores the whole grid.
+  std::vector<long long> split(n + 1);
+  std::vector<long long> wedge_lo(n);
+  for (std::size_t g = 0; g < n; ++g) {
+    const DeviceRows w = ph.device_rows(dim, g);
+    wedge_lo[g] = ll(w.lo);
+    split[g] = ll(w.own_lo);
+    split[g + 1] = ll(w.hi);
+  }
+  auto row = [](long long i) { return static_cast<std::size_t>(i); };
+  // Member m's buffer for device g, addressed in absolute grid rows.
+  auto device_view = [&](std::size_t m, std::size_t g) {
+    return StorageView{fctx->members[m].dev[g].data(), row(wedge_lo[g])};
+  };
 
   ocl::Context ctx(profile_);
   if (trace) ctx.attach_trace(trace);
-  ocl::Device& dev = ctx.device(0);
 
-  // Bulk transfer in: band-region input data plus the two frontier
-  // diagonals the first band diagonals depend on ("data is transferred
-  // from/to CPU only twice" — paper §2.1).
-  const std::size_t cells_region = cells_in_diag_range(dim, d0, d1);
-  const std::size_t cells_front = cells_in_diag_range(dim, frontier_lo, d0);
-  const std::size_t bytes_in = (cells_region + cells_front) * esize;
-  dev.charge_write(bytes_in);
-  out.transfer_in_ns = ctx.pcie_model().transfer_ns(bytes_in);
-  if (fctx) {
-    // ONE transfer point (one fault-site visit, one simulated charge) for
-    // the whole batch; the functional copy runs per member.
-    fault::check(fault::Site::kGpuTransfer);
-    for (std::size_t m : fctx->active) {
-      FunctionalCtx::Member& mem = fctx->members[m];
-      fctx->copy_diag_rows({mem.host->data(), 0}, {mem.dev[0].data(), 0}, frontier_lo, d1, 0,
-                           dim);
+  // Initial transfers: device g gets rows [wedge_lo[g], split[g+1]) of the
+  // frontier + region (its own band plus the initial halo wedge). "Data is
+  // transferred from/to CPU only twice" (paper §2.1): here, and the bulk
+  // transfers out at the end.
+  for (std::size_t g = 0; g < n; ++g) {
+    std::size_t cells_in = 0;
+    for (std::size_t d = frontier_lo; d < d1; ++d) {
+      cells_in += diag_rows_in(dim, d, row(wedge_lo[g]), row(split[g + 1]));
+    }
+    ctx.device(g).charge_write(cells_in * esize);
+    out.transfer_in_ns += ctx.pcie_model().transfer_ns(cells_in * esize);
+    if (fctx) {
+      // ONE transfer point (one fault-site visit, one simulated charge)
+      // per device for the whole batch; the functional copy runs per
+      // member.
+      fault::check(fault::Site::kGpuTransfer);
+      for (std::size_t m : fctx->active) {
+        fctx->copy_diag_rows({fctx->members[m].host->data(), 0}, device_view(m, g), frontier_lo,
+                             d1, row(wedge_lo[g]), row(split[g + 1]));
+      }
     }
   }
 
-  if (ph.gpu_tile <= 1) {
-    // Untiled: one kernel per diagonal (paper Fig. 2).
-    for (std::size_t d = d0; d < d1; ++d) {
-      const std::size_t len = diag_len(dim, d);
-      if (len == 0) continue;
-      ocl::LaunchShape shape;
-      shape.items = len;
-      shape.tsize_units = in.tsize;
-      shape.bytes_per_item = esize;
-      dev.charge_kernel(shape);
+  // Validity frontier of each device's copy on the previous two
+  // diagonals: the lowest row whose value is current.
+  auto frontier_v = [&](std::size_t g, long long d) -> long long {
+    if (g == 0) return kValidAll;  // device 0 needs nothing from upstream
+    if (d < ll(frontier_lo) || d < 0) return kValidAll;
+    return wedge_lo[g] <= ll(diag_row_lo(dim, static_cast<std::size_t>(d))) ? kValidAll
+                                                                            : wedge_lo[g];
+  };
+  std::vector<long long> v_dm1(n);
+  std::vector<long long> v_dm2(n);
+  for (std::size_t g = 0; g < n; ++g) {
+    v_dm1[g] = frontier_v(g, ll(d0) - 1);
+    v_dm2[g] = frontier_v(g, ll(d0) - 2);
+  }
+
+  // Run mode computes device g >= 1 one SWAP EPOCH at a time. Between
+  // two swaps into device g, every diagonal raises its lowest computed row
+  // by exactly one (can_lo = max(v_dm1, v_dm2) + 1 with v_dm1 the previous
+  // diagonal's compute_lo), so the cells the diagonals [d_begin, d) of an
+  // epoch compute are the band-clamped block of rows [row_lo, split[g+1])
+  // and columns [0, col_end), col_end = d_A - lo + 1 for the epoch's first
+  // diagonal d_A and its unclamped lo. That block runs as ONE row-major
+  // tile call per member (row-major order meets the W/N/NW dependencies
+  // inside it), deferred until the block must be final: before a swap
+  // reads device g-1's rows or overwrites device g's, when the device
+  // falls idle, and at the end of the phase. Estimates keep none of this
+  // state (fctx == nullptr): the planning and every charge below are the
+  // same walk either way.
+  struct Epoch {
+    bool open = false;
+    std::size_t d_begin = 0;  ///< first planned diagonal not yet computed
+    std::size_t row_lo = 0;   ///< compute_lo on the epoch's first diagonal
+    long long col_end = 0;    ///< one past the last computed column
+  };
+  std::vector<Epoch> epoch(fctx ? n : 0);
+  auto flush = [&](std::size_t g, std::size_t d_end) {
+    Epoch& e = epoch[g];
+    if (!e.open || e.d_begin >= d_end) return;
+    for (std::size_t m : fctx->active) {
+      fctx->lowered->tile(device_view(m, g), e.row_lo, row(split[g + 1]), 0, row(e.col_end),
+                          e.d_begin, d_end);
+    }
+    e.d_begin = d_end;
+  };
+
+  // Device 0 receives no swaps: the initial transfer holds every input of
+  // its rows, so its whole band is one epoch, computed up front — on a
+  // single device, the whole band in one tile call per member, whatever
+  // the simulated kernels below are.
+  if (fctx && split[1] > 0) {
+    for (std::size_t m : fctx->active) {
+      fctx->lowered->tile(device_view(m, 0), 0, row(split[1]), 0, dim, d0, d1);
+    }
+  }
+
+  if (ph.gpu_tile > 1) {
+    // Tiled (one device only, PhaseDesc::validate): one kernel per
+    // tile-diagonal instead of one per diagonal.
+    launch_tile_diagonals(in, ph, 0, dim, [&](const ocl::LaunchShape& shape) {
+      ctx.device(0).charge_kernel(shape);
       ++out.kernel_launches;
-    }
-    // Functionally the band runs row-major, one band-clamped tile call per
-    // member: the kernel is pure, row-major order meets the west, north
-    // and northwest dependencies, and the staged frontier [d0-2, d1) holds
-    // every input outside the band — so the grid equals the diagonal
-    // order's, at a fraction of its per-cell dispatch cost.
-    if (fctx) {
-      for (std::size_t m : fctx->active) {
-        fctx->lowered->tile({fctx->members[m].dev[0].data(), 0}, 0, dim, 0, dim, d0, d1);
-      }
-    }
+    });
   } else {
-    // Tiled: one kernel per tile-diagonal; work-groups are g x g tiles
-    // whose work-items run an intra-tile wavefront with barriers.
-    const std::size_t g = ph.gpu_tile;
-    const std::size_t Mg = (dim + g - 1) / g;
-    for (std::size_t k = 0; k < 2 * Mg - 1; ++k) {
-      const std::size_t span_lo = k * g;
-      const std::size_t span_hi = (k + 2) * g - 2;  // inclusive
-      if (span_lo >= d1 || span_hi < d0) continue;
-      ocl::LaunchShape shape;
-      shape.groups = std::min({k + 1, Mg, 2 * Mg - 1 - k});
-      shape.serial_steps = 2 * g - 1;
-      shape.syncs = 2 * g - 1;
-      shape.tsize_units = in.tsize;
-      shape.bytes_per_item = esize;
-      shape.items = shape.groups * g * g;
-      dev.charge_kernel(shape);
-      ++out.kernel_launches;
-      if (fctx) {
-        const std::size_t i_tile_lo = diag_row_lo(Mg, k);
-        const std::size_t i_tile_hi = diag_row_hi(Mg, k);
-        for (std::size_t I = i_tile_lo; I <= i_tile_hi; ++I) {
-          const std::size_t J = k - I;
-          // One lowered-kernel call per tile per member, band clamp
-          // included — the functional mirror of one simulated work-group;
-          // grids iterate innermost so the batch shares the tile walk.
-          for (std::size_t m : fctx->active) {
-            fctx->lowered->tile({fctx->members[m].dev[0].data(), 0}, I * g,
-                                std::min((I + 1) * g, dim), J * g,
-                                std::min((J + 1) * g, dim), d0, d1);
+    // Untiled: one kernel per device per diagonal (paper Fig. 2), its
+    // items the device's rows of the diagonal. Per-diagonal device plan,
+    // allocated once per phase.
+    std::vector<bool> active(n);
+    std::vector<long long> compute_lo(n);
+    std::vector<long long> compute_hi(n);
+    for (std::size_t d = d0; d < d1; ++d) {
+      const long long i_lo = ll(diag_row_lo(dim, d));
+      const long long i_hi = ll(diag_row_hi(dim, d));
+
+      // Plan each device's row range; fire the chained halo swaps first so
+      // their transfers precede this diagonal's kernels on the timelines.
+      for (std::size_t g = 0; g < n; ++g) {
+        const long long own_lo = std::max(split[g], i_lo);
+        const long long own_hi = std::min(split[g + 1] - 1, i_hi);
+        compute_hi[g] = own_hi;
+        active[g] = own_lo <= own_hi;
+        if (!active[g]) continue;  // no owned cells on this diagonal
+        long long lo = std::max(v_dm1[g], v_dm2[g]) + 1;
+        const bool swap = std::max(lo, i_lo) > own_lo;
+        if (swap) {
+          // Halo swap: device g-1 -> host -> device g, strips
+          // [wedge_lo[g], split[g]) of the two previous diagonals
+          // (paper Fig. 3, chained across every internal boundary).
+          std::size_t strip_cells = 0;
+          for (long long pd = ll(d) - 2; pd <= ll(d) - 1; ++pd) {
+            if (pd < 0) continue;
+            strip_cells += diag_rows_in(dim, row(pd), row(wedge_lo[g]), row(split[g]));
           }
+          const std::size_t bytes = strip_cells * esize;
+          ctx.device(g - 1).charge_copy_to(ctx.device(g), bytes);
+          out.swap_ns += 2.0 * ctx.pcie_model().transfer_ns(bytes);
+          ++out.swap_count;
+          if (fctx) {
+            flush(g - 1, d);  // the swap reads g-1's rows on d-2 and d-1 ...
+            flush(g, d);      // ... and overwrites g's
+            for (std::size_t m : fctx->active) {
+              fctx->copy_diag_rows(device_view(m, g - 1), device_view(m, g), d >= 2 ? d - 2 : 0,
+                                   d, row(wedge_lo[g]), row(split[g]));
+            }
+          }
+          v_dm1[g] = std::min(v_dm1[g], wedge_lo[g]);
+          v_dm2[g] = std::min(v_dm2[g], wedge_lo[g]);
+          lo = std::max(v_dm1[g], v_dm2[g]) + 1;
+        }
+        compute_lo[g] = std::max(lo, i_lo);
+        out.redundant_cells += static_cast<std::size_t>(std::max(0LL, own_lo - compute_lo[g]));
+        if (fctx && g > 0) {
+          Epoch& e = epoch[g];
+          if (swap || !e.open) {
+            e = Epoch{true, d, row(compute_lo[g]), std::min(ll(dim), ll(d) - lo + 1)};
+          }
+          // The epoch rule above: this diagonal's rows are the block's.
+          assert(compute_lo[g] == std::max({ll(e.row_lo), i_lo, ll(d) - e.col_end + 1}));
         }
       }
+
+      // Launch this diagonal's kernels (devices run concurrently).
+      for (std::size_t g = 0; g < n; ++g) {
+        if (!active[g]) {
+          if (fctx) {
+            flush(g, d);
+            epoch[g].open = false;
+          }
+          v_dm2[g] = v_dm1[g];
+          v_dm1[g] = kValidNone;  // computed nothing: its copy of d is stale
+          continue;
+        }
+        ocl::LaunchShape shape;
+        shape.items = static_cast<std::size_t>(compute_hi[g] - compute_lo[g] + 1);
+        shape.tsize_units = in.tsize;
+        shape.bytes_per_item = esize;
+        ctx.device(g).charge_kernel(shape);
+        ++out.kernel_launches;
+        v_dm2[g] = v_dm1[g];
+        v_dm1[g] = compute_lo[g] <= i_lo ? kValidAll : compute_lo[g];
+      }
+    }
+    if (fctx) {
+      for (std::size_t g = 0; g < n; ++g) flush(g, d1);
     }
   }
 
-  // Bulk transfer out: the computed band region back to the host.
-  const std::size_t bytes_out = cells_region * esize;
-  dev.charge_read(bytes_out);
-  out.transfer_out_ns = ctx.pcie_model().transfer_ns(bytes_out);
-  if (fctx) {
-    fault::check(fault::Site::kGpuTransfer);
-    for (std::size_t m : fctx->active) {
-      FunctionalCtx::Member& mem = fctx->members[m];
-      fctx->copy_diag_rows({mem.dev[0].data(), 0}, {mem.host->data(), 0}, d0, d1, 0, dim);
+  // Bulk transfers out: each device returns its owned region cells.
+  for (std::size_t g = 0; g < n; ++g) {
+    std::size_t cells_out = 0;
+    for (std::size_t d = d0; d < d1; ++d) {
+      cells_out += diag_rows_in(dim, d, row(split[g]), row(split[g + 1]));
+    }
+    ctx.device(g).charge_read(cells_out * esize);
+    out.transfer_out_ns += ctx.pcie_model().transfer_ns(cells_out * esize);
+    if (fctx) {
+      fault::check(fault::Site::kGpuTransfer);
+      for (std::size_t m : fctx->active) {
+        fctx->copy_diag_rows(device_view(m, g), {fctx->members[m].host->data(), 0}, d0, d1,
+                             row(split[g]), row(split[g + 1]));
+      }
     }
   }
 
   out.ns = ctx.finish_time();
 }
 
-void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const PhaseDesc& ph,
-                                               FunctionalCtx* fctx,
-                                               std::size_t resume_strip,
-                                               std::size_t phase_index, ocl::Trace* trace,
-                                               PhaseTiming& out) const {
+void HybridExecutor::gpu_phase_strips(const InputParams& in, const PhaseDesc& ph,
+                                      FunctionalCtx* fctx, std::size_t resume_strip,
+                                      std::size_t phase_index, ocl::Trace* trace,
+                                      PhaseTiming& out) const {
   const std::size_t dim = in.dim;
   const std::size_t esize = in.elem_bytes();
   const std::size_t d0 = ph.d_begin;
@@ -782,49 +926,16 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
           shape.bytes_per_item = esize;
           launch(shape);
         }
-        // The strip's band cells row-major in one band-clamped tile call
-        // per member, as in gpu_phase_single; the halo row at the
-        // buffer's base_row holds the north inputs of row r0.
-        if (f && s >= resume_strip) {
-          for (std::size_t m : f->active) {
-            f->lowered->tile({f->members[m].dev[b].data(), base_row}, si.r0, si.r1, 0, dim, d0,
-                             d1);
-          }
-        }
       } else {
-        // Tiled: one kernel per tile-diagonal, work-groups clipped to the
-        // strip's tile rows; tiles straddling the strip boundary relaunch
-        // with their rows clamped (honest strip-execution cost).
-        const std::size_t g = ph.gpu_tile;
-        const std::size_t Mg = (dim + g - 1) / g;
-        const std::size_t I_strip_lo = si.r0 / g;
-        const std::size_t I_strip_hi = (si.r1 - 1) / g;
-        for (std::size_t k = 0; k < 2 * Mg - 1; ++k) {
-          const std::size_t span_lo = k * g;
-          const std::size_t span_hi = (k + 2) * g - 2;  // inclusive
-          if (span_lo >= d1 || span_hi < d0) continue;
-          const std::size_t I_lo = std::max(diag_row_lo(Mg, k), I_strip_lo);
-          const std::size_t I_hi = std::min(diag_row_hi(Mg, k), I_strip_hi);
-          if (I_lo > I_hi) continue;
-          ocl::LaunchShape shape;
-          shape.groups = I_hi - I_lo + 1;
-          shape.serial_steps = 2 * g - 1;
-          shape.syncs = 2 * g - 1;
-          shape.tsize_units = in.tsize;
-          shape.bytes_per_item = esize;
-          shape.items = shape.groups * g * g;
-          launch(shape);
-          if (f && s >= resume_strip) {
-            for (std::size_t I = I_lo; I <= I_hi; ++I) {
-              const std::size_t J = k - I;
-              const std::size_t i0 = std::max(I * g, si.r0);
-              const std::size_t i1 = std::min({(I + 1) * g, dim, si.r1});
-              for (std::size_t m : f->active) {
-                f->lowered->tile({f->members[m].dev[b].data(), base_row}, i0, i1, J * g,
-                                 std::min((J + 1) * g, dim), d0, d1);
-              }
-            }
-          }
+        // Tiled: the tile-diagonal kernels clipped to the strip's rows.
+        launch_tile_diagonals(in, ph, si.r0, si.r1, launch);
+      }
+      // The strip's band cells row-major in one band-clamped tile call per
+      // member, as in gpu_phase_band; the halo row at the buffer's
+      // base_row holds the north inputs of row r0.
+      if (f && s >= resume_strip) {
+        for (std::size_t m : f->active) {
+          f->lowered->tile({f->members[m].dev[b].data(), base_row}, si.r0, si.r1, 0, dim, d0, d1);
         }
       }
     };
@@ -873,207 +984,6 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
   } else {
     out.serialized_ns = out.ns;
   }
-}
-
-void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
-                                     FunctionalCtx* fctx, ocl::Trace* trace,
-                                     PhaseTiming& out) const {
-  const std::size_t dim = in.dim;
-  const std::size_t esize = in.elem_bytes();
-  const std::size_t d0 = ph.d_begin;
-  const std::size_t d1 = ph.d_end;
-  const std::size_t frontier_lo = d0 >= 2 ? d0 - 2 : 0;
-  const auto n = static_cast<std::size_t>(ph.gpu_count);
-
-  // Fixed row split: device g owns rows [split[g], split[g+1]) and stores
-  // rows [wedge_lo[g], split[g+1]) — its own rows plus the halo wedge that
-  // the initial transfer and every swap across boundary split[g] deliver.
-  std::vector<long long> split(n + 1);
-  std::vector<long long> wedge_lo(n);
-  for (std::size_t g = 0; g < n; ++g) {
-    const DeviceRows w = ph.device_rows(dim, g);
-    wedge_lo[g] = ll(w.lo);
-    split[g] = ll(w.own_lo);
-    split[g + 1] = ll(w.hi);
-  }
-  auto row = [](long long i) { return static_cast<std::size_t>(i); };
-  // Member m's buffer for device g, addressed in absolute grid rows.
-  auto device_view = [&](std::size_t m, std::size_t g) {
-    return StorageView{fctx->members[m].dev[g].data(), row(wedge_lo[g])};
-  };
-
-  ocl::Context ctx(profile_);
-  if (trace) ctx.attach_trace(trace);
-
-  // Initial transfers: device g gets rows [wedge_lo[g], split[g+1]) of the
-  // frontier + region (its own band plus the initial halo wedge).
-  for (std::size_t g = 0; g < n; ++g) {
-    std::size_t cells_in = 0;
-    for (std::size_t d = frontier_lo; d < d1; ++d) {
-      cells_in += diag_rows_in(dim, d, row(wedge_lo[g]), row(split[g + 1]));
-    }
-    ctx.device(g).charge_write(cells_in * esize);
-    out.transfer_in_ns += ctx.pcie_model().transfer_ns(cells_in * esize);
-    if (fctx) {
-      fault::check(fault::Site::kGpuTransfer);
-      for (std::size_t m : fctx->active) {
-        fctx->copy_diag_rows({fctx->members[m].host->data(), 0}, device_view(m, g), frontier_lo,
-                             d1, row(wedge_lo[g]), row(split[g + 1]));
-      }
-    }
-  }
-
-  // Validity frontier of each device's copy on the previous two
-  // diagonals: the lowest row whose value is current.
-  auto frontier_v = [&](std::size_t g, long long d) -> long long {
-    if (g == 0) return kValidAll;  // device 0 needs nothing from upstream
-    if (d < ll(frontier_lo) || d < 0) return kValidAll;
-    return wedge_lo[g] <= ll(diag_row_lo(dim, static_cast<std::size_t>(d))) ? kValidAll
-                                                                            : wedge_lo[g];
-  };
-  std::vector<long long> v_dm1(n);
-  std::vector<long long> v_dm2(n);
-  for (std::size_t g = 0; g < n; ++g) {
-    v_dm1[g] = frontier_v(g, ll(d0) - 1);
-    v_dm2[g] = frontier_v(g, ll(d0) - 2);
-  }
-
-  // Run mode computes device g >= 1 one SWAP EPOCH at a time. Between
-  // two swaps into device g, every diagonal raises its lowest computed row
-  // by exactly one (can_lo = max(v_dm1, v_dm2) + 1 with v_dm1 the previous
-  // diagonal's compute_lo), so the cells the diagonals [d_begin, d) of an
-  // epoch compute are the band-clamped block of rows [row_lo, split[g+1])
-  // and columns [0, col_end), col_end = d_A - lo + 1 for the epoch's first
-  // diagonal d_A and its unclamped lo. That block runs as ONE row-major
-  // tile call per member (row-major order meets the W/N/NW dependencies
-  // inside it), deferred until the block must be final: before a swap
-  // reads device g-1's rows or overwrites device g's, when the device
-  // falls idle, and at the end of the phase. Estimates keep none of this
-  // state (fctx == nullptr): the planning and every charge below are the
-  // same walk either way.
-  struct Epoch {
-    bool open = false;
-    std::size_t d_begin = 0;  ///< first planned diagonal not yet computed
-    std::size_t row_lo = 0;   ///< compute_lo on the epoch's first diagonal
-    long long col_end = 0;    ///< one past the last computed column
-  };
-  std::vector<Epoch> epoch(fctx ? n : 0);
-  auto flush = [&](std::size_t g, std::size_t d_end) {
-    Epoch& e = epoch[g];
-    if (!e.open || e.d_begin >= d_end) return;
-    for (std::size_t m : fctx->active) {
-      fctx->lowered->tile(device_view(m, g), e.row_lo, row(split[g + 1]), 0, row(e.col_end),
-                          e.d_begin, d_end);
-    }
-    e.d_begin = d_end;
-  };
-
-  // Device 0 receives no swaps: the initial transfer holds every input of
-  // its rows, so its whole band is one epoch, computed up front.
-  if (fctx && split[1] > 0) {
-    for (std::size_t m : fctx->active) {
-      fctx->lowered->tile(device_view(m, 0), 0, row(split[1]), 0, dim, d0, d1);
-    }
-  }
-
-  // Per-diagonal device plan, allocated once per phase.
-  std::vector<bool> active(n);
-  std::vector<long long> compute_lo(n);
-  std::vector<long long> compute_hi(n);
-  for (std::size_t d = d0; d < d1; ++d) {
-    const long long i_lo = ll(diag_row_lo(dim, d));
-    const long long i_hi = ll(diag_row_hi(dim, d));
-
-    // Plan each device's row range; fire the chained halo swaps first so
-    // their transfers precede this diagonal's kernels on the timelines.
-    for (std::size_t g = 0; g < n; ++g) {
-      const long long own_lo = std::max(split[g], i_lo);
-      const long long own_hi = std::min(split[g + 1] - 1, i_hi);
-      compute_hi[g] = own_hi;
-      active[g] = own_lo <= own_hi;
-      if (!active[g]) continue;  // no owned cells on this diagonal
-      long long lo = std::max(v_dm1[g], v_dm2[g]) + 1;
-      const bool swap = std::max(lo, i_lo) > own_lo;
-      if (swap) {
-        // Halo swap: device g-1 -> host -> device g, strips
-        // [wedge_lo[g], split[g]) of the two previous diagonals
-        // (paper Fig. 3, chained across every internal boundary).
-        std::size_t strip_cells = 0;
-        for (long long pd = ll(d) - 2; pd <= ll(d) - 1; ++pd) {
-          if (pd < 0) continue;
-          strip_cells += diag_rows_in(dim, row(pd), row(wedge_lo[g]), row(split[g]));
-        }
-        const std::size_t bytes = strip_cells * esize;
-        ctx.device(g - 1).charge_copy_to(ctx.device(g), bytes);
-        out.swap_ns += 2.0 * ctx.pcie_model().transfer_ns(bytes);
-        ++out.swap_count;
-        if (fctx) {
-          flush(g - 1, d);  // the swap reads g-1's rows on d-2 and d-1 ...
-          flush(g, d);      // ... and overwrites g's
-          for (std::size_t m : fctx->active) {
-            fctx->copy_diag_rows(device_view(m, g - 1), device_view(m, g), d >= 2 ? d - 2 : 0, d,
-                                 row(wedge_lo[g]), row(split[g]));
-          }
-        }
-        v_dm1[g] = std::min(v_dm1[g], wedge_lo[g]);
-        v_dm2[g] = std::min(v_dm2[g], wedge_lo[g]);
-        lo = std::max(v_dm1[g], v_dm2[g]) + 1;
-      }
-      compute_lo[g] = std::max(lo, i_lo);
-      out.redundant_cells += static_cast<std::size_t>(std::max(0LL, own_lo - compute_lo[g]));
-      if (fctx && g > 0) {
-        Epoch& e = epoch[g];
-        if (swap || !e.open) {
-          e = Epoch{true, d, row(compute_lo[g]), std::min(ll(dim), ll(d) - lo + 1)};
-        }
-        // The epoch rule above: this diagonal's rows are the block's.
-        assert(compute_lo[g] == std::max({ll(e.row_lo), i_lo, ll(d) - e.col_end + 1}));
-      }
-    }
-
-    // Launch this diagonal's kernels (devices run concurrently).
-    for (std::size_t g = 0; g < n; ++g) {
-      if (!active[g]) {
-        if (fctx) {
-          flush(g, d);
-          epoch[g].open = false;
-        }
-        v_dm2[g] = v_dm1[g];
-        v_dm1[g] = kValidNone;  // computed nothing: its copy of d is stale
-        continue;
-      }
-      ocl::LaunchShape shape;
-      shape.items = static_cast<std::size_t>(compute_hi[g] - compute_lo[g] + 1);
-      shape.tsize_units = in.tsize;
-      shape.bytes_per_item = esize;
-      ctx.device(g).charge_kernel(shape);
-      ++out.kernel_launches;
-      v_dm2[g] = v_dm1[g];
-      v_dm1[g] = compute_lo[g] <= i_lo ? kValidAll : compute_lo[g];
-    }
-  }
-  if (fctx) {
-    for (std::size_t g = 0; g < n; ++g) flush(g, d1);
-  }
-
-  // Bulk transfers out: each device returns its owned region cells.
-  for (std::size_t g = 0; g < n; ++g) {
-    std::size_t cells_out = 0;
-    for (std::size_t d = d0; d < d1; ++d) {
-      cells_out += diag_rows_in(dim, d, row(split[g]), row(split[g + 1]));
-    }
-    ctx.device(g).charge_read(cells_out * esize);
-    out.transfer_out_ns += ctx.pcie_model().transfer_ns(cells_out * esize);
-    if (fctx) {
-      fault::check(fault::Site::kGpuTransfer);
-      for (std::size_t m : fctx->active) {
-        fctx->copy_diag_rows(device_view(m, g), {fctx->members[m].host->data(), 0}, d0, d1,
-                             row(split[g]), row(split[g + 1]));
-      }
-    }
-  }
-
-  out.ns = ctx.finish_time();
 }
 
 }  // namespace wavetune::core

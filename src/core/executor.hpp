@@ -10,13 +10,18 @@
 //   kCpu        diagonals [d_begin, d_end) tiled-parallel across the
 //               cores, under the phase's scheduler (barriered sweep or
 //               dependency-counter dataflow).
-//   kGpuSingle  the range on one simulated GPU, untiled (one kernel per
-//               diagonal) or tiled (work-groups of gpu_tile x gpu_tile
-//               cells, one kernel per tile-diagonal).
-//   kGpuMulti   N-way fixed row split at rows dim*g/N with chained halo
-//               exchanges through host memory every halo+1 diagonals;
-//               each device stores only its row window (PhaseDesc::
-//               device_rows) and computes one tile call per swap epoch.
+//   kGpuMulti   the GPU band walk: an N-way fixed row split at rows
+//               dim*g/N with chained halo exchanges through host memory
+//               every halo+1 diagonals; each device stores only its row
+//               window (PhaseDesc::device_rows) and computes one tile call
+//               per swap epoch.
+//   kGpuSingle  the same walk at N = 1: one device holds the whole band,
+//               needs no swaps and computes it in one tile call. Untiled
+//               it charges one kernel per diagonal, tiled (work-groups of
+//               gpu_tile x gpu_tile cells) one per tile-diagonal.
+//
+// A streamed GPU phase (strip_rows > 0, one device only) runs instead as
+// a pipeline of row strips through a fixed pool of device buffers.
 //
 // run() interprets the program functionally (real values, real threads
 // for the CPU phases) while charging simulated time; estimate() interprets
@@ -254,24 +259,25 @@ private:
   RunResult execute(const InputParams& in, const PhaseProgram& program, FunctionalCtx* fctx,
                     ocl::Trace* trace) const;
 
+  /// Checks out the phase's device buffers (run mode) and runs the band
+  /// walk, or the strip pipeline for a streamed phase.
   void gpu_phase(const InputParams& in, const PhaseDesc& ph, FunctionalCtx* fctx,
                  std::size_t resume_strip, std::size_t phase_index, ocl::Trace* trace,
                  PhaseTiming& out) const;
-  void gpu_phase_single(const InputParams& in, const PhaseDesc& ph, FunctionalCtx* fctx,
-                        ocl::Trace* trace, PhaseTiming& out) const;
+  /// The whole-grid band walk on N >= 1 devices: an N-way row split with
+  /// chained halo exchanges. N == 1 is the single-GPU band (untiled or
+  /// tiled), N == 2 the paper's dual-GPU schedule, N >= 3 the §6
+  /// future-work extension.
+  void gpu_phase_band(const InputParams& in, const PhaseDesc& ph, FunctionalCtx* fctx,
+                      ocl::Trace* trace, PhaseTiming& out) const;
   /// Streamed single-GPU phase: W/H/K/R per strip through the fixed
   /// buffer pool (async staged uploads overlapping kernels when
   /// strip_buffers >= 2), plus a second timing-only 1-buffer walk for
   /// PhaseTiming::serialized_ns. `resume_strip` strips are charged but
   /// not functionally executed; `phase_index` labels checkpoints.
-  void gpu_phase_single_streamed(const InputParams& in, const PhaseDesc& ph,
-                                 FunctionalCtx* fctx, std::size_t resume_strip,
-                                 std::size_t phase_index, ocl::Trace* trace,
-                                 PhaseTiming& out) const;
-  /// N-way row split (N >= 2) with chained halo exchanges; N == 2 is the
-  /// paper's dual-GPU schedule, N >= 3 the §6 future-work extension.
-  void gpu_phase_multi(const InputParams& in, const PhaseDesc& ph, FunctionalCtx* fctx,
-                       ocl::Trace* trace, PhaseTiming& out) const;
+  void gpu_phase_strips(const InputParams& in, const PhaseDesc& ph, FunctionalCtx* fctx,
+                        std::size_t resume_strip, std::size_t phase_index, ocl::Trace* trace,
+                        PhaseTiming& out) const;
 };
 
 }  // namespace wavetune::core

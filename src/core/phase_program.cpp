@@ -33,9 +33,9 @@ DeviceRows PhaseDesc::device_rows(std::size_t dim, std::size_t g) const {
                                 std::to_string(dim) + " * " + std::to_string(n) +
                                 ") exceeds SIZE_MAX");
   }
-  if (n >= 2 && dim > kMaxMultiGpuDim) {
+  if (dim > kMaxGpuDim) {
     throw std::invalid_argument("PhaseDesc::device_rows: dim " + std::to_string(dim) +
-                                " exceeds kMaxMultiGpuDim = 2^60");
+                                " exceeds kMaxGpuDim = 2^60");
   }
   DeviceRows w;
   w.own_lo = dim * g / n;
@@ -74,6 +74,7 @@ void PhaseDesc::validate(std::size_t dim) const {
         throw std::invalid_argument("PhaseDesc: gpu-single phase with gpu_count != 1");
       }
       if (gpu_tile == 0) throw std::invalid_argument("PhaseDesc: gpu phase with gpu_tile == 0");
+      (void)device_rows(dim, 0);  // the GPU dim bound
       break;
     case PhaseDevice::kGpuMulti:
       if (gpu_count < 2) {

@@ -50,10 +50,10 @@ struct DeviceRows {
 /// One phase: a device plus the diagonal range [d_begin, d_end) it owns
 /// and the tuning knobs that apply on that device.
 struct PhaseDesc {
-  /// Largest grid side a kGpuMulti phase accepts: every row and diagonal
-  /// index of its halo frontier then stays below 2^61, where the
+  /// Largest grid side a GPU phase accepts: every row and diagonal index
+  /// of the band walk's halo frontier then stays below 2^61, where the
   /// executor's frontier sentinels sit.
-  static constexpr std::size_t kMaxMultiGpuDim = std::size_t{1} << 60;
+  static constexpr std::size_t kMaxGpuDim = std::size_t{1} << 60;
 
   PhaseDevice device = PhaseDevice::kCpu;
   std::size_t d_begin = 0;  ///< first diagonal (i+j) of the phase
@@ -98,13 +98,14 @@ struct PhaseDesc {
   /// the owned ones (a single device stores the whole grid). Throws
   /// std::invalid_argument, naming the bound, when g is not one of the
   /// phase's devices, when dim * gpu_count overflows std::size_t, or when
-  /// dim exceeds kMaxMultiGpuDim.
+  /// dim exceeds kMaxGpuDim.
   DeviceRows device_rows(std::size_t dim, std::size_t g) const;
 
   /// Throws std::invalid_argument on device-specific nonsense (empty
-  /// range, zero tile, kGpuMulti with < 2 devices or negative halo, a
-  /// kGpuMulti row split out of range, more devices than rows, a halo
-  /// beyond the narrowest device's rows - 1, ...).
+  /// range, zero tile, a GPU phase on a grid wider than kMaxGpuDim,
+  /// kGpuMulti with < 2 devices or negative halo, a kGpuMulti row split
+  /// out of range, more devices than rows, a halo beyond the narrowest
+  /// device's rows - 1, ...).
   void validate(std::size_t dim) const;
 };
 

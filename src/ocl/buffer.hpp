@@ -20,7 +20,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstring>
 #include <mutex>
 #include <span>
 #include <utility>
@@ -82,10 +81,6 @@ public:
 
   std::span<std::byte> bytes() { return storage_; }
   std::span<const std::byte> bytes() const { return storage_; }
-
-  /// Host-side memcpy helpers with bounds checking (throw std::out_of_range).
-  void write(std::size_t offset, const void* src, std::size_t n);
-  void read(std::size_t offset, void* dst, std::size_t n) const;
 
   /// Fills the buffer with a byte value (debugging aid; devices in the real
   /// world do not zero memory for you, and neither does this one by default

@@ -1,7 +1,6 @@
 #include "ocl/device.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace wavetune::ocl {
 
@@ -89,34 +88,6 @@ Event Device::charge_copy_to(Device& dst_device, std::size_t bytes,
   const Event d2h = charge_read(bytes, deps);
   const Event deps2[] = {d2h};
   return dst_device.charge_write(bytes, deps2);
-}
-
-Event Device::enqueue_write(Buffer& dst, std::size_t offset, const void* src, std::size_t n,
-                            std::span<const Event> deps) {
-  dst.write(offset, src, n);  // functional effect
-  return charge_write(n, deps);
-}
-
-Event Device::enqueue_read(const Buffer& src, std::size_t offset, void* dst, std::size_t n,
-                           std::span<const Event> deps) {
-  src.read(offset, dst, n);  // functional effect
-  return charge_read(n, deps);
-}
-
-Event Device::enqueue_kernel(const LaunchShape& shape, const KernelFn& fn,
-                             std::span<const Event> deps) {
-  if (fn) fn();  // functional effect
-  return charge_kernel(shape, deps);
-}
-
-Event Device::enqueue_copy_to(Device& dst_device, const Buffer& src, std::size_t src_offset,
-                              Buffer& dst, std::size_t dst_offset, std::size_t n,
-                              std::span<const Event> deps) {
-  // Stage through host memory: D2H on this device, then H2D on the target.
-  std::vector<std::byte> staging(n);
-  const Event d2h = enqueue_read(src, src_offset, staging.data(), n, deps);
-  const Event deps2[] = {d2h};
-  return dst_device.enqueue_write(dst, dst_offset, staging.data(), n, deps2);
 }
 
 }  // namespace wavetune::ocl

@@ -1,20 +1,17 @@
 // Simulated OpenCL-style device with an in-order command queue.
 //
-// Commands (writes, reads, kernel launches, device-to-device copies) are
-// executed functionally at enqueue time — valid because the queue is
-// in-order and the host drives it single-threaded — while their simulated
-// timestamps are scheduled on discrete-event timelines: one per device
-// execution engine, plus the system-shared PCIe link for transfers.
+// A device charges commands (writes, reads, kernel launches, device-to-
+// device copies) on discrete-event timelines: one per device execution
+// engine, plus the system-shared PCIe link for transfers. It moves no
+// data: the hybrid executor performs each command's functional effect on
+// its own buffers (ocl::Buffer), and charges the command here.
 // The returned Event carries the command's simulated completion time;
 // dependencies across devices are expressed by passing Events in.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <string>
-#include <vector>
 
-#include "ocl/buffer.hpp"
 #include "ocl/trace.hpp"
 #include "sim/hardware.hpp"
 #include "sim/timeline.hpp"
@@ -40,9 +37,6 @@ struct LaunchShape {
   std::size_t bytes_per_item = 0; ///< per-item global-memory traffic
 };
 
-/// Functional payload of a kernel: performs the actual cell computations.
-using KernelFn = std::function<void()>;
-
 class Device {
 public:
   /// `pcie`/`pcie_model` describe the system-shared transfer link; both
@@ -52,39 +46,17 @@ public:
 
   const sim::GpuModel& model() const { return model_; }
 
-  Buffer create_buffer(std::size_t bytes) const { return Buffer(bytes); }
-
-  /// Host -> device transfer of `n` bytes into `dst` at `offset`.
-  Event enqueue_write(Buffer& dst, std::size_t offset, const void* src, std::size_t n,
-                      std::span<const Event> deps = {});
-
-  /// Device -> host transfer.
-  Event enqueue_read(const Buffer& src, std::size_t offset, void* dst, std::size_t n,
-                     std::span<const Event> deps = {});
-
-  /// Kernel launch; `fn` is executed immediately (functional semantics),
-  /// the Event carries the simulated completion time.
-  Event enqueue_kernel(const LaunchShape& shape, const KernelFn& fn,
-                       std::span<const Event> deps = {});
-
+  // Timing only: each call accounts the simulated cost of one command
+  // without touching memory. run() and estimate() both charge through
+  // these, which is what guarantees they report identical simulated
+  // times: both walk the same schedule through the same timelines.
+  Event charge_write(std::size_t bytes, std::span<const Event> deps = {});
+  Event charge_read(std::size_t bytes, std::span<const Event> deps = {});
+  Event charge_kernel(const LaunchShape& shape, std::span<const Event> deps = {});
   /// Device -> device copy, staged through host memory (two PCIe legs),
   /// exactly as the paper describes for halo swaps: "data elements have to
   /// be first transferred to the host (CPU) memory and then transferred to
   /// respective destination GPUs".
-  Event enqueue_copy_to(Device& dst_device, const Buffer& src, std::size_t src_offset,
-                        Buffer& dst, std::size_t dst_offset, std::size_t n,
-                        std::span<const Event> deps = {});
-
-  // Timing-only variants. The hybrid executor moves strided cell data
-  // (diagonal strips) whose functional copies it performs itself; these
-  // methods account the simulated cost of the equivalent bulk transfer /
-  // launch without touching memory. estimate() uses them exclusively,
-  // which is what guarantees run() and estimate() report identical
-  // simulated times: both walk the same schedule through the same
-  // timelines.
-  Event charge_write(std::size_t bytes, std::span<const Event> deps = {});
-  Event charge_read(std::size_t bytes, std::span<const Event> deps = {});
-  Event charge_kernel(const LaunchShape& shape, std::span<const Event> deps = {});
   Event charge_copy_to(Device& dst_device, std::size_t bytes, std::span<const Event> deps = {});
 
   // Async DMA-engine transfers for the streaming-strip path. Unlike

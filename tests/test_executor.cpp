@@ -471,8 +471,8 @@ void expect_bound_error(F f, const std::string& bound) {
   }
 }
 
-TEST(MultiGpuRowSplit, DimAtAndPastKMaxMultiGpuDim) {
-  const std::size_t at = PhaseDesc::kMaxMultiGpuDim;
+TEST(MultiGpuRowSplit, DimAtAndPastKMaxGpuDim) {
+  const std::size_t at = PhaseDesc::kMaxGpuDim;
   const PhaseProgram ok = main_diagonal_multi_program(at, 4);
   EXPECT_NO_THROW(ok.validate());
   const DeviceRows w = ok.phases[1].device_rows(at, 3);
@@ -481,22 +481,54 @@ TEST(MultiGpuRowSplit, DimAtAndPastKMaxMultiGpuDim) {
   EXPECT_EQ(w.lo, at / 4 * 3 - 5);  // halo 4: five rows of wedge
 
   const PhaseProgram past = main_diagonal_multi_program(at + 1, 4);
-  expect_bound_error([&] { (void)past.phases[1].device_rows(at + 1, 0); }, "kMaxMultiGpuDim");
-  expect_bound_error([&] { past.validate(); }, "kMaxMultiGpuDim");
+  expect_bound_error([&] { (void)past.phases[1].device_rows(at + 1, 0); }, "kMaxGpuDim");
+  expect_bound_error([&] { past.validate(); }, "kMaxGpuDim");
   // Both interpreter modes validate the program before walking it: the
   // estimate, and a run handed the program (with any grid).
   HybridExecutor exec(sim::make_i7_2600k(), 1);
   expect_bound_error([&] { (void)exec.estimate(InputParams{at + 1, 1.0, 1}, past); },
-                     "kMaxMultiGpuDim");
+                     "kMaxGpuDim");
   const auto spec = apps::make_synthetic_spec(small_instance());
   Grid g(spec.dim, spec.elem_bytes);
-  expect_bound_error([&] { (void)exec.run(spec, past, g); }, "kMaxMultiGpuDim");
+  expect_bound_error([&] { (void)exec.run(spec, past, g); }, "kMaxGpuDim");
+}
+
+TEST(MultiGpuRowSplit, SingleGpuPhaseHasTheSameDimBound) {
+  // A single-GPU phase runs the same band walk at one device, so it takes
+  // the same bound, whole-grid or streamed.
+  auto single = [](std::size_t dim, std::size_t strip_rows) {
+    PhaseProgram prog = main_diagonal_multi_program(dim, 4);
+    prog.phases[1].device = PhaseDevice::kGpuSingle;
+    prog.phases[1].gpu_count = 1;
+    prog.phases[1].strip_rows = strip_rows;
+    return prog;
+  };
+  const std::size_t at = PhaseDesc::kMaxGpuDim;
+  for (std::size_t strip_rows : {std::size_t{0}, std::size_t{64}}) {
+    SCOPED_TRACE(strip_rows);
+    const PhaseProgram ok = single(at, strip_rows);
+    EXPECT_NO_THROW(ok.validate());
+    const DeviceRows w = ok.phases[1].device_rows(at, 0);
+    EXPECT_EQ(w.lo, 0u);
+    EXPECT_EQ(w.own_lo, 0u);
+    EXPECT_EQ(w.hi, at);
+
+    const PhaseProgram past = single(at + 1, strip_rows);
+    expect_bound_error([&] { (void)past.phases[1].device_rows(at + 1, 0); }, "kMaxGpuDim");
+    expect_bound_error([&] { past.validate(); }, "kMaxGpuDim");
+    HybridExecutor exec(sim::make_i7_2600k(), 1);
+    expect_bound_error([&] { (void)exec.estimate(InputParams{at + 1, 1.0, 1}, past); },
+                       "kMaxGpuDim");
+    const auto spec = apps::make_synthetic_spec(small_instance());
+    Grid g(spec.dim, spec.elem_bytes);
+    expect_bound_error([&] { (void)exec.run(spec, past, g); }, "kMaxGpuDim");
+  }
 }
 
 TEST(MultiGpuRowSplit, SplitProductAtAndPastSizeMax) {
-  // At 64 devices dim * gpu_count overflows before kMaxMultiGpuDim does.
+  // At 64 devices dim * gpu_count overflows before kMaxGpuDim does.
   const std::size_t at = SIZE_MAX / 64;
-  ASSERT_LT(at, PhaseDesc::kMaxMultiGpuDim);
+  ASSERT_LT(at, PhaseDesc::kMaxGpuDim);
   const PhaseProgram ok = main_diagonal_multi_program(at, 64);
   EXPECT_NO_THROW(ok.validate());
   const DeviceRows last = ok.phases[1].device_rows(at, 63);

@@ -3,11 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <thread>
 #include <vector>
 
 #include "core/grid.hpp"
+#include "ocl/buffer.hpp"
 #include "sim/system_profile.hpp"
 
 namespace wavetune::ocl {
@@ -25,24 +25,6 @@ TEST_F(OclTest, ContextExposesProfileDevices) {
   EXPECT_THROW(ctx_.device(5), std::out_of_range);
 }
 
-TEST_F(OclTest, BufferReadWrite) {
-  Buffer b = ctx_.device(0).create_buffer(64);
-  EXPECT_EQ(b.size(), 64u);
-  const std::uint32_t v = 0xdeadbeef;
-  b.write(8, &v, sizeof(v));
-  std::uint32_t back = 0;
-  b.read(8, &back, sizeof(back));
-  EXPECT_EQ(back, v);
-}
-
-TEST_F(OclTest, BufferBoundsChecked) {
-  Buffer b(16);
-  char data[8] = {};
-  EXPECT_THROW(b.write(12, data, 8), std::out_of_range);
-  EXPECT_THROW(b.read(16, data, 1), std::out_of_range);
-  EXPECT_NO_THROW(b.write(8, data, 8));
-}
-
 TEST_F(OclTest, BufferFill) {
   Buffer b(4);
   b.fill(std::byte{0xCD});
@@ -51,15 +33,11 @@ TEST_F(OclTest, BufferFill) {
 
 TEST_F(OclTest, WriteTransfersChargePcieAndQueue) {
   Device& dev = ctx_.device(0);
-  Buffer b = dev.create_buffer(1024);
-  std::vector<std::byte> src(1024, std::byte{1});
-  const Event e = dev.enqueue_write(b, 0, src.data(), src.size());
+  const Event e = dev.charge_write(1024);
   const double expected = profile_.pcie.transfer_ns(1024);
   EXPECT_DOUBLE_EQ(e.done_ns, expected);
   EXPECT_DOUBLE_EQ(ctx_.pcie().available_at(), expected);
   EXPECT_DOUBLE_EQ(dev.queue_time(), expected);
-  // The functional payload actually landed.
-  EXPECT_EQ(b.bytes()[0], std::byte{1});
 }
 
 TEST_F(OclTest, TransfersOnTwoDevicesSerializeOnSharedPcie) {
@@ -99,14 +77,6 @@ TEST_F(OclTest, DependenciesDelayExecution) {
   EXPECT_GE(e.done_ns, 500000.0);
 }
 
-TEST_F(OclTest, KernelFunctionalPayloadRuns) {
-  bool ran = false;
-  LaunchShape shape;
-  shape.items = 1;
-  ctx_.device(0).enqueue_kernel(shape, [&] { ran = true; });
-  EXPECT_TRUE(ran);
-}
-
 TEST_F(OclTest, TiledShapeUsesTiledCost) {
   LaunchShape tiled;
   tiled.groups = 5;
@@ -122,17 +92,12 @@ TEST_F(OclTest, TiledShapeUsesTiledCost) {
 TEST_F(OclTest, CopyBetweenDevicesStagesThroughHost) {
   Device& d0 = ctx_.device(0);
   Device& d1 = ctx_.device(1);
-  Buffer src = d0.create_buffer(32);
-  Buffer dst = d1.create_buffer(32);
-  std::vector<std::byte> payload(32, std::byte{7});
-  std::memcpy(src.data(), payload.data(), 32);
-
-  const Event e = d0.enqueue_copy_to(d1, src, 0, dst, 0, 32);
-  // Functional: data arrived.
-  EXPECT_EQ(std::memcmp(dst.data(), payload.data(), 32), 0);
-  // Timing: two PCIe legs.
+  const Event e = d0.charge_copy_to(d1, 32);
+  // Two PCIe legs, the second on the destination's queue.
   EXPECT_DOUBLE_EQ(e.done_ns, 2.0 * profile_.pcie.transfer_ns(32));
   EXPECT_EQ(ctx_.pcie().acquisitions(), 2u);
+  EXPECT_DOUBLE_EQ(d0.queue_time(), profile_.pcie.transfer_ns(32));
+  EXPECT_DOUBLE_EQ(d1.queue_time(), e.done_ns);
 }
 
 TEST_F(OclTest, FinishTimeIsMaxOverQueues) {
@@ -145,16 +110,6 @@ TEST_F(OclTest, FinishTimeIsMaxOverQueues) {
   const Event e_big = ctx_.device(0).charge_kernel(big);
   ctx_.device(1).charge_kernel(small);
   EXPECT_DOUBLE_EQ(ctx_.finish_time(), e_big.done_ns);
-}
-
-TEST_F(OclTest, ReadBackIsFunctional) {
-  Device& dev = ctx_.device(0);
-  Buffer b = dev.create_buffer(8);
-  const double value = 2.75;
-  b.write(0, &value, sizeof(value));
-  double out = 0.0;
-  dev.enqueue_read(b, 0, &out, sizeof(out));
-  EXPECT_DOUBLE_EQ(out, 2.75);
 }
 
 // --- BufferArena ----------------------------------------------------------
