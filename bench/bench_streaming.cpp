@@ -15,6 +15,9 @@
 //               max_resident_bytes completes via the capped plan with
 //               the accounting allocator's peak under the cap and the
 //               result bit-identical to the whole-grid run. GATE: both.
+//               Also reports the planner's decision: the chosen strip
+//               height and pool size, how many candidates it priced and
+//               the candidate loop's wall time.
 //   checkpoint  a checkpointed streamed run is "killed" at a mid-run
 //               strip boundary; resuming from that snapshot reproduces
 //               the full run's grid bit-identically with identical
@@ -23,6 +26,7 @@
 //   bench_streaming [--quick] [--json=BENCH_streaming.json] [--dim=N]
 //
 // --quick shrinks the grid and the strip sweep for CI smoke runs.
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -147,10 +151,15 @@ int main(int argc, char** argv) {
   const core::PhaseProgram whole = core::plan_phases(fin, fparams);
 
   const std::size_t whole_bytes = core::whole_grid_resident_bytes(fdim, spec.elem_bytes);
-  core::PlanConstraints constraints;
-  constraints.max_resident_bytes = whole_bytes / 8;
-  constraints.strip_buffers = 2;
-  const core::PhaseProgram capped = core::apply_residency_cap(whole, fin, constraints);
+  const std::size_t cap = whole_bytes / 8;
+  const std::size_t candidates =
+      core::strip_candidates(fdim, fin.elem_bytes(), cap).size();
+  const auto plan_start = std::chrono::steady_clock::now();
+  const core::PhaseProgram capped = core::apply_residency_cap(whole, fin, cap, ex);
+  const double plan_us = std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - plan_start)
+                             .count();
+  const core::PhaseDesc& chosen = capped.phases.front();
 
   core::Grid ga(fdim, spec.elem_bytes), gb(fdim, spec.elem_bytes);
   ocl::Buffer::reset_peak();
@@ -160,10 +169,12 @@ int main(int argc, char** argv) {
   ex.run(spec, capped, gb);
   const std::size_t capped_peak = ocl::Buffer::peak_bytes();
 
-  const bool under_cap = capped_peak <= constraints.max_resident_bytes;
+  const bool under_cap = capped_peak <= cap;
   const bool identical = grids_equal(ga, gb);
-  const bool residency_pass = under_cap && identical && whole_peak > constraints.max_resident_bytes;
-  std::printf("== residency: dim=%zu, cap=%zu B ==\n", fdim, constraints.max_resident_bytes);
+  const bool residency_pass = under_cap && identical && whole_peak > cap;
+  std::printf("== residency: dim=%zu, cap=%zu B ==\n", fdim, cap);
+  std::printf("chosen strips s%zux%zu of %zu candidates, priced in %.0f us\n",
+              chosen.strip_rows, chosen.strip_buffers, candidates, plan_us);
   std::printf("whole-grid peak %zu B, capped peak %zu B, bit-identical: %s (gate: %s)\n\n",
               whole_peak, capped_peak, identical ? "yes" : "NO",
               residency_pass ? "PASS" : "FAIL");
@@ -221,7 +232,11 @@ int main(int argc, char** argv) {
     root["overlap"] = util::Json(std::move(ov));
     util::JsonObject res;
     res["dim"] = util::Json(fdim);
-    res["cap_bytes"] = util::Json(constraints.max_resident_bytes);
+    res["cap_bytes"] = util::Json(cap);
+    res["strip_rows"] = util::Json(chosen.strip_rows);
+    res["strip_buffers"] = util::Json(chosen.strip_buffers);
+    res["candidates"] = util::Json(candidates);
+    res["candidate_loop_us"] = util::Json(plan_us);
     res["whole_peak_bytes"] = util::Json(whole_peak);
     res["capped_peak_bytes"] = util::Json(capped_peak);
     res["bit_identical"] = util::Json(identical);

@@ -4,10 +4,13 @@
 //   ./checkpoint_resume [--dim=N] [--cap-divisor=K] [--path=FILE]
 //
 // The engine compiles a plan under a residency cap (a 1/K fraction of the
-// whole grid's device footprint), which reshapes the schedule onto
-// double-buffered row strips: the GPU sim stages strip K+1's frontier
-// while strip K computes, and peak device residency stays bounded by the
-// strip pool instead of the whole grid. Strip boundaries are checkpoint
+// whole grid's device footprint), which reshapes the schedule onto row
+// strips streamed through a fixed buffer pool: peak device residency
+// stays bounded by the pool instead of the whole grid. The planner picks
+// the strip height and the pool size (a double-buffered pool that stages
+// strip K+1's frontier while strip K computes, or a 1-buffer pool of
+// strips twice as tall) by the executor's estimate; the plan line shows
+// the choice as s<rows>x<buffers>. Strip boundaries are checkpoint
 // points — run_checkpointed() persists a snapshot after each one, and a
 // process that dies mid-run resumes from the last snapshot with
 // resume_from_file(), reproducing the exact grid and simulated timing of

@@ -36,9 +36,8 @@ std::size_t shard_count(const EngineOptions& options) {
 /// Constructor-time options audit. Every rejected value used to be
 /// accepted silently and misbehave later — a zero queue capacity wedges
 /// the first submit forever, a zero batch_limit makes the batch former
-/// gather empty groups, an out-of-range strip pool fails deep inside
-/// program validation on the first capped compile. Failing here, with a
-/// typed error, turns all of those into a startup-time diagnosis.
+/// gather empty groups. Failing here, with a typed error, turns both into
+/// a startup-time diagnosis.
 EngineOptions validated(EngineOptions options) {
   if (options.queue_capacity == 0) {
     throw EngineConfigError(
@@ -48,10 +47,6 @@ EngineOptions validated(EngineOptions options) {
   if (options.batch_limit == 0) {
     throw EngineConfigError(
         "EngineOptions::batch_limit must be >= 1 (use 1 to disable fusion, not 0)");
-  }
-  if (options.strip_buffers < 1 || options.strip_buffers > 3) {
-    throw EngineConfigError("EngineOptions::strip_buffers must be in [1, 3], got " +
-                            std::to_string(options.strip_buffers));
   }
   return options;
 }
@@ -543,17 +538,10 @@ Plan Engine::compile(const core::InputParams& in, const core::TunableParams& par
 Plan Engine::compile_impl(const core::WavefrontSpec* spec, const core::InputParams& in,
                           const CompileOptions& options) {
   const bool autotuned = !options.params.has_value();
-  // Effective residency constraints: per-compile override, else the
-  // engine-wide default. Validated the same way as EngineOptions so a
-  // bad per-compile override fails with the same typed error.
-  core::PlanConstraints constraints;
-  constraints.max_resident_bytes =
+  // Effective residency cap: per-compile override, else the engine-wide
+  // default.
+  const std::size_t resident_cap =
       options.max_resident_bytes.value_or(options_.max_resident_bytes);
-  constraints.strip_buffers = options.strip_buffers.value_or(options_.strip_buffers);
-  if (constraints.strip_buffers < 1 || constraints.strip_buffers > 3) {
-    throw EngineConfigError("CompileOptions::strip_buffers must be in [1, 3], got " +
-                            std::to_string(constraints.strip_buffers));
-  }
   // Executable specs with no declared identity (no content_key, no tag)
   // are never cached: the key cannot tell their kernels apart, and a
   // wrong-kernel cache hit is silent wrong results. Estimate-only plans
@@ -579,9 +567,8 @@ Plan Engine::compile_impl(const core::WavefrontSpec* spec, const core::InputPara
   key.dsize = in.dsize;
   key.elem_bytes = spec ? spec->elem_bytes : 0;
   // The cap reshapes backend-planned programs (strip axis), so it must
-  // salt the key; strip_buffers only matters once a cap is set.
-  key.resident_cap = constraints.max_resident_bytes;
-  key.strip_buffers = constraints.max_resident_bytes > 0 ? constraints.strip_buffers : 0;
+  // salt the key.
+  key.resident_cap = resident_cap;
   if (!autotuned) key.params = *options.params;
 
   if (cacheable) {
@@ -639,12 +626,13 @@ Plan Engine::compile_impl(const core::WavefrontSpec* spec, const core::InputPara
     }
   } else {
     state->program = backend->plan(in, state->params, executor_.profile());
-    // Residency-capped streaming: when the backend's whole-grid device
-    // footprint exceeds the cap, reshape the program onto the
-    // cost-model-chosen strip axis (core/streaming.hpp). Only
-    // backend-planned programs are reshaped — an explicit
-    // CompileOptions::program is the caller's exact schedule.
-    state->program = core::apply_residency_cap(std::move(state->program), in, constraints);
+    // Residency-capped streaming: when the backend's single-GPU device
+    // footprint exceeds the cap, reshape the program onto the strip
+    // height and pool size the executor prices cheapest
+    // (core/streaming.hpp). Only backend-planned programs are reshaped —
+    // an explicit CompileOptions::program is the caller's exact schedule.
+    state->program =
+        core::apply_residency_cap(std::move(state->program), in, resident_cap, executor_);
   }
   // Profile signature: everything that determines the plan's timing
   // behavior (backend, exact program shape, instance inputs) and nothing

@@ -147,17 +147,17 @@ struct EngineOptions {
   /// sleep (retries spin back-to-back).
   std::chrono::nanoseconds retry_backoff_base{std::chrono::microseconds(100)};
   std::chrono::nanoseconds retry_backoff_max{std::chrono::milliseconds(10)};
-  /// Engine-wide simulated-device residency cap, in bytes (0 = unlimited).
-  /// A compile whose whole-grid GPU footprint exceeds the cap streams the
-  /// plan as row strips over a fixed buffer pool (core/streaming.hpp)
-  /// instead of one dim x dim device buffer. Overridable per compile via
+  /// Engine-wide simulated-device residency cap, in bytes per device
+  /// (0 = unlimited). It bounds each device's largest window: the whole
+  /// grid on a single GPU, the row window (PhaseDesc::device_rows) on each
+  /// of several. A compile whose single-GPU phase exceeds the cap streams
+  /// the plan as row strips over a fixed buffer pool (core/streaming.hpp)
+  /// instead of one dim x dim device buffer; the strip height and pool
+  /// size are the ones the executor's estimate prices cheapest. A
+  /// multi-GPU window over the cap fails the compile with
+  /// core::StreamingPlanError. Overridable per compile via
   /// CompileOptions::max_resident_bytes.
   std::size_t max_resident_bytes = 0;
-  /// Strip pool size used when a residency cap forces streaming: 1 =
-  /// serialized strips (the no-overlap baseline), 2-3 = double/triple
-  /// buffering with transfer/compute overlap. Must be in [1, 3];
-  /// validated at construction (EngineConfigError).
-  std::size_t strip_buffers = 2;
 };
 
 struct CompileOptions {
@@ -187,9 +187,6 @@ struct CompileOptions {
   /// core::apply_strips yourself). The effective cap salts the plan-cache
   /// key, so capped and uncapped compiles of one instance never alias.
   std::optional<std::size_t> max_resident_bytes;
-  /// Per-compile strip-pool override; absent means
-  /// EngineOptions::strip_buffers. Must be in [1, 3].
-  std::optional<std::size_t> strip_buffers;
 };
 
 /// Strip-boundary checkpointing policy of Engine::run_checkpointed: after
@@ -605,12 +602,11 @@ private:
     /// of the key because the cap reshapes backend-planned programs (strip
     /// axis), so capped and uncapped compiles must never alias.
     std::size_t resident_cap = 0;
-    std::size_t strip_buffers = 0;
     core::TunableParams params;
 
     auto tie() const {
       return std::tie(backend, content, tag, program, executable, autotuned, dim, tsize, dsize,
-                      elem_bytes, resident_cap, strip_buffers, params.cpu_tile, params.band,
+                      elem_bytes, resident_cap, params.cpu_tile, params.band,
                       params.halo, params.gpu_tile, params.gpus);
     }
     bool operator<(const CacheKey& other) const { return tie() < other.tie(); }

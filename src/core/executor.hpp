@@ -272,7 +272,7 @@ private:
                       ocl::Trace* trace, PhaseTiming& out) const;
   /// Streamed single-GPU phase: W/H/K/R per strip through the fixed
   /// buffer pool (async staged uploads overlapping kernels when
-  /// strip_buffers >= 2), plus a second timing-only 1-buffer walk for
+  /// strip_buffers == 2), plus a second timing-only 1-buffer walk for
   /// PhaseTiming::serialized_ns. `resume_strip` strips are charged but
   /// not functionally executed; `phase_index` labels checkpoints.
   void gpu_phase_strips(const InputParams& in, const PhaseDesc& ph, FunctionalCtx* fctx,

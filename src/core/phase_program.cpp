@@ -53,16 +53,18 @@ void PhaseDesc::validate(std::size_t dim) const {
   if (strip_rows > 0) {
     // Streaming strips: rows partition [0, dim) exactly once by
     // construction; what CAN go wrong is a strip taller than the grid
-    // (meaningless) or a pool outside the double/triple-buffer design
-    // range. The wedge split of kGpuMulti already owns the row axis.
+    // (meaningless) or a pool other than the serialized (1) or
+    // double-buffered (2) one. The wedge split of kGpuMulti already owns
+    // the row axis.
     if (device == PhaseDevice::kGpuMulti) {
       throw std::invalid_argument("PhaseDesc: gpu-multi phases cannot stream strips");
     }
     if (strip_rows > dim) {
       throw std::invalid_argument("PhaseDesc: strip_rows exceeds the grid side");
     }
-    if (strip_buffers < 1 || strip_buffers > 3) {
-      throw std::invalid_argument("PhaseDesc: strip_buffers must be in [1, 3]");
+    if (strip_buffers < 1 || strip_buffers > 2) {
+      throw std::invalid_argument("PhaseDesc: strip_buffers " + std::to_string(strip_buffers) +
+                                  " is outside [1, 2]");
     }
   }
   switch (device) {

@@ -75,14 +75,15 @@ struct PhaseDesc {
   // On kGpuSingle the strips stream through a fixed pool of
   // `strip_buffers` device buffers of (strip_rows+1) x dim elements
   // each (one halo row), so peak device residency is O(strip_rows*dim)
-  // instead of O(dim^2); with strip_buffers >= 2 the next strip's
+  // instead of O(dim^2); with strip_buffers == 2 the next strip's
   // frontier upload overlaps the current strip's kernels on the
   // simulated DMA engine. strip_buffers == 1 is the serialized-strip
-  // baseline. On kCpu the strips run back to back on the host grid
+  // schedule. The residency planner (core/streaming.hpp) writes both
+  // fields. On kCpu the strips run back to back on the host grid
   // (no buffers), which is what makes strip boundaries checkpointable
   // on every device.
   std::size_t strip_rows = 0;    ///< rows per strip; 0 = whole-grid
-  std::size_t strip_buffers = 2; ///< strip pool size (1..3); GPU only
+  std::size_t strip_buffers = 2; ///< strip pool size (1 or 2); GPU only
 
   bool is_cpu() const { return device == PhaseDevice::kCpu; }
   bool is_gpu() const { return !is_cpu(); }

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <string>
-#include <vector>
-
-#include "core/diag.hpp"
 
 namespace wavetune::core {
 
@@ -16,6 +13,17 @@ std::size_t whole_grid_resident_bytes(std::size_t dim, std::size_t elem_bytes) {
 std::size_t streamed_resident_bytes(std::size_t dim, std::size_t elem_bytes,
                                     std::size_t strip_rows, std::size_t strip_buffers) {
   return strip_buffers * (strip_rows + 1) * dim * elem_bytes;
+}
+
+std::size_t largest_window_bytes(const PhaseDesc& ph, std::size_t dim,
+                                 std::size_t elem_bytes) {
+  std::size_t rows = 0;
+  if (ph.is_gpu()) {
+    for (std::size_t g = 0; g < static_cast<std::size_t>(ph.gpu_count); ++g) {
+      rows = std::max(rows, ph.device_rows(dim, g).rows());
+    }
+  }
+  return rows * dim * elem_bytes;
 }
 
 std::size_t max_strip_rows_for_cap(std::size_t dim, std::size_t elem_bytes, std::size_t cap,
@@ -32,103 +40,60 @@ std::size_t max_strip_rows_for_cap(std::size_t dim, std::size_t elem_bytes, std:
   return std::min(pool_rows - 1, dim);
 }
 
-double estimate_streamed_gpu_phase_ns(std::size_t dim, std::size_t elem_bytes,
-                                      double tsize_units, std::size_t d_begin,
-                                      std::size_t d_end, std::size_t strip_rows,
-                                      std::size_t strip_buffers, const sim::GpuModel& gpu,
-                                      const sim::PcieModel& pcie) {
-  const std::size_t strips = (dim + strip_rows - 1) / strip_rows;
-  const std::size_t frontier_lo = d_begin >= 2 ? d_begin - 2 : 0;
-  std::vector<double> done(strips, 0.0);
-  double pcie_avail = 0.0;
-  double queue_avail = 0.0;
-  double end = 0.0;
-  for (std::size_t s = 0; s < strips; ++s) {
-    const std::size_t r0 = s * strip_rows;
-    const std::size_t r1 = std::min(dim, r0 + strip_rows);
-    std::size_t up_cells = 0;    // frontier + band cells staged in
-    std::size_t down_cells = 0;  // band cells read back
-    for (std::size_t i = r0; i < r1; ++i) {
-      const auto [ulo, uhi] = row_band_span(i, frontier_lo, d_end, 0, dim);
-      if (ulo < uhi) up_cells += uhi - ulo;
-      const auto [blo, bhi] = row_band_span(i, d_begin, d_end, 0, dim);
-      if (blo < bhi) down_cells += bhi - blo;
+std::vector<StripShape> strip_candidates(std::size_t dim, std::size_t elem_bytes,
+                                         std::size_t cap) {
+  std::vector<StripShape> out;
+  for (const std::size_t pool : {std::size_t{2}, std::size_t{1}}) {
+    // A cap that fits no 2-buffer pool may still fit a 1-buffer one;
+    // when not even that fits, max_strip_rows_for_cap throws.
+    if (pool == 2 && cap < streamed_resident_bytes(dim, elem_bytes, 1, 2)) continue;
+    for (std::size_t rows = max_strip_rows_for_cap(dim, elem_bytes, cap, pool); rows >= 1;
+         rows /= 2) {
+      out.push_back({rows, pool});
     }
-    if (down_cells == 0) continue;  // no band cells in this strip: skipped
-    double kernel_ns = 0.0;
-    for (std::size_t d = d_begin; d < d_end; ++d) {
-      const std::size_t n = diag_rows_in(dim, d, r0, r1);
-      // Planning approximation: untiled per-diagonal launches, three
-      // neighbour reads + one write of global traffic per item.
-      if (n > 0) kernel_ns += gpu.kernel_ns(n, tsize_units, 4 * elem_bytes);
-    }
-    double w_start = pcie_avail;
-    if (s >= strip_buffers) w_start = std::max(w_start, done[s - strip_buffers]);
-    const double w_end = w_start + pcie.transfer_ns(up_cells * elem_bytes);
-    pcie_avail = w_end;
-    const double k_end = std::max(queue_avail, w_end) + kernel_ns;
-    queue_avail = k_end;
-    const double r_end = std::max(pcie_avail, k_end) + pcie.transfer_ns(down_cells * elem_bytes);
-    pcie_avail = r_end;
-    done[s] = r_end;
-    end = std::max(end, r_end);
   }
-  return end;
+  return out;
 }
 
 PhaseProgram apply_residency_cap(PhaseProgram program, const InputParams& in,
-                                 const PlanConstraints& constraints) {
-  if (constraints.max_resident_bytes == 0) return program;
+                                 std::size_t max_resident_bytes,
+                                 const HybridExecutor& executor) {
+  if (max_resident_bytes == 0) return program;
   const std::size_t elem = in.elem_bytes();
-  if (whole_grid_resident_bytes(in.dim, elem) <= constraints.max_resident_bytes) {
-    return program;
-  }
-  bool has_gpu_single = false;
-  for (const PhaseDesc& ph : program.phases) {
+  // The cap bounds each device: a phase fits when its largest device
+  // window does. Only single-GPU phases can stream their way under it;
+  // CPU phases keep the host grid and put nothing on a device.
+  bool stream = false;
+  for (std::size_t i = 0; i < program.phases.size(); ++i) {
+    const PhaseDesc& ph = program.phases[i];
+    const std::size_t bytes = largest_window_bytes(ph, in.dim, elem);
+    if (bytes <= max_resident_bytes) continue;
     if (ph.device == PhaseDevice::kGpuMulti) {
       throw StreamingPlanError(
-          "streaming: program has a multi-GPU phase whose whole-grid footprint exceeds "
-          "max_resident_bytes; the multi-GPU path cannot stream");
+          "streaming: phase " + std::to_string(i) + " (gpu-multi [" +
+          std::to_string(ph.d_begin) + "," + std::to_string(ph.d_end) +
+          ")) has a device window of " + std::to_string(bytes) +
+          " bytes, over max_resident_bytes " + std::to_string(max_resident_bytes) +
+          "; multi-GPU phases do not stream");
     }
-    if (ph.device == PhaseDevice::kGpuSingle) has_gpu_single = true;
+    stream = true;
   }
-  // Pure-CPU programs keep the host grid only — nothing resides on the
-  // device, so the cap is trivially met without strips.
-  if (!has_gpu_single) return program;
-  const std::size_t max_rows =
-      max_strip_rows_for_cap(in.dim, elem, constraints.max_resident_bytes,
-                             constraints.strip_buffers);
+  if (!stream) return program;
 
-  // Cost-model arbitration over the fitting strip sizes: the residency
-  // term fixed the ceiling (max_rows); the overlap term picks the best
-  // size under it by walking each candidate's event schedule over every
-  // single-GPU phase. Candidates halve down from the ceiling — the
-  // makespan curve is monotone-ish in strip size, so a geometric probe
-  // finds the knee without an exhaustive sweep.
-  std::size_t best_rows = max_rows;
+  // Each candidate is priced by the executor's own estimate of the program
+  // it would produce — the schedule it will charge, on its profile; strict
+  // < keeps the earlier candidate on a tie.
+  PhaseProgram best;
   double best_ns = std::numeric_limits<double>::infinity();
-  const sim::GpuModel gpu;    // planning uses the reference hardware model,
-  const sim::PcieModel pcie;  // mirroring the executor's defaults
-  for (std::size_t cand = max_rows; cand >= 1; cand /= 2) {
-    double total = 0.0;
-    for (const PhaseDesc& ph : program.phases) {
-      if (ph.device != PhaseDevice::kGpuSingle) continue;
-      total += estimate_streamed_gpu_phase_ns(in.dim, elem, in.tsize, ph.d_begin, ph.d_end,
-                                              cand, constraints.strip_buffers, gpu, pcie);
+  for (const StripShape& shape : strip_candidates(in.dim, elem, max_resident_bytes)) {
+    PhaseProgram cand = apply_strips(program, shape.strip_rows, shape.strip_buffers);
+    const double ns = executor.estimate(in, cand).rtime_ns;
+    if (ns < best_ns) {
+      best_ns = ns;
+      best = std::move(cand);
     }
-    if (total < best_ns) {
-      best_ns = total;
-      best_rows = cand;
-    }
-    if (cand == 1) break;
   }
-  return apply_strips(std::move(program), best_rows, constraints.strip_buffers);
-}
-
-PhaseProgram plan_phases_streamed(const InputParams& in, const TunableParams& params,
-                                  cpu::Scheduler scheduler,
-                                  const PlanConstraints& constraints) {
-  return apply_residency_cap(plan_phases(in, params, scheduler), in, constraints);
+  return best;
 }
 
 }  // namespace wavetune::core

@@ -1,41 +1,34 @@
 // Residency-capped streaming-strip planning.
 //
-// Out-of-core execution: when a grid's device footprint (dim^2 elements)
-// exceeds what the deployment wants resident, the planner picks a
-// strip_rows so each phase streams through a fixed pool of
+// Out-of-core execution: when a GPU phase's device footprint exceeds what
+// the deployment wants resident, the planner reshapes the program onto
+// row strips streamed through a fixed pool of
 // strip_buffers x (strip_rows + 1) x dim element buffers instead of one
-// whole-grid buffer. The choice is cost-model driven: among the strip
-// sizes that FIT the residency cap, a tiny analytic walk of the W/K/R
-// event schedule (the same upload -> kernel -> readback shape the
-// executor charges, tracked against a PCIe-availability and a
-// queue-availability clock) picks the one with the shortest estimated
-// makespan — bigger strips amortize transfer latency, smaller strips
-// pipeline deeper, and the walk arbitrates instead of a heuristic.
+// whole-grid buffer. Both the strip height and the pool size are chosen
+// by the executor's own cost model: every fitting candidate is priced
+// with HybridExecutor::estimate — the exact schedule the executor will
+// charge, on its profile — and the cheapest wins. A 2-buffer pool
+// overlaps the next strip's upload with the current strip's kernels; a
+// 1-buffer pool fits strips twice as tall under the same cap, which
+// amortizes per-strip transfer latency instead. Which one pays depends on
+// the workload and the hardware, so the planner measures rather than
+// guesses.
 #pragma once
 
 #include <cstddef>
 #include <stdexcept>
+#include <vector>
 
+#include "core/executor.hpp"
 #include "core/phase_program.hpp"
-#include "sim/hardware.hpp"
 
 namespace wavetune::core {
 
-/// Residency cap smaller than one strip_rows == 1 pool — no streamed plan
-/// exists for the geometry.
+/// A residency cap no plan fits: a multi-GPU device window larger than
+/// the cap, or a cap smaller than a pool of 1-row strips.
 class StreamingPlanError : public std::invalid_argument {
 public:
   using std::invalid_argument::invalid_argument;
-};
-
-/// Planning-time constraints for plan_phases_streamed / Engine compiles.
-struct PlanConstraints {
-  /// Peak simulated device residency allowed, in bytes; 0 = unlimited
-  /// (no streaming unless explicitly requested via apply_strips).
-  std::size_t max_resident_bytes = 0;
-  /// Strip pool size applied to streamed phases (1 = serialized-strip
-  /// baseline, 2-3 = overlapped double/triple buffering).
-  std::size_t strip_buffers = 2;
 };
 
 /// Device bytes of a whole-grid GPU phase: one dim x dim buffer.
@@ -46,38 +39,43 @@ std::size_t whole_grid_resident_bytes(std::size_t dim, std::size_t elem_bytes);
 std::size_t streamed_resident_bytes(std::size_t dim, std::size_t elem_bytes,
                                     std::size_t strip_rows, std::size_t strip_buffers);
 
+/// Device bytes of the largest device window of a whole-grid GPU phase:
+/// the whole grid for kGpuSingle, the tallest PhaseDesc::device_rows
+/// window for kGpuMulti. 0 for CPU phases.
+std::size_t largest_window_bytes(const PhaseDesc& ph, std::size_t dim,
+                                 std::size_t elem_bytes);
+
 /// Largest strip_rows whose pool fits `cap` bytes (clamped to dim).
 /// Throws StreamingPlanError when even strip_rows == 1 does not fit.
 std::size_t max_strip_rows_for_cap(std::size_t dim, std::size_t elem_bytes, std::size_t cap,
                                    std::size_t strip_buffers);
 
-/// Analytic makespan of one streamed GPU band [d_begin, d_end): walks the
-/// per-strip upload/kernel/readback events against a PCIe clock, a
-/// compute-queue clock and the strip pool's buffer-reuse dependencies —
-/// the planning-side mirror of the executor's simulated schedule (an
-/// approximation, not the charged value: it prices kernels per diagonal
-/// at 3*elem_bytes traffic per item and ignores work-group tiling).
-double estimate_streamed_gpu_phase_ns(std::size_t dim, std::size_t elem_bytes,
-                                      double tsize_units, std::size_t d_begin,
-                                      std::size_t d_end, std::size_t strip_rows,
-                                      std::size_t strip_buffers, const sim::GpuModel& gpu,
-                                      const sim::PcieModel& pcie);
+/// One strip axis: rows per strip and pool size (PhaseDesc fields).
+struct StripShape {
+  std::size_t strip_rows = 0;
+  std::size_t strip_buffers = 0;
+};
 
-/// Residency-capped strip selection over an already-compiled program: if
-/// any single-GPU phase's whole-grid footprint exceeds
-/// constraints.max_resident_bytes, applies the cost-model-chosen strip
-/// axis via apply_strips (all non-multi-GPU phases stream, so checkpoint
-/// points cover the whole run). Returns the program unchanged when there
-/// is no cap, the whole grid fits, or no phase touches the device. Throws
-/// StreamingPlanError when a multi-GPU phase exceeds the cap (the
-/// multi-GPU path cannot stream) or when even 1-row strips do not fit.
+/// The strip axes apply_residency_cap prices under `cap`, in its order:
+/// pool sizes 2 then 1, each with heights halving down from
+/// max_strip_rows_for_cap. A cap too small for a 2-buffer pool yields
+/// only 1-buffer candidates; throws StreamingPlanError when not even a
+/// 1-buffer pool of 1-row strips fits.
+std::vector<StripShape> strip_candidates(std::size_t dim, std::size_t elem_bytes,
+                                         std::size_t cap);
+
+/// Residency-capped strip selection over an already-compiled program.
+/// `max_resident_bytes` bounds each device (0 = unlimited). When a
+/// single-GPU phase's whole grid exceeds it, every non-multi-GPU phase
+/// streams (so checkpoint points cover the whole run), with the strip
+/// height and pool size that `executor` estimates cheapest among
+/// strip_candidates; a tie keeps the earlier candidate.
+/// Returns the program unchanged when there is no cap or every device
+/// window fits. Throws StreamingPlanError when a multi-GPU phase's
+/// largest device window exceeds the cap (multi-GPU phases do not
+/// stream) or when even 1-row strips in a 1-buffer pool do not fit.
 PhaseProgram apply_residency_cap(PhaseProgram program, const InputParams& in,
-                                 const PlanConstraints& constraints);
-
-/// plan_phases + apply_residency_cap in one call. With no cap (or a cap
-/// the whole grid fits), the result is exactly plan_phases(...).
-PhaseProgram plan_phases_streamed(const InputParams& in, const TunableParams& params,
-                                  cpu::Scheduler scheduler,
-                                  const PlanConstraints& constraints);
+                                 std::size_t max_resident_bytes,
+                                 const HybridExecutor& executor);
 
 }  // namespace wavetune::core

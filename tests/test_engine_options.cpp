@@ -63,30 +63,10 @@ TEST(EngineOptionsValidation, ZeroBatchLimitIsATypedConstructorError) {
   Engine ok(sim::make_i7_2600k(), o);
 }
 
-TEST(EngineOptionsValidation, StripBuffersOutsideOneToThreeIsATypedError) {
-  for (std::size_t bad : {std::size_t{0}, std::size_t{4}, std::size_t{100}}) {
-    EngineOptions o = small_engine();
-    o.strip_buffers = bad;
-    EXPECT_THROW(Engine(sim::make_i7_2600k(), o), EngineConfigError) << bad;
-  }
-  for (std::size_t good : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
-    EngineOptions o = small_engine();
-    o.strip_buffers = good;
-    Engine ok(sim::make_i7_2600k(), o);
-  }
-}
-
 TEST(EngineOptionsValidation, EngineConfigErrorIsAlsoAnInvalidArgument) {
   EngineOptions o = small_engine();
   o.queue_capacity = 0;
   EXPECT_THROW(Engine(sim::make_i7_2600k(), o), std::invalid_argument);
-}
-
-TEST(EngineOptionsValidation, PerCompileStripBufferOverrideIsValidatedToo) {
-  Engine eng(sim::make_i7_2600k(), small_engine());
-  CompileOptions copts;
-  copts.strip_buffers = 7;
-  EXPECT_THROW(eng.compile(small_spec(), copts), EngineConfigError);
 }
 
 // --- residency-capped compiles -------------------------------------------

@@ -98,10 +98,8 @@ struct Decision {
 };
 
 Decision decide(const Case& c, const HybridExecutor& exec) {
-  PlanConstraints constraints;
-  constraints.max_resident_bytes = c.cap;
   try {
-    const PhaseProgram p = apply_residency_cap(plan_phases(c.in, c.params), c.in, constraints);
+    const PhaseProgram p = apply_residency_cap(plan_phases(c.in, c.params), c.in, c.cap, exec);
     return {p.describe(), exec.estimate(c.in, p).rtime_ns};
   } catch (const StreamingPlanError&) {
     return {"StreamingPlanError", 0.0};
@@ -118,115 +116,115 @@ struct Golden {
 
 // clang-format off
 const Golden kGolden[] = {
-    {"nash-64-band8-cap/3-i3-540", "d127:[0,55)cpub8s9x2;[55,72)gpu1t1s9x2;[72,127)cpub8s9x2", 0x1.e0c966b333334p+28},
-    {"nash-64-band8-cap/3-i7-2600K", "d127:[0,55)cpub8s9x2;[55,72)gpu1t1s9x2;[72,127)cpub8s9x2", 0x1.d745fecba2e8cp+28},
-    {"nash-64-band8-cap/3-i7-3820", "d127:[0,55)cpub8s9x2;[55,72)gpu1t1s9x2;[72,127)cpub8s9x2", 0x1.2abeaacccccccp+28},
-    {"nash-64-band8-cap/6-i3-540", "d127:[0,55)cpub8s4x2;[55,72)gpu1t1s4x2;[72,127)cpub8s4x2", 0x1.c9a2b567d27d2p+29},
-    {"nash-64-band8-cap/6-i7-2600K", "d127:[0,55)cpub8s4x2;[55,72)gpu1t1s4x2;[72,127)cpub8s4x2", 0x1.c7a1b35745d17p+29},
-    {"nash-64-band8-cap/6-i7-3820", "d127:[0,55)cpub8s4x2;[55,72)gpu1t1s4x2;[72,127)cpub8s4x2", 0x1.252d451bbbbbcp+29},
-    {"nash-64-band8-cap/16-i3-540", "d127:[0,55)cpub8s1x2;[55,72)gpu1t1s1x2;[72,127)cpub8s1x2", 0x1.c3a50586c16c3p+31},
-    {"nash-64-band8-cap/16-i7-2600K", "d127:[0,55)cpub8s1x2;[55,72)gpu1t1s1x2;[72,127)cpub8s1x2", 0x1.c08b49651745dp+31},
-    {"nash-64-band8-cap/16-i7-3820", "d127:[0,55)cpub8s1x2;[55,72)gpu1t1s1x2;[72,127)cpub8s1x2", 0x1.1fee9f0222222p+31},
-    {"nash-64-band32-cap/3-i3-540", "d127:[0,31)cpub8s9x2;[31,96)gpu1t1s9x2;[96,127)cpub8s9x2", 0x1.7ad1595dddddep+29},
-    {"nash-64-band32-cap/3-i7-2600K", "d127:[0,31)cpub8s9x2;[31,96)gpu1t1s9x2;[96,127)cpub8s9x2", 0x1.c969e6ba2e8bap+29},
-    {"nash-64-band32-cap/3-i7-3820", "d127:[0,31)cpub8s9x2;[31,96)gpu1t1s9x2;[96,127)cpub8s9x2", 0x1.57119e2cccccdp+29},
-    {"nash-64-band32-cap/6-i3-540", "d127:[0,31)cpub8s4x2;[31,96)gpu1t1s4x2;[96,127)cpub8s4x2", 0x1.7131ba51c71c7p+30},
-    {"nash-64-band32-cap/6-i7-2600K", "d127:[0,31)cpub8s4x2;[31,96)gpu1t1s4x2;[96,127)cpub8s4x2", 0x1.c1c2ca5a2e8bap+30},
-    {"nash-64-band32-cap/6-i7-3820", "d127:[0,31)cpub8s4x2;[31,96)gpu1t1s4x2;[96,127)cpub8s4x2", 0x1.5350a1faaaaabp+30},
-    {"nash-64-band32-cap/16-i3-540", "d127:[0,31)cpub8s1x2;[31,96)gpu1t1s1x2;[96,127)cpub8s1x2", 0x1.66e0bd213e93ep+32},
-    {"nash-64-band32-cap/16-i7-2600K", "d127:[0,31)cpub8s1x2;[31,96)gpu1t1s1x2;[96,127)cpub8s1x2", 0x1.b4d64595745d2p+32},
-    {"nash-64-band32-cap/16-i7-3820", "d127:[0,31)cpub8s1x2;[31,96)gpu1t1s1x2;[96,127)cpub8s1x2", 0x1.496311adddddfp+32},
-    {"nash-256-band32-cap/3-i3-540", "d511:[0,223)cpub8s41x2;[223,288)gpu1t1s41x2;[288,511)cpub8s41x2", 0x1.2ceac1a6e0eep+31},
-    {"nash-256-band32-cap/3-i7-2600K", "d511:[0,223)cpub8s41x2;[223,288)gpu1t1s41x2;[288,511)cpub8s41x2", 0x1.9c79d50f1ada6p+30},
-    {"nash-256-band32-cap/3-i7-3820", "d511:[0,223)cpub8s41x2;[223,288)gpu1t1s41x2;[288,511)cpub8s41x2", 0x1.02a8059015015p+30},
-    {"nash-256-band32-cap/6-i3-540", "d511:[0,223)cpub8s20x2;[223,288)gpu1t1s20x2;[288,511)cpub8s20x2", 0x1.7f70a117b2fb2p+31},
-    {"nash-256-band32-cap/6-i7-2600K", "d511:[0,223)cpub8s20x2;[223,288)gpu1t1s20x2;[288,511)cpub8s20x2", 0x1.65dadc291745dp+31},
-    {"nash-256-band32-cap/6-i7-3820", "d511:[0,223)cpub8s20x2;[223,288)gpu1t1s20x2;[288,511)cpub8s20x2", 0x1.cc33f63777777p+30},
-    {"nash-256-band32-cap/16-i3-540", "d511:[0,223)cpub8s7x2;[223,288)gpu1t1s7x2;[288,511)cpub8s7x2", 0x1.ef6a546d82d82p+32},
-    {"nash-256-band32-cap/16-i7-2600K", "d511:[0,223)cpub8s7x2;[223,288)gpu1t1s7x2;[288,511)cpub8s7x2", 0x1.ee1fb88dd1746p+32},
-    {"nash-256-band32-cap/16-i7-3820", "d511:[0,223)cpub8s7x2;[223,288)gpu1t1s7x2;[288,511)cpub8s7x2", 0x1.3e79927c44444p+32},
-    {"nash-256-band128-cap/3-i3-540", "d511:[0,127)cpub8s41x2;[127,384)gpu1t1s41x2;[384,511)cpub8s41x2", 0x1.6a85b950f88f8p+31},
-    {"nash-256-band128-cap/3-i7-2600K", "d511:[0,127)cpub8s41x2;[127,384)gpu1t1s41x2;[384,511)cpub8s41x2", 0x1.9610c9a1101cap+31},
-    {"nash-256-band128-cap/3-i7-3820", "d511:[0,127)cpub8s41x2;[127,384)gpu1t1s41x2;[384,511)cpub8s41x2", 0x1.308f33edb3db4p+31},
-    {"nash-256-band128-cap/6-i3-540", "d511:[0,127)cpub8s20x2;[127,384)gpu1t1s20x2;[384,511)cpub8s20x2", 0x1.2f140c1add6ddp+32},
-    {"nash-256-band128-cap/6-i7-2600K", "d511:[0,127)cpub8s20x2;[127,384)gpu1t1s20x2;[384,511)cpub8s20x2", 0x1.6d961c26p+32},
-    {"nash-256-band128-cap/6-i7-3820", "d511:[0,127)cpub8s20x2;[127,384)gpu1t1s20x2;[384,511)cpub8s20x2", 0x1.14273fc6aaaabp+32},
-    {"nash-256-band128-cap/16-i3-540", "d511:[0,127)cpub8s7x2;[127,384)gpu1t1s7x2;[384,511)cpub8s7x2", 0x1.9bbda5727d27dp+33},
-    {"nash-256-band128-cap/16-i7-2600K", "d511:[0,127)cpub8s7x2;[127,384)gpu1t1s7x2;[384,511)cpub8s7x2", 0x1.f76992eee8ba3p+33},
-    {"nash-256-band128-cap/16-i7-3820", "d511:[0,127)cpub8s7x2;[127,384)gpu1t1s7x2;[384,511)cpub8s7x2", 0x1.7cb190a1bbbbdp+33},
-    {"editdist-64-band8-cap/3-i3-540", "d127:[0,55)cpub8s9x2;[55,72)gpu1t1s9x2;[72,127)cpub8s9x2", 0x1.9e3411eb851ep+21},
-    {"editdist-64-band8-cap/3-i7-2600K", "d127:[0,55)cpub8s9x2;[55,72)gpu1t1s9x2;[72,127)cpub8s9x2", 0x1.9f9b7ac37dab8p+21},
-    {"editdist-64-band8-cap/3-i7-3820", "d127:[0,55)cpub8s9x2;[55,72)gpu1t1s9x2;[72,127)cpub8s9x2", 0x1.6b8aae147ae14p+21},
-    {"editdist-64-band8-cap/6-i3-540", "d127:[0,55)cpub8s4x2;[55,72)gpu1t1s4x2;[72,127)cpub8s4x2", 0x1.a08c53fb72e88p+22},
-    {"editdist-64-band8-cap/6-i7-2600K", "d127:[0,55)cpub8s4x2;[55,72)gpu1t1s4x2;[72,127)cpub8s4x2", 0x1.a21058ba2e89bp+22},
-    {"editdist-64-band8-cap/6-i7-3820", "d127:[0,55)cpub8s4x2;[55,72)gpu1t1s4x2;[72,127)cpub8s4x2", 0x1.6e064c5f92c6p+22},
-    {"editdist-64-band8-cap/16-i3-540", "d127:[0,55)cpub8s1x2;[55,72)gpu1t1s1x2;[72,127)cpub8s1x2", 0x1.95ed62468ad67p+24},
-    {"editdist-64-band8-cap/16-i7-2600K", "d127:[0,55)cpub8s1x2;[55,72)gpu1t1s1x2;[72,127)cpub8s1x2", 0x1.97a1e21bed693p+24},
-    {"editdist-64-band8-cap/16-i7-3820", "d127:[0,55)cpub8s1x2;[55,72)gpu1t1s1x2;[72,127)cpub8s1x2", 0x1.64f01b69d036ap+24},
-    {"editdist-64-band32-cap/3-i3-540", "d127:[0,31)cpub8s9x2;[31,96)gpu1t1s9x2;[96,127)cpub8s9x2", 0x1.35649117e4b1ap+23},
-    {"editdist-64-band32-cap/3-i7-2600K", "d127:[0,31)cpub8s9x2;[31,96)gpu1t1s9x2;[96,127)cpub8s9x2", 0x1.35875ce8ba2ebp+23},
-    {"editdist-64-band32-cap/3-i7-3820", "d127:[0,31)cpub8s9x2;[31,96)gpu1t1s9x2;[96,127)cpub8s9x2", 0x1.1009750a3d70bp+23},
-    {"editdist-64-band32-cap/6-i3-540", "d127:[0,31)cpub8s4x2;[31,96)gpu1t1s4x2;[96,127)cpub8s4x2", 0x1.33c41749f4a45p+24},
-    {"editdist-64-band32-cap/6-i7-2600K", "d127:[0,31)cpub8s4x2;[31,96)gpu1t1s4x2;[96,127)cpub8s4x2", 0x1.33f5248253cd4p+24},
-    {"editdist-64-band32-cap/6-i7-3820", "d127:[0,31)cpub8s4x2;[31,96)gpu1t1s4x2;[96,127)cpub8s4x2", 0x1.0ebf2c888888ap+24},
-    {"editdist-64-band32-cap/16-i3-540", "d127:[0,31)cpub8s1x2;[31,96)gpu1t1s1x2;[96,127)cpub8s1x2", 0x1.2a2f94dcba856p+26},
-    {"editdist-64-band32-cap/16-i7-2600K", "d127:[0,31)cpub8s1x2;[31,96)gpu1t1s1x2;[96,127)cpub8s1x2", 0x1.2a6e52ac37c7cp+26},
-    {"editdist-64-band32-cap/16-i7-3820", "d127:[0,31)cpub8s1x2;[31,96)gpu1t1s1x2;[96,127)cpub8s1x2", 0x1.06679a4b17e4cp+26},
-    {"editdist-256-band32-cap/3-i3-540", "d511:[0,223)cpub8s41x2;[223,288)gpu1t1s41x2;[288,511)cpub8s41x2", 0x1.5e4f6d30eca96p+23},
-    {"editdist-256-band32-cap/3-i7-2600K", "d511:[0,223)cpub8s41x2;[223,288)gpu1t1s41x2;[288,511)cpub8s41x2", 0x1.5de913b9d2e4p+23},
-    {"editdist-256-band32-cap/3-i7-3820", "d511:[0,223)cpub8s41x2;[223,288)gpu1t1s41x2;[288,511)cpub8s41x2", 0x1.31bd6393d2d6dp+23},
-    {"editdist-256-band32-cap/6-i3-540", "d511:[0,223)cpub8s20x2;[223,288)gpu1t1s20x2;[288,511)cpub8s20x2", 0x1.4624b30fedd0fp+24},
-    {"editdist-256-band32-cap/6-i7-2600K", "d511:[0,223)cpub8s20x2;[223,288)gpu1t1s20x2;[288,511)cpub8s20x2", 0x1.4730471bed66ep+24},
-    {"editdist-256-band32-cap/6-i7-3820", "d511:[0,223)cpub8s20x2;[223,288)gpu1t1s20x2;[288,511)cpub8s20x2", 0x1.1e5f2fc5f92c7p+24},
-    {"editdist-256-band32-cap/16-i3-540", "d511:[0,223)cpub8s7x2;[223,288)gpu1t1s7x2;[288,511)cpub8s7x2", 0x1.c43d5b59e259ep+25},
-    {"editdist-256-band32-cap/16-i7-2600K", "d511:[0,223)cpub8s7x2;[223,288)gpu1t1s7x2;[288,511)cpub8s7x2", 0x1.c61d4a94f1f83p+25},
-    {"editdist-256-band32-cap/16-i7-3820", "d511:[0,223)cpub8s7x2;[223,288)gpu1t1s7x2;[288,511)cpub8s7x2", 0x1.8db07006d3a07p+25},
-    {"editdist-256-band128-cap/3-i3-540", "d511:[0,127)cpub8s41x2;[127,384)gpu1t1s41x2;[384,511)cpub8s41x2", 0x1.12fe8937c04c8p+25},
-    {"editdist-256-band128-cap/3-i7-2600K", "d511:[0,127)cpub8s41x2;[127,384)gpu1t1s41x2;[384,511)cpub8s41x2", 0x1.12e88dd67799bp+25},
-    {"editdist-256-band128-cap/3-i7-3820", "d511:[0,127)cpub8s41x2;[127,384)gpu1t1s41x2;[384,511)cpub8s41x2", 0x1.e2b410a1bd4f1p+24},
-    {"editdist-256-band128-cap/6-i3-540", "d511:[0,127)cpub8s20x2;[127,384)gpu1t1s20x2;[384,511)cpub8s20x2", 0x1.f5d7e52bcdd62p+25},
-    {"editdist-256-band128-cap/6-i7-2600K", "d511:[0,127)cpub8s20x2;[127,384)gpu1t1s20x2;[384,511)cpub8s20x2", 0x1.f614ff19997fcp+25},
-    {"editdist-256-band128-cap/6-i7-3820", "d511:[0,127)cpub8s20x2;[127,384)gpu1t1s20x2;[384,511)cpub8s20x2", 0x1.b9411a2aaaaabp+25},
-    {"editdist-256-band128-cap/16-i3-540", "d511:[0,127)cpub8s7x2;[127,384)gpu1t1s7x2;[384,511)cpub8s7x2", 0x1.59e0b06642145p+27},
-    {"editdist-256-band128-cap/16-i7-2600K", "d511:[0,127)cpub8s7x2;[127,384)gpu1t1s7x2;[384,511)cpub8s7x2", 0x1.5a2603453c98fp+27},
-    {"editdist-256-band128-cap/16-i7-3820", "d511:[0,127)cpub8s7x2;[127,384)gpu1t1s7x2;[384,511)cpub8s7x2", 0x1.305da1f62fc97p+27},
-    {"synthetic-64-band8-cap/3-i3-540", "d127:[0,55)cpub8s9x2;[55,72)gpu1t1s9x2;[72,127)cpub8s9x2", 0x1.b71763d70a3e6p+21},
-    {"synthetic-64-band8-cap/3-i7-2600K", "d127:[0,55)cpub8s9x2;[55,72)gpu1t1s9x2;[72,127)cpub8s9x2", 0x1.b7ead586fb597p+21},
-    {"synthetic-64-band8-cap/3-i7-3820", "d127:[0,55)cpub8s9x2;[55,72)gpu1t1s9x2;[72,127)cpub8s9x2", 0x1.7aeddc28f5c29p+21},
-    {"synthetic-64-band8-cap/6-i3-540", "d127:[0,55)cpub8s4x2;[55,72)gpu1t1s4x2;[72,127)cpub8s4x2", 0x1.b80907f6e5d31p+22},
-    {"synthetic-64-band8-cap/6-i7-2600K", "d127:[0,55)cpub8s4x2;[55,72)gpu1t1s4x2;[72,127)cpub8s4x2", 0x1.b96551745d15ap+22},
-    {"synthetic-64-band8-cap/6-i7-3820", "d127:[0,55)cpub8s4x2;[55,72)gpu1t1s4x2;[72,127)cpub8s4x2", 0x1.7d0a78bf258bep+22},
-    {"synthetic-64-band8-cap/16-i3-540", "d127:[0,55)cpub8s1x2;[55,72)gpu1t1s1x2;[72,127)cpub8s1x2", 0x1.ad053c8d15a44p+24},
-    {"synthetic-64-band8-cap/16-i7-2600K", "d127:[0,55)cpub8s1x2;[55,72)gpu1t1s1x2;[72,127)cpub8s1x2", 0x1.ae883037dac9cp+24},
-    {"synthetic-64-band8-cap/16-i7-3820", "d127:[0,55)cpub8s1x2;[55,72)gpu1t1s1x2;[72,127)cpub8s1x2", 0x1.73a816d3a06d3p+24},
-    {"synthetic-64-band32-cap/3-i3-540", "d127:[0,31)cpub8s9x2;[31,96)gpu1t1s9x2;[96,127)cpub8s9x2", 0x1.3f34fe2fc9607p+23},
-    {"synthetic-64-band32-cap/3-i7-2600K", "d127:[0,31)cpub8s9x2;[31,96)gpu1t1s9x2;[96,127)cpub8s9x2", 0x1.414addd1745a8p+23},
-    {"synthetic-64-band32-cap/3-i7-3820", "d127:[0,31)cpub8s9x2;[31,96)gpu1t1s9x2;[96,127)cpub8s9x2", 0x1.18cdf6147ae14p+23},
-    {"synthetic-64-band32-cap/6-i3-540", "d127:[0,31)cpub8s4x2;[31,96)gpu1t1s4x2;[96,127)cpub8s4x2", 0x1.3d34ee93e93f8p+24},
-    {"synthetic-64-band32-cap/6-i7-2600K", "d127:[0,31)cpub8s4x2;[31,96)gpu1t1s4x2;[96,127)cpub8s4x2", 0x1.3f6c1904a7915p+24},
-    {"synthetic-64-band32-cap/6-i7-3820", "d127:[0,31)cpub8s4x2;[31,96)gpu1t1s4x2;[96,127)cpub8s4x2", 0x1.175f39111111p+24},
-    {"synthetic-64-band32-cap/16-i3-540", "d127:[0,31)cpub8s1x2;[31,96)gpu1t1s1x2;[96,127)cpub8s1x2", 0x1.334bf3b975301p+26},
-    {"synthetic-64-band32-cap/16-i7-2600K", "d127:[0,31)cpub8s1x2;[31,96)gpu1t1s1x2;[96,127)cpub8s1x2", 0x1.358344586fb4p+26},
-    {"synthetic-64-band32-cap/16-i7-3820", "d127:[0,31)cpub8s1x2;[31,96)gpu1t1s1x2;[96,127)cpub8s1x2", 0x1.0ec128962fc96p+26},
-    {"synthetic-256-band32-cap/3-i3-540", "d511:[0,223)cpub8s41x2;[223,288)gpu1t1s41x2;[288,511)cpub8s41x2", 0x1.7e8d3aff63267p+23},
-    {"synthetic-256-band32-cap/3-i7-2600K", "d511:[0,223)cpub8s41x2;[223,288)gpu1t1s41x2;[288,511)cpub8s41x2", 0x1.741dd324e0d6bp+23},
-    {"synthetic-256-band32-cap/3-i7-3820", "d511:[0,223)cpub8s41x2;[223,288)gpu1t1s41x2;[288,511)cpub8s41x2", 0x1.3f7de23b56e8bp+23},
-    {"synthetic-256-band32-cap/6-i3-540", "d511:[0,223)cpub8s20x2;[223,288)gpu1t1s20x2;[288,511)cpub8s20x2", 0x1.5a290fd116ac2p+24},
-    {"synthetic-256-band32-cap/6-i7-2600K", "d511:[0,223)cpub8s20x2;[223,288)gpu1t1s20x2;[288,511)cpub8s20x2", 0x1.59c90e37dac4dp+24},
-    {"synthetic-256-band32-cap/6-i7-3820", "d511:[0,223)cpub8s20x2;[223,288)gpu1t1s20x2;[288,511)cpub8s20x2", 0x1.2a47c18bf258cp+24},
-    {"synthetic-256-band32-cap/16-i3-540", "d511:[0,223)cpub8s7x2;[223,288)gpu1t1s7x2;[288,511)cpub8s7x2", 0x1.dd9bc2b3c4e8cp+25},
-    {"synthetic-256-band32-cap/16-i7-2600K", "d511:[0,223)cpub8s7x2;[223,288)gpu1t1s7x2;[288,511)cpub8s7x2", 0x1.df5e9529e425bp+25},
-    {"synthetic-256-band32-cap/16-i7-3820", "d511:[0,223)cpub8s7x2;[223,288)gpu1t1s7x2;[288,511)cpub8s7x2", 0x1.9dfa340da740ep+25},
-    {"synthetic-256-band128-cap/3-i3-540", "d511:[0,127)cpub8s41x2;[127,384)gpu1t1s41x2;[384,511)cpub8s41x2", 0x1.1d36ff346ce8ap+25},
-    {"synthetic-256-band128-cap/3-i7-2600K", "d511:[0,127)cpub8s41x2;[127,384)gpu1t1s41x2;[384,511)cpub8s41x2", 0x1.1e0845fbb420cp+25},
-    {"synthetic-256-band128-cap/3-i7-3820", "d511:[0,127)cpub8s41x2;[127,384)gpu1t1s41x2;[384,511)cpub8s41x2", 0x1.f2e49b1c1827fp+24},
-    {"synthetic-256-band128-cap/6-i3-540", "d511:[0,127)cpub8s20x2;[127,384)gpu1t1s20x2;[384,511)cpub8s20x2", 0x1.02f21f5d090f2p+26},
-    {"synthetic-256-band128-cap/6-i7-2600K", "d511:[0,127)cpub8s20x2;[127,384)gpu1t1s20x2;[384,511)cpub8s20x2", 0x1.04954e1999a47p+26},
-    {"synthetic-256-band128-cap/6-i7-3820", "d511:[0,127)cpub8s20x2;[127,384)gpu1t1s20x2;[384,511)cpub8s20x2", 0x1.c77f1b5555556p+25},
-    {"synthetic-256-band128-cap/16-i3-540", "d511:[0,127)cpub8s7x2;[127,384)gpu1t1s7x2;[384,511)cpub8s7x2", 0x1.645ed78c83c7dp+27},
-    {"synthetic-256-band128-cap/16-i7-2600K", "d511:[0,127)cpub8s7x2;[127,384)gpu1t1s7x2;[384,511)cpub8s7x2", 0x1.66f38aca78d0cp+27},
-    {"synthetic-256-band128-cap/16-i7-3820", "d511:[0,127)cpub8s7x2;[127,384)gpu1t1s7x2;[384,511)cpub8s7x2", 0x1.3a0787ac5f92dp+27},
-    {"nash-256-band64-h4-gpus4-cap/2-i7-2600K", "StreamingPlanError", 0x0p+0},
+    {"nash-64-band8-cap/3-i3-540", "d127:[0,55)cpub8s20x1;[55,72)gpu1t1s20x1;[72,127)cpub8s20x1", 0x1.065e6cce54e54p+28},
+    {"nash-64-band8-cap/3-i7-2600K", "d127:[0,55)cpub8s20x1;[55,72)gpu1t1s20x1;[72,127)cpub8s20x1", 0x1.e7580c22e8ba3p+27},
+    {"nash-64-band8-cap/3-i7-3820", "d127:[0,55)cpub8s20x1;[55,72)gpu1t1s20x1;[72,127)cpub8s20x1", 0x1.3090a10888889p+27},
+    {"nash-64-band8-cap/6-i3-540", "d127:[0,55)cpub8s9x1;[55,72)gpu1t1s9x1;[72,127)cpub8s9x1", 0x1.e1249724fa4fap+28},
+    {"nash-64-band8-cap/6-i7-2600K", "d127:[0,55)cpub8s9x1;[55,72)gpu1t1s9x1;[72,127)cpub8s9x1", 0x1.d7927811745d1p+28},
+    {"nash-64-band8-cap/6-i7-3820", "d127:[0,55)cpub8s9x1;[55,72)gpu1t1s9x1;[72,127)cpub8s9x1", 0x1.2af1193777777p+28},
+    {"nash-64-band8-cap/16-i3-540", "d127:[0,55)cpub8s3x1;[55,72)gpu1t1s3x1;[72,127)cpub8s3x1", 0x1.3c272a2fa4fa5p+30},
+    {"nash-64-band8-cap/16-i7-2600K", "d127:[0,55)cpub8s3x1;[55,72)gpu1t1s3x1;[72,127)cpub8s3x1", 0x1.38ca88045d174p+30},
+    {"nash-64-band8-cap/16-i7-3820", "d127:[0,55)cpub8s3x1;[55,72)gpu1t1s3x1;[72,127)cpub8s3x1", 0x1.9031a48eeeeefp+29},
+    {"nash-64-band32-cap/3-i3-540", "d127:[0,31)cpub8s20x1;[31,96)gpu1t1s20x1;[96,127)cpub8s20x1", 0x1.9924800d04d06p+28},
+    {"nash-64-band32-cap/3-i7-2600K", "d127:[0,31)cpub8s20x1;[31,96)gpu1t1s20x1;[96,127)cpub8s20x1", 0x1.e585d0945d175p+28},
+    {"nash-64-band32-cap/3-i7-3820", "d127:[0,31)cpub8s20x1;[31,96)gpu1t1s20x1;[96,127)cpub8s20x1", 0x1.6986b42aaaaaap+28},
+    {"nash-64-band32-cap/6-i3-540", "d127:[0,31)cpub8s9x1;[31,96)gpu1t1s9x1;[96,127)cpub8s9x1", 0x1.7b292196c16c2p+29},
+    {"nash-64-band32-cap/6-i7-2600K", "d127:[0,31)cpub8s9x1;[31,96)gpu1t1s9x1;[96,127)cpub8s9x1", 0x1.c9b2a7ba2e8bap+29},
+    {"nash-64-band32-cap/6-i7-3820", "d127:[0,31)cpub8s9x1;[31,96)gpu1t1s9x1;[96,127)cpub8s9x1", 0x1.573aa76222223p+29},
+    {"nash-64-band32-cap/16-i3-540", "d127:[0,31)cpub8s3x1;[31,96)gpu1t1s3x1;[96,127)cpub8s3x1", 0x1.f6424744fa4f4p+30},
+    {"nash-64-band32-cap/16-i7-2600K", "d127:[0,31)cpub8s3x1;[31,96)gpu1t1s3x1;[96,127)cpub8s3x1", 0x1.30d3bd868ba3p+31},
+    {"nash-64-band32-cap/16-i7-3820", "d127:[0,31)cpub8s3x1;[31,96)gpu1t1s3x1;[96,127)cpub8s3x1", 0x1.cae03e4777777p+30},
+    {"nash-256-band32-cap/3-i3-540", "d511:[0,223)cpub8s84x1;[223,288)gpu1t1s84x1;[288,511)cpub8s84x1", 0x1.e4b74b81c71c8p+30},
+    {"nash-256-band32-cap/3-i7-2600K", "d511:[0,223)cpub8s84x1;[223,288)gpu1t1s84x1;[288,511)cpub8s84x1", 0x1.1f29acf1b4cfap+30},
+    {"nash-256-band32-cap/3-i7-3820", "d511:[0,223)cpub8s84x1;[223,288)gpu1t1s84x1;[288,511)cpub8s84x1", 0x1.4fdd396516517p+29},
+    {"nash-256-band32-cap/6-i3-540", "d511:[0,223)cpub8s41x1;[223,288)gpu1t1s41x1;[288,511)cpub8s41x1", 0x1.2d3e9a3c36436p+31},
+    {"nash-256-band32-cap/6-i7-2600K", "d511:[0,223)cpub8s41x1;[223,288)gpu1t1s41x1;[288,511)cpub8s41x1", 0x1.9d036f3203948p+30},
+    {"nash-256-band32-cap/6-i7-3820", "d511:[0,223)cpub8s41x1;[223,288)gpu1t1s41x1;[288,511)cpub8s41x1", 0x1.02ea62a015015p+30},
+    {"nash-256-band32-cap/16-i3-540", "d511:[0,223)cpub8s15x1;[223,288)gpu1t1s15x1;[288,511)cpub8s15x1", 0x1.01177913b4bb4p+32},
+    {"nash-256-band32-cap/16-i7-2600K", "d511:[0,223)cpub8s15x1;[223,288)gpu1t1s15x1;[288,511)cpub8s15x1", 0x1.e6b7e1168ba3p+31},
+    {"nash-256-band32-cap/16-i7-3820", "d511:[0,223)cpub8s15x1;[223,288)gpu1t1s15x1;[288,511)cpub8s15x1", 0x1.38120a8a22222p+31},
+    {"nash-256-band128-cap/3-i3-540", "d511:[0,127)cpub8s84x1;[127,384)gpu1t1s84x1;[384,511)cpub8s84x1", 0x1.d90cba7e3fe4p+30},
+    {"nash-256-band128-cap/3-i7-2600K", "d511:[0,127)cpub8s84x1;[127,384)gpu1t1s84x1;[384,511)cpub8s84x1", 0x1.eb9a6dabb13b2p+30},
+    {"nash-256-band128-cap/3-i7-3820", "d511:[0,127)cpub8s84x1;[127,384)gpu1t1s84x1;[384,511)cpub8s84x1", 0x1.68e8b046ba6bap+30},
+    {"nash-256-band128-cap/6-i3-540", "d511:[0,127)cpub8s41x1;[127,384)gpu1t1s41x1;[384,511)cpub8s41x1", 0x1.6b827b90f88f7p+31},
+    {"nash-256-band128-cap/6-i7-2600K", "d511:[0,127)cpub8s41x1;[127,384)gpu1t1s41x1;[384,511)cpub8s41x1", 0x1.96dfca3e27626p+31},
+    {"nash-256-band128-cap/6-i7-3820", "d511:[0,127)cpub8s41x1;[127,384)gpu1t1s41x1;[384,511)cpub8s41x1", 0x1.30efba15b3db3p+31},
+    {"nash-256-band128-cap/16-i3-540", "d511:[0,127)cpub8s15x1;[127,384)gpu1t1s15x1;[384,511)cpub8s15x1", 0x1.9a21a18d8818cp+32},
+    {"nash-256-band128-cap/16-i7-2600K", "d511:[0,127)cpub8s15x1;[127,384)gpu1t1s15x1;[384,511)cpub8s15x1", 0x1.ef3bcf02p+32},
+    {"nash-256-band128-cap/16-i7-3820", "d511:[0,127)cpub8s15x1;[127,384)gpu1t1s15x1;[384,511)cpub8s15x1", 0x1.759153beaaaaap+32},
+    {"editdist-64-band8-cap/3-i3-540", "d127:[0,55)cpub8s20x1;[55,72)gpu1t1s20x1;[72,127)cpub8s20x1", 0x1.bb05e1a2b3c57p+20},
+    {"editdist-64-band8-cap/3-i7-2600K", "d127:[0,55)cpub8s20x1;[55,72)gpu1t1s20x1;[72,127)cpub8s20x1", 0x1.b75c66b0df6b9p+20},
+    {"editdist-64-band8-cap/3-i7-3820", "d127:[0,55)cpub8s20x1;[55,72)gpu1t1s20x1;[72,127)cpub8s20x1", 0x1.7c35ea740da75p+20},
+    {"editdist-64-band8-cap/6-i3-540", "d127:[0,55)cpub8s9x1;[55,72)gpu1t1s9x1;[72,127)cpub8s9x1", 0x1.ba7683b2a18fap+21},
+    {"editdist-64-band8-cap/6-i7-2600K", "d127:[0,55)cpub8s9x1;[55,72)gpu1t1s9x1;[72,127)cpub8s9x1", 0x1.b7a934f2094e4p+21},
+    {"editdist-64-band8-cap/6-i7-3820", "d127:[0,55)cpub8s9x1;[55,72)gpu1t1s9x1;[72,127)cpub8s9x1", 0x1.7e41b8bf258bfp+21},
+    {"editdist-64-band8-cap/16-i3-540", "d127:[0,55)cpub8s3x1;[55,72)gpu1t1s3x1;[72,127)cpub8s3x1", 0x1.2babdf2a19079p+23},
+    {"editdist-64-band8-cap/16-i7-2600K", "d127:[0,55)cpub8s3x1;[55,72)gpu1t1s3x1;[72,127)cpub8s3x1", 0x1.2a060c6fb5868p+23},
+    {"editdist-64-band8-cap/16-i7-3820", "d127:[0,55)cpub8s3x1;[55,72)gpu1t1s3x1;[72,127)cpub8s3x1", 0x1.03dcee58bf259p+23},
+    {"editdist-64-band32-cap/3-i3-540", "d127:[0,31)cpub8s20x1;[31,96)gpu1t1s20x1;[96,127)cpub8s20x1", 0x1.4f6d673c4d5cfp+22},
+    {"editdist-64-band32-cap/3-i7-2600K", "d127:[0,31)cpub8s20x1;[31,96)gpu1t1s20x1;[96,127)cpub8s20x1", 0x1.4d8bc837dac2p+22},
+    {"editdist-64-band32-cap/3-i7-3820", "d127:[0,31)cpub8s20x1;[31,96)gpu1t1s20x1;[96,127)cpub8s20x1", 0x1.229c4e2222223p+22},
+    {"editdist-64-band32-cap/6-i3-540", "d127:[0,31)cpub8s9x1;[31,96)gpu1t1s9x1;[96,127)cpub8s9x1", 0x1.3e912d89abce5p+23},
+    {"editdist-64-band32-cap/6-i7-2600K", "d127:[0,31)cpub8s9x1;[31,96)gpu1t1s9x1;[96,127)cpub8s9x1", 0x1.3d449ce8ba2efp+23},
+    {"editdist-64-band32-cap/6-i7-3820", "d127:[0,31)cpub8s9x1;[31,96)gpu1t1s9x1;[96,127)cpub8s9x1", 0x1.1581b7b4e81b5p+23},
+    {"editdist-64-band32-cap/16-i3-540", "d127:[0,31)cpub8s3x1;[31,96)gpu1t1s3x1;[96,127)cpub8s3x1", 0x1.a94b923fb737cp+24},
+    {"editdist-64-band32-cap/16-i7-2600K", "d127:[0,31)cpub8s3x1;[31,96)gpu1t1s3x1;[96,127)cpub8s3x1", 0x1.a80471dac3865p+24},
+    {"editdist-64-band32-cap/16-i7-3820", "d127:[0,31)cpub8s3x1;[31,96)gpu1t1s3x1;[96,127)cpub8s3x1", 0x1.73deff2c5f92dp+24},
+    {"editdist-256-band32-cap/3-i3-540", "d511:[0,223)cpub8s84x1;[223,288)gpu1t1s84x1;[288,511)cpub8s84x1", 0x1.a340945b05ae8p+22},
+    {"editdist-256-band32-cap/3-i7-2600K", "d511:[0,223)cpub8s84x1;[223,288)gpu1t1s84x1;[288,511)cpub8s84x1", 0x1.9abe327ebf2fep+22},
+    {"editdist-256-band32-cap/3-i7-3820", "d511:[0,223)cpub8s84x1;[223,288)gpu1t1s84x1;[288,511)cpub8s84x1", 0x1.5b12d833766a9p+22},
+    {"editdist-256-band32-cap/6-i3-540", "d511:[0,223)cpub8s41x1;[223,288)gpu1t1s41x1;[288,511)cpub8s41x1", 0x1.732e57db9754ap+23},
+    {"editdist-256-band32-cap/6-i7-2600K", "d511:[0,223)cpub8s41x1;[223,288)gpu1t1s41x1;[288,511)cpub8s41x1", 0x1.6f2fb0d118b5fp+23},
+    {"editdist-256-band32-cap/6-i7-3820", "d511:[0,223)cpub8s41x1;[223,288)gpu1t1s41x1;[288,511)cpub8s41x1", 0x1.3b4e4b93d2d6dp+23},
+    {"editdist-256-band32-cap/16-i3-540", "d511:[0,223)cpub8s15x1;[223,288)gpu1t1s15x1;[288,511)cpub8s15x1", 0x1.c6d8fb0c84047p+24},
+    {"editdist-256-band32-cap/16-i7-2600K", "d511:[0,223)cpub8s15x1;[223,288)gpu1t1s15x1;[288,511)cpub8s15x1", 0x1.c5e5eaa790538p+24},
+    {"editdist-256-band32-cap/16-i7-3820", "d511:[0,223)cpub8s15x1;[223,288)gpu1t1s15x1;[288,511)cpub8s15x1", 0x1.8a3f789d0369cp+24},
+    {"editdist-256-band128-cap/3-i3-540", "d511:[0,127)cpub8s84x1;[127,384)gpu1t1s84x1;[384,511)cpub8s84x1", 0x1.575477d5e6fdcp+24},
+    {"editdist-256-band128-cap/3-i7-2600K", "d511:[0,127)cpub8s84x1;[127,384)gpu1t1s84x1;[384,511)cpub8s84x1", 0x1.5249aa03f044bp+24},
+    {"editdist-256-band128-cap/3-i7-3820", "d511:[0,127)cpub8s84x1;[127,384)gpu1t1s84x1;[384,511)cpub8s84x1", 0x1.201447465dff8p+24},
+    {"editdist-256-band128-cap/6-i3-540", "d511:[0,127)cpub8s41x1;[127,384)gpu1t1s41x1;[384,511)cpub8s41x1", 0x1.20a85937c04aap+25},
+    {"editdist-256-band128-cap/6-i7-2600K", "d511:[0,127)cpub8s41x1;[127,384)gpu1t1s41x1;[384,511)cpub8s41x1", 0x1.1e232f4ad4af6p+25},
+    {"editdist-256-band128-cap/6-i7-3820", "d511:[0,127)cpub8s41x1;[127,384)gpu1t1s41x1;[384,511)cpub8s41x1", 0x1.edd214a1bd4f2p+24},
+    {"editdist-256-band128-cap/16-i3-540", "d511:[0,127)cpub8s15x1;[127,384)gpu1t1s15x1;[384,511)cpub8s15x1", 0x1.5acf0044d5cep+26},
+    {"editdist-256-band128-cap/16-i7-2600K", "d511:[0,127)cpub8s15x1;[127,384)gpu1t1s15x1;[384,511)cpub8s15x1", 0x1.59977b66664dbp+26},
+    {"editdist-256-band128-cap/16-i7-3820", "d511:[0,127)cpub8s15x1;[127,384)gpu1t1s15x1;[384,511)cpub8s15x1", 0x1.2d7fd7d555556p+26},
+    {"synthetic-64-band8-cap/3-i3-540", "d127:[0,55)cpub8s20x1;[55,72)gpu1t1s20x1;[72,127)cpub8s20x1", 0x1.df1e320a53d8fp+20},
+    {"synthetic-64-band8-cap/3-i7-2600K", "d127:[0,55)cpub8s20x1;[55,72)gpu1t1s20x1;[72,127)cpub8s20x1", 0x1.d7d0ed61bed6ap+20},
+    {"synthetic-64-band8-cap/3-i7-3820", "d127:[0,55)cpub8s20x1;[55,72)gpu1t1s20x1;[72,127)cpub8s20x1", 0x1.8f4074e81b4e8p+20},
+    {"synthetic-64-band8-cap/6-i3-540", "d127:[0,55)cpub8s9x1;[55,72)gpu1t1s9x1;[72,127)cpub8s9x1", 0x1.d7af47654321fp+21},
+    {"synthetic-64-band8-cap/6-i7-2600K", "d127:[0,55)cpub8s9x1;[55,72)gpu1t1s9x1;[72,127)cpub8s9x1", 0x1.d38449e4129f5p+21},
+    {"synthetic-64-band8-cap/6-i7-3820", "d127:[0,55)cpub8s9x1;[55,72)gpu1t1s9x1;[72,127)cpub8s9x1", 0x1.8f44f17e4b17ep+21},
+    {"synthetic-64-band8-cap/16-i3-540", "d127:[0,55)cpub8s3x1;[55,72)gpu1t1s3x1;[72,127)cpub8s3x1", 0x1.3cfc1654320ep+23},
+    {"synthetic-64-band8-cap/16-i7-2600K", "d127:[0,55)cpub8s3x1;[55,72)gpu1t1s3x1;[72,127)cpub8s3x1", 0x1.3aee88df6b0bfp+23},
+    {"synthetic-64-band8-cap/16-i7-3820", "d127:[0,55)cpub8s3x1;[55,72)gpu1t1s3x1;[72,127)cpub8s3x1", 0x1.0e8524b17e4b2p+23},
+    {"synthetic-64-band32-cap/3-i3-540", "d127:[0,31)cpub8s20x1;[31,96)gpu1t1s20x1;[96,127)cpub8s20x1", 0x1.6095bddb10e3ap+22},
+    {"synthetic-64-band32-cap/3-i7-2600K", "d127:[0,31)cpub8s20x1;[31,96)gpu1t1s20x1;[96,127)cpub8s20x1", 0x1.5f66106fb5866p+22},
+    {"synthetic-64-band32-cap/3-i7-3820", "d127:[0,31)cpub8s20x1;[31,96)gpu1t1s20x1;[96,127)cpub8s20x1", 0x1.2e4e944444443p+22},
+    {"synthetic-64-band32-cap/6-i3-540", "d127:[0,31)cpub8s9x1;[31,96)gpu1t1s9x1;[96,127)cpub8s9x1", 0x1.4b92f71357994p+23},
+    {"synthetic-64-band32-cap/6-i7-2600K", "d127:[0,31)cpub8s9x1;[31,96)gpu1t1s9x1;[96,127)cpub8s9x1", 0x1.4ba4ddd1745a8p+23},
+    {"synthetic-64-band32-cap/6-i7-3820", "d127:[0,31)cpub8s9x1;[31,96)gpu1t1s9x1;[96,127)cpub8s9x1", 0x1.1f78bb69d036ap+23},
+    {"synthetic-64-band32-cap/16-i3-540", "d127:[0,31)cpub8s3x1;[31,96)gpu1t1s3x1;[96,127)cpub8s3x1", 0x1.b7bb307f6e654p+24},
+    {"synthetic-64-band32-cap/16-i7-2600K", "d127:[0,31)cpub8s3x1;[31,96)gpu1t1s3x1;[96,127)cpub8s3x1", 0x1.b8dc83b58703cp+24},
+    {"synthetic-64-band32-cap/16-i7-3820", "d127:[0,31)cpub8s3x1;[31,96)gpu1t1s3x1;[96,127)cpub8s3x1", 0x1.80221258bf258p+24},
+    {"synthetic-256-band32-cap/3-i3-540", "d511:[0,223)cpub8s84x1;[223,288)gpu1t1s84x1;[288,511)cpub8s84x1", 0x1.f73c40b60b5edp+22},
+    {"synthetic-256-band32-cap/3-i7-2600K", "d511:[0,223)cpub8s84x1;[223,288)gpu1t1s84x1;[288,511)cpub8s84x1", 0x1.d42225e9cd268p+22},
+    {"synthetic-256-band32-cap/3-i7-3820", "d511:[0,223)cpub8s84x1;[223,288)gpu1t1s84x1;[288,511)cpub8s84x1", 0x1.7925772bd924p+22},
+    {"synthetic-256-band32-cap/6-i3-540", "d511:[0,223)cpub8s41x1;[223,288)gpu1t1s41x1;[288,511)cpub8s41x1", 0x1.a32a9054b87b8p+23},
+    {"synthetic-256-band32-cap/6-i7-2600K", "d511:[0,223)cpub8s41x1;[223,288)gpu1t1s41x1;[288,511)cpub8s41x1", 0x1.92460d536c798p+23},
+    {"synthetic-256-band32-cap/6-i7-3820", "d511:[0,223)cpub8s41x1;[223,288)gpu1t1s41x1;[288,511)cpub8s41x1", 0x1.4ef6323b56e8bp+23},
+    {"synthetic-256-band32-cap/16-i3-540", "d511:[0,223)cpub8s15x1;[223,288)gpu1t1s15x1;[288,511)cpub8s15x1", 0x1.e9b00667ccec7p+24},
+    {"synthetic-256-band32-cap/16-i7-2600K", "d511:[0,223)cpub8s15x1;[223,288)gpu1t1s15x1;[288,511)cpub8s15x1", 0x1.e5bb754f209ep+24},
+    {"synthetic-256-band32-cap/16-i7-3820", "d511:[0,223)cpub8s15x1;[223,288)gpu1t1s15x1;[288,511)cpub8s15x1", 0x1.9d65dd3a06d3bp+24},
+    {"synthetic-256-band128-cap/3-i3-540", "d511:[0,127)cpub8s84x1;[127,384)gpu1t1s84x1;[384,511)cpub8s84x1", 0x1.7e19c2981cb9dp+24},
+    {"synthetic-256-band128-cap/3-i7-2600K", "d511:[0,127)cpub8s84x1;[127,384)gpu1t1s84x1;[384,511)cpub8s84x1", 0x1.74a2c76a56a9bp+24},
+    {"synthetic-256-band128-cap/3-i7-3820", "d511:[0,127)cpub8s84x1;[127,384)gpu1t1s84x1;[384,511)cpub8s84x1", 0x1.3340b2b41e751p+24},
+    {"synthetic-256-band128-cap/6-i3-540", "d511:[0,127)cpub8s41x1;[127,384)gpu1t1s41x1;[384,511)cpub8s41x1", 0x1.37427f346ce96p+25},
+    {"synthetic-256-band128-cap/6-i7-2600K", "d511:[0,127)cpub8s41x1;[127,384)gpu1t1s41x1;[384,511)cpub8s41x1", 0x1.336448e46e4fdp+25},
+    {"synthetic-256-band128-cap/6-i7-3820", "d511:[0,127)cpub8s41x1;[127,384)gpu1t1s41x1;[384,511)cpub8s41x1", 0x1.03a5f18e0c13ep+25},
+    {"synthetic-256-band128-cap/16-i3-540", "d511:[0,127)cpub8s15x1;[127,384)gpu1t1s15x1;[384,511)cpub8s15x1", 0x1.6be60c3ae6d35p+26},
+    {"synthetic-256-band128-cap/16-i7-2600K", "d511:[0,127)cpub8s15x1;[127,384)gpu1t1s15x1;[384,511)cpub8s15x1", 0x1.6b9de74cccbe6p+26},
+    {"synthetic-256-band128-cap/16-i7-3820", "d511:[0,127)cpub8s15x1;[127,384)gpu1t1s15x1;[384,511)cpub8s15x1", 0x1.397868aaaaaaap+26},
+    {"nash-256-band64-h4-gpus4-cap/2-i7-2600K", "d511:[0,191)cpub8;[191,320)gpu4h4;[320,511)cpub8", 0x1.4d4871008f378p+29},
 };
 // clang-format on
 

@@ -15,15 +15,19 @@
 //     through the accounting allocator (ocl::Buffer);
 //   * strip boundaries are checkpoint points: a run resumed from a
 //     mid-run RunCheckpoint reproduces the exact grid and timing;
-//   * residency-capped planning picks a fitting strip size and refuses
-//     impossible caps with a typed error.
+//   * residency-capped planning bounds each device's largest window,
+//     picks the strip height and pool size the executor's estimate prices
+//     cheapest among the fitting candidates, and refuses impossible caps
+//     with a typed error.
 #include "core/streaming.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/editdist.hpp"
@@ -118,10 +122,10 @@ std::vector<ProgramCase> base_programs(const InputParams& in) {
 
 TEST(ApplyStrips, StampsEveryNonMultiPhaseAndClampsToDim) {
   const InputParams in{33, 20.0, 2};
-  PhaseProgram p = apply_strips(plan_phases(in, TunableParams{4, 20, -1, 5}), 7, 3);
+  PhaseProgram p = apply_strips(plan_phases(in, TunableParams{4, 20, -1, 5}), 7, 1);
   for (const PhaseDesc& ph : p.phases) {
     EXPECT_EQ(ph.strip_rows, 7u);
-    EXPECT_EQ(ph.strip_buffers, 3u);
+    EXPECT_EQ(ph.strip_buffers, 1u);
     EXPECT_TRUE(ph.streamed());
     EXPECT_EQ(ph.strip_count(33), 5u);  // ceil(33 / 7)
   }
@@ -145,12 +149,21 @@ TEST(ApplyStrips, ValidatorRejectsOutOfRangeStripAxes) {
   p.phases[1].strip_rows = 40;  // > dim
   EXPECT_THROW(p.validate(), std::invalid_argument);
   p.phases[1].strip_rows = 8;
-  p.phases[1].strip_buffers = 0;
-  EXPECT_THROW(p.validate(), std::invalid_argument);
-  p.phases[1].strip_buffers = 4;
-  EXPECT_THROW(p.validate(), std::invalid_argument);
-  p.phases[1].strip_buffers = 2;
-  p.validate();
+  // The pool is the serialized (1) or the double-buffered (2) one; the
+  // error names the range.
+  for (std::size_t bad : {std::size_t{0}, std::size_t{3}}) {
+    p.phases[1].strip_buffers = bad;
+    try {
+      p.validate();
+      ADD_FAILURE() << "strip_buffers " << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("[1, 2]"), std::string::npos) << e.what();
+    }
+  }
+  for (std::size_t good : {std::size_t{1}, std::size_t{2}}) {
+    p.phases[1].strip_buffers = good;
+    p.validate();
+  }
   PhaseProgram multi = plan_phases(in, TunableParams{4, 20, 2, 5});
   multi.phases[1].strip_rows = 8;  // strips on a kGpuMulti phase
   EXPECT_THROW(multi.validate(), std::invalid_argument);
@@ -160,9 +173,9 @@ TEST(ApplyStrips, DescribeSaltsTheStripAxis) {
   const InputParams in{33, 20.0, 2};
   const PhaseProgram whole = plan_phases(in, TunableParams{4, 20, -1, 5});
   const PhaseProgram s7 = apply_strips(whole, 7, 2);
-  const PhaseProgram s7b3 = apply_strips(whole, 7, 3);
+  const PhaseProgram s7b1 = apply_strips(whole, 7, 1);
   EXPECT_NE(whole.describe(), s7.describe());
-  EXPECT_NE(s7.describe(), s7b3.describe());
+  EXPECT_NE(s7.describe(), s7b1.describe());
   EXPECT_NE(s7.describe().find("s7x2"), std::string::npos) << s7.describe();
 }
 
@@ -178,7 +191,7 @@ TEST(StreamedExecution, StripVsWholeGridBitIdenticalAcrossAppsAndPrograms) {
     for (const ProgramCase& pc : base_programs(in)) {
       // 7 and 5 do not divide 33; 1 is the degenerate row-at-a-time case.
       for (std::size_t strip_rows : {std::size_t{7}, std::size_t{5}, std::size_t{1}}) {
-        for (std::size_t buffers : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+        for (std::size_t buffers : {std::size_t{1}, std::size_t{2}}) {
           const PhaseProgram streamed = apply_strips(pc.program, strip_rows, buffers);
           Grid g(dim, app.spec.elem_bytes);
           g.fill_poison();
@@ -223,21 +236,19 @@ TEST(StreamedExecution, OverlapNeverMakesTheScheduleSlowerThanSerializedStrips) 
   const InputParams in{64, 20.0, 2};
   HybridExecutor ex(sim::make_i7_2600k(), 1);
   const PhaseProgram base = plan_phases(in, TunableParams{4, 30, -1, 5});
-  for (std::size_t buffers : {std::size_t{2}, std::size_t{3}}) {
-    const PhaseProgram streamed = apply_strips(base, 8, buffers);
-    const RunResult r = ex.estimate(in, streamed);
-    bool saw_gpu_strips = false;
-    for (const PhaseTiming& t : r.breakdown.phases) {
-      if (t.device != PhaseDevice::kGpuSingle) continue;
-      saw_gpu_strips = true;
-      EXPECT_GT(t.strips, 1u);
-      // The overlapped schedule can never lose to its own serialized
-      // baseline: it is the same event graph minus the cross-strip waits.
-      EXPECT_LE(t.ns, t.serialized_ns);
-      EXPECT_GT(t.kernel_busy_ns, 0.0);
-    }
-    EXPECT_TRUE(saw_gpu_strips);
+  const PhaseProgram streamed = apply_strips(base, 8, 2);
+  const RunResult r = ex.estimate(in, streamed);
+  bool saw_gpu_strips = false;
+  for (const PhaseTiming& t : r.breakdown.phases) {
+    if (t.device != PhaseDevice::kGpuSingle) continue;
+    saw_gpu_strips = true;
+    EXPECT_GT(t.strips, 1u);
+    // The overlapped schedule can never lose to its own serialized
+    // baseline: it is the same event graph minus the cross-strip waits.
+    EXPECT_LE(t.ns, t.serialized_ns);
+    EXPECT_GT(t.kernel_busy_ns, 0.0);
   }
+  EXPECT_TRUE(saw_gpu_strips);
 }
 
 TEST(StreamedExecution, FusedBatchMembersBitIdenticalToLoneRuns) {
@@ -460,57 +471,169 @@ TEST(StreamedExecution, CheckpointCadenceHonoursEveryStrips) {
 
 // --- residency-capped planning -------------------------------------------
 
+TEST(StreamingPlan, CandidatesArePoolTwoThenOneWithHalvingHeights) {
+  // dim 64, 8-byte elements: one row is 512 B.
+  const auto shapes = [](std::size_t cap) {
+    std::string s;
+    for (const StripShape& c : strip_candidates(64, 8, cap)) {
+      s += std::to_string(c.strip_rows) + "x" + std::to_string(c.strip_buffers) + " ";
+    }
+    return s;
+  };
+  // 22 rows: a 2-buffer pool holds 10-row strips, a 1-buffer pool 21.
+  EXPECT_EQ(shapes(22 * 512), "10x2 5x2 2x2 1x2 21x1 10x1 5x1 2x1 1x1 ");
+  // Three rows fit no 2-buffer pool but a 1-buffer pool of 2-row strips.
+  EXPECT_EQ(shapes(3 * 512), "2x1 1x1 ");
+  // Heights clamp to the grid side.
+  EXPECT_EQ(shapes(1000 * 512), "64x2 32x2 16x2 8x2 4x2 2x2 1x2 64x1 32x1 16x1 8x1 4x1 2x1 1x1 ");
+  EXPECT_THROW(strip_candidates(64, 8, 2 * 512 - 1), StreamingPlanError);
+}
+
 TEST(StreamingPlan, NoCapOrFittingCapKeepsTheWholeGridProgram) {
   const InputParams in{64, 20.0, 2};
-  const TunableParams params{4, 30, -1, 5};
-  const PhaseProgram base = plan_phases(in, params);
-  EXPECT_EQ(plan_phases_streamed(in, params, cpu::Scheduler::kBarrier, {}).describe(),
-            base.describe());
-  PlanConstraints fits;
-  fits.max_resident_bytes = whole_grid_resident_bytes(64, in.elem_bytes());
-  EXPECT_EQ(plan_phases_streamed(in, params, cpu::Scheduler::kBarrier, fits).describe(),
-            base.describe());
+  const HybridExecutor ex(sim::make_i7_2600k(), 1);
+  const PhaseProgram base = plan_phases(in, TunableParams{4, 30, -1, 5});
+  EXPECT_EQ(apply_residency_cap(base, in, 0, ex).describe(), base.describe());
+  EXPECT_EQ(
+      apply_residency_cap(base, in, whole_grid_resident_bytes(64, in.elem_bytes()), ex)
+          .describe(),
+      base.describe());
 }
 
 TEST(StreamingPlan, CapForcesAFittingStripAxis) {
   const InputParams in{64, 20.0, 2};
-  const TunableParams params{4, 30, -1, 5};
-  PlanConstraints c;
-  c.max_resident_bytes = whole_grid_resident_bytes(64, in.elem_bytes()) / 4;
-  c.strip_buffers = 2;
-  const PhaseProgram p = plan_phases_streamed(in, params, cpu::Scheduler::kBarrier, c);
+  const HybridExecutor ex(sim::make_i7_2600k(), 1);
+  const std::size_t cap = whole_grid_resident_bytes(64, in.elem_bytes()) / 4;
+  const PhaseProgram p = apply_residency_cap(plan_phases(in, TunableParams{4, 30, -1, 5}), in,
+                                             cap, ex);
   bool streamed = false;
   for (const PhaseDesc& ph : p.phases) {
     if (ph.device != PhaseDevice::kGpuSingle) continue;
     streamed = true;
     ASSERT_TRUE(ph.streamed());
     EXPECT_LE(streamed_resident_bytes(64, in.elem_bytes(), ph.strip_rows, ph.strip_buffers),
-              c.max_resident_bytes);
+              cap);
   }
   EXPECT_TRUE(streamed);
   p.validate();
 }
 
+TEST(StreamingPlan, ChoiceIsTheEstimateArgminOverEveryCandidate) {
+  // Single-GPU bands of dim/8 and dim/2, untiled and tiled, on a small
+  // coarse grid and a mid-size fine-grained one.
+  std::vector<std::pair<InputParams, PhaseProgram>> programs;
+  for (const InputParams& in : {InputParams{64, 20.0, 2}, InputParams{256, 1.0, 4}}) {
+    for (const std::size_t band : {in.dim / 8, in.dim / 2}) {
+      for (const int gpu_tile : {1, 4}) {
+        const TunableParams params{8, static_cast<long long>(band), -1, gpu_tile};
+        programs.emplace_back(in, plan_phases(in, params));
+      }
+    }
+  }
+  std::size_t pool_wins[3] = {0, 0, 0};
+  for (const sim::SystemProfile& profile : sim::paper_systems()) {
+    const HybridExecutor ex(profile, 1);
+    for (const auto& [in, whole] : programs) {
+      for (std::size_t divisor : {3, 16}) {
+        const std::size_t cap = whole_grid_resident_bytes(in.dim, in.elem_bytes()) / divisor;
+        // The argmin over every candidate, the earlier one kept on a tie.
+        std::string best;
+        double best_ns = std::numeric_limits<double>::infinity();
+        for (const StripShape& c : strip_candidates(in.dim, in.elem_bytes(), cap)) {
+          const PhaseProgram cand = apply_strips(whole, c.strip_rows, c.strip_buffers);
+          const double ns = ex.estimate(in, cand).rtime_ns;
+          if (ns < best_ns) {
+            best = cand.describe();
+            best_ns = ns;
+          }
+        }
+        const PhaseProgram chosen = apply_residency_cap(whole, in, cap, ex);
+        EXPECT_EQ(chosen.describe(), best)
+            << profile.name << " " << in.describe() << " " << whole.describe() << " cap/"
+            << divisor;
+        EXPECT_EQ(ex.estimate(in, chosen).rtime_ns, best_ns);
+        ++pool_wins[chosen.phases.front().strip_buffers];
+      }
+    }
+  }
+  // Taller 1-buffer strips win most rows; the overlapped 2-buffer pool
+  // wins fine-grained tiled bands. Both axes of the candidate set matter.
+  EXPECT_EQ(pool_wins[1] + pool_wins[2], 48u);
+  EXPECT_GT(pool_wins[1], 0u);
+  EXPECT_GT(pool_wins[2], 0u);
+}
+
+TEST(StreamingPlan, ACapThatOnlyAOneBufferPoolFitsStillCompiles) {
+  const InputParams in{64, 20.0, 2};
+  const HybridExecutor ex(sim::make_i7_2600k(), 1);
+  // Three rows: a 1-buffer pool of 2-row strips (plus its halo row) fits;
+  // a 2-buffer pool needs four rows even for 1-row strips.
+  const std::size_t cap = 3 * 64 * in.elem_bytes();
+  ASSERT_LT(cap, streamed_resident_bytes(64, in.elem_bytes(), 1, 2));
+  const PhaseProgram p = apply_residency_cap(plan_phases(in, TunableParams{4, 30, -1, 5}), in,
+                                             cap, ex);
+  for (const PhaseDesc& ph : p.phases) {
+    ASSERT_TRUE(ph.streamed());
+    EXPECT_EQ(ph.strip_buffers, 1u);
+    EXPECT_LE(streamed_resident_bytes(64, in.elem_bytes(), ph.strip_rows, 1), cap);
+  }
+}
+
 TEST(StreamingPlan, ImpossibleCapAndMultiGpuProgramsAreTypedErrors) {
   const InputParams in{64, 20.0, 2};
-  PlanConstraints tiny;
-  tiny.max_resident_bytes = 16;  // cannot hold one strip row
-  EXPECT_THROW(
-      plan_phases_streamed(in, TunableParams{4, 30, -1, 5}, cpu::Scheduler::kBarrier, tiny),
-      StreamingPlanError);
-  // Multi-GPU wedges cannot stream; exceeding the cap there must be loud.
-  PlanConstraints half;
-  half.max_resident_bytes = whole_grid_resident_bytes(64, in.elem_bytes()) / 2;
-  EXPECT_THROW(apply_residency_cap(plan_phases(in, TunableParams{4, 30, 2, 5}), in, half),
+  const HybridExecutor ex(sim::make_i7_2600k(), 1);
+  EXPECT_THROW(apply_residency_cap(plan_phases(in, TunableParams{4, 30, -1, 5}), in,
+                                   16,  // cannot hold one strip row
+                                   ex),
                StreamingPlanError);
+  // Multi-GPU phases do not stream; a device window over the cap must be
+  // loud. Device 1 of two stores its 32 rows plus a 6-row halo wedge.
+  const PhaseProgram dual = plan_phases(in, TunableParams{4, 30, 2, 5});
+  const std::size_t half = whole_grid_resident_bytes(64, in.elem_bytes()) / 2;
+  ASSERT_GT(largest_window_bytes(dual.phases[1], 64, in.elem_bytes()), half);
+  EXPECT_THROW(apply_residency_cap(dual, in, half, ex), StreamingPlanError);
+}
+
+TEST(StreamingPlan, MultiGpuWindowsThatFitTheCapCompileUnchanged) {
+  // nash-256 on four GPUs with halo 4: windows of 64-69 rows of 40-byte
+  // elements, at most 706,560 B each — under a half-grid cap of
+  // 1,310,720 B, though the whole grid is not.
+  apps::NashParams np;
+  np.dim = 256;
+  const InputParams in = apps::nash_model_inputs(np);
+  const HybridExecutor ex(sim::make_i7_2600k(), 1);
+  TunableParams quad{8, 64, 4, 1};
+  quad.gpus = 4;
+  const PhaseProgram program = plan_phases(in, quad);
+  const PhaseDesc& band = program.phases[1];
+  ASSERT_EQ(band.device, PhaseDevice::kGpuMulti);
+  const std::size_t window = largest_window_bytes(band, 256, in.elem_bytes());
+  const std::size_t half = whole_grid_resident_bytes(256, in.elem_bytes()) / 2;
+  EXPECT_EQ(window, 706560u);
+  EXPECT_EQ(half, 1310720u);
+  EXPECT_EQ(apply_residency_cap(program, in, half, ex).describe(), program.describe());
+  EXPECT_EQ(apply_residency_cap(program, in, window, ex).describe(), program.describe());
+
+  // One byte less and the largest window no longer fits: the error names
+  // the phase, the window's bytes and the cap.
+  try {
+    (void)apply_residency_cap(program, in, window - 1, ex);
+    ADD_FAILURE() << "a window over the cap compiled";
+  } catch (const StreamingPlanError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("phase 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("706560"), std::string::npos) << what;
+    EXPECT_NE(what.find("706559"), std::string::npos) << what;
+  }
 }
 
 TEST(StreamingPlan, PureCpuProgramsIgnoreTheCap) {
   const InputParams in{64, 20.0, 2};
-  const TunableParams cpu_only{4, -1, -1, 1};
-  PlanConstraints c;
-  c.max_resident_bytes = 64;  // far below even one row
-  const PhaseProgram p = plan_phases_streamed(in, cpu_only, cpu::Scheduler::kBarrier, c);
+  const HybridExecutor ex(sim::make_i7_2600k(), 1);
+  const PhaseProgram p =
+      apply_residency_cap(plan_phases(in, TunableParams{4, -1, -1, 1}), in,
+                          64,  // far below even one row
+                          ex);
   for (const PhaseDesc& ph : p.phases) EXPECT_FALSE(ph.streamed());
 }
 

@@ -286,16 +286,14 @@ TEST_P(NashShapeEquivalence, EveryProgramMatchesCellRungSerial) {
   const TunableParams band{8, 9, -1, 1};
   TunableParams quad{8, 9, 2, 1};
   quad.gpus = 4;
-  core::PlanConstraints cap;
-  cap.max_resident_bytes = core::whole_grid_resident_bytes(dim, spec.elem_bytes) / 6;
+  const std::size_t cap = core::whole_grid_resident_bytes(dim, spec.elem_bytes) / 6;
   const struct {
     const char* name;
     core::PhaseProgram program;
   } programs[] = {
       {"cpu-tiled", core::plan_phases(in, TunableParams{8, -1, -1, 1})},
       {"single-gpu-band", core::plan_phases(in, band)},
-      {"streamed-band",
-       core::plan_phases_streamed(in, band, cpu::Scheduler::kBarrier, cap)},
+      {"streamed-band", core::apply_residency_cap(core::plan_phases(in, band), in, cap, exec)},
       {"quad-gpu-halo", core::plan_phases(in, quad)},
   };
   // The streamed program really splits its GPU band into several strips,
