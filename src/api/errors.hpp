@@ -14,7 +14,7 @@
 namespace wavetune::api {
 
 /// EngineOptions carried a value no engine can serve with — a zero
-/// batch_limit or queue capacity, a strip pool outside [1, 3]. Thrown by
+/// batch_limit or queue capacity. Thrown by
 /// the Engine constructor BEFORE any worker spawns, so a misconfigured
 /// deployment fails loudly at startup instead of deadlocking or silently
 /// misbehaving under load.
