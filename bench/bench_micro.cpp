@@ -399,7 +399,7 @@ core::WavefrontSpec micro_spec(const std::string& app, std::size_t dim) {
 }
 
 struct MicroResult {
-  // ABI axis (single-worker pool: dispatch + compute, no pool noise):
+  // ABI axis (tile walk on the calling thread: dispatch + compute, no pool):
   double per_cell_ns = 0.0;  ///< ns/cell, cell-only spec (both fallbacks)
   double segment_ns = 0.0;   ///< ns/cell, segment-only spec (tile fallback)
   double tile_ns = 0.0;      ///< ns/cell, the spec's native tile kernel
@@ -500,18 +500,41 @@ double time_lowered_sweep_ns(cpu::Scheduler sched, std::size_t dim, cpu::ThreadP
   return std::chrono::duration<double, std::nano>(t1 - t0).count();
 }
 
+/// Wall-clock of one full sweep on the calling thread as one
+/// LoweredKernel::tile call per tile, in tile-diagonal order — the order
+/// bench/BENCH_micro.json was recorded in. The schedulers run a one-worker
+/// pool as ONE serial call, which would time every tile width the same, so
+/// the kernel-ABI axis walks its tiles here instead.
+double time_tile_walk_ns(std::size_t dim, std::size_t tile, const core::LoweredKernel& kernel,
+                         std::byte* data) {
+  const core::StorageView view{data, 0};
+  const std::size_t M = (dim + tile - 1) / tile;  // tiles per side
+  const std::size_t d_end = core::num_diagonals(dim);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t k = 0; k < core::num_diagonals(M); ++k) {
+    for (std::size_t I = core::diag_row_lo(M, k); I <= core::diag_row_hi(M, k); ++I) {
+      const std::size_t J = k - I;
+      kernel.tile(view, I * tile, std::min(I * tile + tile, dim), J * tile,
+                  std::min(J * tile + tile, dim), 0, d_end);
+    }
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::nano>(t1 - t0).count();
+}
+
 /// No-op tile entry point: measuring a sweep through this isolates the
 /// scheduler + lowered-dispatch machinery from kernel compute.
 void noop_tile_kernel(const void*, std::size_t, std::size_t, std::size_t, std::size_t,
                       std::size_t, const std::byte*, const std::byte*, const std::byte*,
                       std::byte*) {}
 
-/// `abi_pool` has ONE worker: parallel_for runs inline, so the ABI-axis
-/// numbers compare pure dispatch + compute with no pool-scheduling noise
-/// masking the delta. `sched_pool` has >= 4 workers: the scheduler-axis
-/// numbers (barrier vs dataflow) measure exactly that contention.
+/// The ABI axis walks tiles on the calling thread (time_tile_walk_ns), so
+/// its numbers compare pure dispatch + compute with no pool-scheduling
+/// noise masking the delta. `sched_pool` has >= 4 workers: the
+/// scheduler-axis numbers (barrier vs dataflow) measure exactly that
+/// contention.
 MicroResult run_micro(const std::string& app, std::size_t dim, std::size_t tile,
-                      cpu::ThreadPool& abi_pool, cpu::ThreadPool& sched_pool, int reps,
+                      cpu::ThreadPool& sched_pool, int reps,
                       bool sched_axis_on, SchedAxis sched_axis, AbiAxis abi_axis) {
   const core::WavefrontSpec spec = micro_spec(app, dim);
   core::Grid grid(spec.dim, spec.elem_bytes);
@@ -553,36 +576,37 @@ MicroResult run_micro(const std::string& app, std::size_t dim, std::size_t tile,
   double best_flow = 1e300;
   double best_tile = 1e300;
   double best_dispatch = 1e300;
-  const auto sweep = [&](cpu::Scheduler sched, cpu::ThreadPool& pool,
-                         const core::LoweredKernel& kernel) {
-    return time_lowered_sweep_ns(sched, dim, pool, tile, kernel, data);
+  const auto sweep = [&](cpu::Scheduler sched, const core::LoweredKernel& kernel) {
+    return time_lowered_sweep_ns(sched, dim, sched_pool, tile, kernel, data);
   };
-  constexpr cpu::Scheduler kBarrier = cpu::Scheduler::kBarrier;
+  const auto walk = [&](const core::LoweredKernel& kernel) {
+    return time_tile_walk_ns(dim, tile, kernel, data);
+  };
   // One warmup each, then best-of-reps to shed noise.
   for (int rep = -1; rep < reps; ++rep) {
     const bool warm = rep < 0;
     if (abi_cell) {
-      const double t = sweep(kBarrier, abi_pool, per_cell);
+      const double t = walk(per_cell);
       if (!warm) best_cell = std::min(best_cell, t);
     }
     if (abi_segment) {
-      const double t = sweep(kBarrier, abi_pool, segment);
+      const double t = walk(segment);
       if (!warm) best_seg = std::min(best_seg, t);
     }
     if (abi_tile) {
-      const double t = sweep(kBarrier, abi_pool, lowered);
-      const double d = sweep(kBarrier, abi_pool, noop);
+      const double t = walk(lowered);
+      const double d = walk(noop);
       if (!warm) {
         best_tile = std::min(best_tile, t);
         best_dispatch = std::min(best_dispatch, d);
       }
     }
     if (barrier) {
-      const double t = sweep(kBarrier, sched_pool, lowered);
+      const double t = sweep(cpu::Scheduler::kBarrier, lowered);
       if (!warm) best_bar = std::min(best_bar, t);
     }
     if (dataflow) {
-      const double t = sweep(cpu::Scheduler::kDataflow, sched_pool, lowered);
+      const double t = sweep(cpu::Scheduler::kDataflow, lowered);
       if (!warm) best_flow = std::min(best_flow, t);
     }
   }
@@ -609,15 +633,14 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_expl
   // they ride along with the full ABI ladder (the default) or when asked
   // for, so a single-rung run (the checked-in tile ledger) stays that.
   const bool sched_on = sched_explicit || abi_axis == AbiAxis::kAll;
-  // Two pools, one per axis: the scheduler comparison needs real
-  // contention — at least 4 workers (more when the host has them), per
-  // the perf-trajectory contract — while the kernel-ABI comparison wants
-  // NO contention (a single worker makes parallel_for run inline), so
-  // pool-scheduling noise can't mask the dispatch delta. The contended
-  // pool only spins up when a scheduler sweep will actually use it.
+  // The scheduler comparison needs real contention — at least 4 workers
+  // (more when the host has them), per the perf-trajectory contract —
+  // while the kernel-ABI comparison wants NO contention, so it walks its
+  // tiles on this thread and pool-scheduling noise can't mask the
+  // dispatch delta. The contended pool only spins up when a scheduler
+  // sweep will actually use it.
   std::size_t hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
-  cpu::ThreadPool abi_pool(1);
   cpu::ThreadPool sched_pool(sched_on ? std::max<std::size_t>(4, hw) : 1);
   const std::vector<std::size_t> dims =
       quick ? std::vector<std::size_t>{512} : std::vector<std::size_t>{512, 2048};
@@ -628,7 +651,7 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_expl
     for (const std::size_t dim : dims) {
       for (const std::size_t tile : tiles) {
         const MicroResult r =
-            run_micro(app, dim, tile, abi_pool, sched_pool, reps, sched_on, sched_axis, abi_axis);
+            run_micro(app, dim, tile, sched_pool, reps, sched_on, sched_axis, abi_axis);
         util::Json row = util::Json::object();
         row["app"] = util::Json(app);
         row["dim"] = util::Json(dim);
@@ -724,7 +747,7 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_expl
                                                                       : "tile");
   doc["quick"] = util::Json(quick);
   if (sched_on) doc["workers"] = util::Json(sched_pool.worker_count());
-  doc["abi_workers"] = util::Json(abi_pool.worker_count());
+  doc["abi_workers"] = util::Json(1);  // the ABI axis runs on the calling thread
   doc["runs"] = std::move(runs);
   doc["nash_tile_kernel"] = std::move(nash_runs);
 

@@ -455,8 +455,8 @@ RunResult HybridExecutor::execute(const InputParams& in, const PhaseProgram& pro
                                       in.elem_bytes());
         if (f) {
           // All active grids through ONE scheduling structure (one barrier
-          // sweep or one dep-counter graph), grids innermost. n == 1 is
-          // exactly the historical single-grid path.
+          // sweep or one dep-counter graph, grids innermost; one serial
+          // sweep per grid at one worker). n == 1 is the single-grid path.
           f->storages.clear();
           for (std::size_t m : f->active) {
             f->storages.push_back({f->members[m].host->data(), 0});

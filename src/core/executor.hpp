@@ -193,9 +193,10 @@ public:
   /// Continuous-batching entry point: interprets `program` ONCE for all
   /// members' grids. CPU phases drive every grid through one scheduling
   /// structure (one barrier sweep or one dep-counter graph, grids
-  /// innermost); GPU phases run one simulated charging pass per phase
-  /// with the functional transfers/kernels looped per member — so the
-  /// per-phase fixed costs are paid once per batch, not once per grid.
+  /// innermost; one serial sweep per grid at one worker); GPU phases run
+  /// one simulated charging pass per phase with the functional
+  /// transfers/kernels looped per member — so the per-phase fixed costs
+  /// are paid once per batch, not once per grid.
   /// Each member keeps its own storage and simulated timing: a surviving
   /// member's grid and RunResult simulated fields are bit-identical to a
   /// lone run() of the same program (measured wall_ns is attributed as

@@ -204,19 +204,6 @@ struct DataflowState {
   }
 };
 
-/// In-order inline sweep for degenerate cases (single worker, or so few
-/// tiles that scheduling can't pay): same tile order as the barriered
-/// path's serial fallback.
-void run_inline(DataflowState& state) {
-  const TileDiagRange& range = state.range;
-  for (std::size_t k = range.k_lo; k <= range.k_hi; ++k) {
-    const std::size_t i_hi = std::min(core::diag_row_hi(state.M, k), state.I_hi - 1);
-    for (std::size_t I = state.first_row(k); I <= i_hi; ++I) {
-      state.execute(I, k - I);
-    }
-  }
-}
-
 }  // namespace
 
 const char* scheduler_name(Scheduler s) {
@@ -255,7 +242,7 @@ void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
   }
   if (n_tiles == 0) return;
   if (pool.worker_count() <= 1 || n_tiles <= 2) {
-    run_inline(state);  // counters stay untouched
+    for (const core::StorageView& view : views) run_serial_wavefront(region, kernel, view);
     return;
   }
 

@@ -57,6 +57,9 @@ const char* scheduler_name(Scheduler s);
 /// the kernel — including from tiles stolen by other workers — propagate
 /// to the caller (first one wins); remaining tiles are skipped. Throws
 /// std::invalid_argument when `views` is empty.
+/// A one-worker pool or a region of at most two tiles runs as one
+/// run_serial_wavefront call per view instead, with no dep graph, while
+/// dataflow_wavefront_cost_ns still prices the tiled schedule.
 void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
                             const core::LoweredKernel& kernel,
                             std::span<const core::StorageView> views);

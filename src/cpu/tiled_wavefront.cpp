@@ -110,6 +110,10 @@ void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
                          std::span<const core::StorageView> views) {
   region.validate();
   if (views.empty()) throw std::invalid_argument("run_tiled_wavefront: no storage views");
+  if (pool.worker_count() <= 1) {
+    for (const core::StorageView& view : views) run_serial_wavefront(region, kernel, view);
+    return;
+  }
   if (region.d_begin == region.d_end) return;
   const std::size_t T = region.tile;
   const std::size_t M = (region.dim + T - 1) / T;  // tiles per side
@@ -140,13 +144,9 @@ void run_serial_wavefront(const TiledRegion& region, const core::LoweredKernel& 
                           core::StorageView view) {
   region.validate();
   if (region.d_begin == region.d_end) return;
-  // One band-clamped dispatch over the whole remaining rectangle: a full
-  // sweep (everything in band) is a SINGLE kernel call — row-major order
-  // over the rectangle satisfies every wavefront dependency — and a band
-  // slice is one call of the kernel's band-clamped entry, or one block per
-  // clamped row for kernels without one. Rows below diag_row_lo(dim, d_begin) have an empty
-  // band span, so a band starting deep in the grid (phase-3 runs) skips
-  // straight to the first row that intersects it.
+  // One band-clamped dispatch over the rectangle: row-major order meets
+  // every wavefront dependency. Rows before diag_row_lo(dim, d_begin) miss
+  // the band, so a band deep in the grid starts at its first row.
   const std::size_t i_first =
       std::max(core::diag_row_lo(region.dim, region.d_begin), region.row_begin);
   const std::size_t i_last = region.row_hi();

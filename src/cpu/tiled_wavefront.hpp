@@ -84,17 +84,19 @@ struct TiledRegion {
 /// window must lie inside each view's resident rows (one halo row above
 /// row_begin when the band reads north neighbours). Throws
 /// std::invalid_argument when `views` is empty.
+/// One worker has no parallel slack to trade for cache reuse: there the
+/// region runs as one run_serial_wavefront call per view, walking no tile,
+/// while tiled_wavefront_cost_ns still prices the tiled schedule.
 void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
                          const core::LoweredKernel& kernel,
                          std::span<const core::StorageView> views);
 
-/// Sequential reference: visits the same cells in row-major order (which
-/// also respects dependencies). Used as the functional part of the
-/// sequential baseline. A fully-in-band region is a SINGLE kernel call
-/// over the whole rectangle (row-major order satisfies every
-/// dependency); a banded region is one LoweredKernel::tile() call too,
-/// which the kernel's band-clamped entry takes whole where it has one
-/// (one block per clamped row otherwise).
+/// Sequential reference and the only single-thread walk (both schedulers
+/// run a one-worker pool through it): visits the same cells in row-major
+/// order, which satisfies every dependency. A fully-in-band region is ONE
+/// kernel call over the whole rectangle; a banded region is one
+/// LoweredKernel::tile() call too, which the kernel's band-clamped entry
+/// takes whole where it has one (one block per clamped row otherwise).
 void run_serial_wavefront(const TiledRegion& region, const core::LoweredKernel& kernel,
                           core::StorageView view);
 

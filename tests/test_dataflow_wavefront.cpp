@@ -201,6 +201,59 @@ TEST(DataflowWavefront, SingleWorkerPoolRunsInline) {
   }
 }
 
+/// run_serial_wavefront once per view, as a test runner.
+void serial_per_view(const TiledRegion& region, const core::LoweredKernel& kernel,
+                     std::span<const core::StorageView> views) {
+  for (const core::StorageView& view : views) run_serial_wavefront(region, kernel, view);
+}
+
+/// The calls `run` issues for `region` over `n_views` views are exactly
+/// the serial sweep's calls per view, in that order.
+void expect_serial_calls(const oracles::Runner& run, const TiledRegion& region,
+                         std::size_t n_views, const char* what) {
+  const std::vector<oracles::Block> got = oracles::record_blocks(run, region, n_views);
+  const std::vector<oracles::Block> want =
+      oracles::record_blocks(&serial_per_view, region, n_views);
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t b = 0; b < got.size(); ++b) {
+    EXPECT_TRUE(got[b].same_call(want[b]))
+        << what << " call " << b << ": rows " << got[b].i0 << ".." << got[b].i1 << " cols "
+        << got[b].j0 << ".." << got[b].j1 << " view " << got[b].view;
+  }
+}
+
+// A one-worker pool walks no tiles: both schedulers run the region as one
+// run_serial_wavefront call per view — for a whole grid, a band slice, a
+// strip's row window and a fused batch of three views.
+TEST(OneWorkerPool, BothSchedulersRunTheSerialSweepPerView) {
+  ThreadPool pool(1);
+  const std::size_t dim = 20;
+  for (Scheduler s : {Scheduler::kBarrier, Scheduler::kDataflow}) {
+    const oracles::Runner run = [&pool, s](const TiledRegion& region,
+                                           const core::LoweredKernel& kernel,
+                                           std::span<const core::StorageView> views) {
+      run_wavefront(s, region, pool, kernel, views);
+    };
+    const TiledRegion whole_grid{dim, 0, 2 * dim - 1, 4};
+    expect_serial_calls(run, whole_grid, 1, scheduler_name(s));
+    EXPECT_EQ(oracles::record_blocks(run, whole_grid).size(), 1u) << scheduler_name(s);
+    expect_serial_calls(run, TiledRegion{dim, 6, 30, 4}, 1, scheduler_name(s));
+    expect_serial_calls(run, TiledRegion{dim, 6, 30, 4, 5, 13}, 1, scheduler_name(s));
+    expect_serial_calls(run, TiledRegion{dim, 9, 2 * dim - 1, 4}, 3, scheduler_name(s));
+  }
+}
+
+// A dataflow region of at most two tiles has nothing to schedule, even on
+// a wide pool: it runs as the serial sweep too.
+TEST(DataflowWavefront, TwoTileRegionRunsTheSerialSweep) {
+  ThreadPool pool(4);
+  // dim 16, tile 8, rows [0, 8): tiles (0,0) and (0,1) only.
+  const TiledRegion region{16, 0, 31, 8, 0, 8};
+  expect_serial_calls(dataflow_on(pool), region, 1, "two tiles");
+  expect_serial_calls(dataflow_on(pool), region, 3, "two tiles, three views");
+  EXPECT_EQ(serial_reference(region), dataflow(pool, region));
+}
+
 TEST(DataflowWavefront, SchedulerNames) {
   EXPECT_STREQ(scheduler_name(Scheduler::kBarrier), "barrier");
   EXPECT_STREQ(scheduler_name(Scheduler::kDataflow), "dataflow");

@@ -289,9 +289,10 @@ TEST(LoweredDispatch, TiledBandSlicesMatchSerialValues) {
 }
 
 // Every kernel call's block lies inside one tile and inside the band (and
-// the strip's row window), for the barrier and the serial sweeps.
+// the strip's row window) wherever the barrier sweep schedules tiles: on a
+// pool of two or more workers (one worker runs the serial sweep instead).
 TEST(LoweredDispatch, BlocksNeverCrossTileOrBandBoundaries) {
-  ThreadPool pool(1);  // deterministic single-worker run
+  ThreadPool pool(2);
   for (const TiledRegion& region : {TiledRegion{20, 6, 30, 8}, TiledRegion{20, 0, 39, 8},
                                     TiledRegion{20, 6, 30, 8, 5, 13}}) {
     oracles::expect_blocks_inside_tiles_and_band(tiled_on(pool), region);

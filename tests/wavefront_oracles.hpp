@@ -118,32 +118,55 @@ using Runner =
     std::function<void(const cpu::TiledRegion& region, const core::LoweredKernel& kernel,
                        std::span<const core::StorageView> views)>;
 
-/// One kernel call as the scheduler issued it, and the thread it ran on.
+/// One kernel call as the scheduler issued it, the thread it ran on, and
+/// the index of the storage view it wrote.
 struct Block {
   std::size_t i0, i1, j0, j1;
   std::thread::id thread;
-};
+  std::size_t view = 0;
 
-/// Tile kernel that writes nothing and records every call it receives.
-struct BlockLog {
-  std::mutex mutex;
-  std::vector<Block> blocks;
-
-  static void record(const void* ctx, std::size_t i0, std::size_t i1, std::size_t j0,
-                     std::size_t j1, std::size_t, const std::byte*, const std::byte*,
-                     const std::byte*, std::byte*) {
-    auto* log = const_cast<BlockLog*>(static_cast<const BlockLog*>(ctx));
-    std::lock_guard<std::mutex> lock(log->mutex);
-    log->blocks.push_back({i0, i1, j0, j1, std::this_thread::get_id()});
+  /// Same call: block and view (the thread may differ).
+  bool same_call(const Block& o) const {
+    return i0 == o.i0 && i1 == o.i1 && j0 == o.j0 && j1 == o.j1 && view == o.view;
   }
 };
 
-/// Every kernel call `run` issues for `region` over one whole-grid view.
-inline std::vector<Block> record_blocks(const Runner& run, const cpu::TiledRegion& region) {
+/// Tile kernel that writes nothing and records every call it receives,
+/// with the view whose storage (`bases[v]`, `bytes` long) it wrote.
+struct BlockLog {
+  std::mutex mutex;
+  std::vector<Block> blocks;
+  std::vector<const std::byte*> bases;
+  std::size_t bytes = 0;
+
+  static void record(const void* ctx, std::size_t i0, std::size_t i1, std::size_t j0,
+                     std::size_t j1, std::size_t, const std::byte*, const std::byte*,
+                     const std::byte*, std::byte* out) {
+    auto* log = const_cast<BlockLog*>(static_cast<const BlockLog*>(ctx));
+    const auto at = reinterpret_cast<std::uintptr_t>(out);
+    std::size_t view = 0;
+    for (std::size_t v = 0; v < log->bases.size(); ++v) {
+      const auto base = reinterpret_cast<std::uintptr_t>(log->bases[v]);
+      if (base <= at && at < base + log->bytes) view = v;
+    }
+    std::lock_guard<std::mutex> lock(log->mutex);
+    log->blocks.push_back({i0, i1, j0, j1, std::this_thread::get_id(), view});
+  }
+};
+
+/// Every kernel call `run` issues for `region` over `n_views` whole-grid
+/// views, each its own storage.
+inline std::vector<Block> record_blocks(const Runner& run, const cpu::TiledRegion& region,
+                                        std::size_t n_views = 1) {
   BlockLog log;
-  std::vector<Cell> storage(region.dim * region.dim, 0);
-  const core::StorageView view = whole(storage);
-  run(region, lowered(&BlockLog::record, region.dim, &log), {&view, 1});
+  log.bytes = region.dim * region.dim * sizeof(Cell);
+  std::vector<std::vector<Cell>> storages(n_views, std::vector<Cell>(region.dim * region.dim, 0));
+  std::vector<core::StorageView> views;
+  for (std::vector<Cell>& storage : storages) {
+    views.push_back(whole(storage));
+    log.bases.push_back(views.back().base);
+  }
+  run(region, lowered(&BlockLog::record, region.dim, &log), views);
   return log.blocks;
 }
 
