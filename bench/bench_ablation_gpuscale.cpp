@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     for (const int n : {1, 2, 3, 4}) {
       core::TunableParams p{8, band, n >= 2 ? 4LL : -1LL, 1};
       p.gpus = n;
-      const auto r = ex.estimate(in, p);
+      const auto r = ex.estimate(in, core::plan_phases(in, p));
       if (n == 1) one_gpu = r.rtime_ns;
       table.row()
           .add(tsize, 0)

@@ -23,10 +23,13 @@ int main(int argc, char** argv) {
                      "cpu-only (s)"});
   for (const double tsize : {30.0, 500.0, 8000.0}) {
     const core::InputParams in{dim, tsize, 1};
-    const double cpu_only = ex.estimate(in, core::TunableParams{8, -1, -1, 1}).rtime_ns;
-    const auto untiled = ex.estimate(in, core::TunableParams{4, band, -1, 1});
+    const double cpu_only =
+        ex.estimate(in, core::plan_phases(in, core::TunableParams{8, -1, -1, 1})).rtime_ns;
+    const auto untiled =
+        ex.estimate(in, core::plan_phases(in, core::TunableParams{4, band, -1, 1}));
     for (const int gt : {1, 4, 8, 11, 16, 21, 25}) {
-      const auto r = ex.estimate(in, core::TunableParams{4, band, -1, gt});
+      const auto r =
+          ex.estimate(in, core::plan_phases(in, core::TunableParams{4, band, -1, gt}));
       table.row()
           .add(tsize, 0)
           .add(gt)

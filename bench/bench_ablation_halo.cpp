@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
     std::vector<core::RunResult> rows;
     std::vector<long long> halos{0, 1, 2, 5, 10, 20, 40, 80, 160};
     for (long long h : halos) {
-      const auto r = ex.estimate(in, core::TunableParams{4, band, h, 1});
+      const auto r = ex.estimate(in, core::plan_phases(in, core::TunableParams{4, band, h, 1}));
       rows.push_back(r);
       if (r.rtime_ns < best_t) {
         best_t = r.rtime_ns;

@@ -33,9 +33,13 @@ int main(int argc, char** argv) {
 
   for (const auto& s : scenarios) {
     ocl::Trace trace;
-    const core::RunResult r = ex.estimate(in, s.params, &trace);
+    const core::RunResult r = ex.estimate(in, core::plan_phases(in, s.params), &trace);
+    double gpu_ns = 0.0;
+    for (const core::PhaseTiming& t : r.breakdown.phases) {
+      if (t.device != core::PhaseDevice::kCpu) gpu_ns += t.ns;
+    }
     std::cout << "== " << s.label << " — " << r.params.describe() << " ==\n"
-              << "gpu phase: " << sim::format_time(r.breakdown.gpu_ns()) << ", "
+              << "gpu phase: " << sim::format_time(gpu_ns) << ", "
               << trace.count(ocl::CommandKind::Kernel) << " kernels, "
               << r.breakdown.swap_count() << " swaps, " << r.breakdown.redundant_cells()
               << " redundant cells\n"

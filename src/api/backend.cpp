@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "api/plan.hpp"
-#include "autotune/sched_select.hpp"
 #include "util/strings.hpp"
 
 namespace wavetune::api {
@@ -87,111 +86,94 @@ public:
   }
 };
 
-/// Shared prepare of the pure-CPU backends: the cpu_tile of the incoming
-/// tuning is kept; any offload request (band, halo, gpus, gpu_tile) is
-/// stripped at prepare time.
+/// The four built-in backends that compile a real program: each is a
+/// name, a prepare function and a plan function, and runs and estimates
+/// through Backend's interpreter defaults.
+class ProgramBackend final : public Backend {
+public:
+  using PrepareFn = core::TunableParams (*)(const core::InputParams&, const core::TunableParams&,
+                                            const sim::SystemProfile&);
+  using PlanFn = core::PhaseProgram (*)(const core::InputParams&, const core::TunableParams&,
+                                        const sim::SystemProfile&);
+
+  ProgramBackend(std::string name, PrepareFn prepare, PlanFn plan)
+      : name_(std::move(name)), prepare_(prepare), plan_(plan) {}
+
+  const std::string& name() const override { return name_; }
+
+  core::TunableParams prepare(const core::InputParams& in, const core::TunableParams& params,
+                              const sim::SystemProfile& profile) const override {
+    return prepare_(in, params, profile);
+  }
+
+  core::PhaseProgram plan(const core::InputParams& in, const core::TunableParams& prepared,
+                          const sim::SystemProfile& profile) const override {
+    return plan_(in, prepared, profile);
+  }
+
+private:
+  std::string name_;
+  PrepareFn prepare_;
+  PlanFn plan_;
+};
+
+/// Prepare of the pure-CPU backends: the cpu_tile of the incoming tuning
+/// is kept; any offload request (band, halo, gpus, gpu_tile) is stripped.
 core::TunableParams prepare_cpu_only(const core::InputParams& in,
-                                     const core::TunableParams& params) {
+                                     const core::TunableParams& params,
+                                     const sim::SystemProfile&) {
   in.validate();
   core::TunableParams p;
   p.cpu_tile = params.cpu_tile;
   return p.normalized(in.dim);
 }
 
-/// "cpu-tiled": tiled-parallel CPU execution with no GPU phase, under the
-/// paper's barriered per-tile-diagonal scheduling.
-class CpuTiledBackend final : public Backend {
-public:
-  const std::string& name() const override {
-    static const std::string n = kCpuTiledBackend;
-    return n;
+/// Prepare of "hybrid": the whole tuning, checked against the profile's
+/// GPU count.
+core::TunableParams prepare_hybrid(const core::InputParams& in, const core::TunableParams& params,
+                                   const sim::SystemProfile& profile) {
+  in.validate();
+  const core::TunableParams p = params.normalized(in.dim);
+  if (p.gpu_count() > profile.gpu_count()) {
+    throw std::invalid_argument("backend 'hybrid': tuning requests " +
+                                std::to_string(p.gpu_count()) + " GPU(s) but system '" +
+                                profile.name + "' has " + std::to_string(profile.gpu_count()));
   }
+  return p;
+}
 
-  core::TunableParams prepare(const core::InputParams& in, const core::TunableParams& params,
-                              const sim::SystemProfile&) const override {
-    return prepare_cpu_only(in, params);
-  }
-};
+/// The paper's program with barriered CPU phases ("cpu-tiled", "hybrid").
+core::PhaseProgram plan_barrier(const core::InputParams& in, const core::TunableParams& prepared,
+                                const sim::SystemProfile&) {
+  return core::plan_phases(in, prepared, cpu::Scheduler::kBarrier);
+}
 
-/// "cpu-dataflow": tiled-parallel CPU execution under the dependency-
-/// counter dataflow scheduler (cpu/dataflow_wavefront.hpp) — no
-/// inter-diagonal barriers, work stealing across the pool. Prepared
-/// tunings are identical to "cpu-tiled" (GPU offload stripped, cpu_tile
-/// kept), and results are bit-identical; only the schedule (and therefore
-/// the charged simulated time) differs.
-class CpuDataflowBackend final : public Backend {
-public:
-  const std::string& name() const override {
-    static const std::string n = kCpuDataflowBackend;
-    return n;
-  }
+/// The same program under the dataflow scheduler ("cpu-dataflow"):
+/// bit-identical grids, a different schedule and simulated charge.
+core::PhaseProgram plan_dataflow(const core::InputParams& in, const core::TunableParams& prepared,
+                                 const sim::SystemProfile&) {
+  return core::plan_phases(in, prepared, cpu::Scheduler::kDataflow);
+}
 
-  core::TunableParams prepare(const core::InputParams& in, const core::TunableParams& params,
-                              const sim::SystemProfile&) const override {
-    return prepare_cpu_only(in, params);
-  }
-
-  core::PhaseProgram plan(const core::InputParams& in, const core::TunableParams& prepared,
-                          const sim::SystemProfile&) const override {
-    return core::plan_phases(in, prepared, cpu::Scheduler::kDataflow);
-  }
-};
-
-/// "cpu-auto": tiled-parallel CPU execution that picks the scheduling
-/// discipline PER PHASE at plan time: the analytic cost models decide
-/// barrier vs dataflow for every CPU phase of the program the same way
-/// the paper's autotuner decides band/halo/tile. The chosen program is
-/// what the plan carries, so run and estimate CANNOT disagree on the
-/// discipline — the choice is data, not a per-call re-derivation.
-class CpuAutoBackend final : public Backend {
-public:
-  const std::string& name() const override {
-    static const std::string n = kCpuAutoBackend;
-    return n;
-  }
-
-  core::TunableParams prepare(const core::InputParams& in, const core::TunableParams& params,
-                              const sim::SystemProfile&) const override {
-    return prepare_cpu_only(in, params);
-  }
-
-  core::PhaseProgram plan(const core::InputParams& in, const core::TunableParams& prepared,
-                          const sim::SystemProfile& profile) const override {
-    return autotune::tune_cpu_schedulers(core::plan_phases(in, prepared), in, profile.cpu);
-  }
-};
-
-/// "hybrid": the paper's three-phase CPU/GPU schedule — the default
-/// program of core::plan_phases, with validation hoisted to compile time.
-class HybridBackend final : public Backend {
-public:
-  const std::string& name() const override {
-    static const std::string n = kHybridBackend;
-    return n;
-  }
-
-  core::TunableParams prepare(const core::InputParams& in, const core::TunableParams& params,
-                              const sim::SystemProfile& profile) const override {
-    in.validate();
-    const core::TunableParams p = params.normalized(in.dim);
-    if (p.gpu_count() > profile.gpu_count()) {
-      throw std::invalid_argument("backend 'hybrid': tuning requests " +
-                                  std::to_string(p.gpu_count()) + " GPU(s) but system '" +
-                                  profile.name + "' has " +
-                                  std::to_string(profile.gpu_count()));
-    }
-    return p;
-  }
-};
+/// "cpu-auto": the cost model picks each CPU phase's scheduler at plan
+/// time, so run and estimate interpret the same choice.
+core::PhaseProgram plan_auto(const core::InputParams& in, const core::TunableParams& prepared,
+                             const sim::SystemProfile& profile) {
+  return core::tune_cpu_schedulers(core::plan_phases(in, prepared), in, profile.cpu);
+}
 
 }  // namespace
 
 BackendRegistry::BackendRegistry() {
   backends_[kSerialBackend] = std::make_shared<SerialBackend>();
-  backends_[kCpuTiledBackend] = std::make_shared<CpuTiledBackend>();
-  backends_[kCpuDataflowBackend] = std::make_shared<CpuDataflowBackend>();
-  backends_[kCpuAutoBackend] = std::make_shared<CpuAutoBackend>();
-  backends_[kHybridBackend] = std::make_shared<HybridBackend>();
+  backends_[kCpuTiledBackend] =
+      std::make_shared<ProgramBackend>(kCpuTiledBackend, prepare_cpu_only, plan_barrier);
+  backends_[kCpuDataflowBackend] =
+      std::make_shared<ProgramBackend>(kCpuDataflowBackend, prepare_cpu_only, plan_dataflow);
+  backends_[kCpuAutoBackend] =
+      std::make_shared<ProgramBackend>(kCpuAutoBackend, prepare_cpu_only, plan_auto);
+  backends_[kHybridBackend] =
+      std::make_shared<ProgramBackend>(kHybridBackend, prepare_hybrid, plan_barrier);
 }
 
 BackendRegistry& BackendRegistry::instance() {

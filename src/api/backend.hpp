@@ -8,10 +8,14 @@
 // batch of same-plan jobs (a lone job is a batch of one) and is the only
 // call that executes a job. The default run/estimate simply interpret the
 // plan's program — one interpreter, two modes — so most backends only
-// customise plan(). The built-ins mirror the execution paths that call
-// sites previously picked by hand:
+// customise prepare() and plan(). The built-ins:
 //
-//   "serial"       optimized sequential baseline (HybridExecutor::run_serial)
+//   "serial"       optimized sequential baseline (HybridExecutor::run_serial),
+//                  with its own run() and estimate()
+//
+// and four that are one class (api/backend.cpp), each a name, a prepare
+// function and a plan function:
+//
 //   "cpu-tiled"    tiled-parallel CPU only, barriered per-tile-diagonal
 //                  scheduling — any GPU offload in the tuning is stripped
 //                  at prepare time
@@ -20,8 +24,7 @@
 //                  barriers; see cpu/dataflow_wavefront.hpp) — same
 //                  prepare-time GPU stripping, bit-identical results
 //   "cpu-auto"     tiled-parallel CPU only; picks barrier vs dataflow per
-//                  input through the analytic cost models
-//                  (autotune::choose_cpu_scheduler)
+//                  CPU phase at plan time (core::tune_cpu_schedulers)
 //   "hybrid"       the paper's full three-phase CPU/GPU schedule
 //
 // User backends register through BackendRegistry::instance().add(...) and

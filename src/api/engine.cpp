@@ -612,18 +612,7 @@ Plan Engine::compile_impl(const core::WavefrontSpec* spec, const core::InputPara
   // after the same validation), and BOTH run and estimate interpret it.
   if (options.program) {
     state->program = *options.program;
-    state->program.validate();
-    if (state->program.dim != in.dim) {
-      throw std::invalid_argument("Engine::compile: custom program dim " +
-                                  std::to_string(state->program.dim) +
-                                  " does not match instance dim " + std::to_string(in.dim));
-    }
-    if (state->program.max_gpu_count() > executor_.profile().gpu_count()) {
-      throw std::invalid_argument("Engine::compile: custom program requests " +
-                                  std::to_string(state->program.max_gpu_count()) +
-                                  " GPU(s) but system '" + executor_.profile().name + "' has " +
-                                  std::to_string(executor_.profile().gpu_count()));
-    }
+    state->program.validate_for(in.dim, executor_.profile());
   } else {
     state->program = backend->plan(in, state->params, executor_.profile());
     // Residency-capped streaming: when the backend's single-GPU device

@@ -17,7 +17,7 @@ BaselineTimes compute_baselines(const core::HybridExecutor& executor,
   out.cpu_parallel_ns = std::numeric_limits<double>::infinity();
   for (int ct : cpu_tiles) {
     const core::TunableParams p{ct, -1, -1, 1};
-    const double t = executor.estimate(instance, p).rtime_ns;
+    const double t = executor.estimate(instance, core::plan_phases(instance, p)).rtime_ns;
     if (t < out.cpu_parallel_ns) {
       out.cpu_parallel_ns = t;
       out.cpu_parallel_params = p.normalized(instance.dim);
@@ -31,7 +31,7 @@ BaselineTimes compute_baselines(const core::HybridExecutor& executor,
   if (executor.profile().gpu_count() >= 1) {
     for (int gt : gpu_tiles) {
       const core::TunableParams p{1, full_band, -1, gt};
-      const double t = executor.estimate(instance, p).rtime_ns;
+      const double t = executor.estimate(instance, core::plan_phases(instance, p)).rtime_ns;
       if (t < out.gpu_only_ns) {
         out.gpu_only_ns = t;
         out.gpu_only_params = p.normalized(instance.dim);
@@ -43,7 +43,7 @@ BaselineTimes compute_baselines(const core::HybridExecutor& executor,
     for (double f : halo_fractions) {
       const auto h = static_cast<long long>(std::llround(f * static_cast<double>(hmax)));
       const core::TunableParams p{1, full_band, h, 1};
-      const double t = executor.estimate(instance, p).rtime_ns;
+      const double t = executor.estimate(instance, core::plan_phases(instance, p)).rtime_ns;
       if (t < out.gpu_only_ns) {
         out.gpu_only_ns = t;
         out.gpu_only_params = p.normalized(instance.dim);

@@ -106,7 +106,8 @@ OnlineTuneResult refine_online(const core::HybridExecutor& executor,
 
   OnlineTuneResult result;
   result.params = seed.normalized(instance.dim);
-  result.seed_rtime_ns = executor.estimate(instance, result.params).rtime_ns;
+  result.seed_rtime_ns =
+      executor.estimate(instance, core::plan_phases(instance, result.params)).rtime_ns;
   result.rtime_ns = result.seed_rtime_ns;
   ++result.evaluations;
 
@@ -127,7 +128,7 @@ OnlineTuneResult refine_online(const core::HybridExecutor& executor,
       if (cand.gpu_count() > max_gpus) continue;
       if (!seen.insert(key(cand)).second) continue;
       if (result.evaluations >= options.max_evaluations) break;
-      const double t = executor.estimate(instance, cand).rtime_ns;
+      const double t = executor.estimate(instance, core::plan_phases(instance, cand)).rtime_ns;
       ++result.evaluations;
       if (t < best_time) {
         best_time = t;

@@ -88,25 +88,6 @@ double PhaseBreakdown::total_wall_ns() const {
   return t;
 }
 
-double PhaseBreakdown::phase1_ns() const {
-  double t = 0.0;
-  for (const PhaseTiming& p : phases) {
-    if (p.device != PhaseDevice::kCpu) break;  // first GPU phase ends "phase 1"
-    t += p.ns;
-  }
-  return t;
-}
-
-double PhaseBreakdown::gpu_ns() const {
-  double t = 0.0;
-  for (const PhaseTiming& p : phases) {
-    if (p.device != PhaseDevice::kCpu) t += p.ns;
-  }
-  return t;
-}
-
-double PhaseBreakdown::phase3_ns() const { return total_ns() - phase1_ns() - gpu_ns(); }
-
 double PhaseBreakdown::transfer_in_ns() const {
   double t = 0.0;
   for (const PhaseTiming& p : phases) t += p.transfer_in_ns;
@@ -336,17 +317,6 @@ RunResult HybridExecutor::estimate(const InputParams& in, const PhaseProgram& pr
   return execute(in, program, nullptr, trace);
 }
 
-RunResult HybridExecutor::run(const WavefrontSpec& spec, const TunableParams& params,
-                              Grid& grid, ocl::Trace* trace, cpu::Scheduler scheduler,
-                              const LoweredKernel* lowered) {
-  return run(spec, plan_phases(spec.inputs(), params, scheduler), grid, trace, lowered);
-}
-
-RunResult HybridExecutor::estimate(const InputParams& in, const TunableParams& params,
-                                   ocl::Trace* trace, cpu::Scheduler scheduler) const {
-  return estimate(in, plan_phases(in, params, scheduler), trace);
-}
-
 RunResult HybridExecutor::run_serial(const WavefrontSpec& spec, Grid& grid,
                                      const LoweredKernel* lowered) const {
   spec.validate();
@@ -386,17 +356,7 @@ double HybridExecutor::estimate_serial(const InputParams& in) const {
 
 RunResult HybridExecutor::execute(const InputParams& in, const PhaseProgram& program,
                                   FunctionalCtx* fctx, ocl::Trace* trace) const {
-  program.validate();
-  if (program.dim != in.dim) {
-    throw std::invalid_argument("HybridExecutor: program dim " + std::to_string(program.dim) +
-                                " does not match instance dim " + std::to_string(in.dim));
-  }
-  if (program.max_gpu_count() > profile_.gpu_count()) {
-    throw std::invalid_argument("HybridExecutor: program requests " +
-                                std::to_string(program.max_gpu_count()) + " GPU(s) but system '" +
-                                profile_.name + "' has " +
-                                std::to_string(profile_.gpu_count()));
-  }
+  program.validate_for(in.dim, profile_);
 
   RunResult result;
   result.params = program.params;

@@ -88,25 +88,15 @@ struct PhaseTiming {
 };
 
 /// Simulated-time accounting of one execution: one PhaseTiming per program
-/// phase, in execution order. The legacy three-phase fields
-/// (phase1/gpu/phase3) are DERIVED accessors over the vector — for the
-/// paper's default program they mean exactly what they always did; for
-/// arbitrary programs they partition the total as documented.
+/// phase, in execution order. For the paper's default program the phases
+/// are the paper's phase 1 (CPU), the GPU band and phase 3 (CPU), with
+/// empty phases omitted.
 struct PhaseBreakdown {
   std::vector<PhaseTiming> phases;
 
   double total_ns() const;
   /// Measured wall time summed over every phase (0 for estimates).
   double total_wall_ns() const;
-
-  /// CPU time before the first GPU phase (all CPU time for pure-CPU
-  /// programs) — the paper's "phase 1".
-  double phase1_ns() const;
-  /// Total GPU time (transfers + kernels + swaps) across every GPU phase.
-  double gpu_ns() const;
-  /// CPU time from the first GPU phase onward — the paper's "phase 3".
-  /// phase1_ns() + gpu_ns() + phase3_ns() == total_ns() for any program.
-  double phase3_ns() const;
 
   // GPU-phase detail, summed over every GPU phase:
   double transfer_in_ns() const;
@@ -168,9 +158,9 @@ public:
 
   /// Functionally computes every cell of `grid` (whose dimensions must
   /// match the spec) by interpreting `program`, and returns the simulated
-  /// timing. Throws std::invalid_argument on spec/grid/program mismatch or
-  /// if any phase requests more GPUs than the profile has. A non-null
-  /// `trace` receives every GPU-phase command (see ocl/trace.hpp).
+  /// timing. Throws std::invalid_argument on spec/grid mismatch or when
+  /// `program.validate_for(spec.dim, profile())` rejects the program. A
+  /// non-null `trace` receives every GPU-phase command (ocl/trace.hpp).
   ///
   /// `lowered` is the plan-time kernel resolution (core/lowered.hpp):
   /// callers that compiled the spec once (api::Engine plans) pass their
@@ -215,19 +205,6 @@ public:
   /// execution — the same interpreter as run(), minus the kernel calls.
   RunResult estimate(const InputParams& in, const PhaseProgram& program,
                      ocl::Trace* trace = nullptr) const;
-
-  /// Convenience: compiles the paper's default program via
-  /// core::plan_phases(spec.inputs(), params, scheduler) and runs it.
-  RunResult run(const WavefrontSpec& spec, const TunableParams& params, Grid& grid,
-                ocl::Trace* trace = nullptr,
-                cpu::Scheduler scheduler = cpu::Scheduler::kBarrier,
-                const LoweredKernel* lowered = nullptr);
-
-  /// Convenience: compiles the same default program and estimates it —
-  /// by construction the exact program the run() convenience executes.
-  RunResult estimate(const InputParams& in, const TunableParams& params,
-                     ocl::Trace* trace = nullptr,
-                     cpu::Scheduler scheduler = cpu::Scheduler::kBarrier) const;
 
   /// Optimized sequential baseline: functional + simulated timing. Same
   /// `lowered` contract as run().

@@ -133,6 +133,19 @@ void PhaseProgram::validate() const {
   }
 }
 
+void PhaseProgram::validate_for(std::size_t instance_dim, const sim::SystemProfile& system) const {
+  validate();
+  if (dim != instance_dim) {
+    throw std::invalid_argument("PhaseProgram: dim " + std::to_string(dim) +
+                                " does not match instance dim " + std::to_string(instance_dim));
+  }
+  if (max_gpu_count() > system.gpu_count()) {
+    throw std::invalid_argument("PhaseProgram: requests " + std::to_string(max_gpu_count()) +
+                                " GPU(s) but system '" + system.name + "' has " +
+                                std::to_string(system.gpu_count()));
+  }
+}
+
 int PhaseProgram::max_gpu_count() const {
   int n = 0;
   for (const PhaseDesc& ph : phases) {
@@ -279,6 +292,21 @@ PhaseProgram apply_strips(PhaseProgram program, std::size_t strip_rows,
     ph.strip_buffers = strip_buffers;
   }
   program.validate();
+  return program;
+}
+
+PhaseProgram tune_cpu_schedulers(PhaseProgram program, const InputParams& in,
+                                 const sim::CpuModel& cpu) {
+  for (PhaseDesc& ph : program.phases) {
+    if (!ph.is_cpu()) continue;
+    const cpu::TiledRegion region{program.dim, ph.d_begin, ph.d_end, ph.cpu_tile};
+    const auto cost = [&](cpu::Scheduler s) {
+      return cpu::wavefront_cost_ns(s, region, cpu, in.tsize, in.elem_bytes());
+    };
+    ph.scheduler = cost(cpu::Scheduler::kDataflow) < cost(cpu::Scheduler::kBarrier)
+                       ? cpu::Scheduler::kDataflow
+                       : cpu::Scheduler::kBarrier;
+  }
   return program;
 }
 

@@ -24,6 +24,7 @@
 
 #include "core/params.hpp"
 #include "cpu/dataflow_wavefront.hpp"
+#include "sim/system_profile.hpp"
 
 namespace wavetune::core {
 
@@ -124,8 +125,15 @@ struct PhaseProgram {
   /// each phase passes its own device checks.
   void validate() const;
 
+  /// validate(), plus the two checks a program must pass before it runs
+  /// on `system`: its dim is `instance_dim`, and no phase requests more
+  /// GPUs than `system` has. Throws std::invalid_argument. The executor
+  /// applies it to every program it interprets, and Engine::compile to a
+  /// caller-supplied program.
+  void validate_for(std::size_t instance_dim, const sim::SystemProfile& system) const;
+
   /// Largest gpu_count any phase requests (0 for pure-CPU programs) — what
-  /// the engine checks against the system profile at compile time.
+  /// validate_for checks against the system profile.
   int max_gpu_count() const;
 
   std::size_t cpu_phase_count() const;
@@ -140,9 +148,9 @@ struct PhaseProgram {
 /// band, the GPU band (single or multi device), CPU tiled after — empty
 /// phases omitted, so a band of -1 yields one whole-grid CPU phase and a
 /// full band yields a single GPU phase. `scheduler` is the discipline of
-/// every CPU phase (per-phase refinement lives in
-/// autotune::tune_cpu_schedulers). `params` may be raw; it is normalized
-/// for in.dim first. The returned program is validated.
+/// every CPU phase (tune_cpu_schedulers refines it per phase). `params`
+/// may be raw; it is normalized for in.dim first. The returned program is
+/// validated.
 PhaseProgram plan_phases(const InputParams& in, const TunableParams& params,
                          cpu::Scheduler scheduler = cpu::Scheduler::kBarrier);
 
@@ -168,5 +176,16 @@ PhaseProgram split_gpu_band(PhaseProgram program, std::size_t k);
 /// entry.
 PhaseProgram apply_strips(PhaseProgram program, std::size_t strip_rows,
                           std::size_t strip_buffers = 2);
+
+/// Re-decides barrier vs dataflow for every CPU phase of `program`
+/// independently (a pre-band sliver and a post-band bulk phase can want
+/// different disciplines): each phase takes the scheduler whose
+/// cpu::wavefront_cost_ns on `cpu` is lower, the charge the executor
+/// makes for that phase. Ties go to barrier; GPU phases pass through.
+/// The shipped profiles price dataflow below barrier on every nonempty
+/// region; a CpuModel whose dependency bookkeeping costs more than its
+/// barriers flips the answer.
+PhaseProgram tune_cpu_schedulers(PhaseProgram program, const InputParams& in,
+                                 const sim::CpuModel& cpu);
 
 }  // namespace wavetune::core

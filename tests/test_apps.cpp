@@ -143,7 +143,7 @@ TEST(SeqCmp, HybridExecutionMatchesReference) {
         core::TunableParams{4, 20, 3, 1}}) {
     core::Grid g(spec.dim, spec.elem_bytes);
     g.fill_poison();
-    ex.run(spec, tuning, g);
+    ex.run(spec, core::plan_phases(spec.inputs(), tuning), g);
     EXPECT_EQ(seqcmp_best_score(g), smith_waterman_reference(p)) << tuning.describe();
   }
 }
@@ -285,7 +285,7 @@ TEST(Nash, HybridMatchesSerial) {
        {core::TunableParams{4, 10, -1, 1}, core::TunableParams{4, 23, 2, 1}}) {
     core::Grid g(spec.dim, spec.elem_bytes);
     g.fill_poison();
-    ex.run(spec, tuning, g);
+    ex.run(spec, core::plan_phases(spec.inputs(), tuning), g);
     EXPECT_EQ(std::memcmp(g.data(), ref.data(), g.size_bytes()), 0) << tuning.describe();
   }
 }

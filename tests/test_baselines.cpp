@@ -36,9 +36,9 @@ TEST(Baselines, CpuParallelPicksBestTile) {
   const auto b = compute_baselines(ex, core::InputParams{128, 50.0, 1}, kCpuTiles, kGpuTiles,
                                    kHaloFracs);
   for (int ct : kCpuTiles) {
-    const double t = ex.estimate(core::InputParams{128, 50.0, 1},
-                                 core::TunableParams{ct, -1, -1, 1})
-                         .rtime_ns;
+    const core::InputParams in{128, 50.0, 1};
+    const double t =
+        ex.estimate(in, core::plan_phases(in, core::TunableParams{ct, -1, -1, 1})).rtime_ns;
     EXPECT_LE(b.cpu_parallel_ns, t + 1e-9);
   }
 }

@@ -63,17 +63,16 @@ TEST_P(FuzzSweep, EstimateIsFiniteDeterministicAndDecomposed) {
     const InputParams in{static_cast<std::size_t>(rng.uniform_int(2, 600)),
                          rng.uniform_real(0.1, 5000.0), static_cast<int>(rng.uniform_int(0, 5))};
     const TunableParams p = random_params(rng, in.dim, 4);
-    const RunResult a = ex.estimate(in, p);
-    const RunResult b = ex.estimate(in, p);
+    const RunResult a = ex.estimate(in, plan_phases(in, p));
+    const RunResult b = ex.estimate(in, plan_phases(in, p));
     EXPECT_TRUE(std::isfinite(a.rtime_ns)) << p.describe();
     EXPECT_GT(a.rtime_ns, 0.0) << p.describe();
     EXPECT_DOUBLE_EQ(a.rtime_ns, b.rtime_ns) << p.describe();
     EXPECT_DOUBLE_EQ(a.rtime_ns, a.breakdown.total_ns()) << p.describe();
-    EXPECT_GE(a.breakdown.phase1_ns(), 0.0);
-    EXPECT_GE(a.breakdown.gpu_ns(), 0.0);
-    EXPECT_GE(a.breakdown.phase3_ns(), 0.0);
+    for (const PhaseTiming& t : a.breakdown.phases) EXPECT_GE(t.ns, 0.0) << p.describe();
     if (!a.params.uses_gpu()) {
-      EXPECT_DOUBLE_EQ(a.breakdown.gpu_ns(), 0.0) << p.describe();
+      ASSERT_EQ(a.breakdown.phases.size(), 1u) << p.describe();
+      EXPECT_EQ(a.breakdown.phases[0].device, PhaseDevice::kCpu) << p.describe();
       EXPECT_EQ(a.breakdown.swap_count(), 0u);
     }
     if (a.params.gpu_count() < 2) {
@@ -100,11 +99,11 @@ TEST_P(FuzzSweep, FunctionalRunMatchesSerialForRandomConfigs) {
     const TunableParams p = random_params(rng, spec.dim, 4);
     Grid g(spec.dim, spec.elem_bytes);
     g.fill_poison();
-    const RunResult run = ex.run(spec, p, g);
+    const RunResult run = ex.run(spec, plan_phases(spec.inputs(), p), g);
     EXPECT_EQ(std::memcmp(g.data(), ref.data(), g.size_bytes()), 0)
         << p.describe() << " -> " << run.params.describe();
     // And run == estimate for the same (normalized) configuration.
-    const RunResult est = ex.estimate(spec.inputs(), p);
+    const RunResult est = ex.estimate(spec.inputs(), plan_phases(spec.inputs(), p));
     EXPECT_DOUBLE_EQ(run.rtime_ns, est.rtime_ns) << run.params.describe();
   }
 }
@@ -117,7 +116,8 @@ TEST(CostProperties, EstimateMonotoneInDim) {
        {TunableParams{8, -1, -1, 1}, TunableParams{8, 40, -1, 1}, TunableParams{8, 60, 2, 1}}) {
     double prev = 0.0;
     for (std::size_t dim : {128u, 256u, 512u, 1024u}) {
-      const double t = ex.estimate(InputParams{dim, 100.0, 1}, p).rtime_ns;
+      const InputParams in{dim, 100.0, 1};
+      const double t = ex.estimate(in, plan_phases(in, p)).rtime_ns;
       EXPECT_GT(t, prev) << p.describe() << " dim=" << dim;
       prev = t;
     }
@@ -132,12 +132,16 @@ TEST(CostProperties, WiderBandMovesWorkToGpu) {
   double prev_cpu = 1e300;
   double prev_gpu = 0.0;
   for (long long band : {50LL, 150LL, 300LL, 511LL}) {
-    const auto r = ex.estimate(in, TunableParams{8, band, -1, 1});
-    const double cpu_time = r.breakdown.phase1_ns() + r.breakdown.phase3_ns();
+    const auto r = ex.estimate(in, plan_phases(in, TunableParams{8, band, -1, 1}));
+    double cpu_time = 0.0;
+    double gpu_time = 0.0;
+    for (const PhaseTiming& t : r.breakdown.phases) {
+      (t.device == PhaseDevice::kCpu ? cpu_time : gpu_time) += t.ns;
+    }
     EXPECT_LT(cpu_time, prev_cpu) << band;
-    EXPECT_GT(r.breakdown.gpu_ns(), prev_gpu) << band;
+    EXPECT_GT(gpu_time, prev_gpu) << band;
     prev_cpu = cpu_time;
-    prev_gpu = r.breakdown.gpu_ns();
+    prev_gpu = gpu_time;
   }
 }
 
@@ -146,7 +150,8 @@ TEST(CostProperties, TransfersGrowWithDsize) {
   const TunableParams p{8, 255, -1, 1};
   double prev = 0.0;
   for (int dsize : {0, 1, 3, 5}) {
-    const auto r = ex.estimate(InputParams{256, 100.0, dsize}, p);
+    const InputParams in{256, 100.0, dsize};
+    const auto r = ex.estimate(in, plan_phases(in, p));
     const double xfer = r.breakdown.transfer_in_ns() + r.breakdown.transfer_out_ns();
     EXPECT_GT(xfer, prev) << dsize;
     prev = xfer;

@@ -291,7 +291,9 @@ TEST(EngineBackends, CpuTiledStripsGpuOffloadAtPrepare) {
   EXPECT_EQ(plan.params().cpu_tile, 6);
   EXPECT_EQ(plan.params().band, -1);
   EXPECT_EQ(plan.params().gpu_count(), 0);
-  EXPECT_DOUBLE_EQ(eng.estimate(plan).breakdown.gpu_ns(), 0.0);
+  for (const core::PhaseTiming& t : eng.estimate(plan).breakdown.phases) {
+    EXPECT_EQ(t.device, core::PhaseDevice::kCpu);
+  }
 }
 
 TEST(EngineBackends, CpuDataflowStripsGpuAndChargesBarrierFreeTime) {
@@ -301,7 +303,9 @@ TEST(EngineBackends, CpuDataflowStripsGpuAndChargesBarrierFreeTime) {
   EXPECT_EQ(flow.params().cpu_tile, 6);
   EXPECT_EQ(flow.params().band, -1);
   EXPECT_EQ(flow.params().gpu_count(), 0);
-  EXPECT_DOUBLE_EQ(eng.estimate(flow).breakdown.gpu_ns(), 0.0);
+  for (const core::PhaseTiming& t : eng.estimate(flow).breakdown.phases) {
+    EXPECT_EQ(t.device, core::PhaseDevice::kCpu);
+  }
   // Same prepared tuning through the barriered backend: the dataflow
   // schedule must charge strictly less simulated CPU time (no barriers).
   const Plan tiled = eng.compile(spec, core::TunableParams{6, 18, 3, 4}, kCpuTiledBackend);

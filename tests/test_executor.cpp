@@ -11,6 +11,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "apps/synthetic.hpp"
 #include "core/executor.hpp"
@@ -174,7 +175,11 @@ TEST_F(ExecutorTest, RunAndEstimateAgreeExactly) {
     const RunResult r = run(eng_, spec, p, g);
     const RunResult est = estimate(eng_, in, p);
     EXPECT_DOUBLE_EQ(r.rtime_ns, est.rtime_ns) << p.describe();
-    EXPECT_DOUBLE_EQ(r.breakdown.gpu_ns(), est.breakdown.gpu_ns()) << p.describe();
+    ASSERT_EQ(r.breakdown.phases.size(), est.breakdown.phases.size()) << p.describe();
+    for (std::size_t i = 0; i < r.breakdown.phases.size(); ++i) {
+      EXPECT_EQ(r.breakdown.phases[i].device, est.breakdown.phases[i].device) << p.describe();
+      EXPECT_DOUBLE_EQ(r.breakdown.phases[i].ns, est.breakdown.phases[i].ns) << p.describe();
+    }
     EXPECT_EQ(r.breakdown.swap_count(), est.breakdown.swap_count()) << p.describe();
     EXPECT_EQ(r.breakdown.kernel_launches(), est.breakdown.kernel_launches()) << p.describe();
     EXPECT_EQ(r.breakdown.redundant_cells(), est.breakdown.redundant_cells()) << p.describe();
@@ -185,30 +190,36 @@ TEST_F(ExecutorTest, BreakdownSumsToTotal) {
   const InputParams in{64, 100.0, 1};
   const RunResult r = estimate(eng_, in, TunableParams{4, 20, 3, 1});
   EXPECT_DOUBLE_EQ(r.rtime_ns, r.breakdown.total_ns());
-  EXPECT_GT(r.breakdown.phase1_ns(), 0.0);
-  EXPECT_GT(r.breakdown.gpu_ns(), 0.0);
-  EXPECT_GT(r.breakdown.phase3_ns(), 0.0);
+  const std::vector<PhaseTiming>& phases = r.breakdown.phases;
+  ASSERT_EQ(phases.size(), 3u);
+  EXPECT_EQ(phases[0].device, PhaseDevice::kCpu);
+  EXPECT_EQ(phases[1].device, PhaseDevice::kGpuMulti);
+  EXPECT_EQ(phases[2].device, PhaseDevice::kCpu);
+  EXPECT_GT(phases[0].ns, 0.0);
+  EXPECT_GT(phases[1].ns, 0.0);
+  EXPECT_GT(phases[2].ns, 0.0);
   EXPECT_GT(r.breakdown.transfer_in_ns(), 0.0);
   EXPECT_GT(r.breakdown.transfer_out_ns(), 0.0);
   EXPECT_GT(r.breakdown.swap_count(), 0u);
   // Transfers and swaps happen inside the GPU phase.
-  EXPECT_LE(r.breakdown.transfer_in_ns() + r.breakdown.transfer_out_ns(), r.breakdown.gpu_ns());
+  EXPECT_LE(r.breakdown.transfer_in_ns() + r.breakdown.transfer_out_ns(), phases[1].ns);
 }
 
 TEST_F(ExecutorTest, FullBandHasNullCpuPhases) {
   const InputParams in{64, 100.0, 1};
   const RunResult r = estimate(eng_, in, TunableParams{4, 63, -1, 1});
-  EXPECT_DOUBLE_EQ(r.breakdown.phase1_ns(), 0.0);
-  EXPECT_DOUBLE_EQ(r.breakdown.phase3_ns(), 0.0);
-  EXPECT_GT(r.breakdown.gpu_ns(), 0.0);
+  ASSERT_EQ(r.breakdown.phases.size(), 1u);
+  EXPECT_EQ(r.breakdown.phases[0].device, PhaseDevice::kGpuSingle);
+  EXPECT_GT(r.breakdown.phases[0].ns, 0.0);
 }
 
 TEST_F(ExecutorTest, CpuOnlyHasNoGpuPhase) {
   const InputParams in{64, 100.0, 1};
   const RunResult r = estimate(eng_, in, TunableParams{4, -1, -1, 1});
-  EXPECT_DOUBLE_EQ(r.breakdown.gpu_ns(), 0.0);
+  ASSERT_EQ(r.breakdown.phases.size(), 1u);
+  EXPECT_EQ(r.breakdown.phases[0].device, PhaseDevice::kCpu);
   EXPECT_EQ(r.breakdown.kernel_launches(), 0u);
-  EXPECT_GT(r.breakdown.phase1_ns(), 0.0);
+  EXPECT_GT(r.breakdown.phases[0].ns, 0.0);
 }
 
 TEST_F(ExecutorTest, UntiledLaunchesOnePerDiagonal) {

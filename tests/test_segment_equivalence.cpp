@@ -93,7 +93,7 @@ TEST_P(SegmentEquivalence, AllSchedulesBitIdentical) {
   for (int tile : {1, 5, 16}) {
     Grid g(spec.dim, spec.elem_bytes);
     g.fill_poison();
-    ex.run(spec, TunableParams{tile, -1, -1, 1}, g);
+    ex.run(spec, core::plan_phases(spec.inputs(), TunableParams{tile, -1, -1, 1}), g);
     expect_equal(g, "cpu-tile=" + std::to_string(tile));
   }
 
@@ -102,7 +102,7 @@ TEST_P(SegmentEquivalence, AllSchedulesBitIdentical) {
   for (int gpu_tile : {1, 8}) {
     Grid g(spec.dim, spec.elem_bytes);
     g.fill_poison();
-    ex.run(spec, TunableParams{4, band, -1, gpu_tile}, g);
+    ex.run(spec, core::plan_phases(spec.inputs(), TunableParams{4, band, -1, gpu_tile}), g);
     expect_equal(g, "gpu-tile=" + std::to_string(gpu_tile));
   }
 
@@ -110,7 +110,7 @@ TEST_P(SegmentEquivalence, AllSchedulesBitIdentical) {
   for (long long halo : {0LL, 2LL, 5LL}) {
     Grid g(spec.dim, spec.elem_bytes);
     g.fill_poison();
-    ex.run(spec, TunableParams{4, band, halo, 1}, g);
+    ex.run(spec, core::plan_phases(spec.inputs(), TunableParams{4, band, halo, 1}), g);
     expect_equal(g, "dual-gpu halo=" + std::to_string(halo));
   }
 }
@@ -185,7 +185,7 @@ TEST(ProblemFacade, TypedSegmentMatchesPerCell) {
        {TunableParams{3, -1, -1, 1}, TunableParams{4, 6, -1, 1}, TunableParams{4, 6, 1, 1}}) {
     Grid g(dim, sizeof(Cell));
     g.fill_poison();
-    ex.run(batched.spec(), p, g);
+    ex.run(batched.spec(), core::plan_phases(batched.spec().inputs(), p), g);
     EXPECT_EQ(std::memcmp(g.data(), ref.data(), g.size_bytes()), 0) << p.describe();
   }
 }

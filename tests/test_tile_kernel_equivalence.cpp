@@ -171,7 +171,7 @@ TEST_P(TileKernelEquivalence, AllSchedulesAllAbisBitIdentical) {
       if (sched.serial) {
         exec.run_serial(spec, grid);
       } else {
-        exec.run(spec, sched.params, grid, nullptr, sched.scheduler);
+        exec.run(spec, core::plan_phases(spec.inputs(), sched.params, sched.scheduler), grid);
       }
       ASSERT_EQ(0, std::memcmp(oracle.data(), grid.data(), oracle.size_bytes()))
           << app << " schedule=" << sched.name << " abi=" << abi_name(abi);
@@ -194,12 +194,14 @@ TEST_P(TileKernelEquivalence, BandSlicedRegionsBitIdentical) {
   // three phases.
   for (const long long band : {3LL, 11LL}) {
     Grid oracle(dim, full.elem_bytes);
-    exec.run(with_abi(full, Abi::kCell), TunableParams{5, band, -1, 1}, oracle);
+    exec.run(with_abi(full, Abi::kCell), core::plan_phases(full.inputs(), TunableParams{5, band, -1, 1}),
+             oracle);
     for (const Abi abi : {Abi::kSegment, Abi::kTile}) {
       for (const cpu::Scheduler s : {cpu::Scheduler::kBarrier, cpu::Scheduler::kDataflow}) {
         Grid grid(dim, full.elem_bytes);
         grid.fill_poison();
-        exec.run(with_abi(full, abi), TunableParams{5, band, -1, 1}, grid, nullptr, s);
+        exec.run(with_abi(full, abi),
+                 core::plan_phases(full.inputs(), TunableParams{5, band, -1, 1}, s), grid);
         ASSERT_EQ(0, std::memcmp(oracle.data(), grid.data(), oracle.size_bytes()))
             << app << " band=" << band << " abi=" << abi_name(abi)
             << " sched=" << cpu::scheduler_name(s);
@@ -671,7 +673,7 @@ TEST_P(TileKernelIsa, WideBlocksAtLargeStrideBitIdentical) {
   ASSERT_EQ(0, std::memcmp(want.data(), serial.data(), want.size_bytes())) << app_;
   Grid tiled(dim, spec.elem_bytes);
   tiled.fill_poison();
-  exec_.run(spec, TunableParams{64, -1, -1, 1}, tiled);
+  exec_.run(spec, core::plan_phases(spec.inputs(), TunableParams{64, -1, -1, 1}), tiled);
   ASSERT_EQ(0, std::memcmp(want.data(), tiled.data(), want.size_bytes())) << app_;
 }
 

@@ -66,13 +66,13 @@ protected:
 
 TEST_F(ExecutorTraceTest, KernelCountMatchesBreakdown) {
   Trace trace;
-  const auto r = ex_.estimate(in_, core::TunableParams{4, 20, 3, 1}, &trace);
+  const auto r = ex_.estimate(in_, core::plan_phases(in_, core::TunableParams{4, 20, 3, 1}), &trace);
   EXPECT_EQ(trace.count(CommandKind::Kernel), r.breakdown.kernel_launches());
 }
 
 TEST_F(ExecutorTraceTest, SingleGpuTransfersAreTwoBulkMoves) {
   Trace trace;
-  ex_.estimate(in_, core::TunableParams{4, 20, -1, 1}, &trace);
+  ex_.estimate(in_, core::plan_phases(in_, core::TunableParams{4, 20, -1, 1}), &trace);
   // Paper §2.1: "data is transferred from/to CPU only twice".
   EXPECT_EQ(trace.count(CommandKind::HostToDevice), 1u);
   EXPECT_EQ(trace.count(CommandKind::DeviceToHost), 1u);
@@ -80,7 +80,7 @@ TEST_F(ExecutorTraceTest, SingleGpuTransfersAreTwoBulkMoves) {
 
 TEST_F(ExecutorTraceTest, SwapLegsAppearAsPairedTransfers) {
   Trace trace;
-  const auto r = ex_.estimate(in_, core::TunableParams{4, 20, 2, 1}, &trace);
+  const auto r = ex_.estimate(in_, core::plan_phases(in_, core::TunableParams{4, 20, 2, 1}), &trace);
   // Dual GPU: 2 initial h2d + 2 final d2h + one (d2h + h2d) pair per swap.
   EXPECT_EQ(trace.count(CommandKind::HostToDevice), 2u + r.breakdown.swap_count());
   EXPECT_EQ(trace.count(CommandKind::DeviceToHost), 2u + r.breakdown.swap_count());
@@ -88,7 +88,7 @@ TEST_F(ExecutorTraceTest, SwapLegsAppearAsPairedTransfers) {
 
 TEST_F(ExecutorTraceTest, PerDeviceIntervalsDoNotOverlap) {
   Trace trace;
-  ex_.estimate(in_, core::TunableParams{4, 30, 4, 1}, &trace);
+  ex_.estimate(in_, core::plan_phases(in_, core::TunableParams{4, 30, 4, 1}), &trace);
   // Commands on one in-order device queue must not overlap in time.
   for (std::size_t dev = 0; dev < 2; ++dev) {
     std::vector<TraceRecord> mine;
@@ -106,8 +106,10 @@ TEST_F(ExecutorTraceTest, PerDeviceIntervalsDoNotOverlap) {
 
 TEST_F(ExecutorTraceTest, SpanMatchesGpuPhase) {
   Trace trace;
-  const auto r = ex_.estimate(in_, core::TunableParams{4, 30, 2, 1}, &trace);
-  EXPECT_DOUBLE_EQ(trace.span_ns(), r.breakdown.gpu_ns());
+  const auto r = ex_.estimate(in_, core::plan_phases(in_, core::TunableParams{4, 30, 2, 1}), &trace);
+  ASSERT_EQ(r.breakdown.phases.size(), 3u);
+  EXPECT_EQ(r.breakdown.phases[1].device, core::PhaseDevice::kGpuMulti);
+  EXPECT_DOUBLE_EQ(trace.span_ns(), r.breakdown.phases[1].ns);
 }
 
 TEST_F(ExecutorTraceTest, FunctionalRunProducesIdenticalTrace) {
@@ -123,8 +125,8 @@ TEST_F(ExecutorTraceTest, FunctionalRunProducesIdenticalTrace) {
   Trace t_est;
   core::Grid g(spec.dim, spec.elem_bytes);
   const core::TunableParams p{4, 20, 2, 1};
-  ex_.run(spec, p, g, &t_run);
-  ex_.estimate(in_, p, &t_est);
+  ex_.run(spec, core::plan_phases(spec.inputs(), p), g, &t_run);
+  ex_.estimate(in_, core::plan_phases(in_, p), &t_est);
   ASSERT_EQ(t_run.size(), t_est.size());
   for (std::size_t i = 0; i < t_run.size(); ++i) {
     EXPECT_EQ(t_run.records()[i].device, t_est.records()[i].device) << i;
@@ -136,7 +138,7 @@ TEST_F(ExecutorTraceTest, FunctionalRunProducesIdenticalTrace) {
 
 TEST_F(ExecutorTraceTest, CpuOnlyLeavesTraceEmpty) {
   Trace trace;
-  ex_.estimate(in_, core::TunableParams{4, -1, -1, 1}, &trace);
+  ex_.estimate(in_, core::plan_phases(in_, core::TunableParams{4, -1, -1, 1}), &trace);
   EXPECT_TRUE(trace.empty());
 }
 

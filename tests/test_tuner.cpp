@@ -136,7 +136,8 @@ TEST_F(TunerTest, AchievesMostOfExhaustiveBestOnHoldout) {
     const auto best = res.best();
     if (!best) continue;
     const Prediction pred = i7_tuner_->predict(res.instance);
-    const double tuned_ns = ex.estimate(res.instance, pred.params).rtime_ns;
+    const double tuned_ns =
+        ex.estimate(res.instance, core::plan_phases(res.instance, pred.params)).rtime_ns;
     const double best_speedup = res.serial_ns / best->rtime_ns;
     const double tuned_speedup = res.serial_ns / tuned_ns;
     log_ratio_sum += std::log(tuned_speedup / best_speedup);
