@@ -10,19 +10,17 @@
 // native tile kernel), each lowered by WavefrontSpec::lower() as
 // production lowers it, so the cell and segment rungs time the fallback
 // adapters a cell-only or segment-only spec really runs (the --kernel-abi
-// axis) — and (b) the barriered per-tile-diagonal scheduler against the
-// dataflow dependency-counter scheduler, both dispatching the lowered tile
-// kernel (the --scheduler axis, small and medium tiles, >= 4 workers),
-// then (c) the nash tile kernel, scalar, AVX2 and AVX-512, in each dispatch shape
-// of BM_NashTileKernel, and writes the ns/cell numbers with the host's
+// axis) — and (b) the parallel CPU walk (the dataflow dependency-counter
+// scheduler) dispatching the lowered tile kernel on >= 4 workers, with
+// the full ladder only, then (c) the nash tile kernel, scalar, AVX2 and
+// AVX-512, in each dispatch shape of BM_NashTileKernel, and writes the ns/cell numbers with the host's
 // core count to PATH (default BENCH_micro.json) so CI records the
 // hot-loop trajectory on every push.
 //
 //   --kernel-abi={cell,segment,tile,all}  which ABI rungs to measure
-//                                         (default all; implies --json)
-//   --scheduler={barrier,dataflow,both}   which schedulers to measure
-//                                         (runs with --kernel-abi=all, the
-//                                         default, or when given)
+//                                         (default all, which also times
+//                                         the parallel walk; implies
+//                                         --json)
 //   --phase-plan={paper,cpu-only,split-band,all}
 //                                         phase-program shapes to run
 //                                         functionally through api::Engine
@@ -189,7 +187,7 @@ void BM_ThreadPoolParallelFor(benchmark::State& state) {
 BENCHMARK(BM_ThreadPoolParallelFor)->Arg(1)->Arg(2)->Arg(4);
 
 /// Lattice-path recurrence over uint32 cells as a native tile kernel (the
-/// core/lowered.hpp pointer contract): the scheduler benchmarks' stand-in
+/// core/lowered.hpp pointer contract): the parallel-walk benchmark's stand-in
 /// for an app kernel.
 void paths_tile_kernel(const void*, std::size_t i0, std::size_t i1, std::size_t j0,
                        std::size_t j1, std::size_t stride, const std::byte* west,
@@ -216,46 +214,23 @@ core::LoweredKernel paths_kernel(std::size_t dim) {
   return k;
 }
 
-void BM_TiledWavefrontFunctional(benchmark::State& state) {
-  const std::size_t dim = 128;
-  std::vector<std::uint32_t> v(dim * dim, 0);
-  const core::StorageView view{reinterpret_cast<std::byte*>(v.data()), 0};
-  const core::LoweredKernel kernel = paths_kernel(dim);
-  cpu::ThreadPool pool(2);
-  const cpu::TiledRegion region{dim, 0, 2 * dim - 1, static_cast<std::size_t>(state.range(0))};
-  for (auto _ : state) {
-    cpu::run_tiled_wavefront(region, pool, kernel, {&view, 1});
-    benchmark::DoNotOptimize(v.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(dim * dim));
-}
-BENCHMARK(BM_TiledWavefrontFunctional)->Arg(1)->Arg(8)->Arg(32);
-
-/// The --scheduler axis as a google-benchmark grid: barrier (0) vs
-/// dataflow (1) over a tile size, full sweep of a 512-grid.
+/// The parallel CPU walk over a tile size, full sweep of a 512-grid on a
+/// 4-worker pool.
 void BM_WavefrontScheduler(benchmark::State& state) {
   const std::size_t dim = 512;
-  const auto sched =
-      state.range(0) == 0 ? cpu::Scheduler::kBarrier : cpu::Scheduler::kDataflow;
-  const cpu::TiledRegion region{dim, 0, 2 * dim - 1, static_cast<std::size_t>(state.range(1))};
+  const cpu::TiledRegion region{dim, 0, 2 * dim - 1, static_cast<std::size_t>(state.range(0))};
   std::vector<std::uint32_t> v(dim * dim, 0);
   const core::StorageView view{reinterpret_cast<std::byte*>(v.data()), 0};
   const core::LoweredKernel kernel = paths_kernel(dim);
   cpu::ThreadPool pool(4);
   for (auto _ : state) {
-    cpu::run_wavefront(sched, region, pool, kernel, {&view, 1});
+    cpu::run_dataflow_wavefront(region, pool, kernel, {&view, 1});
     benchmark::DoNotOptimize(v.data());
   }
-  state.SetLabel(cpu::scheduler_name(sched));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(dim * dim));
 }
-BENCHMARK(BM_WavefrontScheduler)
-    ->Args({0, 16})
-    ->Args({1, 16})
-    ->Args({0, 64})
-    ->Args({1, 64});
+BENCHMARK(BM_WavefrontScheduler)->Arg(16)->Arg(64);
 
 /// The dispatch shapes the nash tile kernel runs in at perfbench's
 /// offload-stream size (k = 4, one fictitious-play round, dim 256):
@@ -406,14 +381,10 @@ struct MicroResult {
   double lower_ns = 0.0;     ///< one-time plan lowering (spec.lower()), ns
   double dispatch_ns = 0.0;  ///< ns/cell, traversal+dispatch machinery only
                              ///< (no-op lowered kernel sweep)
-  // Scheduler axis (>= 4-worker pool: contention is the signal):
-  double barrier_ns = 0.0;   ///< ns/cell, lowered tile kernel, barrier sched
-  double dataflow_ns = 0.0;  ///< ns/cell, lowered tile kernel, dataflow sched
+  // Parallel walk (>= 4-worker pool: contention is the signal):
+  double dataflow_ns = 0.0;  ///< ns/cell, lowered tile kernel, dataflow walk
   bool native_tile = false;  ///< lowering hit the spec's native TileKernel
 };
-
-/// Which schedulers the --scheduler axis measures.
-enum class SchedAxis { kBarrier, kDataflow, kBoth };
 
 /// Which rungs of the kernel ABI ladder the --kernel-abi axis measures.
 enum class AbiAxis { kCell, kSegment, kTile, kAll };
@@ -489,20 +460,19 @@ util::Json run_phase_plan(api::Engine& engine, const std::string& app, std::size
 
 /// Wall-clock of one full CPU sweep through the lowered (tile-granular)
 /// dispatch path — exactly what the executor's CPU phases run.
-double time_lowered_sweep_ns(cpu::Scheduler sched, std::size_t dim, cpu::ThreadPool& pool,
-                             std::size_t tile, const core::LoweredKernel& kernel,
-                             std::byte* data) {
+double time_lowered_sweep_ns(std::size_t dim, cpu::ThreadPool& pool, std::size_t tile,
+                             const core::LoweredKernel& kernel, std::byte* data) {
   const cpu::TiledRegion region{dim, 0, core::num_diagonals(dim), tile};
   const core::StorageView view{data, 0};
   const auto t0 = std::chrono::steady_clock::now();
-  cpu::run_wavefront(sched, region, pool, kernel, {&view, 1});
+  cpu::run_dataflow_wavefront(region, pool, kernel, {&view, 1});
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::nano>(t1 - t0).count();
 }
 
 /// Wall-clock of one full sweep on the calling thread as one
 /// LoweredKernel::tile call per tile, in tile-diagonal order — the order
-/// bench/BENCH_micro.json was recorded in. The schedulers run a one-worker
+/// bench/BENCH_micro.json was recorded in. The walk runs a one-worker
 /// pool as ONE serial call, which would time every tile width the same, so
 /// the kernel-ABI axis walks its tiles here instead.
 double time_tile_walk_ns(std::size_t dim, std::size_t tile, const core::LoweredKernel& kernel,
@@ -530,12 +500,11 @@ void noop_tile_kernel(const void*, std::size_t, std::size_t, std::size_t, std::s
 
 /// The ABI axis walks tiles on the calling thread (time_tile_walk_ns), so
 /// its numbers compare pure dispatch + compute with no pool-scheduling
-/// noise masking the delta. `sched_pool` has >= 4 workers: the
-/// scheduler-axis numbers (barrier vs dataflow) measure exactly that
-/// contention.
+/// noise masking the delta. `sched_pool` has >= 4 workers: the parallel
+/// walk's numbers measure exactly that contention.
 MicroResult run_micro(const std::string& app, std::size_t dim, std::size_t tile,
-                      cpu::ThreadPool& sched_pool, int reps,
-                      bool sched_axis_on, SchedAxis sched_axis, AbiAxis abi_axis) {
+                      cpu::ThreadPool& sched_pool, int reps, bool sched_on,
+                      AbiAxis abi_axis) {
   const core::WavefrontSpec spec = micro_spec(app, dim);
   core::Grid grid(spec.dim, spec.elem_bytes);
   std::byte* data = grid.data();
@@ -543,8 +512,6 @@ MicroResult run_micro(const std::string& app, std::size_t dim, std::size_t tile,
   const bool abi_cell = abi_axis == AbiAxis::kCell || abi_axis == AbiAxis::kAll;
   const bool abi_segment = abi_axis == AbiAxis::kSegment || abi_axis == AbiAxis::kAll;
   const bool abi_tile = abi_axis == AbiAxis::kTile || abi_axis == AbiAxis::kAll;
-  const bool barrier = sched_axis_on && sched_axis != SchedAxis::kDataflow;
-  const bool dataflow = sched_axis_on && sched_axis != SchedAxis::kBarrier;
 
   // Tile ABI: plan-time lowering resolved ONCE, one indirect call per
   // tile (exactly what HybridExecutor + Engine plans dispatch).
@@ -572,12 +539,11 @@ MicroResult run_micro(const std::string& app, std::size_t dim, std::size_t tile,
   const double cells = static_cast<double>(dim) * static_cast<double>(dim);
   double best_cell = 1e300;
   double best_seg = 1e300;
-  double best_bar = 1e300;
   double best_flow = 1e300;
   double best_tile = 1e300;
   double best_dispatch = 1e300;
-  const auto sweep = [&](cpu::Scheduler sched, const core::LoweredKernel& kernel) {
-    return time_lowered_sweep_ns(sched, dim, sched_pool, tile, kernel, data);
+  const auto sweep = [&](const core::LoweredKernel& kernel) {
+    return time_lowered_sweep_ns(dim, sched_pool, tile, kernel, data);
   };
   const auto walk = [&](const core::LoweredKernel& kernel) {
     return time_tile_walk_ns(dim, tile, kernel, data);
@@ -601,26 +567,20 @@ MicroResult run_micro(const std::string& app, std::size_t dim, std::size_t tile,
         best_dispatch = std::min(best_dispatch, d);
       }
     }
-    if (barrier) {
-      const double t = sweep(cpu::Scheduler::kBarrier, lowered);
-      if (!warm) best_bar = std::min(best_bar, t);
-    }
-    if (dataflow) {
-      const double t = sweep(cpu::Scheduler::kDataflow, lowered);
+    if (sched_on) {
+      const double t = sweep(lowered);
       if (!warm) best_flow = std::min(best_flow, t);
     }
   }
   r.per_cell_ns = best_cell / cells;
   r.segment_ns = best_seg / cells;
-  r.barrier_ns = best_bar / cells;
   r.dataflow_ns = best_flow / cells;
   r.tile_ns = best_tile / cells;
   r.dispatch_ns = best_dispatch / cells;
   return r;
 }
 
-int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_explicit,
-                  AbiAxis abi_axis, PlanAxis plan_axis, bool quick,
+int run_json_mode(const std::string& path, AbiAxis abi_axis, PlanAxis plan_axis, bool quick,
                   const std::vector<std::size_t>& tiles) {
   if (path.empty()) {
     std::cerr << "bench_micro: --json needs a non-empty path (or omit '=' for the default)\n";
@@ -629,16 +589,16 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_expl
   const bool abi_cell = abi_axis == AbiAxis::kCell || abi_axis == AbiAxis::kAll;
   const bool abi_segment = abi_axis == AbiAxis::kSegment || abi_axis == AbiAxis::kAll;
   const bool abi_tile = abi_axis == AbiAxis::kTile || abi_axis == AbiAxis::kAll;
-  // The scheduler sweeps run the lowered tile kernel on their own pool;
-  // they ride along with the full ABI ladder (the default) or when asked
-  // for, so a single-rung run (the checked-in tile ledger) stays that.
-  const bool sched_on = sched_explicit || abi_axis == AbiAxis::kAll;
-  // The scheduler comparison needs real contention — at least 4 workers
+  // The parallel walk runs the lowered tile kernel on its own pool; it
+  // rides along with the full ABI ladder (the default), so a single-rung
+  // run (the checked-in tile ledger) stays that.
+  const bool sched_on = abi_axis == AbiAxis::kAll;
+  // The parallel walk needs real contention — at least 4 workers
   // (more when the host has them), per the perf-trajectory contract —
   // while the kernel-ABI comparison wants NO contention, so it walks its
   // tiles on this thread and pool-scheduling noise can't mask the
-  // dispatch delta. The contended pool only spins up when a scheduler
-  // sweep will actually use it.
+  // dispatch delta. The contended pool only spins up when the walk will
+  // actually use it.
   std::size_t hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
   cpu::ThreadPool sched_pool(sched_on ? std::max<std::size_t>(4, hw) : 1);
@@ -651,7 +611,7 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_expl
     for (const std::size_t dim : dims) {
       for (const std::size_t tile : tiles) {
         const MicroResult r =
-            run_micro(app, dim, tile, sched_pool, reps, sched_on, sched_axis, abi_axis);
+            run_micro(app, dim, tile, sched_pool, reps, sched_on, abi_axis);
         util::Json row = util::Json::object();
         row["app"] = util::Json(app);
         row["dim"] = util::Json(dim);
@@ -684,17 +644,9 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_expl
         } else {
           std::cout << " ns/cell";
         }
-        if (sched_on && sched_axis != SchedAxis::kDataflow) {
-          row["barrier_ns_per_cell"] = util::Json(r.barrier_ns);
-          std::cout << ", sched barrier " << r.barrier_ns;
-        }
-        if (sched_on && sched_axis != SchedAxis::kBarrier) {
+        if (sched_on) {
           row["dataflow_ns_per_cell"] = util::Json(r.dataflow_ns);
-          std::cout << " dataflow " << r.dataflow_ns << " ns/cell";
-          if (sched_axis == SchedAxis::kBoth) {
-            row["dataflow_speedup"] = util::Json(r.barrier_ns / r.dataflow_ns);
-            std::cout << " (" << r.barrier_ns / r.dataflow_ns << "x)";
-          }
+          std::cout << ", dataflow " << r.dataflow_ns << " ns/cell";
         }
         std::cout << "\n";
         runs.push_back(std::move(row));
@@ -734,13 +686,9 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_expl
   doc["schema"] = util::Json("wavetune.bench_micro.v5");
   doc["host_cores"] = util::Json(hw);
   doc["mode"] = util::Json("tiled_cpu");
-  // Without the scheduler sweeps the header must say so rather than claim
-  // an axis the file has no data for.
-  doc["scheduler_axis"] =
-      util::Json(!sched_on                           ? "none"
-                 : sched_axis == SchedAxis::kBoth    ? "both"
-                 : sched_axis == SchedAxis::kBarrier ? "barrier"
-                                                     : "dataflow");
+  // Without the parallel walk the header must say so rather than claim
+  // data the file does not have.
+  doc["scheduler_axis"] = util::Json(sched_on ? "dataflow" : "none");
   doc["kernel_abi_axis"] = util::Json(abi_axis == AbiAxis::kAll       ? "all"
                                       : abi_axis == AbiAxis::kCell    ? "cell"
                                       : abi_axis == AbiAxis::kSegment ? "segment"
@@ -796,8 +744,6 @@ int main(int argc, char** argv) {
   std::string json_path;
   bool json_mode = false;
   bool quick = false;
-  SchedAxis sched_axis = SchedAxis::kBoth;
-  bool sched_explicit = false;
   AbiAxis abi_axis = AbiAxis::kAll;
   PlanAxis plan_axis = PlanAxis::kNone;
   const auto parse_plan = [&](const std::string& v) -> bool {
@@ -865,24 +811,6 @@ int main(int argc, char** argv) {
       }
       json_mode = true;
       if (json_path.empty()) json_path = "BENCH_micro.json";
-    } else if (arg == "--scheduler") {
-      // A bare/space-separated form would otherwise be silently dropped
-      // and the run would measure the wrong thing.
-      std::cerr << "bench_micro: use --scheduler=barrier|dataflow|both (with '=')\n";
-      return 1;
-    } else if (arg.rfind("--scheduler=", 0) == 0) {
-      sched_explicit = true;
-      const std::string v = arg.substr(12);
-      if (v == "barrier") {
-        sched_axis = SchedAxis::kBarrier;
-      } else if (v == "dataflow") {
-        sched_axis = SchedAxis::kDataflow;
-      } else if (v == "both") {
-        sched_axis = SchedAxis::kBoth;
-      } else {
-        std::cerr << "bench_micro: --scheduler expects barrier, dataflow or both\n";
-        return 1;
-      }
     } else if (arg == "--kernel-abi" || arg.rfind("--kernel-abi=", 0) == 0) {
       // Both `--kernel-abi=tile` and `--kernel-abi tile` are accepted
       // (CI uses the space form). Implies JSON mode.
@@ -933,13 +861,11 @@ int main(int argc, char** argv) {
       std::cerr << "bench_micro: unrecognized argument(s) in JSON mode:";
       for (const std::string& a : unrecognized) std::cerr << " " << a;
       std::cerr << "\n  (known: --json[=PATH], --quick, --tiles=T1,T2,...,"
-                   " --scheduler=barrier|dataflow|both,"
                    " --kernel-abi[=]cell|segment|tile|all,"
                    " --phase-plan[=]paper|cpu-only|split-band|all)\n";
       return 1;
     }
-    return run_json_mode(json_path, sched_axis, sched_explicit, abi_axis, plan_axis, quick,
-                         tiles);
+    return run_json_mode(json_path, abi_axis, plan_axis, quick, tiles);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

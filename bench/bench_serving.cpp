@@ -12,7 +12,7 @@
 //
 //   bench_serving [--quick] [--json=BENCH_serving.json]
 //                 [--threads=1,2,4,8,16] [--ops=N] [--faults]
-//                 [--batching] [--window=US] [--limit=N]
+//                 [--batching] [--limit=N]
 //
 // --quick shrinks the sweep for CI smoke runs; --ops overrides the
 // per-thread op count of every workload (0 keeps the defaults).
@@ -25,12 +25,13 @@
 //
 // --batching swaps the sweep for the continuous-batching one: clients
 // submit closed-loop BURSTS of same-plan jobs and the axis is
-// (admission window x batch limit x client count), measured against the
-// unbatched engine (batch_limit=1: every job a batch of one). Each cell
-// reports the batch-occupancy histogram plus
-// jobs_batched/batches_formed, so "did fusion engage" is visible even
-// when the machine's core count caps the ops/s headroom. --window and
-// --limit pin those axes to a single value.
+// (batch limit x client count), measured against the unbatched engine
+// (batch_limit=1: every job a batch of one). Each cell runs for at least
+// kCellSeconds (a tenth of it under --quick) and at least its burst
+// count, so one cell is long enough to measure. Each cell reports the
+// batch-occupancy histogram plus jobs_batched/batches_formed, so "did
+// fusion engage" is visible even when the machine's core count caps the
+// ops/s headroom. --limit pins the limit axis to a single value.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -56,7 +57,6 @@ struct Cell {
   std::string mode;      // "engine" | "faults" | "unbatched" | "batched"
   std::string workload;  // "submit" | "compile" | "mixed" | "burst"
   int threads = 0;
-  int window_us = 0;  // --batching: admission window of the cell
   int limit = 0;      // --batching: batch_limit of the cell
   std::uint64_t ops = 0;
   double wall_s = 0.0;
@@ -228,20 +228,22 @@ Cell run_fault_cell(double rate, int threads, std::uint64_t ops_per_thread) {
 /// so batch opportunity exists even with a single client.
 constexpr std::size_t kBurst = 4;
 
+/// Least wall time of one full --batching cell.
+constexpr double kCellSeconds = 1.0;
+
 /// One --batching measurement. mode selects the grouping policy:
 ///   "unbatched" batch_limit=1: every job runs as a batch of one;
-///   "batched"   continuous batching with the given window and limit.
-/// The grid is big enough that each job carries real tile work for the
-/// fused sweep to amortize its one-scheduling-pass-per-phase over.
-Cell run_batching_cell(const std::string& mode, int clients, int window_us, int limit,
-                       std::uint64_t bursts_per_client) {
+///   "batched"   continuous batching with the given limit.
+/// Every client runs at least `min_bursts` bursts and keeps going until
+/// the cell has lasted `min_seconds`.
+Cell run_batching_cell(const std::string& mode, int clients, int limit,
+                       std::uint64_t min_bursts, double min_seconds) {
   api::EngineOptions o;
   o.pool_workers = 1;
   o.queue_workers = 2;
   o.queue_capacity = 256;
   if (mode == "batched") {
     o.batch_limit = static_cast<std::size_t>(limit);
-    o.batch_window = std::chrono::microseconds(window_us);
   } else {
     o.batch_limit = 1;
   }
@@ -253,25 +255,29 @@ Cell run_batching_cell(const std::string& mode, int clients, int window_us, int 
   p.dsize = 1;
   p.functional_iters = 1;
   const core::WavefrontSpec spec = apps::make_synthetic_spec(p);
-  // A barriered CPU plan with small tiles: every tile-diagonal is one pool
-  // dispatch, so the per-phase scheduling work the fused sweep amortizes
-  // dominates the (tiny) per-tile compute — the serving-shaped worst case.
+  // A small CPU-only plan: the per-job fixed cost (queue, dispatch, one
+  // interpreter pass per phase) that the fused sweep amortizes is large
+  // next to the job's compute — the serving-shaped worst case.
   const api::Plan plan = eng.compile(spec, core::TunableParams{4, 8, 1, 1}, "cpu-tiled");
 
   std::vector<std::vector<double>> lat_us(static_cast<std::size_t>(clients));
   std::vector<std::thread> workers;
   workers.reserve(static_cast<std::size_t>(clients));
+  std::vector<std::uint64_t> bursts(static_cast<std::size_t>(clients), 0);
   const auto t0 = Clock::now();
+  const auto until = t0 + std::chrono::duration_cast<Clock::duration>(
+                              std::chrono::duration<double>(min_seconds));
   for (int t = 0; t < clients; ++t) {
     workers.emplace_back([&, t] {
       auto& lat = lat_us[static_cast<std::size_t>(t)];
-      lat.reserve(bursts_per_client);
+      lat.reserve(min_bursts);
       std::vector<core::Grid> grids;
       grids.reserve(kBurst);
       for (std::size_t g = 0; g < kBurst; ++g) grids.emplace_back(spec.dim, spec.elem_bytes);
       std::vector<std::future<core::RunResult>> futs;
       futs.reserve(kBurst);
-      for (std::uint64_t b = 0; b < bursts_per_client; ++b) {
+      std::uint64_t& b = bursts[static_cast<std::size_t>(t)];
+      for (; b < min_bursts || Clock::now() < until; ++b) {
         const auto op0 = Clock::now();
         futs.clear();
         for (auto& grid : grids) futs.push_back(eng.submit(plan, grid));
@@ -287,9 +293,8 @@ Cell run_batching_cell(const std::string& mode, int clients, int window_us, int 
   cell.mode = mode;
   cell.workload = "burst";
   cell.threads = clients;
-  cell.window_us = mode == "batched" ? window_us : 0;
   cell.limit = mode == "batched" ? limit : 1;
-  cell.ops = bursts_per_client * kBurst * static_cast<std::uint64_t>(clients);
+  for (const std::uint64_t b : bursts) cell.ops += b * kBurst;
   cell.wall_s = wall;
   cell.ops_per_s = wall > 0.0 ? static_cast<double>(cell.ops) / wall : 0.0;
   std::vector<double> merged;
@@ -321,7 +326,6 @@ util::Json to_json(const Cell& c) {
   o["workload"] = c.workload;
   o["threads"] = c.threads;
   if (c.workload == "burst") {
-    o["window_us"] = c.window_us;
     o["limit"] = c.limit;
   }
   o["ops"] = c.ops;
@@ -362,7 +366,7 @@ util::Json to_json(const Cell& c) {
 
 int main(int argc, char** argv) {
   const util::Cli cli = util::Cli::parse_or_exit(
-      argc, argv, {"quick", "json", "threads", "ops", "faults", "batching", "window", "limit"});
+      argc, argv, {"quick", "json", "threads", "ops", "faults", "batching", "limit"});
   const bool quick = cli.get_bool_or("quick", false);
   const bool faults = cli.get_bool_or("faults", false);
   const bool batching = cli.get_bool_or("batching", false);
@@ -396,15 +400,14 @@ int main(int argc, char** argv) {
 
   if (batching) {
     const std::uint64_t bursts = ops_override > 0 ? ops_override : (quick ? 40 : 200);
+    const double seconds = quick ? kCellSeconds / 10 : kCellSeconds;
     std::vector<int> clients_axis = threads;
     if (!cli.get("threads")) clients_axis = quick ? std::vector<int>{4} : std::vector<int>{1, 4, 8};
-    std::vector<int> windows = quick ? std::vector<int>{0, 100} : std::vector<int>{0, 50, 200};
     std::vector<int> limits = quick ? std::vector<int>{8} : std::vector<int>{4, 8};
-    if (cli.get("window")) windows = {static_cast<int>(cli.get_int_or("window", 0))};
     if (cli.get("limit")) limits = {static_cast<int>(cli.get_int_or("limit", 8))};
 
     std::vector<Cell> cells;
-    util::Table table({"mode", "clients", "win_us", "limit", "ops/s", "vs unbatched", "p50us",
+    util::Table table({"mode", "clients", "limit", "ops/s", "vs unbatched", "p50us",
                        "p99us", "batched", "batches", "occ>=4"});
     const auto pct = [](double v) {
       char buf[16];
@@ -413,11 +416,10 @@ int main(int argc, char** argv) {
     };
     util::JsonArray summary;
     for (const int c : clients_axis) {
-      const Cell base = run_batching_cell("unbatched", c, 0, 0, bursts);
+      const Cell base = run_batching_cell("unbatched", c, 0, bursts, seconds);
       table.row()
           .add(base.mode)
           .add(c)
-          .add("-")
           .add(1)
           .add(base.ops_per_s, 0)
           .add("1.00x")
@@ -428,36 +430,32 @@ int main(int argc, char** argv) {
           .add(pct(occupancy_ge4_share(base.stats)))
           .done();
       cells.push_back(base);
-      for (const int w : windows) {
-        for (const int l : limits) {
-          const Cell b = run_batching_cell("batched", c, w, l, bursts);
-          const double speedup = base.ops_per_s > 0.0 ? b.ops_per_s / base.ops_per_s : 0.0;
-          char buf[32];
-          std::snprintf(buf, sizeof(buf), "%.2fx", speedup);
-          table.row()
-              .add(b.mode)
-              .add(c)
-              .add(w)
-              .add(l)
-              .add(b.ops_per_s, 0)
-              .add(buf)
-              .add(b.p50_us, 1)
-              .add(b.p99_us, 1)
-              .add(b.stats.jobs_batched)
-              .add(b.stats.batches_formed)
-              .add(pct(occupancy_ge4_share(b.stats)))
-              .done();
-          util::JsonObject s;
-          s["clients"] = c;
-          s["window_us"] = w;
-          s["limit"] = l;
-          s["unbatched_ops_per_sec"] = base.ops_per_s;
-          s["batched_ops_per_sec"] = b.ops_per_s;
-          s["speedup_vs_unbatched"] = speedup;
-          s["occupancy_ge4_share"] = occupancy_ge4_share(b.stats);
-          summary.emplace_back(std::move(s));
-          cells.push_back(b);
-        }
+      for (const int l : limits) {
+        const Cell b = run_batching_cell("batched", c, l, bursts, seconds);
+        const double speedup = base.ops_per_s > 0.0 ? b.ops_per_s / base.ops_per_s : 0.0;
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.2fx", speedup);
+        table.row()
+            .add(b.mode)
+            .add(c)
+            .add(l)
+            .add(b.ops_per_s, 0)
+            .add(buf)
+            .add(b.p50_us, 1)
+            .add(b.p99_us, 1)
+            .add(b.stats.jobs_batched)
+            .add(b.stats.batches_formed)
+            .add(pct(occupancy_ge4_share(b.stats)))
+            .done();
+        util::JsonObject s;
+        s["clients"] = c;
+        s["limit"] = l;
+        s["unbatched_ops_per_sec"] = base.ops_per_s;
+        s["batched_ops_per_sec"] = b.ops_per_s;
+        s["speedup_vs_unbatched"] = speedup;
+        s["occupancy_ge4_share"] = occupancy_ge4_share(b.stats);
+        summary.emplace_back(std::move(s));
+        cells.push_back(b);
       }
     }
     std::printf(

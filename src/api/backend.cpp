@@ -148,18 +148,11 @@ core::PhaseProgram plan_barrier(const core::InputParams& in, const core::Tunable
   return core::plan_phases(in, prepared, cpu::Scheduler::kBarrier);
 }
 
-/// The same program under the dataflow scheduler ("cpu-dataflow"):
-/// bit-identical grids, a different schedule and simulated charge.
+/// The same program priced by the dataflow model ("cpu-dataflow"): the
+/// same walk and grids, a different simulated charge.
 core::PhaseProgram plan_dataflow(const core::InputParams& in, const core::TunableParams& prepared,
                                  const sim::SystemProfile&) {
   return core::plan_phases(in, prepared, cpu::Scheduler::kDataflow);
-}
-
-/// "cpu-auto": the cost model picks each CPU phase's scheduler at plan
-/// time, so run and estimate interpret the same choice.
-core::PhaseProgram plan_auto(const core::InputParams& in, const core::TunableParams& prepared,
-                             const sim::SystemProfile& profile) {
-  return core::tune_cpu_schedulers(core::plan_phases(in, prepared), in, profile.cpu);
 }
 
 }  // namespace
@@ -170,8 +163,6 @@ BackendRegistry::BackendRegistry() {
       std::make_shared<ProgramBackend>(kCpuTiledBackend, prepare_cpu_only, plan_barrier);
   backends_[kCpuDataflowBackend] =
       std::make_shared<ProgramBackend>(kCpuDataflowBackend, prepare_cpu_only, plan_dataflow);
-  backends_[kCpuAutoBackend] =
-      std::make_shared<ProgramBackend>(kCpuAutoBackend, prepare_cpu_only, plan_auto);
   backends_[kHybridBackend] =
       std::make_shared<ProgramBackend>(kHybridBackend, prepare_hybrid, plan_barrier);
 }

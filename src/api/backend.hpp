@@ -13,19 +13,18 @@
 //   "serial"       optimized sequential baseline (HybridExecutor::run_serial),
 //                  with its own run() and estimate()
 //
-// and four that are one class (api/backend.cpp), each a name, a prepare
-// function and a plan function:
+// and three that are one class (api/backend.cpp), each a name, a prepare
+// function and a plan function. Every CPU phase of all three runs the
+// dependency-counter walk (cpu/dataflow_wavefront.hpp); they differ in
+// what they plan and in the price they charge:
 //
-//   "cpu-tiled"    tiled-parallel CPU only, barriered per-tile-diagonal
-//                  scheduling — any GPU offload in the tuning is stripped
-//                  at prepare time
-//   "cpu-dataflow" tiled-parallel CPU only, dependency-counter dataflow
-//                  scheduling with work stealing (no inter-diagonal
-//                  barriers; see cpu/dataflow_wavefront.hpp) — same
-//                  prepare-time GPU stripping, bit-identical results
-//   "cpu-auto"     tiled-parallel CPU only; picks barrier vs dataflow per
-//                  CPU phase at plan time (core::tune_cpu_schedulers)
-//   "hybrid"       the paper's full three-phase CPU/GPU schedule
+//   "cpu-tiled"    tiled-parallel CPU only, priced as the paper's
+//                  barriered per-tile-diagonal sweep — any GPU offload in
+//                  the tuning is stripped at prepare time
+//   "cpu-dataflow" the same program and grids, priced by the dataflow
+//                  critical-path model — same prepare-time GPU stripping
+//   "hybrid"       the paper's full three-phase CPU/GPU schedule, CPU
+//                  phases priced as the barriered sweep
 //
 // User backends register through BackendRegistry::instance().add(...) and
 // become addressable by name from Engine::compile immediately.
@@ -50,7 +49,6 @@ namespace wavetune::api {
 inline constexpr const char* kSerialBackend = "serial";
 inline constexpr const char* kCpuTiledBackend = "cpu-tiled";
 inline constexpr const char* kCpuDataflowBackend = "cpu-dataflow";
-inline constexpr const char* kCpuAutoBackend = "cpu-auto";
 inline constexpr const char* kHybridBackend = "hybrid";
 
 class Backend {
@@ -72,7 +70,7 @@ public:
   /// executes — called once per Engine::compile; the returned program is
   /// what the plan carries and what BOTH run and estimate interpret. The
   /// base implementation is the paper's default shape
-  /// (core::plan_phases with the barriered CPU scheduler).
+  /// (core::plan_phases with CPU phases priced as the barriered sweep).
   virtual core::PhaseProgram plan(const core::InputParams& in,
                                   const core::TunableParams& prepared,
                                   const sim::SystemProfile& profile) const;

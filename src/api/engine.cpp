@@ -204,16 +204,6 @@ void Engine::worker_loop(std::size_t worker) {
     batch.push_back(std::move(*extra));
     return true;
   };
-  // True when at least two held jobs share a PlanState — the arm
-  // condition of the admission window (a lone job never waits).
-  const auto same_plan_pair = [&batch]() {
-    for (std::size_t a = 0; a + 1 < batch.size(); ++a) {
-      for (std::size_t b = a + 1; b < batch.size(); ++b) {
-        if (batch[a].plan.get() == batch[b].plan.get()) return true;
-      }
-    }
-    return false;
-  };
   for (;;) {
     std::optional<Job> job;
     try {
@@ -225,25 +215,6 @@ void Engine::worker_loop(std::size_t worker) {
     batch.clear();
     batch.push_back(std::move(*job));
     while (batch.size() < cap && gather_one()) {
-    }
-    // Bounded admission window: only when a second same-plan job is
-    // ALREADY in hand (so a lone job is never delayed), the batch can
-    // still grow, and no shutdown drain is in progress. The wait is
-    // clipped to every held job's deadline: no job is held past the point
-    // where it could still finish on time.
-    if (options_.batch_window.count() > 0 && batch.size() < cap && same_plan_pair() &&
-        drain_deadline_ns_.load(std::memory_order_acquire) == 0) {
-      auto wait_until = std::chrono::steady_clock::now() + options_.batch_window;
-      for (const Job& held : batch) {
-        if (held.control && held.control->has_deadline()) {
-          wait_until = std::min(wait_until, held.control->deadline());
-        }
-      }
-      while (batch.size() < cap && std::chrono::steady_clock::now() < wait_until) {
-        if (gather_one()) continue;
-        if (queue_.closed()) break;
-        std::this_thread::sleep_for(std::chrono::microseconds(20));
-      }
     }
     dispatch(batch, worker);
   }

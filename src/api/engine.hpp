@@ -104,15 +104,6 @@ struct EngineOptions {
   /// bit-identical results, and its own promise. 1 disables grouping:
   /// every job is a batch of one.
   std::size_t batch_limit = 8;
-  /// Bounded admission window of the batch former. 0 (the default) makes
-  /// fusion purely opportunistic: only jobs ALREADY queued when the
-  /// worker sweeps join a batch. > 0 lets a worker that holds at least
-  /// TWO same-plan jobs — the window never arms for a lone job, so a lone
-  /// job is never delayed — keep gathering same-plan arrivals for up to
-  /// this long before executing. The wait is clipped to every held job's
-  /// deadline (a job whose deadline cannot survive the window is never
-  /// held past it) and skipped entirely during a shutdown drain.
-  std::chrono::nanoseconds batch_window{0};
   /// Memoize compiled plans. Executable specs that declare no identity
   /// (empty WavefrontSpec::content_key and no CompileOptions::cache_tag)
   /// are never cached regardless, so an undeclared kernel can't alias.

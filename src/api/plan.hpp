@@ -46,8 +46,8 @@ struct PlanState {
   core::TunableParams params;      ///< normalized + backend-validated tuning
   /// The compiled phase program (core/phase_program.hpp): the schedule as
   /// data, built ONCE at compile time — by the backend's planner (the
-  /// paper's three-phase shape for "hybrid", scheduler-refined variants
-  /// for the CPU backends) or taken verbatim from
+  /// paper's three-phase shape for "hybrid", CPU-only programs for the
+  /// CPU backends) or taken verbatim from
   /// CompileOptions::program. Both run and estimate interpret exactly
   /// this object, so a plan cannot estimate one schedule and run another.
   core::PhaseProgram program;

@@ -208,14 +208,6 @@ std::vector<core::PhaseProgram> program_neighbours(const core::PhaseProgram& bas
         p.phases[i].cpu_tile = static_cast<std::size_t>(t);
         push(std::move(p));
       }
-      // Per-phase scheduler flip.
-      {
-        core::PhaseProgram p = base;
-        p.phases[i].scheduler = ph.scheduler == cpu::Scheduler::kBarrier
-                                    ? cpu::Scheduler::kDataflow
-                                    : cpu::Scheduler::kBarrier;
-        push(std::move(p));
-      }
       // Re-device to a single GPU.
       if (max_gpus >= 1) {
         core::PhaseProgram p = base;

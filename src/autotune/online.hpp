@@ -9,10 +9,10 @@
 //
 //   * refine_program — the PROFILE-DRIVEN program-space hill climb: it
 //     mutates the compiled core::PhaseProgram itself (split / merge /
-//     re-device a phase, per-phase cpu_tile / gpu_tile and scheduler
-//     moves instead of one global tuning), scoring every candidate by the
-//     interpreter's estimate with each phase's simulated time multiplied
-//     by the measured-vs-modelled residual scale of its device class
+//     re-device a phase, per-phase cpu_tile / gpu_tile moves instead of
+//     one global tuning), scoring every candidate by the interpreter's
+//     estimate with each phase's simulated time multiplied by the
+//     measured-vs-modelled residual scale of its device class
 //     (PhaseCostScales, produced by profile::device_scales from live
 //     ProfileStore data). With neutral scales it degenerates to a pure
 //     model-driven program search; with measured scales it is the
@@ -96,7 +96,7 @@ double scaled_program_cost_ns(const core::HybridExecutor& executor,
                               const PhaseCostScales& scales);
 
 /// Refines `seed` by greedy descent over PROGRAM mutations: per-phase
-/// cpu_tile ladder and scheduler moves, per-phase gpu_tile ladder moves,
+/// cpu_tile ladder moves, per-phase gpu_tile ladder moves,
 /// splitting a phase at its diagonal midpoint, merging adjacent
 /// same-device phases, and re-deviceing a phase (CPU <-> single GPU,
 /// multi-GPU -> CPU, respecting the profile's device count). Every

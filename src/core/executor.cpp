@@ -364,9 +364,9 @@ RunResult HybridExecutor::execute(const InputParams& in, const PhaseProgram& pro
 
   // ONE walk of the program, shared by run (fctx != nullptr) and estimate
   // (fctx == nullptr). Each phase charges its simulated time; in run mode
-  // it also executes functionally — CPU phases through the selected
-  // scheduler (one lowered-kernel call per tile, resolved before any
-  // loop), GPU phases through the simulated devices.
+  // it also executes functionally — CPU phases through the dataflow walk
+  // (one lowered-kernel call per tile, resolved before any loop), GPU
+  // phases through the simulated devices.
   for (std::size_t p = 0; p < program.phases.size(); ++p) {
     const PhaseDesc& ph = program.phases[p];
     // Phase boundary, run mode only: the fault-injection site and the
@@ -414,14 +414,14 @@ RunResult HybridExecutor::execute(const InputParams& in, const PhaseProgram& pro
         t.ns = cpu::wavefront_cost_ns(ph.scheduler, region, profile_.cpu, in.tsize,
                                       in.elem_bytes());
         if (f) {
-          // All active grids through ONE scheduling structure (one barrier
-          // sweep or one dep-counter graph, grids innermost; one serial
-          // sweep per grid at one worker). n == 1 is the single-grid path.
+          // All active grids through ONE dep-counter graph, grids
+          // innermost (one serial sweep per grid at one worker). n == 1 is
+          // the single-grid path.
           f->storages.clear();
           for (std::size_t m : f->active) {
             f->storages.push_back({f->members[m].host->data(), 0});
           }
-          cpu::run_wavefront(ph.scheduler, region, *f->pool, *f->lowered, f->storages);
+          cpu::run_dataflow_wavefront(region, *f->pool, *f->lowered, f->storages);
         }
       } else {
         // Streamed CPU phase: the strips run back to back on the host
@@ -443,7 +443,7 @@ RunResult HybridExecutor::execute(const InputParams& in, const PhaseProgram& pro
             for (std::size_t m : f->active) {
               f->storages.push_back({f->members[m].host->data(), 0});
             }
-            cpu::run_wavefront(ph.scheduler, region, *f->pool, *f->lowered, f->storages);
+            cpu::run_dataflow_wavefront(region, *f->pool, *f->lowered, f->storages);
             f->maybe_checkpoint(p, s + 1);
           }
         }

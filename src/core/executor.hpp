@@ -8,8 +8,9 @@
 // it is handed, phase by phase:
 //
 //   kCpu        diagonals [d_begin, d_end) tiled-parallel across the
-//               cores, under the phase's scheduler (barriered sweep or
-//               dependency-counter dataflow).
+//               cores by the dependency-counter walk; the phase's
+//               scheduler picks only the price (barriered sweep or
+//               dataflow critical path).
 //   kGpuMulti   the GPU band walk: an N-way fixed row split at rows
 //               dim*g/N with chained halo exchanges through host memory
 //               every halo+1 diagonals; each device stores only its row
@@ -181,12 +182,11 @@ public:
                 const RunControl* control = nullptr, const StreamControl* stream = nullptr);
 
   /// Continuous-batching entry point: interprets `program` ONCE for all
-  /// members' grids. CPU phases drive every grid through one scheduling
-  /// structure (one barrier sweep or one dep-counter graph, grids
-  /// innermost; one serial sweep per grid at one worker); GPU phases run
-  /// one simulated charging pass per phase with the functional
-  /// transfers/kernels looped per member — so the per-phase fixed costs
-  /// are paid once per batch, not once per grid.
+  /// members' grids. CPU phases drive every grid through one
+  /// dep-counter graph (grids innermost; one serial sweep per grid at one
+  /// worker); GPU phases run one simulated charging pass per phase with
+  /// the functional transfers/kernels looped per member — so the
+  /// per-phase fixed costs are paid once per batch, not once per grid.
   /// Each member keeps its own storage and simulated timing: a surviving
   /// member's grid and RunResult simulated fields are bit-identical to a
   /// lone run() of the same program (measured wall_ns is attributed as

@@ -295,19 +295,4 @@ PhaseProgram apply_strips(PhaseProgram program, std::size_t strip_rows,
   return program;
 }
 
-PhaseProgram tune_cpu_schedulers(PhaseProgram program, const InputParams& in,
-                                 const sim::CpuModel& cpu) {
-  for (PhaseDesc& ph : program.phases) {
-    if (!ph.is_cpu()) continue;
-    const cpu::TiledRegion region{program.dim, ph.d_begin, ph.d_end, ph.cpu_tile};
-    const auto cost = [&](cpu::Scheduler s) {
-      return cpu::wavefront_cost_ns(s, region, cpu, in.tsize, in.elem_bytes());
-    };
-    ph.scheduler = cost(cpu::Scheduler::kDataflow) < cost(cpu::Scheduler::kBarrier)
-                       ? cpu::Scheduler::kDataflow
-                       : cpu::Scheduler::kBarrier;
-  }
-  return program;
-}
-
 }  // namespace wavetune::core

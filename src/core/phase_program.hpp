@@ -61,7 +61,7 @@ struct PhaseDesc {
   std::size_t d_end = 0;    ///< one past the last diagonal
 
   // CPU phases:
-  cpu::Scheduler scheduler = cpu::Scheduler::kBarrier;  ///< phase discipline
+  cpu::Scheduler scheduler = cpu::Scheduler::kBarrier;  ///< price charged
   std::size_t cpu_tile = 1;  ///< side of the square CPU tiles (>= 1)
 
   // GPU phases:
@@ -147,8 +147,8 @@ struct PhaseProgram {
 /// Compiles a tuning into the paper's schedule shape: CPU tiled before the
 /// band, the GPU band (single or multi device), CPU tiled after — empty
 /// phases omitted, so a band of -1 yields one whole-grid CPU phase and a
-/// full band yields a single GPU phase. `scheduler` is the discipline of
-/// every CPU phase (tune_cpu_schedulers refines it per phase). `params`
+/// full band yields a single GPU phase. `scheduler` is the price of
+/// every CPU phase. `params`
 /// may be raw; it is normalized for in.dim first. The returned program is
 /// validated.
 PhaseProgram plan_phases(const InputParams& in, const TunableParams& params,
@@ -176,16 +176,5 @@ PhaseProgram split_gpu_band(PhaseProgram program, std::size_t k);
 /// entry.
 PhaseProgram apply_strips(PhaseProgram program, std::size_t strip_rows,
                           std::size_t strip_buffers = 2);
-
-/// Re-decides barrier vs dataflow for every CPU phase of `program`
-/// independently (a pre-band sliver and a post-band bulk phase can want
-/// different disciplines): each phase takes the scheduler whose
-/// cpu::wavefront_cost_ns on `cpu` is lower, the charge the executor
-/// makes for that phase. Ties go to barrier; GPU phases pass through.
-/// The shipped profiles price dataflow below barrier on every nonempty
-/// region; a CpuModel whose dependency bookkeeping costs more than its
-/// barriers flips the answer.
-PhaseProgram tune_cpu_schedulers(PhaseProgram program, const InputParams& in,
-                                 const sim::CpuModel& cpu);
 
 }  // namespace wavetune::core

@@ -17,8 +17,8 @@ namespace {
 
 /// Contiguous range of tile-diagonals k (tile (I,J) is on k = I+J) whose
 /// global-diagonal span [k*T, (k+2)*T - 2] intersects [d_begin, d_end).
-/// Mirrors the inclusion test of run_tiled_wavefront exactly, so both
-/// schedulers visit the same tile set.
+/// Mirrors the inclusion test of tiled_wavefront_cost_ns exactly, so both
+/// prices count the tile set this walk visits.
 struct TileDiagRange {
   std::size_t k_lo = 1;
   std::size_t k_hi = 0;  // empty when k_lo > k_hi
@@ -114,9 +114,8 @@ struct DataflowState {
   }
 
   /// Computes the cells of tile (I,J), clipped to the strip's row window:
-  /// one lowered call per view, clamping and the row loop inside it —
-  /// identical traversal to run_tiled_wavefront, hence identical results.
-  /// Each call touches only its own storage, so results per grid are
+  /// one lowered call per view, clamping and the row loop inside it. Each
+  /// call touches only its own storage, so results per grid are
   /// bit-identical to a lone run.
   void execute(std::size_t I, std::size_t J) const {
     const std::size_t dim = region->dim;
@@ -215,6 +214,10 @@ void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
                             std::span<const core::StorageView> views) {
   region.validate();
   if (views.empty()) throw std::invalid_argument("run_dataflow_wavefront: no storage views");
+  if (pool.worker_count() <= 1) {
+    for (const core::StorageView& view : views) run_serial_wavefront(region, kernel, view);
+    return;
+  }
   if (region.d_begin == region.d_end) return;
   const std::size_t T = region.tile;
   const std::size_t M = (region.dim + T - 1) / T;
@@ -241,7 +244,7 @@ void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
     if (i_lo <= i_hi) n_tiles += i_hi - i_lo + 1;
   }
   if (n_tiles == 0) return;
-  if (pool.worker_count() <= 1 || n_tiles <= 2) {
+  if (n_tiles <= 2) {
     for (const core::StorageView& view : views) run_serial_wavefront(region, kernel, view);
     return;
   }
@@ -331,15 +334,6 @@ double dataflow_wavefront_cost_ns(const TiledRegion& region, const sim::CpuModel
   const double critical = n_diags * tile_cost;
   const double work = static_cast<double>(n_tiles) * tile_cost / P;
   return std::max(critical, work);
-}
-
-void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
-                   const core::LoweredKernel& kernel, std::span<const core::StorageView> views) {
-  if (s == Scheduler::kDataflow) {
-    run_dataflow_wavefront(region, pool, kernel, views);
-  } else {
-    run_tiled_wavefront(region, pool, kernel, views);
-  }
 }
 
 double wavefront_cost_ns(Scheduler s, const TiledRegion& region, const sim::CpuModel& cpu,

@@ -1,11 +1,11 @@
-// Dependency-counter (dataflow) tile scheduling for the CPU wavefront.
+// Dependency-counter (dataflow) tile scheduling: the one parallel CPU walk.
 //
-// run_tiled_wavefront steps the tile grid one anti-diagonal at a time with
-// a full barrier between diagonals: 2M-1 barriers for an MxM tile grid,
-// workers idling at the ragged edges of every diagonal, and a tile's
-// producer->consumer reuse never staying on one core. Only a tile's north
-// and west neighbours actually gate it, so this module schedules tiles by
-// readiness instead:
+// The paper's schedule steps the tile grid one anti-diagonal at a time
+// with a full barrier between diagonals: 2M-1 barriers for an MxM tile
+// grid and workers idling at the ragged edges of every diagonal. That
+// sweep survives only as a price (cpu/tiled_wavefront.hpp's
+// tiled_wavefront_cost_ns). Only a tile's north and west neighbours
+// actually gate it, so every CPU region runs here, scheduled by readiness:
 //
 //   * every in-band tile carries an atomic remaining-dependency counter
 //     (0, 1 or 2: its north and west neighbours clamped to the diagonal
@@ -34,17 +34,18 @@
 
 namespace wavetune::cpu {
 
-/// CPU wavefront scheduling discipline for the executor's phases 1 and 3.
+/// The price a CPU phase is charged. Both run the same walk
+/// (run_dataflow_wavefront); the field picks only the cost model the
+/// executor's run() and estimate() charge.
 enum class Scheduler {
-  kBarrier,   ///< per-tile-diagonal parallel_for (run_tiled_wavefront)
-  kDataflow,  ///< dependency counters + work stealing (this module)
+  kBarrier,   ///< the paper's barriered sweep (tiled_wavefront_cost_ns)
+  kDataflow,  ///< the critical-path model (dataflow_wavefront_cost_ns)
 };
 
 /// "barrier" / "dataflow" (stable names used by benches and logs).
 const char* scheduler_name(Scheduler s);
 
-/// Functionally executes the region under dataflow scheduling over every
-/// storage view of `views` (same view contract as run_tiled_wavefront):
+/// Functionally executes the region over every storage view of `views`:
 /// each cell with i+j in [d_begin, d_end) inside the row window is
 /// computed exactly once per view, in an order that respects the
 /// wavefront dependencies. Each tile body is ONE indirect call per view
@@ -52,14 +53,18 @@ const char* scheduler_name(Scheduler s);
 /// so ONE dependency-counter graph and ONE steal schedule drive the whole
 /// batch: the per-tile scheduling fixed cost (counter RMWs, deque
 /// traffic, pool wakes) is paid once per batch instead of once per grid,
-/// and each grid's results stay bit-identical to a lone run. The dep
-/// graph is built over the region's row window only. Exceptions thrown by
-/// the kernel — including from tiles stolen by other workers — propagate
-/// to the caller (first one wins); remaining tiles are skipped. Throws
-/// std::invalid_argument when `views` is empty.
+/// and each grid's results stay bit-identical to a lone run. A whole grid
+/// is the view {data, 0}; a streaming strip passes its row-window buffer
+/// with the first resident row, and the region's row window must lie
+/// inside each view's resident rows (one halo row above row_begin when the
+/// band reads north neighbours). The dep graph is built over the region's
+/// row window only. Exceptions thrown by the kernel — including from
+/// tiles stolen by other workers — propagate to the caller (first one
+/// wins); remaining tiles are skipped. Throws std::invalid_argument when
+/// `views` is empty.
 /// A one-worker pool or a region of at most two tiles runs as one
 /// run_serial_wavefront call per view instead, with no dep graph, while
-/// dataflow_wavefront_cost_ns still prices the tiled schedule.
+/// the executor still charges the phase's tiled price.
 void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
                             const core::LoweredKernel& kernel,
                             std::span<const core::StorageView> views);
@@ -74,12 +79,8 @@ void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
 double dataflow_wavefront_cost_ns(const TiledRegion& region, const sim::CpuModel& cpu,
                                   double tsize_units, std::size_t elem_bytes);
 
-/// One switch point for the executor's CPU phases: run_wavefront runs the
-/// region under scheduler `s` (run_tiled_wavefront or
-/// run_dataflow_wavefront), and wavefront_cost_ns prices it under the
-/// matching cost model.
-void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
-                   const core::LoweredKernel& kernel, std::span<const core::StorageView> views);
+/// The executor's price of a CPU region under scheduler `s`:
+/// tiled_wavefront_cost_ns or dataflow_wavefront_cost_ns.
 double wavefront_cost_ns(Scheduler s, const TiledRegion& region, const sim::CpuModel& cpu,
                          double tsize_units, std::size_t elem_bytes);
 

@@ -4,14 +4,14 @@
 // bottom (LIFO, so a producer's freshly-written data is consumed while
 // still cache-hot) and idle workers steal from the top (FIFO, so the
 // oldest — usually largest — pending work migrates). A global injection
-// queue receives tasks submitted from outside the pool. This is the
-// substrate of both scheduling disciplines the CPU phases use:
+// queue receives tasks submitted from outside the pool. It is the
+// substrate of the CPU phases' one parallel walk, the dataflow tile
+// scheduler (cpu/dataflow_wavefront.hpp): tasks spawn their successors
+// with submit_local and idle workers steal, with no barrier anywhere.
 //
-//   * parallel_for: data-parallel range with a barrier at the end (the
-//     paper's per-tile-diagonal sweep);
-//   * the dataflow tile scheduler (cpu/dataflow_wavefront.hpp): tasks
-//     spawn their successors with submit_local and idle workers steal,
-//     with no barrier anywhere.
+// parallel_for (a data-parallel range with a barrier at the end) runs no
+// CPU phase; outside the tests only the benchmarks call it (the end-to-end
+// benchmark's pool-wake probe and its own microbenchmark).
 //
 // The pool is created once per executor and reused across phases,
 // mirroring the paper's "threads to control CPU phases".
@@ -81,8 +81,7 @@ public:
   ///
   /// `grain` batches the dynamic scheduling: workers claim runs of `grain`
   /// consecutive indices per atomic fetch_add, so ranges of many cheap
-  /// iterations (e.g. tile-diagonals with many small tiles) don't pay one
-  /// atomic RMW per iteration. grain == 0 is treated as 1. Completion is
+  /// iterations don't pay one atomic RMW per iteration. grain == 0 is treated as 1. Completion is
   /// tracked by a stack-allocated CompletionLatch — no per-call heap
   /// allocation.
   void parallel_for(std::size_t begin, std::size_t end,
@@ -92,9 +91,8 @@ public:
   using ForFn = void (*)(void* ctx, std::size_t i);
 
   /// Like parallel_for above, but nothing type-erased is invoked per
-  /// index — the per-iteration cost is one indirect call. This is the
-  /// variant the lowered-kernel hot loops use (the std::function overload
-  /// wraps onto it). Helper TASKS are still std::function (one per
+  /// index — the per-iteration cost is one indirect call (the
+  /// std::function overload wraps onto it). Helper TASKS are still std::function (one per
   /// participating worker, not per index).
   void parallel_for(std::size_t begin, std::size_t end, ForFn fn, void* ctx,
                     std::size_t grain = 1);

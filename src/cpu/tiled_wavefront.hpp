@@ -1,27 +1,24 @@
-// Tiled parallel wavefront execution on the multicore CPU.
+// The CPU wavefront's tiled region, its single-thread walk and its cost
+// models.
 //
 // The grid is partitioned into TxT tiles; tile (I,J) depends on its west,
 // north and north-west neighbour tiles, so tiles on the same tile-diagonal
-// (I+J = k) are independent and run in parallel, with a barrier between
-// successive tile-diagonals. Within a tile, cells are computed row-major,
-// which respects the cell-level dependencies and maximises cache reuse —
-// the optimization the paper's cpu-tile parameter controls.
-//
-// The module dispatches one lowered tile kernel (core/lowered.hpp) per
-// tile over a diagonal range and storage views, so the hybrid executor
-// can use it for phases 1 and 3 and tests can drive it with any
-// recurrence written as a TileKernelFn. The diagonal-geometry algebra
-// comes from core/diag.hpp — the single definition shared with the GPU
-// partitioner and the cost model.
+// (I+J = k) are independent. The paper's schedule sweeps one
+// tile-diagonal at a time with a barrier between diagonals; that sweep is
+// kept here only as a price (tiled_wavefront_cost_ns), which the hybrid
+// executor charges for kBarrier CPU phases. Every parallel CPU region runs
+// through the dependency-counter walk (cpu/dataflow_wavefront.hpp); within
+// a tile, cells are computed row-major, the cache reuse the paper's
+// cpu-tile parameter controls. run_serial_wavefront is the single-thread
+// walk and the reference. The diagonal-geometry algebra comes from
+// core/diag.hpp, the single definition shared with the GPU partitioner.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <span>
 #include <utility>
 
 #include "core/lowered.hpp"
-#include "cpu/thread_pool.hpp"
 #include "sim/hardware.hpp"
 
 namespace wavetune::cpu {
@@ -30,14 +27,6 @@ namespace wavetune::cpu {
 /// algebra, now defined in core/diag.hpp (the lowered-kernel dispatch
 /// needs it below the cpu layer); re-exported here for the cpu call sites.
 using core::row_band_span;
-
-/// Scheduling grain for one tile-diagonal of `n_tiles` tiles of side
-/// `tile`: batch enough tiles per parallel_for claim that tiny tiles don't
-/// pay one atomic RMW each, without starving the pool of parallel slack.
-/// Calibrated for one-call-per-tile lowered dispatch (the per-claim
-/// overhead is one atomic RMW plus one indirect call per tile, not one
-/// type-erased call per tile row).
-std::size_t tile_grain(std::size_t n_tiles, std::size_t tile, std::size_t workers);
 
 /// A contiguous band of diagonals [d_begin, d_end) of a dim x dim grid,
 /// executed with square tiles of side `tile`. An optional row window
@@ -65,34 +54,8 @@ struct TiledRegion {
   void validate() const;
 };
 
-/// Functionally executes the region over every storage view of `views`:
-/// each cell with i+j in [d_begin, d_end) inside the row window is
-/// computed exactly once per view, in an order that respects the
-/// wavefront dependencies. Tiles of one tile-diagonal run concurrently on
-/// `pool`, with a barrier between tile-diagonals; each tile is ONE
-/// indirect call into the lowered kernel per view — the row loop,
-/// neighbour-pointer advance and band clamp all live inside the call.
-///
-/// Views iterate INNERMOST: each tile claim makes views.size()
-/// back-to-back calls on the same (I,J) block of every storage, so the
-/// per-diagonal scheduling fixed cost (claim RMWs, pool wake/park, the
-/// barrier) is paid once per batch instead of once per grid. The
-/// storages are independent (a kernel call reads and writes only its own
-/// storage), so each grid's results are bit-identical to a lone run. A
-/// whole grid is the view {data, 0}; a streaming strip passes its
-/// row-window buffer with the first resident row, and the region's row
-/// window must lie inside each view's resident rows (one halo row above
-/// row_begin when the band reads north neighbours). Throws
-/// std::invalid_argument when `views` is empty.
-/// One worker has no parallel slack to trade for cache reuse: there the
-/// region runs as one run_serial_wavefront call per view, walking no tile,
-/// while tiled_wavefront_cost_ns still prices the tiled schedule.
-void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
-                         const core::LoweredKernel& kernel,
-                         std::span<const core::StorageView> views);
-
-/// Sequential reference and the only single-thread walk (both schedulers
-/// run a one-worker pool through it): visits the same cells in row-major
+/// Sequential reference and the only single-thread walk (a one-worker
+/// pool runs every region through it): visits the same cells in row-major
 /// order, which satisfies every dependency. A fully-in-band region is ONE
 /// kernel call over the whole rectangle; a banded region is one
 /// LoweredKernel::tile() call too, which the kernel's band-clamped entry
@@ -100,10 +63,11 @@ void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
 void run_serial_wavefront(const TiledRegion& region, const core::LoweredKernel& kernel,
                           core::StorageView view);
 
-/// Simulated time of run_tiled_wavefront on `cpu`: per tile-diagonal,
-/// max(1, tiles/P) tile slots of (T^2 elements + scheduling) plus a
-/// barrier. Deterministic in the parameters only — the hybrid executor's
-/// run() and estimate() both charge exactly this.
+/// Simulated time of the paper's barriered sweep over the region on
+/// `cpu`: per tile-diagonal, max(1, tiles/P) tile slots of (T^2 elements +
+/// scheduling) plus a barrier. Deterministic in the parameters only: the
+/// hybrid executor's run() and estimate() both charge exactly this for a
+/// kBarrier CPU phase.
 double tiled_wavefront_cost_ns(const TiledRegion& region, const sim::CpuModel& cpu,
                                double tsize_units, std::size_t elem_bytes);
 

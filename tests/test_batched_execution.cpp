@@ -8,11 +8,11 @@
 //   2. ENGINE: a parked worker that returns to a backlog of same-plan
 //      jobs forms ONE fused batch (jobs_batched / batches_formed / the
 //      occupancy histogram / Submission::history().rode_batch all agree).
-//   3. POLICY: the admission window never delays a lone job; expired or
-//      cancelled members are shed from a batch without aborting the
-//      survivors; a group runs through its backend's own run() — a
-//      failing group re-runs each member alone, under its own retry and
-//      fallback policy — and the "serial" backend sheds per member.
+//   3. POLICY: expired or cancelled members are shed from a batch
+//      without aborting the survivors; a group runs through its backend's
+//      own run() — a failing group re-runs each member alone, under its
+//      own retry and fallback policy — and the "serial" backend sheds per
+//      member.
 //   4. CONCURRENCY: batched and lone submitters interleaving across
 //      shards stay conservation-clean (the TSan job runs this file).
 #include <gtest/gtest.h>
@@ -379,28 +379,6 @@ TEST(BatchedExecutionEngine, BatchLimitCapsFusedGroupSize) {
   }
 }
 
-TEST(BatchedExecutionEngine, AdmissionWindowNeverDelaysALoneJob) {
-  EngineOptions o = one_worker_options();
-  o.batch_limit = 8;
-  // A window long enough that any "lone job waits the window out" bug is
-  // unmissable against the assertion below.
-  o.batch_window = std::chrono::milliseconds(500);
-  Engine eng(sim::make_i7_2600k(), o);
-  const auto spec = batch_spec();
-  const Plan plan = eng.compile(spec, core::TunableParams{4, 8, 1, 1});
-
-  core::Grid g(spec.dim, spec.elem_bytes);
-  const auto t0 = std::chrono::steady_clock::now();
-  eng.submit(plan, g).get();
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  EXPECT_LT(elapsed, std::chrono::milliseconds(250))
-      << "a lone job sat out the admission window";
-  const EngineStats s = eng.stats();
-  EXPECT_EQ(s.jobs_completed, 1u);
-  EXPECT_EQ(s.jobs_batched, 0u);
-  EXPECT_EQ(s.batches_formed, 0u);
-}
-
 TEST(BatchedExecutionEngine, ExpiredAndCancelledMembersAreShedSurvivorsComplete) {
   register_gate_backend();
   gate().reset();
@@ -614,7 +592,6 @@ TEST(BatchedExecutionStress, MixedBatchedAndLoneSubmittersStayConservationClean)
   o.queue_shards = 2;
   o.queue_capacity = 64;
   o.batch_limit = 4;
-  o.batch_window = std::chrono::microseconds(100);
   Engine eng(sim::make_i7_2600k(), o);
   const auto spec = batch_spec();
 

@@ -142,9 +142,8 @@ void chaos_iteration(std::uint64_t seed, const core::WavefrontSpec& spec,
   opts.queue_shards = 2;
   // Continuous batching stays ON under chaos: fused multi-grid sweeps
   // must hold the same four invariants, faults landing mid-batch
-  // included. A quarter of iterations also arm the admission window.
+  // included.
   opts.batch_limit = 4;
-  if (rng.bernoulli(0.25)) opts.batch_window = std::chrono::microseconds(50);
   opts.plan_cache_capacity = 4;  // small: the eviction site gets traffic
   opts.profiling = rng.bernoulli(0.25);
   opts.retry_backoff_base = std::chrono::microseconds(2);

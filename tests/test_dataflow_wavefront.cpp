@@ -19,7 +19,7 @@ using oracles::lowered;
 using oracles::mix;
 using oracles::whole;
 
-/// The dataflow scheduler as a test runner.
+/// The CPU walk as a test runner.
 oracles::Runner dataflow_on(ThreadPool& pool) {
   return [&pool](const TiledRegion& region, const core::LoweredKernel& kernel,
                  std::span<const core::StorageView> views) {
@@ -65,7 +65,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(DataflowWavefront, BandSlicesMatchSerial) {
   ThreadPool pool(4);
   const std::size_t dim = 33;
-  for (std::size_t tile : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
+  // Tile 40 is wider than the grid: one tile covers it.
+  for (std::size_t tile : {std::size_t{1}, std::size_t{4}, std::size_t{16}, std::size_t{40}}) {
     for (auto [d0, d1] : {std::pair<std::size_t, std::size_t>{0, 2 * dim - 1},
                           std::pair<std::size_t, std::size_t>{7, 41},
                           std::pair<std::size_t, std::size_t>{40, 65},
@@ -79,19 +80,22 @@ TEST(DataflowWavefront, BandSlicesMatchSerial) {
 }
 
 // Property: three phases [0,a) [a,b) [b,D) run back-to-back under
-// dataflow equal one serial pass — the executor's split is seamless.
+// dataflow equal one serial pass — the executor's split is seamless — on
+// a two- and a four-worker pool.
 TEST(DataflowWavefront, PhaseSplitSeamless) {
-  ThreadPool pool(4);
   const std::size_t dim = 20;
   const std::size_t total = 2 * dim - 1;
   const std::vector<Cell> ref = serial_reference(TiledRegion{dim, 0, total, 1});
-  for (std::size_t a : {std::size_t{0}, std::size_t{5}, std::size_t{19}, std::size_t{39}}) {
-    for (std::size_t len : {std::size_t{0}, std::size_t{7}, std::size_t{20}}) {
-      const std::size_t b = std::min(a + len, total);
-      std::vector<Cell> got = dataflow(pool, TiledRegion{dim, 0, a, 3});
-      got = dataflow(pool, TiledRegion{dim, a, b, 5}, std::move(got));
-      got = dataflow(pool, TiledRegion{dim, b, total, 2}, std::move(got));
-      EXPECT_EQ(ref, got) << "a=" << a << " b=" << b;
+  for (const std::size_t workers : {2u, 4u}) {
+    ThreadPool pool(workers);
+    for (const std::size_t a : {0u, 1u, 5u, 13u, 19u, 39u}) {
+      for (const std::size_t len : {0u, 1u, 7u, 20u}) {
+        const std::size_t b = std::min(a + len, total);
+        std::vector<Cell> got = dataflow(pool, TiledRegion{dim, 0, a, 3});
+        got = dataflow(pool, TiledRegion{dim, a, b, 5}, std::move(got));
+        got = dataflow(pool, TiledRegion{dim, b, total, 2}, std::move(got));
+        EXPECT_EQ(ref, got) << "workers=" << workers << " a=" << a << " b=" << b;
+      }
     }
   }
 }
@@ -103,12 +107,15 @@ TEST(DataflowWavefront, VisitsEachCellExactlyOnce) {
 }
 
 // Every kernel call's block lies inside one tile, inside the band and
-// inside the strip's row window.
+// inside the strip's row window, on a two- and a four-worker pool.
 TEST(DataflowWavefront, BlocksNeverCrossTileOrBandBoundaries) {
-  ThreadPool pool(4);
-  for (const TiledRegion& region : {TiledRegion{20, 6, 30, 8}, TiledRegion{37, 4, 60, 3},
-                                    TiledRegion{20, 6, 30, 8, 5, 13}}) {
-    oracles::expect_blocks_inside_tiles_and_band(dataflow_on(pool), region);
+  for (const std::size_t workers : {2u, 4u}) {
+    ThreadPool pool(workers);
+    for (const TiledRegion& region :
+         {TiledRegion{20, 6, 30, 8}, TiledRegion{20, 0, 39, 8}, TiledRegion{37, 4, 60, 3},
+          TiledRegion{20, 6, 30, 8, 5, 13}}) {
+      oracles::expect_blocks_inside_tiles_and_band(dataflow_on(pool), region);
+    }
   }
 }
 
@@ -222,25 +229,19 @@ void expect_serial_calls(const oracles::Runner& run, const TiledRegion& region,
   }
 }
 
-// A one-worker pool walks no tiles: both schedulers run the region as one
+// A one-worker pool walks no tiles: the region runs as one
 // run_serial_wavefront call per view — for a whole grid, a band slice, a
 // strip's row window and a fused batch of three views.
-TEST(OneWorkerPool, BothSchedulersRunTheSerialSweepPerView) {
+TEST(OneWorkerPool, RunsTheSerialSweepPerView) {
   ThreadPool pool(1);
   const std::size_t dim = 20;
-  for (Scheduler s : {Scheduler::kBarrier, Scheduler::kDataflow}) {
-    const oracles::Runner run = [&pool, s](const TiledRegion& region,
-                                           const core::LoweredKernel& kernel,
-                                           std::span<const core::StorageView> views) {
-      run_wavefront(s, region, pool, kernel, views);
-    };
-    const TiledRegion whole_grid{dim, 0, 2 * dim - 1, 4};
-    expect_serial_calls(run, whole_grid, 1, scheduler_name(s));
-    EXPECT_EQ(oracles::record_blocks(run, whole_grid).size(), 1u) << scheduler_name(s);
-    expect_serial_calls(run, TiledRegion{dim, 6, 30, 4}, 1, scheduler_name(s));
-    expect_serial_calls(run, TiledRegion{dim, 6, 30, 4, 5, 13}, 1, scheduler_name(s));
-    expect_serial_calls(run, TiledRegion{dim, 9, 2 * dim - 1, 4}, 3, scheduler_name(s));
-  }
+  const oracles::Runner run = dataflow_on(pool);
+  const TiledRegion whole_grid{dim, 0, 2 * dim - 1, 4};
+  expect_serial_calls(run, whole_grid, 1, "whole grid");
+  EXPECT_EQ(oracles::record_blocks(run, whole_grid).size(), 1u);
+  expect_serial_calls(run, TiledRegion{dim, 6, 30, 4}, 1, "band slice");
+  expect_serial_calls(run, TiledRegion{dim, 6, 30, 4, 5, 13}, 1, "row window");
+  expect_serial_calls(run, TiledRegion{dim, 9, 2 * dim - 1, 4}, 3, "three views");
 }
 
 // A dataflow region of at most two tiles has nothing to schedule, even on
@@ -259,17 +260,13 @@ TEST(DataflowWavefront, SchedulerNames) {
   EXPECT_STREQ(scheduler_name(Scheduler::kDataflow), "dataflow");
 }
 
-TEST(DataflowWavefront, DispatcherSelectsScheduler) {
+// A two-worker pool (the caller plus one worker) walks the tile graph
+// too: a non-divisible grid matches the serial reference.
+TEST(DataflowWavefront, TwoWorkerPoolMatchesSerial) {
   ThreadPool pool(2);
   const std::size_t dim = 17;
   const TiledRegion region{dim, 0, 2 * dim - 1, 4};
-  const std::vector<Cell> ref = serial_reference(region);
-  for (Scheduler s : {Scheduler::kBarrier, Scheduler::kDataflow}) {
-    std::vector<Cell> got(dim * dim, 0);
-    const core::StorageView view = whole(got);
-    run_wavefront(s, region, pool, lowered<mix>(dim), {&view, 1});
-    EXPECT_EQ(ref, got) << scheduler_name(s);
-  }
+  EXPECT_EQ(serial_reference(region), dataflow(pool, region));
 }
 
 // --- cost model ----------------------------------------------------------

@@ -274,8 +274,7 @@ TEST(EngineBackends, SerialCpuTiledAndHybridProduceIdenticalValues) {
   core::Grid serial(spec.dim, spec.elem_bytes);
   eng.run(eng.compile(spec, p, kSerialBackend), serial);
 
-  for (const char* backend :
-       {kCpuTiledBackend, kCpuDataflowBackend, kCpuAutoBackend, kHybridBackend}) {
+  for (const char* backend : {kCpuTiledBackend, kCpuDataflowBackend, kHybridBackend}) {
     core::Grid g(spec.dim, spec.elem_bytes);
     g.fill_poison();
     const Plan plan = eng.compile(spec, p, backend);
@@ -311,19 +310,6 @@ TEST(EngineBackends, CpuDataflowStripsGpuAndChargesBarrierFreeTime) {
   const Plan tiled = eng.compile(spec, core::TunableParams{6, 18, 3, 4}, kCpuTiledBackend);
   EXPECT_EQ(flow.params(), tiled.params());
   EXPECT_LT(eng.estimate(flow).rtime_ns, eng.estimate(tiled).rtime_ns);
-}
-
-TEST(EngineBackends, CpuAutoEstimatesTheCheaperSchedule) {
-  // "cpu-auto" consults the analytic cost models per input: its estimate
-  // must equal the cheaper of the two fixed-scheduler backends for the
-  // same tuning.
-  Engine eng(sim::make_i7_2600k(), small_engine());
-  const auto spec = small_spec();
-  const core::TunableParams p{4, -1, -1, 1};
-  const double tiled = eng.estimate(eng.compile(spec, p, kCpuTiledBackend)).rtime_ns;
-  const double flow = eng.estimate(eng.compile(spec, p, kCpuDataflowBackend)).rtime_ns;
-  const double autod = eng.estimate(eng.compile(spec, p, kCpuAutoBackend)).rtime_ns;
-  EXPECT_DOUBLE_EQ(autod, std::min(tiled, flow));
 }
 
 TEST(EngineBackends, SerialBackendIgnoresTheTuning) {

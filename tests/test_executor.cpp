@@ -15,6 +15,7 @@
 
 #include "apps/synthetic.hpp"
 #include "core/executor.hpp"
+#include "cpu/dataflow_wavefront.hpp"
 #include "sim/system_profile.hpp"
 
 namespace wavetune::core {
@@ -556,6 +557,38 @@ TEST(MultiGpuRowSplit, SplitProductAtAndPastSizeMax) {
   expect_bound_error([&] { (void)exec.run(spec, past, g); }, "SIZE_MAX");
   // A device index outside the phase is rejected the same way.
   expect_bound_error([&] { (void)ok.phases[1].device_rows(at, 64); }, "64-device");
+}
+
+// Every CPU phase runs the same walk whatever its scheduler field; the
+// field picks only the price. A program mixing both on a 4-worker pool
+// gives the serial grid, and each phase charges its own model's cost.
+TEST(CpuPhasePrice, MixedSchedulersRunOneWalkAndChargeTheirModel) {
+  const sim::SystemProfile profile = sim::make_i7_2600k();
+  HybridExecutor exec(profile, 4);
+  const auto spec = apps::make_synthetic_spec(small_instance(64));
+  const InputParams in = spec.inputs();
+  PhaseProgram program = make_cpu_only_program(in, 4, 4);
+  for (std::size_t p = 0; p < program.phases.size(); ++p) {
+    program.phases[p].scheduler = p % 2 == 0 ? cpu::Scheduler::kBarrier : cpu::Scheduler::kDataflow;
+  }
+
+  Grid ref(spec.dim, spec.elem_bytes);
+  exec.run_serial(spec, ref);
+  Grid g(spec.dim, spec.elem_bytes);
+  g.fill_poison();
+  const RunResult r = exec.run(spec, program, g);
+  EXPECT_TRUE(grids_equal(ref, g));
+
+  ASSERT_EQ(r.breakdown.phases.size(), program.phases.size());
+  for (std::size_t p = 0; p < program.phases.size(); ++p) {
+    const PhaseDesc& ph = program.phases[p];
+    const cpu::TiledRegion region{in.dim, ph.d_begin, ph.d_end, ph.cpu_tile};
+    const double want =
+        ph.scheduler == cpu::Scheduler::kBarrier
+            ? cpu::tiled_wavefront_cost_ns(region, profile.cpu, in.tsize, in.elem_bytes())
+            : cpu::dataflow_wavefront_cost_ns(region, profile.cpu, in.tsize, in.elem_bytes());
+    EXPECT_EQ(r.breakdown.phases[p].ns, want) << "phase " << p;
+  }
 }
 
 }  // namespace

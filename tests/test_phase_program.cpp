@@ -428,34 +428,6 @@ TEST(ProgramBuilders, CpuOnlyNPhaseCoversEverything) {
   EXPECT_NO_THROW(make_cpu_only_program(InputParams{3, 1.0, 0}, 2, 50).validate());
 }
 
-// --- per-phase scheduler refinement --------------------------------------
-
-TEST(TuneCpuSchedulers, RefinesPerPhaseAndRespectsTies) {
-  const sim::SystemProfile profile = sim::make_i7_2600k();
-  sim::CpuModel costly = profile.cpu;
-  costly.dataflow_dep_ns = 1e9;
-  HybridExecutor ex(profile, 1);
-  // dim 2048 at tile 8 is the large-grid, small-tile case: the barriered
-  // model pays ~511 barriers plus ragged-edge slot rounding.
-  for (const std::size_t dim : {std::size_t{512}, std::size_t{2048}}) {
-    const InputParams in{dim, 10.0, 1};
-    const PhaseProgram base = plan_phases(in, TunableParams{8, -1, -1, 1});
-    // Shipped calibration: dataflow wins on any nonempty region.
-    const PhaseProgram tuned = tune_cpu_schedulers(base, in, profile.cpu);
-    EXPECT_EQ(tuned.phases[0].scheduler, cpu::Scheduler::kDataflow) << dim;
-    // Expensive dependency bookkeeping flips every phase back to barrier.
-    const PhaseProgram barriered = tune_cpu_schedulers(base, in, costly);
-    EXPECT_EQ(barriered.phases[0].scheduler, cpu::Scheduler::kBarrier) << dim;
-    // The tuned program's CPU cost is the min over disciplines, per phase.
-    const double tuned_ns = ex.estimate(in, tuned).rtime_ns;
-    const double barrier_ns = ex.estimate(in, base).rtime_ns;
-    const double flow_ns =
-        ex.estimate(in, plan_phases(in, TunableParams{8, -1, -1, 1}, cpu::Scheduler::kDataflow))
-            .rtime_ns;
-    EXPECT_DOUBLE_EQ(tuned_ns, std::min(barrier_ns, flow_ns)) << dim;
-  }
-}
-
 // --- non-paper programs end-to-end through api::Engine -------------------
 
 TEST(EngineCustomProgram, CpuOnlyNPhaseAndSplitBandRunThroughTheEngine) {
